@@ -1,14 +1,8 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: bump-derivative values and the oscillatory transform.
 
-The backend is chosen at import time: numba is used when it imports
-successfully and the environment variable ``HORIZON_NUMBA`` is not set
-to ``0``.  Both implementations are kept importable so they can be
-benchmarked and cross-checked against each other (see
-``benchmarks/bench_accel.py`` and ``tests/test_accel.py``).
+Both are vectorized numpy; they back every kernel evaluation over
+quadrature nodes and every transform over frequency grids.
 """
-
-import math
-import os
 
 import numpy as np
 
@@ -19,24 +13,34 @@ _LOG_TINY = -740.0
 _DELTA_FLOOR = 1e-4
 
 
-def bump_derivative_values_numpy(u, pk, k):
+def _horner(coeffs, x):
+    out = np.zeros_like(x)
+    for c in coeffs[::-1]:
+        out = out * x + c
+    return out
+
+
+def bump_derivative_values(u, edge, k):
     """Evaluate P_k(u) * (1-u^2)^(-2k) * exp(-1/(1-u^2)) on an array.
 
-    ``pk`` holds the coefficients of P_k in ascending powers.  Values are
+    ``edge`` is the pair (E, O) of coefficient arrays, ascending in
+    delta = 1 - u^2, with P_k(u) = E(delta) + u O(delta).  Near the
+    support edges, where high derivatives peak, delta is small and the
+    leading coefficients dominate, so the sum does not cancel the way
+    Horner on the monomial coefficients of P_k does.  Values are
     computed in log space so that the (1-u^2)^(-2k) blow-up never meets
     the exp underflow as inf * 0.
     """
     u = np.asarray(u, dtype=np.float64)
     out = np.zeros_like(u)
-    delta = 1.0 - u * u
+    delta = (1.0 - u) * (1.0 + u)
     inside = delta > _DELTA_FLOOR
     if not np.any(inside):
         return out
     ui = u[inside]
     di = delta[inside]
-    p = np.zeros_like(ui)
-    for c in pk[::-1]:
-        p = p * ui + c
+    even, odd = edge
+    p = _horner(even, di) + ui * _horner(odd, di)
     vals = np.zeros_like(ui)
     nz = p != 0.0
     logv = np.log(np.abs(p[nz])) - 2.0 * k * np.log(di[nz]) - 1.0 / di[nz]
@@ -48,7 +52,7 @@ def bump_derivative_values_numpy(u, pk, k):
     return out
 
 
-def oscillatory_transform_numpy(t_nodes, t_weights, f_vals, omegas, chunk=1024):
+def oscillatory_transform(t_nodes, t_weights, f_vals, omegas, chunk=1024):
     """sum_m w_m f_m exp(-i omega t_m) for each omega, chunked to bound memory."""
     wf = t_weights * f_vals
     out = np.empty(omegas.size, dtype=np.complex128)
@@ -56,74 +60,3 @@ def oscillatory_transform_numpy(t_nodes, t_weights, f_vals, omegas, chunk=1024):
         sl = slice(i, min(i + chunk, omegas.size))
         out[sl] = np.exp(-1j * np.outer(omegas[sl], t_nodes)) @ wf
     return out
-
-
-HAS_NUMBA = False
-NUMBA_ENABLED = False
-
-if os.environ.get("HORIZON_NUMBA", "1") != "0":
-    try:
-        import numba
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def bump_derivative_values_numba(u, pk, k):  # pragma: no cover - jitted
-        n = u.size
-        out = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            ui = u[i]
-            delta = 1.0 - ui * ui
-            if delta <= _DELTA_FLOOR:
-                continue
-            p = 0.0
-            for j in range(pk.size - 1, -1, -1):
-                p = p * ui + pk[j]
-            if p == 0.0:
-                continue
-            logv = math.log(abs(p)) - 2.0 * k * math.log(delta) - 1.0 / delta
-            if logv > _LOG_TINY:
-                out[i] = math.copysign(math.exp(logv), p)
-        return out
-
-    @numba.njit(cache=True, nogil=True)
-    def oscillatory_transform_numba(t_nodes, t_weights, f_vals, omegas):  # pragma: no cover
-        out = np.empty(omegas.size, dtype=np.complex128)
-        for j in range(omegas.size):
-            w = omegas[j]
-            acc_re = 0.0
-            acc_im = 0.0
-            for m in range(t_nodes.size):
-                c = t_weights[m] * f_vals[m]
-                ph = w * t_nodes[m]
-                acc_re += c * math.cos(ph)
-                acc_im -= c * math.sin(ph)
-            out[j] = complex(acc_re, acc_im)
-        return out
-
-    NUMBA_ENABLED = True
-
-
-def bump_derivative_values(u, pk, k):
-    if NUMBA_ENABLED:
-        return bump_derivative_values_numba(
-            np.ascontiguousarray(u, dtype=np.float64),
-            np.ascontiguousarray(pk, dtype=np.float64),
-            k,
-        )
-    return bump_derivative_values_numpy(u, pk, k)
-
-
-def oscillatory_transform(t_nodes, t_weights, f_vals, omegas):
-    if NUMBA_ENABLED:
-        return oscillatory_transform_numba(
-            np.ascontiguousarray(t_nodes, dtype=np.float64),
-            np.ascontiguousarray(t_weights, dtype=np.float64),
-            np.ascontiguousarray(f_vals, dtype=np.float64),
-            np.ascontiguousarray(omegas, dtype=np.float64),
-        )
-    return oscillatory_transform_numpy(t_nodes, t_weights, f_vals, omegas)

@@ -1,8 +1,12 @@
 """Private extended-precision context.
 
 A cloned mpmath context pinned at 40 significant digits, so the library
-never mutates the global ``mpmath.mp`` state.  40 digits covers the worst
-cancellation met at desk scale (degree-12 predictors lose ~26 digits).
+never mutates the global ``mpmath.mp`` state.  It serves the Hankel-like
+Gram-Schmidt of the weighted projection and the closed-form alpha
+expansion, and the independent quadrature routes of the transform
+cross-checks (``PredictorKernel.spectrum`` and ``derivative_spectrum``
+with ``precision="extended"``).  No prediction, node table or transfer
+norm of a CLI command runs in it.
 """
 
 from mpmath import mp

@@ -107,7 +107,7 @@ def common_options(fn):
                       help="Worker threads (env HORIZON_THREADS as fallback).")(fn)
     fn = click.option("--precision", type=click.Choice(["double", "extended"]),
                       default="extended", show_default=True,
-                      help="extended engages the high-precision paths where double breaks.")(fn)
+                      help="extended predicts by derivative transfer where the double sample path breaks.")(fn)
     return fn
 
 

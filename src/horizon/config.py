@@ -8,7 +8,7 @@ rejected, every message names the offending key) and parse -> serialize
 import json
 from dataclasses import asdict, dataclass, field
 
-from .kernels import TargetKernel
+from .kernels import D_MAX, TargetKernel
 from .signals import Signal
 from .spectral_core import SpectralGrid, TimeGrid, default_omega_max
 
@@ -66,6 +66,8 @@ class ExperimentConfig:
         dr = tuple(self.d_range)
         if len(dr) != 2 or dr[0] < 0 or dr[1] < dr[0]:
             raise ConfigError("d_range: expected [start, stop] with 0 <= start <= stop")
+        if dr[1] > D_MAX:
+            raise ConfigError(f"d_range: stop {dr[1]} exceeds the largest supported degree {D_MAX}")
         object.__setattr__(self, "d_range", dr)
         if self.d_step < 1:
             raise ConfigError("d_step: must be a positive integer")

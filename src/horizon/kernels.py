@@ -6,10 +6,15 @@ integer-coefficient recurrence
 
     P_{k+1} = P_k' (1-u^2)^2 + P_k (4 k u (1-u^2) - 2u),   P_0 = 1.
 
-P_k is built once in exact integer arithmetic and then evaluated in
-floating point (or in the extended context for the ill-conditioned
-high-degree paths).  Finite differences are useless past k ~ 6 because
-the derivative magnitudes grow factorially; the recurrence is exact.
+P_k is built once in exact integer arithmetic.  Its monomial coefficients
+reach 1e20 at k = 16 and cancel in floating point, so for evaluation it
+is rewritten, by an exact integer Taylor shift, in the edge-distance
+basis P_k(u) = E(delta) + u O(delta) with delta = 1 - u^2; double
+precision then holds every order up to ``D_MAX``.  Finite differences
+are useless past k ~ 6 because the derivative magnitudes grow
+factorially; the recurrence is exact.  A scalar extended-precision
+evaluator (``TargetKernel.derivative_mp``) is kept for the independent
+quadrature route of the transform cross-checks.
 
 High-order derivatives concentrate into wavepackets near the support
 endpoints whose local frequency diverges like 1/delta^2 (delta the
@@ -67,9 +72,20 @@ def bump_poly_exact(k):
     return tuple(out)
 
 
+def _shift_to_delta(coeffs):
+    """Coefficients of c(1 - delta) in ascending powers of delta, exactly."""
+    out = [0] * max(1, len(coeffs))
+    for j, c in enumerate(coeffs):
+        for m in range(j + 1):
+            out[m] += (-1) ** m * math.comb(j, m) * c
+    return np.array(out, dtype=np.float64)
+
+
 @lru_cache(maxsize=None)
-def _bump_poly_float(k):
-    return np.array(bump_poly_exact(k), dtype=np.float64)
+def _bump_poly_edge(k):
+    """(E, O) with P_k(u) = E(1 - u^2) + u O(1 - u^2), ascending float coefficients."""
+    p = bump_poly_exact(k)
+    return _shift_to_delta(p[0::2]), _shift_to_delta(p[1::2])
 
 
 def _bump_fk_mp(u, k):
@@ -89,7 +105,7 @@ def _bump_fk_mp(u, k):
 def _raw_bump_mass():
     """integral of exp(-1/(1-u^2)) over (-1, 1) in double precision."""
     n, w = gauss_legendre_rule(-1.0, 1.0, 32)
-    return float(bump_derivative_values(n, _bump_poly_float(0), 0) @ w)
+    return float(bump_derivative_values(n, _bump_poly_edge(0), 0) @ w)
 
 
 @lru_cache(maxsize=1)
@@ -212,7 +228,7 @@ class TargetKernel:
         t = np.atleast_1d(t)
         if self.shape == "bump":
             u = self._to_unit(t)
-            vals = bump_derivative_values(u, _bump_poly_float(k), k)
+            vals = bump_derivative_values(u, _bump_poly_edge(k), k)
             out = vals * self.normalization * (2.0 / self.width) ** k
         else:
             out = np.array([self._mollified_derivative(k, float(ti)) for ti in t])
@@ -313,7 +329,7 @@ class MollifierKernel:
     def derivative(self, k, v):
         v = np.asarray(v, dtype=float)
         u = v / self.epsilon
-        vals = bump_derivative_values(u, _bump_poly_float(k), k)
+        vals = bump_derivative_values(u, _bump_poly_edge(k), k)
         return vals / (_raw_bump_mass() * self.epsilon ** (k + 1))
 
 

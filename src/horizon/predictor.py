@@ -7,14 +7,24 @@ The predicting kernel is assembled in the time domain as
 so its transform is psi_d(i omega) Q(i omega) = e^{-i omega T} psi_d H
 exactly; the property tests enforce that identity.
 
-High-degree assemblies are numerically brutal: hhat_10 for the canonical
-configuration peaks near 1e14 while its convolutions are O(0.1), so the
-quadrature must cancel ~12 orders of magnitude.  Node values and dot
-products therefore switch to the extended-precision context whenever the
-L1 mass of the assembled kernel makes double-precision roundoff exceed
-the quadrature budget.  Signals that carry an extended evaluator are read
-at full precision; others fall back to their float evaluator, which caps
-the attainable accuracy at ~1e-16 times the kernel L1 mass.
+High-degree assemblies are numerically brutal: hhat_12 for the canonical
+configuration carries an L1 mass near 3.5e15 while its convolutions are
+O(0.1), so a quadrature against the assembled kernel cancels some 16
+orders of magnitude.  Predictions therefore avoid it once the L1 mass
+makes double-precision roundoff exceed the quadrature budget
+(``needs_extended``).  Every derivative of q vanishes at 0 and at tau, so
+integrating by parts gives exactly
+
+    int q^(k)(u) x(t - u) du = int q(u) x^(k)(t - u) du,
+
+the same causal window and value, but a quadrature against the positive
+unit-mass bump with no cancellation.  Signals that carry a derivative
+evaluator are predicted by this derivative transfer; signals given only
+as samples keep the double sample path, whose roundoff floor is ~1e-16
+times the kernel L1 mass.  Every other quantity (transfer norms, node
+tables) is computed in double precision; the extended-precision node
+table survives only behind ``PredictorKernel.spectrum``, as the
+independent route of the central-identity check.
 """
 
 import math
@@ -189,28 +199,37 @@ def predict(pk, x, t, precision="extended"):
     return float(predict_values(pk, x, np.atleast_1d(float(t)), precision)[0])
 
 
+#: bound on the (time points x nodes) block evaluated at once
+_BLOCK_ELEMENTS = 1 << 18
+
+
 def predict_values(pk, x, ts, precision="extended"):
     ts = np.asarray(ts, dtype=float)
-    if pk._use_extended(precision):
-        nodes, weights, values = pk._extended_table()
-        x_mp = x.time_mp
-        node_floats = np.array([float(u) for u in nodes]) if x_mp is None else None
-        out = np.empty(ts.size, dtype=float)
-        for i, t in enumerate(ts):
-            tm = ctx.mpf(float(t))
-            if x_mp is not None:
-                acc = ctx.fsum(wi * vi * x_mp(tm - ui)
-                               for ui, wi, vi in zip(nodes, weights, values))
-            else:
-                xs = x.time(float(t) - node_floats)
-                acc = ctx.fsum(wi * vi * ctx.mpf(float(xv))
-                               for wi, vi, xv in zip(weights, values, xs))
-            out[i] = float(acc.real)
-        return out
+    if pk._use_extended(precision) and x.derivative is not None:
+        return _predict_by_transfer(pk, x, ts)
     nodes, weights, values, _ = pk._double_table()
     wv = weights * values
     xs = x.time(ts[:, None] - nodes[None, :])
     return np.real(xs @ wv)
+
+
+def _predict_by_transfer(pk, x, ts):
+    """sum_k Re(a_k) int h(s) x^(k)(t - T - s) ds on the target rule.
+
+    x is real, so Re(a_k x^(k)) = Re(a_k) x^(k).  The arguments
+    t - T - s stay inside the causal window (t - tau, t).
+    """
+    h = pk.h
+    nodes, weights = _target_rule(h)
+    hw = h(nodes) * weights
+    terms = [(k, a.real) for k, a in enumerate(pk.psi.coeffs) if a.real != 0.0]
+    out = np.zeros(ts.size)
+    step = max(1, _BLOCK_ELEMENTS // nodes.size)
+    for i in range(0, ts.size, step):
+        args = (ts[i:i + step] - h.T)[:, None] - nodes[None, :]
+        for k, a in terms:
+            out[i:i + step] += a * (x.derivative(k, args) @ hw)
+    return out
 
 
 # -- bounds ------------------------------------------------------------------
@@ -291,10 +310,12 @@ def _transfer_sup(pk, h):
 
 
 def _l2_time_norm_sq(pk):
-    """int |hhat_d|^2 dt from the cached node table (extended when needed)."""
-    if pk.needs_extended():
-        nodes, weights, values = pk._extended_table()
-        return float(ctx.fsum(w * abs(v) ** 2 for w, v in zip(weights, values)))
+    """int |hhat_d|^2 dt from the cached double node table.
+
+    The integrand is nonnegative, so the sum does not cancel; the node
+    values are accurate to every degree through the edge-basis kernel
+    derivatives.
+    """
     nodes, weights, values, _ = pk._double_table()
     return float(weights @ (np.abs(values) ** 2))
 

@@ -3,8 +3,8 @@
 Every generator returns a real-valued signal carrying a vectorized time
 evaluator, its closed-form spectrum X(i omega) where one exists, the
 exponential decay rate of |X| (np.inf for compact or super-exponential
-spectra), and a scalar extended-precision evaluator used by the
-high-degree convolution path.
+spectra), and a vectorized evaluator ``derivative(k, t)`` of x^(k) used
+by the derivative-transfer prediction path.
 """
 
 import json
@@ -14,8 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._mp import ctx
-from .spectral_core import SpectralGrid, default_omega_max
+from .spectral_core import SpectralGrid, _time_rule, default_omega_max
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,7 @@ class Signal:
     time: Callable = field(repr=False)
     spectrum: Optional[Callable] = field(repr=False, default=None)
     spectral_decay: float = 0.0
-    time_mp: Optional[Callable] = field(repr=False, default=None)
+    derivative: Optional[Callable] = field(repr=False, default=None)
 
     def __call__(self, t):
         return self.time(np.asarray(t, dtype=float))
@@ -74,8 +73,19 @@ def zero_signal():
         time=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         spectrum=lambda om: np.zeros_like(np.asarray(om, dtype=float), dtype=complex),
         spectral_decay=np.inf,
-        time_mp=lambda t: ctx.mpf(0),
+        derivative=lambda k, t: np.zeros_like(np.asarray(t, dtype=float)),
     )
+
+
+def _poisson_derivative(a, k, t):
+    """k-th derivative of (1/pi) a / (a^2 + t^2) = Im[1 / (t - i a)] / pi.
+
+    (-1)^k k! Im[(t - i a)^-(k+1)] / pi, taken in polar form.
+    """
+    t = np.asarray(t, dtype=float)
+    rho = np.hypot(t, a)
+    phi = np.arctan2(-a, t)
+    return ((-1) ** (k + 1) * math.factorial(k) / np.pi) * rho ** -(k + 1) * np.sin((k + 1) * phi)
 
 
 def poisson_signal(a):
@@ -90,14 +100,13 @@ def poisson_signal(a):
     def spectrum(om):
         return np.exp(-a * np.abs(om)).astype(complex)
 
-    am = ctx.mpf(a)
     return Signal(
         kind="poisson",
         params={"a": a},
         time=time,
         spectrum=spectrum,
         spectral_decay=a,
-        time_mp=lambda t: (am / ctx.pi) / (am * am + t * t),
+        derivative=lambda k, t: _poisson_derivative(a, k, t),
     )
 
 
@@ -114,16 +123,30 @@ def gaussian_signal(sigma):
     def spectrum(om):
         return np.exp(-0.5 * (sigma * om) ** 2).astype(complex)
 
-    sm = ctx.mpf(sigma)
-    nm = 1 / (sm * ctx.sqrt(2 * ctx.pi))
+    def derivative(k, t):
+        # x^(k) = (-1/sigma)^k He_k(t/sigma) x(t), probabilists' Hermite He_k
+        t = np.asarray(t, dtype=float)
+        z = t / sigma
+        he_prev, he = np.zeros_like(z), np.ones_like(z)
+        for j in range(k):
+            he_prev, he = he, z * he - j * he_prev
+        return (-1.0 / sigma) ** k * he * time(t)
+
     return Signal(
         kind="gaussian",
         params={"sigma": sigma},
         time=time,
         spectrum=spectrum,
         spectral_decay=np.inf,
-        time_mp=lambda t: nm * ctx.exp(-t * t / (2 * sm * sm)),
+        derivative=derivative,
     )
+
+
+def _cos_shift(m, x):
+    """cos(x + m pi/2), exact in the quarter turn."""
+    m %= 4
+    c = np.cos(x) if m % 2 == 0 else np.sin(x)
+    return c if m in (0, 3) else -c
 
 
 def cosine_modulated_poisson(a, omega0):
@@ -140,14 +163,23 @@ def cosine_modulated_poisson(a, omega0):
         om = np.asarray(om, dtype=float)
         return 0.5 * (np.exp(-a * np.abs(om - omega0)) + np.exp(-a * np.abs(om + omega0))).astype(complex)
 
-    am, wm = ctx.mpf(a), ctx.mpf(omega0)
+    def derivative(k, t):
+        # Leibniz: sum_j C(k, j) p^(j)(t) omega0^(k-j) cos(omega0 t + (k-j) pi/2)
+        t = np.asarray(t, dtype=float)
+        phase = omega0 * t
+        out = np.zeros_like(t)
+        for j in range(k + 1):
+            m = k - j
+            out += math.comb(k, j) * omega0**m * _cos_shift(m, phase) * _poisson_derivative(a, j, t)
+        return out
+
     return Signal(
         kind="cosine_modulated_poisson",
         params={"a": a, "omega0": omega0},
         time=time,
         spectrum=spectrum,
         spectral_decay=a,
-        time_mp=lambda t: (am / ctx.pi) / (am * am + t * t) * ctx.cos(wm * t),
+        derivative=derivative,
     )
 
 
@@ -171,12 +203,16 @@ def chirp_noise(band, amplitude):
         om = np.abs(np.asarray(om, dtype=float))
         return (amplitude * ((om >= lo) & (om <= hi))).astype(complex)
 
-    lom, him, am = ctx.mpf(lo), ctx.mpf(hi), ctx.mpf(amplitude)
-
-    def time_mp(t):
-        if t == 0:
-            return am / ctx.pi * (him - lom)
-        return am / ctx.pi * (ctx.sin(him * t) - ctx.sin(lom * t)) / t
+    def derivative(k, t):
+        # x^(k) = (amplitude/pi) int_lo^hi omega^k cos(omega t + k pi/2) domega,
+        # accumulated one frequency node at a time so memory stays that of t
+        t = np.asarray(t, dtype=float)
+        t_scale = float(np.max(np.abs(t))) if t.size else 0.0
+        om_nodes, om_weights = _time_rule((lo, hi), t_scale, 1)
+        out = np.zeros_like(t)
+        for om, w in zip(om_nodes, om_weights):
+            out += (w * om**k) * _cos_shift(k, om * t)
+        return (amplitude / np.pi) * out
 
     return Signal(
         kind="chirp_noise",
@@ -184,7 +220,7 @@ def chirp_noise(band, amplitude):
         time=time,
         spectrum=spectrum,
         spectral_decay=np.inf,
-        time_mp=time_mp,
+        derivative=derivative,
     )
 
 
@@ -206,11 +242,10 @@ def superposition(signals, weights=None):
         def spectrum(om):
             return sum(w * s.spectrum(om) for w, s in zip(weights, signals))
 
-    time_mp = None
-    if all(s.time_mp is not None for s in signals):
-        wm = [ctx.mpf(w) for w in weights]
-        def time_mp(t):
-            return ctx.fsum(w * s.time_mp(t) for w, s in zip(wm, signals))
+    derivative = None
+    if all(s.derivative is not None for s in signals):
+        def derivative(k, t):
+            return sum(w * s.derivative(k, t) for w, s in zip(weights, signals))
 
     return Signal(
         kind="superposition",
@@ -219,7 +254,7 @@ def superposition(signals, weights=None):
         time=time,
         spectrum=spectrum,
         spectral_decay=min(s.spectral_decay for s in signals),
-        time_mp=time_mp,
+        derivative=derivative,
     )
 
 

@@ -37,6 +37,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="p:"):
             ExperimentConfig.from_dict({"p": 3})
 
+    @pytest.mark.parametrize("command", ["alpha-sweep", "convergence", "noise-sweep", "predict"])
+    def test_degree_above_kernel_cap_is_config_error(self, runner, tmp_path, command):
+        cfgp = write_config(tmp_path / "c.json", d_range=[0, 17], d_step=17,
+                            output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, [command, "--config", str(cfgp)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "d_range" in result.output
+
     def test_json_error_carries_position(self):
         with pytest.raises(ConfigError, match="line 1"):
             ExperimentConfig.from_json("{bad json")
@@ -143,6 +151,18 @@ class TestNoiseSweep:
         assert len(rows) == 4
         for nu, d, emp, bnd in rows:
             assert emp <= bnd + 1e-8
+
+    def test_projection_p1_degree_16_within_bound(self, runner, tmp_path):
+        cfgp = write_config(tmp_path / "c.json", method="projection", p=1,
+                            d_range=[0, 16], d_step=16,
+                            tgrid={"t_min": -2.0, "t_max": 2.0, "n_points": 5},
+                            output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "out" / "noise_sweep.csv").read_text().splitlines()[1:]
+        rows = [list(map(float, l.split(","))) for l in lines]
+        (top,) = [r for r in rows if r[0] == 0.0 and r[1] == 16.0]
+        assert top[2] <= top[3]
 
     def test_zero_noise_rows_match_convergence(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json", d_range=[2, 2],

@@ -14,9 +14,9 @@ from horizon import (
     q_spectrum,
     q_transform,
 )
-from horizon.kernels import bump_poly_exact, derivative_spectrum
+from horizon.kernels import D_MAX, bump_poly_exact, derivative_spectrum
 
-from oracles import adaptive_simpson, richardson_derivative
+from oracles import adaptive_simpson, bump_derivative_mp, richardson_derivative
 
 
 class TestBumpPolynomials:
@@ -106,6 +106,15 @@ class TestKernelDerivative:
             for t in (-0.3, 0.0, 0.05):
                 assert float(h.derivative_mp(t, k)) == pytest.approx(
                     h.derivative(k, t), rel=1e-11)
+
+    @pytest.mark.parametrize("k", range(D_MAX + 1))
+    def test_every_order_against_80_digits(self, unit_bump, k):
+        # T = theta = 1 makes the unit map the identity; the nodes reach
+        # into the edge wavepackets where high orders peak
+        ts = np.linspace(-0.999, 0.999, 401)
+        ref = np.array([float(bump_derivative_mp(t, k)) for t in ts])
+        got = unit_bump.derivative(k, ts) / unit_bump.normalization
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_order_cap(self, canonical_kernel):
         with pytest.raises(ValueError):

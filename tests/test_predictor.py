@@ -26,8 +26,9 @@ from horizon import (
 )
 from horizon.signals import Signal
 from horizon.polynomials import projection_psi
+from horizon.predictor import _predict_by_transfer, transfer_norms
 
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, transfer_prediction_mp
 
 T, TH, R, A = 0.5, 0.1, 2.0, 1.5
 
@@ -157,17 +158,31 @@ class TestPredict:
         np.testing.assert_allclose(pk.spectrum(omegas), pk.closed_spectrum(omegas), rtol=1e-8)
 
     def test_double_and_extended_paths_agree_at_low_degree(self, pk_small, canonical_signal):
+        # derivative transfer against the sample path, forced at d = 4
+        # where the sample path is still accurate
         ts = np.linspace(-1, 1, 5)
         a = predict_values(pk_small, canonical_signal, ts, precision="double")
-        # force the extended quadrature even though double suffices
-        nodes, weights, values = pk_small._extended_table()
-        from horizon._mp import ctx
+        b = _predict_by_transfer(pk_small, canonical_signal, ts)
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
-        for t0, da in zip(ts, a):
-            tm = ctx.mpf(float(t0))
-            acc = ctx.fsum(w * v * canonical_signal.time_mp(tm - u)
-                           for u, w, v in zip(nodes, weights, values))
-            assert float(acc.real) == pytest.approx(da, abs=1e-12)
+    def test_signal_without_derivative_takes_sample_path(self, pk_big, canonical_signal):
+        samples_only = Signal(kind="samples", params={}, time=canonical_signal.time)
+        ts = np.array([-0.5, 0.4])
+        np.testing.assert_array_equal(
+            predict_values(pk_big, samples_only, ts),
+            predict_values(pk_big, canonical_signal, ts, precision="double"))
+
+    @pytest.mark.parametrize("method", ["taylor", "projection"])
+    @pytest.mark.parametrize("d", [10, 12, 16])
+    def test_derivative_transfer_against_70_digits(self, canonical_kernel, canonical_signal,
+                                                   method, d):
+        psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
+        pk = build_predictor(canonical_kernel, psi)
+        assert pk.needs_extended()
+        ts = np.linspace(-2.0, 2.0, 5)
+        ref = transfer_prediction_mp(psi.coeffs, T, TH, A, ts, dps=70)
+        np.testing.assert_allclose(predict_values(pk, canonical_signal, ts), ref,
+                                   rtol=0, atol=1e-15)
 
 
 class TestErrorBound:
@@ -247,6 +262,18 @@ class TestNoise:
         e2 = empirical_noise_error(pk_small, canonical_kernel, canonical_signal,
                                    chirp_noise((6.0, 12.0), 0.10), canonical_tgrid, grid=grid_r2)
         assert e2.noise_error == pytest.approx(2.0 * e1.noise_error, rel=1e-12)
+
+
+class TestTransferNorms:
+    @pytest.mark.parametrize("d", [12, 16])
+    def test_l2_norm_against_40_digit_table(self, canonical_kernel, d):
+        from horizon._mp import ctx
+
+        pk = build_predictor(canonical_kernel, taylor_psi(T, d))
+        _, weights, values = pk._extended_table()
+        ref = math.sqrt(2.0 * math.pi * float(ctx.fsum(w * abs(v) ** 2
+                                                       for w, v in zip(weights, values))))
+        assert transfer_norms(pk, canonical_kernel, 2)[0] == pytest.approx(ref, rel=1e-11)
 
 
 class TestPredictionResult:

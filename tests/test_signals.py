@@ -34,11 +34,6 @@ class TestPoisson:
         F = fourier_transform_at(x.time, (-1e3, 1e3), omegas)
         np.testing.assert_allclose(F, x.spectrum(omegas), rtol=1e-4)
 
-    def test_extended_evaluator_agrees(self):
-        x = poisson_signal(1.5)
-        for t in (-2.0, 0.0, 0.3):
-            assert float(x.time_mp(t)) == pytest.approx(float(x(t)), rel=1e-14)
-
 
 class TestGaussian:
     def test_spectrum_pair(self):
@@ -99,6 +94,56 @@ class TestRealness:
         om = np.linspace(-10, 10, 21)
         X = x.spectrum(om)
         np.testing.assert_allclose(X, np.conj(X[::-1]), rtol=1e-12, atol=1e-15)
+
+
+def _mp_definitions(mp):
+    """(signal, the same signal written for mpmath) pairs."""
+    a, s, w0 = mp.mpf(1.5), mp.mpf(0.7), mp.mpf(4.0)
+    poisson = lambda t: (a / mp.pi) / (a * a + t * t)
+    gauss = lambda t: mp.exp(-t * t / (2 * s * s)) / (s * mp.sqrt(2 * mp.pi))
+    return {
+        "poisson": (poisson_signal(1.5), poisson),
+        "gaussian": (gaussian_signal(0.7), gauss),
+        "cosine_modulated_poisson": (cosine_modulated_poisson(1.5, 4.0),
+                                     lambda t: poisson(t) * mp.cos(w0 * t)),
+        "chirp_noise": (chirp_noise((6.0, 12.0), 0.5),
+                        lambda t: mp.mpf(0.5) / mp.pi * (mp.sin(12 * t) - mp.sin(6 * t)) / t),
+        "superposition": (superposition([poisson_signal(1.5), gaussian_signal(0.7)], [2.0, -0.5]),
+                          lambda t: 2 * poisson(t) - gauss(t) / 2),
+    }
+
+
+class TestDerivative:
+    @pytest.mark.parametrize("kind", ["poisson", "gaussian", "cosine_modulated_poisson",
+                                      "chirp_noise", "superposition"])
+    def test_against_mpmath_diff(self, kind):
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        x, f = _mp_definitions(mp)[kind]
+        # 25 is far enough out that the chirp's band rule needs many panels
+        ts = np.array([-1.3, 0.4, 2.7, 25.0])
+        for k in range(17):
+            ref = np.array([float(mp.diff(f, mp.mpf(t), k)) for t in ts])
+            got = x.derivative(k, ts)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+    def test_zero_signal(self):
+        ts = np.linspace(-1, 1, 5)
+        for k in (0, 7, 16):
+            np.testing.assert_array_equal(zero_signal().derivative(k, ts), 0.0)
+
+    def test_shape_follows_input(self):
+        import mpmath
+
+        ts = np.linspace(-1, 1, 6).reshape(2, 3)
+        for x, _ in _mp_definitions(mpmath.mp).values():
+            assert x.derivative(3, ts).shape == (2, 3)
+
+    def test_superposition_needs_every_part(self):
+        bare = Signal(kind="samples", params={}, time=lambda t: np.zeros_like(t))
+        assert superposition([poisson_signal(1.0), bare]).derivative is None
 
 
 class TestClassNorm:
