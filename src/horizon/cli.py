@@ -6,9 +6,8 @@ full-precision scientific notation); per-row runtimes go to the JSON
 summary, which is not covered by the byte-identity guarantee.
 """
 
-import concurrent.futures
+import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -17,7 +16,6 @@ import click
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .predictor import ClassMembershipError
 from .polynomials import (
     alpha_closed_form,
     projection_psi,
@@ -25,6 +23,7 @@ from .polynomials import (
     taylor_psi,
 )
 from .predictor import (
+    ClassMembershipError,
     build_predictor,
     error_bound_parts,
     noise_bound,
@@ -54,18 +53,21 @@ def _write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("HORIZON_THREADS")
-    return max(1, int(env)) if env else 1
+def _exit_codes(command):
+    """Map a config error to exit 2 and a class-membership refusal to exit 3."""
 
+    @functools.wraps(command)
+    def wrapped(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+        except ClassMembershipError as exc:
+            click.echo(f"refusing: {exc}", err=True)
+            sys.exit(EXIT_CLASS)
 
-def _parallel_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return wrapped
 
 
 def _load_config(config_path, out):
@@ -103,8 +105,6 @@ def common_options(fn):
                       default=None, help="JSON experiment config (canonical defaults if omitted).")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=None,
                       help="Output directory (overrides config output_dir).")(fn)
-    fn = click.option("--threads", type=int, default=None,
-                      help="Worker threads (env HORIZON_THREADS as fallback).")(fn)
     fn = click.option("--precision", type=click.Choice(["double", "extended"]),
                       default="extended", show_default=True,
                       help="extended predicts by derivative transfer where the double sample path breaks.")(fn)
@@ -119,26 +119,19 @@ def main():
 
 @main.command("alpha-sweep")
 @common_options
-def cmd_alpha_sweep(config_path, out, threads, precision):
+@_exit_codes
+def cmd_alpha_sweep(config_path, out, precision):
     """Sweep the weighted approximation error alpha over the degree range."""
-    try:
-        cfg = _load_config(config_path, out)
-        threads = _resolve_threads(threads)
+    cfg = _load_config(config_path, out)
+    results = []
+    for d in cfg.ds:
+        psi = _psi_for(cfg, d, precision)
+        alpha = alpha_closed_form(psi, cfg.T, cfg.r)
+        bound = taylor_alpha_bound(cfg.T, cfg.r, d) if cfg.T < cfg.r else None
+        results.append((d, alpha, bound))
 
-        def one(d):
-            psi = _psi_for(cfg, d, precision)
-            alpha = alpha_closed_form(psi, cfg.T, cfg.r)
-            bound = taylor_alpha_bound(cfg.T, cfg.r, d) if cfg.T < cfg.r else None
-            return d, alpha, bound
-
-        results = _parallel_map(one, cfg.ds, threads)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-
-    rows = [(float(d), cfg.method, alpha, "" if bound is None else _fmt(bound))
+    rows = [(_fmt(float(d)), cfg.method, _fmt(alpha), "" if bound is None else _fmt(bound))
             for d, alpha, bound in results]
-    rows = [(_fmt(d), method, _fmt(alpha), bound) for d, method, alpha, bound in rows]
     path = Path(cfg.output_dir) / "alpha_sweep.csv"
     _write_csv(path, ["d", "method", "alpha", "taylor_bound"], rows)
     click.echo(f"wrote {path}")
@@ -152,28 +145,19 @@ def cmd_alpha_sweep(config_path, out, threads, precision):
 
 @main.command("convergence")
 @common_options
-def cmd_convergence(config_path, out, threads, precision):
+@_exit_codes
+def cmd_convergence(config_path, out, precision):
     """Prediction-error convergence over the degree range, with bounds."""
-    try:
-        cfg = _load_config(config_path, out)
-        threads = _resolve_threads(threads)
-        x = _class_gate(cfg)
-        h = cfg.build_kernel()
-        tgrid = cfg.build_tgrid()
-
-        def one(d):
-            start = time.perf_counter()
-            pk = build_predictor(h, _psi_for(cfg, d, precision))
-            res = run_prediction(pk, x, tgrid, cfg.r, method=cfg.method, precision=precision)
-            return d, res, 1000.0 * (time.perf_counter() - start)
-
-        results = _parallel_map(one, cfg.ds, threads)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except ClassMembershipError as exc:
-        click.echo(f"refusing: {exc}", err=True)
-        sys.exit(EXIT_CLASS)
+    cfg = _load_config(config_path, out)
+    x = _class_gate(cfg)
+    h = cfg.build_kernel()
+    tgrid = cfg.build_tgrid()
+    results = []
+    for d in cfg.ds:
+        start = time.perf_counter()
+        pk = build_predictor(h, _psi_for(cfg, d, precision))
+        res = run_prediction(pk, x, tgrid, cfg.r, method=cfg.method, precision=precision)
+        results.append((d, res, 1000.0 * (time.perf_counter() - start)))
 
     rows = [(d, res.sup_error, res.bound) for d, res, _ in results]
     path = Path(cfg.output_dir) / "convergence.csv"
@@ -198,43 +182,32 @@ def cmd_convergence(config_path, out, threads, precision):
 
 @main.command("noise-sweep")
 @common_options
-def cmd_noise_sweep(config_path, out, threads, precision):
+@_exit_codes
+def cmd_noise_sweep(config_path, out, precision):
     """Total prediction error under noise versus the robustness bound."""
-    try:
-        cfg = _load_config(config_path, out)
-        threads = _resolve_threads(threads)
-        x0 = _class_gate(cfg)
-        h = cfg.build_kernel()
-        tgrid = cfg.build_tgrid()
-        grid = cfg.build_grid()
-        eta_unit = cfg.build_noise()
-        unit_norm = noise_norm(eta_unit, cfg.p, grid)
-        if unit_norm <= 0:
-            raise ConfigError("noise: zero spectrum on the experiment grid")
+    cfg = _load_config(config_path, out)
+    x0 = _class_gate(cfg)
+    h = cfg.build_kernel()
+    tgrid = cfg.build_tgrid()
+    grid = cfg.build_grid()
+    eta_unit = cfg.build_noise()
+    unit_norm = noise_norm(eta_unit, cfg.p, grid)
+    if unit_norm <= 0:
+        raise ConfigError("noise: zero spectrum on the experiment grid")
 
-        def one(d):
-            pk = build_predictor(h, _psi_for(cfg, d, precision))
-            y = target_values(h, x0, tgrid.nodes)
-            y_hat0 = predict_values(pk, x0, tgrid.nodes, precision)
-            conv_unit = (predict_values(pk, eta_unit, tgrid.nodes, precision))
-            _, _, eps_bound = error_bound_parts(pk, x0, cfg.r)
-            slope = noise_bound(pk, h, 1.0, cfg.p)  # norms on the transfer band
-            per_nu = []
-            for nu in cfg.nu_range:
-                scale = nu / unit_norm
-                total = float(np.max(np.abs(y - y_hat0 - scale * conv_unit)))
-                per_nu.append((nu, d, total, eps_bound + nu * slope))
-            return per_nu
+    rows = []
+    for d in cfg.ds:
+        pk = build_predictor(h, _psi_for(cfg, d, precision))
+        y = target_values(h, x0, tgrid.nodes)
+        y_hat0 = predict_values(pk, x0, tgrid.nodes, precision)
+        conv_unit = predict_values(pk, eta_unit, tgrid.nodes, precision)
+        _, _, eps_bound = error_bound_parts(pk, x0, cfg.r)
+        slope = noise_bound(pk, h, 1.0, cfg.p)  # norms on the transfer band
+        for nu in cfg.nu_range:
+            scale = nu / unit_norm
+            total = float(np.max(np.abs(y - y_hat0 - scale * conv_unit)))
+            rows.append((nu, d, total, eps_bound + nu * slope))
 
-        blocks = _parallel_map(one, cfg.ds, threads)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except ClassMembershipError as exc:
-        click.echo(f"refusing: {exc}", err=True)
-        sys.exit(EXIT_CLASS)
-
-    rows = [row for block in blocks for row in block]
     rows.sort(key=lambda row: (row[0], row[1]))
     path = Path(cfg.output_dir) / "noise_sweep.csv"
     _write_csv(path, ["nu", "d", "empirical_total_error", "bound_total"],
@@ -251,26 +224,23 @@ def cmd_noise_sweep(config_path, out, threads, precision):
 @common_options
 @click.option("--times", default=None,
               help="Comma-separated prediction times (default: the config time grid).")
-def cmd_predict(config_path, out, threads, precision, times):
+@_exit_codes
+def cmd_predict(config_path, out, precision, times):
     """Single-shot prediction dump at the top degree of the range."""
-    try:
-        cfg = _load_config(config_path, out)
-        x = _class_gate(cfg)
-        h = cfg.build_kernel()
-        if times is not None:
-            try:
-                ts = np.array([float(v) for v in times.split(",")])
-            except ValueError as exc:
-                raise ConfigError(f"times: {exc}") from exc
-        else:
-            ts = cfg.build_tgrid().nodes
-        d = cfg.d_range[1]
-        pk = build_predictor(h, _psi_for(cfg, d, precision))
-        y = target_values(h, x, ts)
-        y_hat = predict_values(pk, x, ts, precision)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = _load_config(config_path, out)
+    x = _class_gate(cfg)
+    h = cfg.build_kernel()
+    if times is not None:
+        try:
+            ts = np.array([float(v) for v in times.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"times: {exc}") from exc
+    else:
+        ts = cfg.build_tgrid().nodes
+    d = cfg.d_range[1]
+    pk = build_predictor(h, _psi_for(cfg, d, precision))
+    y = target_values(h, x, ts)
+    y_hat = predict_values(pk, x, ts, precision)
 
     path = Path(cfg.output_dir) / "predict.csv"
     _write_csv(path, ["t", "y", "y_hat", "abs_err"],

@@ -193,6 +193,8 @@ class TargetKernel:
         self._prototype = prototype
         self._lock = threading.Lock()
         self._mass_mp = None
+        #: frequency-domain data that does not depend on the degree (see predictor)
+        self._spectra = {}
         if shape == "bump":
             self.normalization = 2.0 / (self.width * _raw_bump_mass())
         elif shape == "mollified":

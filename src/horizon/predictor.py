@@ -182,12 +182,32 @@ def target(h, x, t):
     return float(target_values(h, x, np.atleast_1d(float(t)))[0])
 
 
+#: bound on the (time points x nodes) block evaluated at once
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _row_blocks(n_rows, n_cols):
+    """Row slices of about ``_BLOCK_ELEMENTS`` elements, each a whole multiple of 16 rows.
+
+    Whole multiples of 16 rows keep the BLAS matrix-vector kernel's row unrolling,
+    so a blocked product sums each row exactly as one full product does.
+    """
+    step = max(16, _BLOCK_ELEMENTS // n_cols // 16 * 16)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _sample_convolution(x, ts, nodes, wv):
+    """sum_m wv_m x(t - s_m) for each t, over row blocks of the sample matrix."""
+    out = np.empty(ts.size, dtype=np.result_type(float, wv))
+    for rows in _row_blocks(ts.size, nodes.size):
+        out[rows] = x.time(ts[rows, None] - nodes[None, :]) @ wv
+    return out
+
+
 def target_values(h, x, ts):
     ts = np.asarray(ts, dtype=float)
     nodes, weights = _target_rule(h)
-    hv = h(nodes) * weights
-    xs = x.time(ts[:, None] - nodes[None, :])
-    return xs @ hv
+    return _sample_convolution(x, ts, nodes, h(nodes) * weights)
 
 
 def predict(pk, x, t, precision="extended"):
@@ -199,18 +219,12 @@ def predict(pk, x, t, precision="extended"):
     return float(predict_values(pk, x, np.atleast_1d(float(t)), precision)[0])
 
 
-#: bound on the (time points x nodes) block evaluated at once
-_BLOCK_ELEMENTS = 1 << 18
-
-
 def predict_values(pk, x, ts, precision="extended"):
     ts = np.asarray(ts, dtype=float)
     if pk._use_extended(precision) and x.derivative is not None:
         return _predict_by_transfer(pk, x, ts)
     nodes, weights, values, _ = pk._double_table()
-    wv = weights * values
-    xs = x.time(ts[:, None] - nodes[None, :])
-    return np.real(xs @ wv)
+    return np.real(_sample_convolution(x, ts, nodes, weights * values))
 
 
 def _predict_by_transfer(pk, x, ts):
@@ -224,11 +238,10 @@ def _predict_by_transfer(pk, x, ts):
     hw = h(nodes) * weights
     terms = [(k, a.real) for k, a in enumerate(pk.psi.coeffs) if a.real != 0.0]
     out = np.zeros(ts.size)
-    step = max(1, _BLOCK_ELEMENTS // nodes.size)
-    for i in range(0, ts.size, step):
-        args = (ts[i:i + step] - h.T)[:, None] - nodes[None, :]
+    for rows in _row_blocks(ts.size, nodes.size):
+        args = (ts[rows] - h.T)[:, None] - nodes[None, :]
         for k, a in terms:
-            out[i:i + step] += a * (x.derivative(k, args) @ hw)
+            out[rows] += a * (x.derivative(k, args) @ hw)
     return out
 
 
@@ -253,8 +266,16 @@ def _beta_grid(x, h, r, n_points=4096):
     return grid
 
 
+def _q_on_grid(h, grid):
+    """Q(i omega) on the grid's nodes, computed once per kernel and grid (it does not depend on d)."""
+    key = ("grid", grid.nodes.tobytes())
+    if key not in h._spectra:
+        h._spectra[key] = q_spectrum(h, grid.nodes)
+    return h._spectra[key]
+
+
 def _beta_integrand(x, h, r, grid):
-    q = q_spectrum(h, grid.nodes)
+    q = _q_on_grid(h, grid)
     xv = x.spectrum(grid.nodes)
     return np.exp(r * np.abs(grid.nodes)) * np.abs(q * xv) ** 2
 
@@ -283,30 +304,54 @@ def error_bound(pk, x, r, grid=None):
     return error_bound_parts(pk, x, r, grid)[2]
 
 
+#: top of the p = 1 transfer band
 _SCAN_OMEGA_MAX = 16384.0
+#: FFT frequencies per crest period 2 pi / tau of |Q| (zero-padding factor)
+_BAND_PAD = 128
+
+
+def _band_spectrum(h):
+    """(omega, |Q(i omega)|) on [0, _SCAN_OMEGA_MAX], computed once per kernel.
+
+    q(t) = h(t - T) is sampled on n + 1 uniform points of [0, tau] at a
+    step of at most pi / (2 _SCAN_OMEGA_MAX), twice the Nyquist rate of
+    the band, and transformed by one FFT zero-padded to a power of two
+    at least ``_BAND_PAD`` (n + 1) long, so the frequency spacing puts at
+    least ``_BAND_PAD`` samples on each crest of |Q|.  q and all its
+    derivatives vanish at 0 and tau, so this trapezoid rule is
+    spectrally accurate below Nyquist (Trefethen & Weideman, SIAM Review
+    56, 2014).
+    """
+    key = ("band",)
+    if key not in h._spectra:
+        n = math.ceil(2.0 * _SCAN_OMEGA_MAX * h.width / math.pi)
+        dt = h.width / n
+        samples = h(np.arange(n + 1) * dt - h.T)
+        m = 1 << (_BAND_PAD * (n + 1) - 1).bit_length()
+        omegas = (2.0 * math.pi / (m * dt)) * np.arange(m // 2 + 1)
+        keep = omegas <= _SCAN_OMEGA_MAX
+        q_abs = dt * np.abs(np.fft.rfft(samples, m)[keep])
+        h._spectra[key] = (omegas[keep], q_abs)
+    return h._spectra[key]
 
 
 def _transfer_sup(pk, h):
-    """sup over the transfer band of (|psi_d Q|, |Q|), by two-stage scan.
+    """(sup |psi_d Q|, sup |Q|) over the transfer band [0, _SCAN_OMEGA_MAX].
 
-    |psi_d(i omega) Q(i omega)| peaks far beyond the class-weight
-    truncation once d grows (omega ~ 1e3 at d = 10 for the canonical
-    kernel): a coarse log-spaced profile locates the peak, a dense pass
-    around it pins the sup.  |Q| oscillates with period ~2 pi / width, so
-    unit spacing resolves the crests.
+    |Q| comes from ``_band_spectrum`` (one FFT per kernel, shared by every
+    degree), within 1e-15 absolute of 30-digit values.  Far up the band
+    |Q| itself falls below that roundoff while psi_d(i omega) grows like
+    omega^d, so at high degree the largest product on the band is
+    |psi_d| times roundoff, above the true sup, which |psi_d Q| reaches
+    well inside the resolved band (omega ~ 1e3 at d = 10 for the
+    canonical kernel).  The sup is therefore capped by the exact
+    inequality sup |Hhat_d| <= int |hhat_d| = ``pk.l1_mass``, a positive
+    sum with no cancellation, so the reported norm never exceeds a bound
+    that holds.
     """
-    coarse = np.concatenate([np.linspace(0.0, 64.0, 513),
-                             np.geomspace(64.0, _SCAN_OMEGA_MAX, 1025)])
-    q_coarse = np.abs(q_spectrum(h, coarse))
-    prod = np.abs(pk.psi.at_iw(coarse)) * q_coarse
-    om_star = max(float(coarse[int(np.argmax(prod))]), 8.0)
-    lo, hi = 0.7 * om_star, min(1.5 * om_star, _SCAN_OMEGA_MAX)
-    fine = np.linspace(lo, hi, max(64, int(hi - lo)))
-    q_fine = np.abs(q_spectrum(h, fine))
-    prod_fine = np.abs(pk.psi.at_iw(fine)) * q_fine
-    sup_hhat = max(float(np.max(prod)), float(np.max(prod_fine)))
-    sup_h = max(float(np.max(q_coarse)), float(np.max(q_fine)))
-    return sup_hhat, sup_h
+    omegas, q_abs = _band_spectrum(h)
+    prod = np.abs(pk.psi.at_iw(omegas)) * q_abs
+    return min(float(np.max(prod)), pk.l1_mass), float(np.max(q_abs))
 
 
 def _l2_time_norm_sq(pk):
@@ -327,7 +372,8 @@ def transfer_norms(pk, h, p, grid=None):
     unimodular.  With an explicit grid the norms are grid quadratures /
     grid sups.  Without one, the honest transfer-band values are used:
     the L2 norms via time-domain Parseval (exact, no truncation) and the
-    sup norms via a scan of the band, both cached per predictor.
+    sup norms on the FFT band of ``_transfer_sup``, both cached per
+    predictor.
     """
     if grid is not None:
         q_vals = np.abs(q_spectrum(h, grid.nodes))

@@ -133,3 +133,23 @@ def transfer_prediction_mp(coeffs, T, theta, a, ts, dps=70, step=1 / 32):
     if gap > ctx.mpf(10) ** (-dps // 3):
         raise ArithmeticError(f"tanh-sinh rule not converged: {mpmath.nstr(gap, 3)}")
     return [float(v) for v in fine]
+
+
+def bump_transform_mp(omega, width, dps=30):
+    """|Q(i omega)| of the unit-mass bump kernel of support ``width``, at ``dps`` digits.
+
+    Q(i omega) = e^{-i omega c} int bump(u) e^{-i a u} du / int bump,
+    a = omega width / 2, c the support midpoint; the bump is even, so its
+    modulus is |int_0^1 bump(u) cos(a u) du| / int_0^1 bump, integrated
+    by mpmath on panels of about half an oscillation.
+    """
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    a = ctx.mpf(omega) * ctx.mpf(width) / 2
+    bump = lambda u: ctx.exp(-1 / ((1 - u) * (1 + u)))  # noqa: E731
+    panels = ctx.linspace(0, 1, max(16, int(a / ctx.pi) + 2))
+    transform = ctx.quad(lambda u: bump(u) * ctx.cos(a * u), panels)
+    mass = ctx.quad(bump, ctx.linspace(0, 1, 16))
+    return float(abs(transform / mass))

@@ -215,21 +215,11 @@ class TestPrecisionFlag:
             assert float(row.split(",")[1]) <= float(row.split(",")[2]) + 1e-8
 
 
-class TestThreads:
-    def test_threaded_run_matches_serial(self, runner, tmp_path):
-        cfg_s = write_config(tmp_path / "s.json", d_range=[0, 4], d_step=2,
-                             output_dir=str(tmp_path / "s_out"))
-        cfg_t = write_config(tmp_path / "t.json", d_range=[0, 4], d_step=2,
-                             output_dir=str(tmp_path / "t_out"))
-        assert runner.invoke(main, ["alpha-sweep", "--config", str(cfg_s)]).exit_code == 0
-        assert runner.invoke(main, ["alpha-sweep", "--config", str(cfg_t),
-                                    "--threads", "4"]).exit_code == 0
-        a = (tmp_path / "s_out" / "alpha_sweep.csv").read_bytes()
-        b = (tmp_path / "t_out" / "alpha_sweep.csv").read_bytes()
-        assert a == b
-
-    def test_env_threads(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setenv("HORIZON_THREADS", "2")
+class TestRemovedOptions:
+    def test_threads_option_rejected(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json", d_range=[0, 2],
                             output_dir=str(tmp_path / "out"))
-        assert runner.invoke(main, ["alpha-sweep", "--config", str(cfgp)]).exit_code == 0
+        result = runner.invoke(main, ["alpha-sweep", "--config", str(cfgp), "--threads", "2"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+        assert not (tmp_path / "out").exists()

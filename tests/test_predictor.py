@@ -9,6 +9,7 @@ from horizon import (
     TimeGrid,
     beta_energy,
     build_predictor,
+    bump_kernel,
     empirical_noise_error,
     error_bound,
     h_spectrum,
@@ -16,6 +17,7 @@ from horizon import (
     poisson_signal,
     predict,
     predict_values,
+    q_spectrum,
     run_prediction,
     superposition,
     target,
@@ -26,9 +28,10 @@ from horizon import (
 )
 from horizon.signals import Signal
 from horizon.polynomials import projection_psi
-from horizon.predictor import _predict_by_transfer, transfer_norms
+from horizon import predictor
+from horizon.predictor import _band_spectrum, _predict_by_transfer, transfer_norms
 
-from oracles import adaptive_simpson, transfer_prediction_mp
+from oracles import adaptive_simpson, bump_transform_mp, transfer_prediction_mp
 
 T, TH, R, A = 0.5, 0.1, 2.0, 1.5
 
@@ -274,6 +277,75 @@ class TestTransferNorms:
         ref = math.sqrt(2.0 * math.pi * float(ctx.fsum(w * abs(v) ** 2
                                                        for w, v in zip(weights, values))))
         assert transfer_norms(pk, canonical_kernel, 2)[0] == pytest.approx(ref, rel=1e-11)
+
+
+class TestBandSpectrum:
+    @pytest.mark.parametrize("T_, theta, targets", [
+        (T, TH, (0.0, 37.0, 141.0, 1062.0, 1930.0)),
+        (2.0, 0.5, (0.0, 37.0, 141.0, 1062.0)),  # 4x wider: a longer padded FFT
+    ])
+    def test_fft_band_against_30_digits(self, T_, theta, targets):
+        h = bump_kernel(T_, theta)
+        omegas, q_abs = _band_spectrum(h)
+        assert omegas[0] == 0.0 and omegas[-1] <= predictor._SCAN_OMEGA_MAX
+        assert omegas[1] <= 2.0 * math.pi / (predictor._BAND_PAD * h.width)
+        for target_omega in targets:
+            i = int(np.argmin(np.abs(omegas - target_omega)))
+            assert q_abs[i] == pytest.approx(bump_transform_mp(omegas[i], h.width),
+                                             rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("T_, theta", [(T, TH), (2.0, 0.5)])
+    def test_fft_band_against_quadrature(self, T_, theta):
+        # q_spectrum rounds the phase omega t of each node, which leaves it
+        # up to 2e-15 (canonical) and 3e-14 (wide) off the 30-digit values
+        # at omega <= 2000; the FFT's twiddles are exact to 3e-18 there
+        h = bump_kernel(T_, theta)
+        omegas, q_abs = _band_spectrum(h)
+        sel = np.flatnonzero(omegas <= 2000.0)[::29]
+        np.testing.assert_allclose(q_abs[sel], np.abs(q_spectrum(h, omegas[sel])),
+                                   rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("method, d", [("taylor", d) for d in (0, 4, 8, 10, 12, 16)]
+                             + [("projection", 16)])
+    def test_p1_sup_within_l1_mass(self, canonical_kernel, method, d):
+        # |F f(omega)| <= ||f||_1 holds exactly for every omega
+        psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
+        pk = build_predictor(canonical_kernel, psi)
+        sup_hhat, sup_h = transfer_norms(pk, canonical_kernel, 1)
+        assert sup_hhat <= pk.l1_mass
+        assert sup_h == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.fixture(scope="class")
+    def q_scan(self, canonical_kernel):
+        omegas = np.linspace(0.0, 2500.0, 25001)
+        return omegas, np.abs(q_spectrum(canonical_kernel, omegas))
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_p1_sup_against_quadrature_scan(self, canonical_kernel, q_scan, d):
+        # at these degrees the peak of |psi_d Q| lies well below omega = 2500
+        omegas, q_abs = q_scan
+        pk = build_predictor(canonical_kernel, taylor_psi(T, d))
+        ref = float(np.max(np.abs(pk.psi.at_iw(omegas)) * q_abs))
+        assert transfer_norms(pk, canonical_kernel, 1)[0] == pytest.approx(ref, rel=1e-3)
+
+    def test_d10_sup_is_not_roundoff(self, canonical_kernel):
+        # the two-stage quadrature scan returned 6.85e18 here: |psi_10| times roundoff of |Q|
+        pk = build_predictor(canonical_kernel, taylor_psi(T, 10))
+        assert transfer_norms(pk, canonical_kernel, 1)[0] <= 9.46e11 * (1.0 + 1e-6)
+
+
+class TestSamplePathBlocks:
+    def test_blocks_match_one_product(self, monkeypatch, pk_small, canonical_signal):
+        ts = np.linspace(-2.0, 2.0, 301)
+        h = pk_small.h
+        whole_y = predictor.target_values(h, canonical_signal, ts)
+        whole_y_hat = predict_values(pk_small, canonical_signal, ts, "double")
+        monkeypatch.setattr(predictor, "_BLOCK_ELEMENTS", 1)  # 16-row blocks
+        assert len(predictor._row_blocks(ts.size, 100)) == 19
+        np.testing.assert_allclose(predictor.target_values(h, canonical_signal, ts),
+                                   whole_y, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(predict_values(pk_small, canonical_signal, ts, "double"),
+                                   whole_y_hat, rtol=0.0, atol=1e-15)
 
 
 class TestPredictionResult:
