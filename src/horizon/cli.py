@@ -80,11 +80,10 @@ def _load_config(config_path, out):
     return cfg
 
 
-def _psi_for(cfg, d, precision):
+def _psi_for(cfg, d):
     if cfg.method == "taylor":
         return taylor_psi(cfg.T, d)
-    proj_precision = "double" if precision == "double" else "auto"
-    return projection_psi(cfg.T, cfg.r, d, proj_precision)
+    return projection_psi(cfg.T, cfg.r, d)
 
 
 def _class_gate(cfg):
@@ -105,9 +104,6 @@ def common_options(fn):
                       default=None, help="JSON experiment config (canonical defaults if omitted).")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=None,
                       help="Output directory (overrides config output_dir).")(fn)
-    fn = click.option("--precision", type=click.Choice(["double", "extended"]),
-                      default="extended", show_default=True,
-                      help="extended predicts by derivative transfer where the double sample path breaks.")(fn)
     return fn
 
 
@@ -120,12 +116,12 @@ def main():
 @main.command("alpha-sweep")
 @common_options
 @_exit_codes
-def cmd_alpha_sweep(config_path, out, precision):
+def cmd_alpha_sweep(config_path, out):
     """Sweep the weighted approximation error alpha over the degree range."""
     cfg = _load_config(config_path, out)
     results = []
     for d in cfg.ds:
-        psi = _psi_for(cfg, d, precision)
+        psi = _psi_for(cfg, d)
         alpha = alpha_closed_form(psi, cfg.T, cfg.r)
         bound = taylor_alpha_bound(cfg.T, cfg.r, d) if cfg.T < cfg.r else None
         results.append((d, alpha, bound))
@@ -146,7 +142,7 @@ def cmd_alpha_sweep(config_path, out, precision):
 @main.command("convergence")
 @common_options
 @_exit_codes
-def cmd_convergence(config_path, out, precision):
+def cmd_convergence(config_path, out):
     """Prediction-error convergence over the degree range, with bounds."""
     cfg = _load_config(config_path, out)
     x = _class_gate(cfg)
@@ -155,8 +151,8 @@ def cmd_convergence(config_path, out, precision):
     results = []
     for d in cfg.ds:
         start = time.perf_counter()
-        pk = build_predictor(h, _psi_for(cfg, d, precision))
-        res = run_prediction(pk, x, tgrid, cfg.r, method=cfg.method, precision=precision)
+        pk = build_predictor(h, _psi_for(cfg, d))
+        res = run_prediction(pk, x, tgrid, cfg.r, method=cfg.method)
         results.append((d, res, 1000.0 * (time.perf_counter() - start)))
 
     rows = [(d, res.sup_error, res.bound) for d, res, _ in results]
@@ -183,7 +179,7 @@ def cmd_convergence(config_path, out, precision):
 @main.command("noise-sweep")
 @common_options
 @_exit_codes
-def cmd_noise_sweep(config_path, out, precision):
+def cmd_noise_sweep(config_path, out):
     """Total prediction error under noise versus the robustness bound."""
     cfg = _load_config(config_path, out)
     x0 = _class_gate(cfg)
@@ -197,10 +193,10 @@ def cmd_noise_sweep(config_path, out, precision):
 
     rows = []
     for d in cfg.ds:
-        pk = build_predictor(h, _psi_for(cfg, d, precision))
+        pk = build_predictor(h, _psi_for(cfg, d))
         y = target_values(h, x0, tgrid.nodes)
-        y_hat0 = predict_values(pk, x0, tgrid.nodes, precision)
-        conv_unit = predict_values(pk, eta_unit, tgrid.nodes, precision)
+        y_hat0 = predict_values(pk, x0, tgrid.nodes)
+        conv_unit = predict_values(pk, eta_unit, tgrid.nodes)
         _, _, eps_bound = error_bound_parts(pk, x0, cfg.r)
         slope = noise_bound(pk, h, 1.0, cfg.p)  # norms on the transfer band
         for nu in cfg.nu_range:
@@ -225,7 +221,7 @@ def cmd_noise_sweep(config_path, out, precision):
 @click.option("--times", default=None,
               help="Comma-separated prediction times (default: the config time grid).")
 @_exit_codes
-def cmd_predict(config_path, out, precision, times):
+def cmd_predict(config_path, out, times):
     """Single-shot prediction dump at the top degree of the range."""
     cfg = _load_config(config_path, out)
     x = _class_gate(cfg)
@@ -238,9 +234,9 @@ def cmd_predict(config_path, out, precision, times):
     else:
         ts = cfg.build_tgrid().nodes
     d = cfg.d_range[1]
-    pk = build_predictor(h, _psi_for(cfg, d, precision))
+    pk = build_predictor(h, _psi_for(cfg, d))
     y = target_values(h, x, ts)
-    y_hat = predict_values(pk, x, ts, precision)
+    y_hat = predict_values(pk, x, ts)
 
     path = Path(cfg.output_dir) / "predict.csv"
     _write_csv(path, ["t", "y", "y_hat", "abs_err"],

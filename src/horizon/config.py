@@ -17,6 +17,13 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the key path."""
 
 
+def _require_int(key, value):
+    """value as an int; a float or a bool is refused even when integral."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return int(value)
+
+
 _DEFAULTS = {
     "T": 0.5,
     "theta": 0.1,
@@ -63,14 +70,17 @@ class ExperimentConfig:
             raise ConfigError("r: decay rate must be positive")
         if self.method not in ("taylor", "projection"):
             raise ConfigError(f"method: expected taylor or projection, got {self.method!r}")
-        dr = tuple(self.d_range)
+        dr = tuple(_require_int("d_range", v) for v in self.d_range)
         if len(dr) != 2 or dr[0] < 0 or dr[1] < dr[0]:
             raise ConfigError("d_range: expected [start, stop] with 0 <= start <= stop")
         if dr[1] > D_MAX:
             raise ConfigError(f"d_range: stop {dr[1]} exceeds the largest supported degree {D_MAX}")
         object.__setattr__(self, "d_range", dr)
+        object.__setattr__(self, "d_step", _require_int("d_step", self.d_step))
         if self.d_step < 1:
             raise ConfigError("d_step: must be a positive integer")
+        if "n_points" in self.tgrid:
+            _require_int("tgrid.n_points", self.tgrid["n_points"])
         if len(self.nu_range) == 0:
             raise ConfigError("nu_range: must be nonempty")
         if any(nu < 0 for nu in self.nu_range):

@@ -13,8 +13,8 @@ basis P_k(u) = E(delta) + u O(delta) with delta = 1 - u^2; double
 precision then holds every order up to ``D_MAX``.  Finite differences
 are useless past k ~ 6 because the derivative magnitudes grow
 factorially; the recurrence is exact.  A scalar extended-precision
-evaluator (``TargetKernel.derivative_mp``) is kept for the independent
-quadrature route of the transform cross-checks.
+evaluator (``TargetKernel.derivative_mp``) is kept for the test oracles;
+no library route calls it.
 
 High-order derivatives concentrate into wavepackets near the support
 endpoints whose local frequency diverges like 1/delta^2 (delta the
@@ -26,7 +26,6 @@ kernels must use such panels.
 
 import json
 import math
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -191,7 +190,6 @@ class TargetKernel:
         self.shape = shape
         self.epsilon = epsilon
         self._prototype = prototype
-        self._lock = threading.Lock()
         self._mass_mp = None
         #: frequency-domain data that does not depend on the degree (see predictor)
         self._spectra = {}
@@ -286,9 +284,7 @@ class TargetKernel:
 
     def _mass_mp_value(self):
         if self._mass_mp is None:
-            with self._lock:
-                if self._mass_mp is None:
-                    self._mass_mp = _raw_bump_mass_mp()
+            self._mass_mp = _raw_bump_mass_mp()
         return self._mass_mp
 
     def mass(self):
@@ -355,40 +351,6 @@ def mollify(prototype, epsilon, T, theta):
 def kernel_derivative(h, k, t):
     """k-th derivative of a target kernel at t."""
     return h.derivative(k, t)
-
-
-def derivative_spectrum(h, k, omegas, precision="extended"):
-    """F[h^(k)](i omega) by direct quadrature of the k-th derivative.
-
-    Independent of the closed route (i omega)^k F[h]; their agreement is a
-    consistency invariant.  The integrand's L1 mass grows factorially with
-    k while the transform stays O(omega^k |H|), so the quadrature switches
-    to the extended context once double-precision roundoff would exceed
-    the cancellation headroom.
-    """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    edges = derivative_panel_edges(h.width, k) + h.support[0]
-    nodes, weights = gauss_legendre_edges(edges)
-    vals = h.derivative(k, nodes)
-    l1 = float(weights @ np.abs(vals))
-    if precision == "double" or l1 * 1e-15 <= 1e-11:
-        from ._accel import oscillatory_transform
-
-        return oscillatory_transform(nodes, weights, vals, omegas)
-    x, w = _gl_mp()
-    table = []
-    for i in range(edges.size - 1):
-        mid = (ctx.mpf(edges[i]) + ctx.mpf(edges[i + 1])) / 2
-        half = (ctx.mpf(edges[i + 1]) - ctx.mpf(edges[i])) / 2
-        for xi, wi in zip(x, w):
-            u = mid + half * xi
-            table.append((u, half * wi, h.derivative_mp(u, k)))
-    out = []
-    for om in omegas:
-        om_m = ctx.mpf(float(om))
-        out.append(complex(ctx.fsum(wi * vi * ctx.expj(-om_m * ui)
-                                    for ui, wi, vi in table)))
-    return np.array(out)
 
 
 def q_transform(h, z, base_panels=32):

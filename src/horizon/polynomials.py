@@ -8,10 +8,16 @@ Two constructions sit behind one interface:
   polynomials in the e^{-r|omega|}-weighted space.  It is optimal at
   every degree, and covers horizons the Taylor route cannot reach.
 
-The projection runs modified Gram-Schmidt over unit-normalized monomials
-with exact closed-form moments.  The underlying Gram matrix is
-Hankel-like with factorially growing entries; double precision holds to
-degree ~10, beyond which the extended-precision path takes over.
+The projection runs modified Gram-Schmidt, with one re-orthogonalization
+pass, over unit-normalized monomials with exact closed-form moments, in
+double precision at every degree.  The underlying Gram matrix is
+Hankel-like with factorially growing entries, but Gram-Schmidt twice is
+near-optimal (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005):
+up to degree 16 its coefficients agree with an 80-digit solve of the
+normal equations within 1e-12 of the largest coefficient, which the
+tests check.  alpha, which
+cancels catastrophically once small, is evaluated in extended precision
+by ``alpha_closed_form`` for both constructions.
 """
 
 import math
@@ -27,12 +33,6 @@ from .weighted_space import (
     monomial_moment,
     monomial_moment_mp,
 )
-
-#: beyond this degree double-precision Gram-Schmidt is refused outright
-DOUBLE_DEGREE_CAP = 16
-
-#: the auto precision policy switches to extended above this degree
-_AUTO_EXTENDED_ABOVE = 10
 
 _IMAG_ZERO_TOL = 1e-10
 
@@ -101,6 +101,7 @@ def taylor_alpha_bound(T, r, d):
 
 
 def _project_double(T, r, d):
+    """omega-coefficients of the projection, by Gram-Schmidt twice in double."""
     G = np.empty((d + 1, d + 1))
     for j in range(d + 1):
         for k in range(d + 1):
@@ -118,45 +119,13 @@ def _project_double(T, r, d):
                 w = w - (q @ Gn @ w) * q
         nrm_sq = float(w @ Gn @ w)
         if not np.isfinite(nrm_sq) or nrm_sq <= 0.0:
-            raise ValueError("Gram matrix numerically singular: increase precision or lower d")
+            raise ValueError("Gram matrix numerically singular: lower d")
         basis.append(w / math.sqrt(nrm_sq))
     Q = np.array(basis)
-    c = Q @ b
-    abar = (c @ Q) * scale
-    alpha = max(0.0, monomial_moment(0, r) - float(np.sum(np.abs(c) ** 2)))
-    return abar, alpha
+    return ((Q @ b) @ Q) * scale
 
 
-def _project_extended(T, r, d):
-    size = d + 1
-    G = [[monomial_moment_mp(j + k, r, signed=True) for k in range(size)] for j in range(size)]
-    scale = [1 / ctx.sqrt(G[j][j]) for j in range(size)]
-    Gn = [[G[j][k] * scale[j] * scale[k] for k in range(size)] for j in range(size)]
-    b = [exponential_moment_mp(k, r, T) * scale[k] for k in range(size)]
-
-    def inner(u, v):
-        return ctx.fsum(u[j] * ctx.fsum(Gn[j][k] * v[k] for k in range(size)) for j in range(size))
-
-    basis = []
-    for j in range(size):
-        w = [ctx.mpf(0)] * size
-        w[j] = ctx.mpf(1)
-        for q in basis:
-            proj = inner(q, w)
-            w = [wi - proj * qi for wi, qi in zip(w, q)]
-        nrm_sq = inner(w, w)
-        if nrm_sq <= 0:
-            raise ValueError("Gram matrix numerically singular: increase precision or lower d")
-        nrm = ctx.sqrt(nrm_sq)
-        basis.append([wi / nrm for wi in w])
-    c = [ctx.fsum(q[k] * b[k] for k in range(size)) for q in basis]
-    abar_n = [ctx.fsum(c[m] * basis[m][k] for m in range(size)) for k in range(size)]
-    abar = np.array([complex(v * s) for v, s in zip(abar_n, scale)])
-    alpha = monomial_moment_mp(0, r) - ctx.fsum(abs(cm) ** 2 for cm in c)
-    return abar, float(max(ctx.mpf(0), alpha))
-
-
-def projection_psi(T, r, d, precision="auto"):
+def projection_psi(T, r, d):
     """L2-weighted orthogonal projection of e^{i omega T}, as psi(z).
 
     The projection is computed over monomials in omega, then the
@@ -167,13 +136,7 @@ def projection_psi(T, r, d, precision="auto"):
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if precision not in ("auto", "double", "extended"):
-        raise ValueError("precision must be auto, double or extended")
-    if precision == "double" and d > DOUBLE_DEGREE_CAP:
-        raise ValueError("degree above double-precision cap: increase precision or lower d")
-    use_mp = precision == "extended" or (precision == "auto" and d > _AUTO_EXTENDED_ABOVE)
-    abar, _ = _project_extended(T, r, d) if use_mp else _project_double(T, r, d)
-    a = abar * (-1j) ** np.arange(d + 1)
+    a = _project_double(T, r, d) * (-1j) ** np.arange(d + 1)
     cleaned = []
     for k, c in enumerate(a):
         if abs(c.imag) < _IMAG_ZERO_TOL:
@@ -184,11 +147,9 @@ def projection_psi(T, r, d, precision="auto"):
     return Polynomial(tuple(cleaned))
 
 
-def projection_alpha(T, r, d, precision="auto"):
-    """alpha of the exact degree-d projection (Pythagoras, no cancellation)."""
-    use_mp = precision == "extended" or (precision == "auto" and d > _AUTO_EXTENDED_ABOVE)
-    _, alpha = _project_extended(T, r, d) if use_mp else _project_double(T, r, d)
-    return alpha
+def projection_alpha(T, r, d):
+    """alpha of the degree-d projection."""
+    return alpha_closed_form(projection_psi(T, r, d), T, r)
 
 
 def _alpha_tail_guard(psi, T, r, grid):
@@ -252,14 +213,12 @@ def alpha_grid_bound(T, r, d):
     return max(om, 60.0 / r)
 
 
-def approx_report(method, T, r, d, precision="auto"):
+def approx_report(method, T, r, d):
     """Build one ApproxReport for either construction."""
     if method == "taylor":
         psi = taylor_psi(T, d)
-        alpha = alpha_closed_form(psi, T, r)
     elif method == "projection":
-        psi = projection_psi(T, r, d, precision)
-        alpha = alpha_closed_form(psi, T, r)
+        psi = projection_psi(T, r, d)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return psi, ApproxReport(d=d, alpha=alpha, method=method, r=r, T=T)
+    return psi, ApproxReport(d=d, alpha=alpha_closed_form(psi, T, r), method=method, r=r, T=T)

@@ -18,24 +18,22 @@ integrating by parts gives exactly
     int q^(k)(u) x(t - u) du = int q(u) x^(k)(t - u) du,
 
 the same causal window and value, but a quadrature against the positive
-unit-mass bump with no cancellation.  Signals that carry a derivative
-evaluator are predicted by this derivative transfer; signals given only
-as samples keep the double sample path, whose roundoff floor is ~1e-16
-times the kernel L1 mass.  Every other quantity (transfer norms, node
-tables) is computed in double precision; the extended-precision node
-table survives only behind ``PredictorKernel.spectrum``, as the
-independent route of the central-identity check.
+unit-mass bump with no cancellation.  Past that point signals that carry
+a derivative evaluator are predicted by this derivative transfer; a
+signal given only as samples, and the transform of the assembled kernel
+(``PredictorKernel.spectrum``), are refused there rather than returned
+at a roundoff floor of ~1e-16 times the L1 mass.  Below it both run on
+the double node table.  Every quantity here is computed in double
+precision; only alpha (``alpha_closed_form``) uses extended precision.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._accel import oscillatory_transform
-from ._mp import ctx
-from .kernels import _gl_mp, derivative_panel_edges, q_spectrum
+from .kernels import derivative_panel_edges, q_spectrum
 from .polynomials import alpha_closed_form
 from .spectral_core import SpectralGrid, TimeGrid, default_omega_max, gauss_legendre_edges
 from .weighted_space import _tail_is_divergent
@@ -60,9 +58,7 @@ class PredictorKernel:
         self.tau = h.width
         self.eps_quad = float(eps_quad)
         self.real_coeffs = psi.is_real()
-        self._lock = threading.Lock()
         self._table = None
-        self._table_mp = None
         self._sup_cache = None
         self._l2_cache = None
 
@@ -86,71 +82,40 @@ class PredictorKernel:
 
     def _double_table(self):
         if self._table is None:
-            with self._lock:
-                if self._table is None:
-                    edges = derivative_panel_edges(self.tau, self.d)
-                    nodes, weights = gauss_legendre_edges(edges)
-                    values = self(nodes)
-                    l1 = float(weights @ np.abs(values))
-                    self._table = (nodes, weights, values, l1)
+            edges = derivative_panel_edges(self.tau, self.d)
+            nodes, weights = gauss_legendre_edges(edges)
+            values = self(nodes)
+            l1 = float(weights @ np.abs(values))
+            self._table = (nodes, weights, values, l1)
         return self._table
-
-    def _extended_table(self):
-        if self._table_mp is None:
-            with self._lock:
-                if self._table_mp is None:
-                    edges = derivative_panel_edges(self.tau, self.d)
-                    x, w = _gl_mp()
-                    nodes, weights, values = [], [], []
-                    coeffs = [ctx.mpc(c) if not self.real_coeffs else ctx.mpf(c.real)
-                              for c in self.psi.coeffs]
-                    Tm = ctx.mpf(self.h.T)
-                    for i in range(edges.size - 1):
-                        mid = (ctx.mpf(edges[i]) + ctx.mpf(edges[i + 1])) / 2
-                        half = (ctx.mpf(edges[i + 1]) - ctx.mpf(edges[i])) / 2
-                        for xi, wi in zip(x, w):
-                            u = mid + half * xi
-                            v = ctx.fsum(a * self.h.derivative_mp(u - Tm, k)
-                                         for k, a in enumerate(coeffs) if a != 0)
-                            nodes.append(u)
-                            weights.append(half * wi)
-                            values.append(v)
-                    self._table_mp = (nodes, weights, values)
-        return self._table_mp
 
     @property
     def l1_mass(self):
-        """Quadrature estimate of int |hhat_d|; drives the precision switch."""
+        """Quadrature estimate of int |hhat_d|; sets the roundoff floor of the node table."""
         return self._double_table()[3]
 
     def needs_extended(self):
+        """True once roundoff of a quadrature against hhat_d (~1e-15 l1_mass)
+        exceeds a tenth of the quadrature budget: the node table is unusable."""
         return self.l1_mass * 1e-15 > 0.1 * self.eps_quad
 
-    def _use_extended(self, precision):
-        if precision == "double":
-            return False
-        if precision == "extended":
-            return self.needs_extended()  # only pay for mp where double breaks
-        raise ValueError("precision must be 'double' or 'extended'")
+    def _roundoff_error(self, what):
+        return ValueError(
+            f"{what} at d={self.d} would be roundoff: l1_mass {self.l1_mass:.2e} "
+            f"times 1e-15 exceeds a tenth of the quadrature budget {self.eps_quad:.0e}")
 
     # -- transform of the assembled kernel ----------------------------------
 
-    def spectrum(self, omegas, precision="extended"):
+    def spectrum(self, omegas):
         """F[hhat_d](i omega) by quadrature of the assembled time kernel.
 
         This is the independent route; psi(i omega) Q(i omega) is the
-        closed one.  Their agreement is the central identity.
+        closed one.  Their agreement is the central identity.  Refused
+        where ``needs_extended`` holds.
         """
+        if self.needs_extended():
+            raise self._roundoff_error("the assembled-kernel transform")
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        if self._use_extended(precision):
-            nodes, weights, values = self._extended_table()
-            out = []
-            for om in omegas:
-                om_m = ctx.mpf(float(om))
-                acc = ctx.fsum(wi * vi * ctx.expj(-om_m * ui)
-                               for ui, wi, vi in zip(nodes, weights, values))
-                out.append(complex(acc))
-            return np.array(out)
         nodes, weights, values, _ = self._double_table()
         re = oscillatory_transform(nodes, weights, np.ascontiguousarray(values.real), omegas)
         if self.real_coeffs:
@@ -210,18 +175,22 @@ def target_values(h, x, ts):
     return _sample_convolution(x, ts, nodes, h(nodes) * weights)
 
 
-def predict(pk, x, t, precision="extended"):
+def predict(pk, x, t):
     """Causal prediction Re int_0^tau hhat_d(u) x(t-u) du.
 
     Only samples x(s) with s strictly below t are read: the quadrature
     nodes live in the open window (t - tau, t).
     """
-    return float(predict_values(pk, x, np.atleast_1d(float(t)), precision)[0])
+    return float(predict_values(pk, x, np.atleast_1d(float(t)))[0])
 
 
-def predict_values(pk, x, ts, precision="extended"):
+def predict_values(pk, x, ts):
+    """Predictions at ``ts``: derivative transfer where ``pk.needs_extended()``
+    holds and x has a derivative evaluator, the double sample path otherwise."""
     ts = np.asarray(ts, dtype=float)
-    if pk._use_extended(precision) and x.derivative is not None:
+    if pk.needs_extended():
+        if x.derivative is None:
+            raise pk._roundoff_error(f"the sample path of signal {x.kind!r} (no derivative)")
         return _predict_by_transfer(pk, x, ts)
     nodes, weights, values, _ = pk._double_table()
     return np.real(_sample_convolution(x, ts, nodes, weights * values))
@@ -453,11 +422,11 @@ class NoiseReport:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def run_prediction(pk, x, tgrid, r, method="", precision="extended"):
+def run_prediction(pk, x, tgrid, r, method=""):
     """Evaluate target and prediction over a time grid, with the bound."""
     ts = tgrid.nodes
     y = target_values(pk.h, x, ts)
-    y_hat = predict_values(pk, x, ts, precision)
+    y_hat = predict_values(pk, x, ts)
     alpha, beta, bound = error_bound_parts(pk, x, r)
     sup = float(np.max(np.abs(y - y_hat)))
     return PredictionResult(grid=tgrid, y=y, y_hat=y_hat, sup_error=sup,
@@ -465,7 +434,7 @@ def run_prediction(pk, x, tgrid, r, method="", precision="extended"):
                             d=pk.d, method=method or "unspecified")
 
 
-def empirical_noise_error(pk, h, x0, eta, tgrid, p=2, grid=None, precision="extended"):
+def empirical_noise_error(pk, h, x0, eta, tgrid, p=2, grid=None):
     """Measure the extra error a noise term induces and compare to its bound.
 
     E_eta = sup_t |(hhat_d * eta)(t) - (h * eta)(t)| over the time grid;
@@ -474,11 +443,11 @@ def empirical_noise_error(pk, h, x0, eta, tgrid, p=2, grid=None, precision="exte
     if grid is None:
         grid = SpectralGrid.for_rate(2.0, 4096)
     ts = tgrid.nodes
-    conv_pred = predict_values(pk, eta, ts, precision)
+    conv_pred = predict_values(pk, eta, ts)
     conv_target = target_values(h, eta, ts)
     noise_error = float(np.max(np.abs(conv_pred - conv_target)))
     base_error = float(np.max(np.abs(
-        target_values(h, x0, ts) - predict_values(pk, x0, ts, precision))))
+        target_values(h, x0, ts) - predict_values(pk, x0, ts))))
     from .signals import noise_norm
 
     nu = noise_norm(eta, p, grid)

@@ -2,8 +2,10 @@
 
 All moments are exact gamma-integral identities; quadrature appears only
 as a test oracle.  The Gram matrices assembled from these moments are
-Hankel-like and severely ill-conditioned, so an extended-precision
-variant of each moment is provided for use beyond degree ~10.
+Hankel-like and severely ill-conditioned.  The projection still runs on
+the double moments (Gram-Schmidt twice holds to degree 16); the
+extended-precision variants serve the closed-form alpha expansion, whose
+terms cancel catastrophically once alpha is small.
 """
 
 import math

@@ -45,6 +45,17 @@ class TestConfig:
         assert result.exit_code == EXIT_CONFIG, result.output
         assert "d_range" in result.output
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("tgrid.n_points", {"tgrid": {"t_min": -2.0, "t_max": 2.0, "n_points": 2.5}}),
+        ("d_step", {"d_step": 1.5}),
+        ("d_range", {"d_range": [0, 4.5]}),
+    ])
+    def test_non_integer_field_is_config_error(self, runner, tmp_path, key, overrides):
+        cfgp = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "out"), **overrides)
+        result = runner.invoke(main, ["convergence", "--config", str(cfgp)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert f"config error: {key}: expected an integer" in result.output
+
     def test_json_error_carries_position(self):
         with pytest.raises(ConfigError, match="line 1"):
             ExperimentConfig.from_json("{bad json")
@@ -203,23 +214,20 @@ class TestPredict:
         assert result.exit_code == EXIT_CONFIG
 
 
-class TestPrecisionFlag:
-    def test_double_precision_path(self, runner, tmp_path):
-        cfgp = write_config(tmp_path / "c.json", d_range=[0, 4], d_step=2,
-                            output_dir=str(tmp_path / "out"))
-        result = runner.invoke(main, ["convergence", "--config", str(cfgp),
-                                      "--precision", "double"])
-        assert result.exit_code == 0, result.output
-        rows = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[1:]
-        for row in rows:
-            assert float(row.split(",")[1]) <= float(row.split(",")[2]) + 1e-8
-
-
 class TestRemovedOptions:
     def test_threads_option_rejected(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json", d_range=[0, 2],
                             output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, ["alpha-sweep", "--config", str(cfgp), "--threads", "2"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_precision_option_rejected(self, runner, tmp_path):
+        cfgp = write_config(tmp_path / "c.json", d_range=[0, 2],
+                            output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, ["convergence", "--config", str(cfgp),
+                                      "--precision", "double"])
         assert result.exit_code == 2
         assert "No such option" in result.output
         assert not (tmp_path / "out").exists()

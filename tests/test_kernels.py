@@ -14,9 +14,9 @@ from horizon import (
     q_spectrum,
     q_transform,
 )
-from horizon.kernels import D_MAX, bump_poly_exact, derivative_spectrum
+from horizon.kernels import D_MAX, bump_poly_exact
 
-from oracles import adaptive_simpson, bump_derivative_mp, richardson_derivative
+from oracles import adaptive_simpson, bump_derivative_mp, derivative_spectrum, richardson_derivative
 
 
 class TestBumpPolynomials:

@@ -17,7 +17,7 @@ from horizon import (
 )
 from horizon.weighted_space import monomial_moment
 
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, projection_mp
 
 T, R = 0.5, 2.0
 
@@ -79,15 +79,18 @@ class TestProjectionPsi:
         a_tay = alpha_closed_form(taylor_psi(T, 6), T, R)
         assert a_proj <= a_tay + 1e-12
 
-    def test_double_cap(self):
-        with pytest.raises(ValueError):
-            projection_psi(T, R, 17, precision="double")
-
-    def test_double_and_extended_agree(self):
-        pd = projection_psi(T, R, 8, precision="double")
-        pe = projection_psi(T, R, 8, precision="extended")
-        np.testing.assert_allclose(
-            [c.real for c in pd.coeffs], [c.real for c in pe.coeffs], rtol=1e-8, atol=1e-14)
+    @pytest.mark.parametrize("T_, r_", [(0.5, 2.0), (3.0, 2.0), (0.5, 0.5), (2.0, 8.0)])
+    @pytest.mark.parametrize("d", [8, 12, 16])
+    def test_against_80_digit_projection(self, d, T_, r_):
+        # double Gram-Schmidt twice against LU on the normal equations at
+        # 80 digits; measured worst 4.1e-13 (d = 16, T = 3, r = 2)
+        got = projection_psi(T_, r_, d)
+        ref_coeffs, _ = projection_mp(T_, r_, d)
+        ref = Polynomial(tuple(ref_coeffs))
+        scale = max(abs(c) for c in ref.coeffs)
+        assert max(abs(a - b) for a, b in zip(got.coeffs, ref.coeffs)) <= 1e-12 * scale
+        assert alpha_closed_form(got, T_, r_) == pytest.approx(
+            alpha_closed_form(ref, T_, r_), rel=1e-14, abs=0.0)
 
 
 class TestOrthonormalBasis:
@@ -162,9 +165,9 @@ class TestAlpha:
 
 class TestAlphaDecay:
     def test_projection_monotone(self):
-        alphas = [projection_alpha(T, R, d) for d in range(0, 13)]
+        alphas = [projection_alpha(T, R, d) for d in range(0, 17)]
         for a1, a2 in zip(alphas, alphas[1:]):
-            assert a2 <= a1 + 1e-12
+            assert a2 <= a1 * (1.0 + 1e-12)
 
     def test_projection_dominates_taylor(self):
         for d in range(0, 13):

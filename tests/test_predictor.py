@@ -31,7 +31,7 @@ from horizon.polynomials import projection_psi
 from horizon import predictor
 from horizon.predictor import _band_spectrum, _predict_by_transfer, transfer_norms
 
-from oracles import adaptive_simpson, bump_transform_mp, transfer_prediction_mp
+from oracles import adaptive_simpson, bump_transform_mp, gram_l2_norm_sq, transfer_prediction_mp
 
 T, TH, R, A = 0.5, 0.1, 2.0, 1.5
 
@@ -130,7 +130,7 @@ class TestPredict:
 
         x = Signal(kind="spy", params={}, time=spy)
         for t0 in (-1.0, 0.0, 0.7):
-            predict(pk_small, x, t0, precision="double")
+            predict(pk_small, x, t0)
             assert max(accessed) < t0
             accessed.clear()
 
@@ -144,7 +144,7 @@ class TestPredict:
 
         x = Signal(kind="spy", params={}, time=spy)
         t0 = 0.25
-        predict(pk_small, x, t0, precision="double")
+        predict(pk_small, x, t0)
         assert min(lows) > t0 - pk_small.tau
 
     def test_complex_coefficients_take_real_part_at_output(self, canonical_kernel,
@@ -152,7 +152,7 @@ class TestPredict:
         pk = build_predictor(canonical_kernel, Polynomial((1.0, 0.1j)))
         assert not pk.real_coeffs
         t0 = 0.3
-        val = predict(pk, canonical_signal, t0, precision="double")
+        val = predict(pk, canonical_signal, t0)
         nodes, weights, values, _ = pk._double_table()
         manual = float(np.real(np.sum(weights * values * canonical_signal.time(t0 - nodes))))
         assert val == pytest.approx(manual, rel=1e-12)
@@ -164,16 +164,24 @@ class TestPredict:
         # derivative transfer against the sample path, forced at d = 4
         # where the sample path is still accurate
         ts = np.linspace(-1, 1, 5)
-        a = predict_values(pk_small, canonical_signal, ts, precision="double")
+        a = predict_values(pk_small, canonical_signal, ts)
         b = _predict_by_transfer(pk_small, canonical_signal, ts)
         np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
-    def test_signal_without_derivative_takes_sample_path(self, pk_big, canonical_signal):
+    def test_signal_without_derivative_takes_sample_path(self, pk_small, pk_big,
+                                                         canonical_signal):
+        # below the roundoff switch both signals take the sample path; past
+        # it a signal without derivatives is refused, not returned as roundoff
         samples_only = Signal(kind="samples", params={}, time=canonical_signal.time)
         ts = np.array([-0.5, 0.4])
-        np.testing.assert_array_equal(
-            predict_values(pk_big, samples_only, ts),
-            predict_values(pk_big, canonical_signal, ts, precision="double"))
+        np.testing.assert_array_equal(predict_values(pk_small, samples_only, ts),
+                                      predict_values(pk_small, canonical_signal, ts))
+        with pytest.raises(ValueError, match="l1_mass"):
+            predict_values(pk_big, samples_only, ts)
+
+    def test_assembled_transform_refused_past_roundoff_switch(self, pk_big):
+        with pytest.raises(ValueError, match="l1_mass"):
+            pk_big.spectrum(np.array([1.0]))
 
     @pytest.mark.parametrize("method", ["taylor", "projection"])
     @pytest.mark.parametrize("d", [10, 12, 16])
@@ -268,14 +276,12 @@ class TestNoise:
 
 
 class TestTransferNorms:
+    @pytest.mark.parametrize("method", ["taylor", "projection"])
     @pytest.mark.parametrize("d", [12, 16])
-    def test_l2_norm_against_40_digit_table(self, canonical_kernel, d):
-        from horizon._mp import ctx
-
-        pk = build_predictor(canonical_kernel, taylor_psi(T, d))
-        _, weights, values = pk._extended_table()
-        ref = math.sqrt(2.0 * math.pi * float(ctx.fsum(w * abs(v) ** 2
-                                                       for w, v in zip(weights, values))))
+    def test_l2_norm_against_gram_identity(self, canonical_kernel, method, d):
+        psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
+        pk = build_predictor(canonical_kernel, psi)
+        ref = math.sqrt(2.0 * math.pi * gram_l2_norm_sq(canonical_kernel, psi.coeffs))
         assert transfer_norms(pk, canonical_kernel, 2)[0] == pytest.approx(ref, rel=1e-11)
 
 
@@ -339,12 +345,12 @@ class TestSamplePathBlocks:
         ts = np.linspace(-2.0, 2.0, 301)
         h = pk_small.h
         whole_y = predictor.target_values(h, canonical_signal, ts)
-        whole_y_hat = predict_values(pk_small, canonical_signal, ts, "double")
+        whole_y_hat = predict_values(pk_small, canonical_signal, ts)
         monkeypatch.setattr(predictor, "_BLOCK_ELEMENTS", 1)  # 16-row blocks
         assert len(predictor._row_blocks(ts.size, 100)) == 19
         np.testing.assert_allclose(predictor.target_values(h, canonical_signal, ts),
                                    whole_y, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(predict_values(pk_small, canonical_signal, ts, "double"),
+        np.testing.assert_allclose(predict_values(pk_small, canonical_signal, ts),
                                    whole_y_hat, rtol=0.0, atol=1e-15)
 
 
