@@ -148,11 +148,12 @@ def cmd_convergence(config_path, out):
     x = _class_gate(cfg)
     h = cfg.build_kernel()
     tgrid = cfg.build_tgrid()
+    y = target_values(h, x, tgrid.nodes)
     results = []
     for d in cfg.ds:
         start = time.perf_counter()
         pk = build_predictor(h, _psi_for(cfg, d))
-        res = run_prediction(pk, x, tgrid, cfg.r, method=cfg.method)
+        res = run_prediction(pk, x, tgrid, cfg.r, method=cfg.method, y=y, top_degree=cfg.ds[-1])
         results.append((d, res, 1000.0 * (time.perf_counter() - start)))
 
     rows = [(d, res.sup_error, res.bound) for d, res, _ in results]
@@ -192,11 +193,11 @@ def cmd_noise_sweep(config_path, out):
         raise ConfigError("noise: zero spectrum on the experiment grid")
 
     rows = []
+    y = target_values(h, x0, tgrid.nodes)
     for d in cfg.ds:
         pk = build_predictor(h, _psi_for(cfg, d))
-        y = target_values(h, x0, tgrid.nodes)
-        y_hat0 = predict_values(pk, x0, tgrid.nodes)
-        conv_unit = predict_values(pk, eta_unit, tgrid.nodes)
+        y_hat0 = predict_values(pk, x0, tgrid.nodes, cfg.ds[-1])
+        conv_unit = predict_values(pk, eta_unit, tgrid.nodes, cfg.ds[-1])
         _, _, eps_bound = error_bound_parts(pk, x0, cfg.r)
         slope = noise_bound(pk, h, 1.0, cfg.p)  # norms on the transfer band
         for nu in cfg.nu_range:
@@ -231,6 +232,8 @@ def cmd_predict(config_path, out, times):
             ts = np.array([float(v) for v in times.split(",")])
         except ValueError as exc:
             raise ConfigError(f"times: {exc}") from exc
+        if not np.all(np.isfinite(ts)):
+            raise ConfigError(f"times: expected finite values, got {times!r}")
     else:
         ts = cfg.build_tgrid().nodes
     d = cfg.d_range[1]

@@ -6,6 +6,8 @@ rejected, every message names the offending key) and parse -> serialize
 """
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 from .kernels import D_MAX, TargetKernel
@@ -22,6 +24,13 @@ def _require_int(key, value):
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _require_number(key, value):
+    """value unchanged if it is a finite real number; a bool, a string or a NaN is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return value
 
 
 _DEFAULTS = {
@@ -62,6 +71,15 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for key in ("T", "theta", "r", "eps_target"):
+            _require_number(key, getattr(self, key))
+        for key in ("kernel", "signal", "noise", "tgrid", "grid"):
+            if not isinstance(getattr(self, key), dict):
+                raise ConfigError(f"{key}: expected an object, got {getattr(self, key)!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir: expected a string, got {self.output_dir!r}")
+        if not isinstance(self.d_range, (list, tuple)):
+            raise ConfigError(f"d_range: expected [start, stop], got {self.d_range!r}")
         if self.T <= 0:
             raise ConfigError("T: prediction horizon must be positive")
         if self.theta < 0:
@@ -81,8 +99,17 @@ class ExperimentConfig:
             raise ConfigError("d_step: must be a positive integer")
         if "n_points" in self.tgrid:
             _require_int("tgrid.n_points", self.tgrid["n_points"])
+        if "n_points" in self.grid:
+            _require_int("grid.n_points", self.grid["n_points"])
+        omega_max = self.grid.get("omega_max")
+        if omega_max is not None and _require_number("grid.omega_max", omega_max) <= 0:
+            raise ConfigError(f"grid.omega_max: expected a positive number or null, got {omega_max!r}")
+        if not isinstance(self.nu_range, (list, tuple)):
+            raise ConfigError(f"nu_range: expected a list of numbers, got {self.nu_range!r}")
         if len(self.nu_range) == 0:
             raise ConfigError("nu_range: must be nonempty")
+        for nu in self.nu_range:
+            _require_number("nu_range", nu)
         if any(nu < 0 for nu in self.nu_range):
             raise ConfigError("nu_range: intensities must be nonnegative")
         object.__setattr__(self, "nu_range", tuple(float(v) for v in self.nu_range))

@@ -23,8 +23,15 @@ a derivative evaluator are predicted by this derivative transfer; a
 signal given only as samples, and the transform of the assembled kernel
 (``PredictorKernel.spectrum``), are refused there rather than returned
 at a roundoff floor of ~1e-16 times the L1 mass.  Below it both run on
-the double node table.  Every quantity here is computed in double
-precision; only alpha (``alpha_closed_form``) uses extended precision.
+the double node table.
+
+The transfer moments M[k, t] = int h(s) x^(k)(t - T - s) ds do not
+depend on d, and y_hat_d(t) = sum_k Re(a_k) M[k, t].  They are tabulated
+once per kernel, signal and time grid, up to the top degree the caller
+names, from one ``x.derivatives`` stack per row block, so a degree sweep
+evaluates each signal derivative once rather than once per degree.
+Every quantity here is computed in double precision; only alpha
+(``alpha_closed_form``) uses extended precision.
 """
 
 import math
@@ -184,34 +191,59 @@ def predict(pk, x, t):
     return float(predict_values(pk, x, np.atleast_1d(float(t)))[0])
 
 
-def predict_values(pk, x, ts):
+def predict_values(pk, x, ts, top_degree=None):
     """Predictions at ``ts``: derivative transfer where ``pk.needs_extended()``
-    holds and x has a derivative evaluator, the double sample path otherwise."""
+    holds and x has a derivative evaluator, the double sample path otherwise.
+
+    ``top_degree`` is the highest degree the caller will predict with the
+    same kernel, signal and times; a sweep passes it so that the first
+    transfer prediction tabulates the moments every later degree reads.
+    """
     ts = np.asarray(ts, dtype=float)
     if pk.needs_extended():
-        if x.derivative is None:
+        if x.derivatives is None:
             raise pk._roundoff_error(f"the sample path of signal {x.kind!r} (no derivative)")
-        return _predict_by_transfer(pk, x, ts)
+        return _predict_by_transfer(pk, x, ts, top_degree)
     nodes, weights, values, _ = pk._double_table()
     return np.real(_sample_convolution(x, ts, nodes, weights * values))
 
 
-def _predict_by_transfer(pk, x, ts):
-    """sum_k Re(a_k) int h(s) x^(k)(t - T - s) ds on the target rule.
+def _predict_by_transfer(pk, x, ts, top_degree=None):
+    """sum_k Re(a_k) M[k, t], summed in k order over the nonzero Re(a_k).
 
-    x is real, so Re(a_k x^(k)) = Re(a_k) x^(k).  The arguments
-    t - T - s stay inside the causal window (t - tau, t).
+    x is real, so Re(a_k x^(k)) = Re(a_k) x^(k).
     """
-    h = pk.h
+    moments = _moment_table(pk.h, x, ts, max(pk.d, top_degree or 0))
+    out = np.zeros(ts.size)
+    for k, a in enumerate(pk.psi.coeffs):
+        if a.real != 0.0:
+            out += a.real * moments[k]
+    return out
+
+
+def _moment_table(h, x, ts, kmax):
+    """M[k, t] = int h(s) x^(k)(t - T - s) ds for k <= kmax, on the target rule.
+
+    One ``x.derivatives(kmax, .)`` stack per row block.  The arguments
+    t - T - s stay inside the causal window (t - tau, t).  Cached on the
+    kernel per signal (by value) for the last time grid it was built on,
+    so the cache holds one table per signal; it is rebuilt for another
+    grid or a higher order (row k does not depend on kmax).
+    """
+    key, grid_bytes = ("moments", x.to_json()), ts.tobytes()
+    cached = h._spectra.get(key)
+    if cached is not None and cached[0] == grid_bytes and cached[1].shape[0] > kmax:
+        return cached[1]
     nodes, weights = _target_rule(h)
     hw = h(nodes) * weights
-    terms = [(k, a.real) for k, a in enumerate(pk.psi.coeffs) if a.real != 0.0]
-    out = np.zeros(ts.size)
+    table = np.empty((kmax + 1, ts.size))
     for rows in _row_blocks(ts.size, nodes.size):
         args = (ts[rows] - h.T)[:, None] - nodes[None, :]
-        for k, a in terms:
-            out[rows] += a * (x.derivative(k, args) @ hw)
-    return out
+        stack = x.derivatives(kmax, args)
+        for k in range(kmax + 1):
+            table[k, rows] = stack[k] @ hw
+    h._spectra[key] = (grid_bytes, table)
+    return table
 
 
 # -- bounds ------------------------------------------------------------------
@@ -236,10 +268,22 @@ def _beta_grid(x, h, r, n_points=4096):
 
 
 def _q_on_grid(h, grid):
-    """Q(i omega) on the grid's nodes, computed once per kernel and grid (it does not depend on d)."""
+    """Q(i omega) on the grid's nodes, computed once per kernel and grid (it does not depend on d).
+
+    q is real, so Q(-i omega) = conj Q(i omega): on a grid mirrored about
+    0, as ``SpectralGrid.build`` makes them, only the upper half is
+    transformed.
+    """
     key = ("grid", grid.nodes.tobytes())
     if key not in h._spectra:
-        h._spectra[key] = q_spectrum(h, grid.nodes)
+        nodes = grid.nodes
+        half = nodes.size // 2
+        pos = nodes[half:]
+        if np.array_equal(nodes[:half], -pos[::-1]):
+            q_pos = q_spectrum(h, pos)
+            h._spectra[key] = np.concatenate([np.conj(q_pos[::-1]), q_pos])
+        else:
+            h._spectra[key] = q_spectrum(h, nodes)
     return h._spectra[key]
 
 
@@ -422,11 +466,17 @@ class NoiseReport:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def run_prediction(pk, x, tgrid, r, method=""):
-    """Evaluate target and prediction over a time grid, with the bound."""
+def run_prediction(pk, x, tgrid, r, method="", y=None, top_degree=None):
+    """Evaluate target and prediction over a time grid, with the bound.
+
+    ``y``, the target values on the grid, may be passed in by a caller that
+    computed them once for several degrees; ``top_degree`` is passed on to
+    ``predict_values``.
+    """
     ts = tgrid.nodes
-    y = target_values(pk.h, x, ts)
-    y_hat = predict_values(pk, x, ts)
+    if y is None:
+        y = target_values(pk.h, x, ts)
+    y_hat = predict_values(pk, x, ts, top_degree)
     alpha, beta, bound = error_bound_parts(pk, x, r)
     sup = float(np.max(np.abs(y - y_hat)))
     return PredictionResult(grid=tgrid, y=y, y_hat=y_hat, sup_error=sup,

@@ -3,8 +3,13 @@
 Every generator returns a real-valued signal carrying a vectorized time
 evaluator, its closed-form spectrum X(i omega) where one exists, the
 exponential decay rate of |X| (np.inf for compact or super-exponential
-spectra), and a vectorized evaluator ``derivative(k, t)`` of x^(k) used
-by the derivative-transfer prediction path.
+spectra), and one all-orders evaluator ``derivatives(kmax, t)`` that
+returns the ``(kmax + 1, *t.shape)`` stack of x, x', ..., x^(kmax), used
+by the derivative-transfer prediction path.  Each kind shares its work
+across orders: chirp noise forms cos and sin of omega t once per
+frequency node, the Poisson kinds form their polar coordinates and the
+modulation phase once, and the Gaussian emits every step of its Hermite
+recurrence.  Order k of the stack does not depend on kmax.
 """
 
 import json
@@ -24,7 +29,7 @@ class Signal:
     time: Callable = field(repr=False)
     spectrum: Optional[Callable] = field(repr=False, default=None)
     spectral_decay: float = 0.0
-    derivative: Optional[Callable] = field(repr=False, default=None)
+    derivatives: Optional[Callable] = field(repr=False, default=None)
 
     def __call__(self, t):
         return self.time(np.asarray(t, dtype=float))
@@ -73,19 +78,23 @@ def zero_signal():
         time=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         spectrum=lambda om: np.zeros_like(np.asarray(om, dtype=float), dtype=complex),
         spectral_decay=np.inf,
-        derivative=lambda k, t: np.zeros_like(np.asarray(t, dtype=float)),
+        derivatives=lambda kmax, t: np.zeros((kmax + 1, *np.shape(t))),
     )
 
 
-def _poisson_derivative(a, k, t):
-    """k-th derivative of (1/pi) a / (a^2 + t^2) = Im[1 / (t - i a)] / pi.
+def _poisson_derivatives(a, kmax, t):
+    """Orders 0..kmax of (1/pi) a / (a^2 + t^2) = Im[1 / (t - i a)] / pi.
 
-    (-1)^k k! Im[(t - i a)^-(k+1)] / pi, taken in polar form.
+    (-1)^k k! Im[(t - i a)^-(k+1)] / pi, taken in polar form with rho and
+    phi formed once.
     """
     t = np.asarray(t, dtype=float)
     rho = np.hypot(t, a)
     phi = np.arctan2(-a, t)
-    return ((-1) ** (k + 1) * math.factorial(k) / np.pi) * rho ** -(k + 1) * np.sin((k + 1) * phi)
+    out = np.empty((kmax + 1, *t.shape))
+    for k in range(kmax + 1):
+        out[k] = ((-1) ** (k + 1) * math.factorial(k) / np.pi) * rho ** -(k + 1) * np.sin((k + 1) * phi)
+    return out
 
 
 def poisson_signal(a):
@@ -106,7 +115,7 @@ def poisson_signal(a):
         time=time,
         spectrum=spectrum,
         spectral_decay=a,
-        derivative=lambda k, t: _poisson_derivative(a, k, t),
+        derivatives=lambda kmax, t: _poisson_derivatives(a, kmax, t),
     )
 
 
@@ -123,14 +132,18 @@ def gaussian_signal(sigma):
     def spectrum(om):
         return np.exp(-0.5 * (sigma * om) ** 2).astype(complex)
 
-    def derivative(k, t):
+    def derivatives(kmax, t):
         # x^(k) = (-1/sigma)^k He_k(t/sigma) x(t), probabilists' Hermite He_k
         t = np.asarray(t, dtype=float)
         z = t / sigma
+        x = time(t)
+        out = np.empty((kmax + 1, *t.shape))
         he_prev, he = np.zeros_like(z), np.ones_like(z)
-        for j in range(k):
-            he_prev, he = he, z * he - j * he_prev
-        return (-1.0 / sigma) ** k * he * time(t)
+        for k in range(kmax + 1):
+            if k:
+                he_prev, he = he, z * he - (k - 1) * he_prev
+            out[k] = (-1.0 / sigma) ** k * he * x
+        return out
 
     return Signal(
         kind="gaussian",
@@ -138,15 +151,23 @@ def gaussian_signal(sigma):
         time=time,
         spectrum=spectrum,
         spectral_decay=np.inf,
-        derivative=derivative,
+        derivatives=derivatives,
     )
 
 
-def _cos_shift(m, x):
-    """cos(x + m pi/2), exact in the quarter turn."""
-    m %= 4
-    c = np.cos(x) if m % 2 == 0 else np.sin(x)
-    return c if m in (0, 3) else -c
+def _add_cos_shift(out, m, c, s, scale, factor=None):
+    """out += scale cos(x + m pi/2) (times ``factor``), given c = cos x and s = sin x.
+
+    cos(x + m pi/2) cycles through (c, -s, -c, s); the sign is taken by
+    the update, so the result is exact in the quarter turn.
+    """
+    term = scale * (s if m % 2 else c)
+    if factor is not None:
+        term *= factor
+    if m % 4 in (1, 2):
+        out -= term
+    else:
+        out += term
 
 
 def cosine_modulated_poisson(a, omega0):
@@ -163,14 +184,17 @@ def cosine_modulated_poisson(a, omega0):
         om = np.asarray(om, dtype=float)
         return 0.5 * (np.exp(-a * np.abs(om - omega0)) + np.exp(-a * np.abs(om + omega0))).astype(complex)
 
-    def derivative(k, t):
+    def derivatives(kmax, t):
         # Leibniz: sum_j C(k, j) p^(j)(t) omega0^(k-j) cos(omega0 t + (k-j) pi/2)
         t = np.asarray(t, dtype=float)
+        envelope = _poisson_derivatives(a, kmax, t)
         phase = omega0 * t
-        out = np.zeros_like(t)
-        for j in range(k + 1):
-            m = k - j
-            out += math.comb(k, j) * omega0**m * _cos_shift(m, phase) * _poisson_derivative(a, j, t)
+        c, s = np.cos(phase), np.sin(phase)
+        out = np.zeros((kmax + 1, *t.shape))
+        for k in range(kmax + 1):
+            for j in range(k + 1):
+                m = k - j
+                _add_cos_shift(out[k], m, c, s, math.comb(k, j) * omega0**m, envelope[j])
         return out
 
     return Signal(
@@ -179,7 +203,7 @@ def cosine_modulated_poisson(a, omega0):
         time=time,
         spectrum=spectrum,
         spectral_decay=a,
-        derivative=derivative,
+        derivatives=derivatives,
     )
 
 
@@ -203,15 +227,19 @@ def chirp_noise(band, amplitude):
         om = np.abs(np.asarray(om, dtype=float))
         return (amplitude * ((om >= lo) & (om <= hi))).astype(complex)
 
-    def derivative(k, t):
+    def derivatives(kmax, t):
         # x^(k) = (amplitude/pi) int_lo^hi omega^k cos(omega t + k pi/2) domega,
-        # accumulated one frequency node at a time so memory stays that of t
+        # accumulated one frequency node at a time; cos and sin of omega t
+        # are formed once per node and serve every order
         t = np.asarray(t, dtype=float)
         t_scale = float(np.max(np.abs(t))) if t.size else 0.0
         om_nodes, om_weights = _time_rule((lo, hi), t_scale, 1)
-        out = np.zeros_like(t)
+        out = np.zeros((kmax + 1, *t.shape))
         for om, w in zip(om_nodes, om_weights):
-            out += (w * om**k) * _cos_shift(k, om * t)
+            phase = om * t
+            c, s = np.cos(phase), np.sin(phase)
+            for k in range(kmax + 1):
+                _add_cos_shift(out[k], k, c, s, w * om**k)
         return (amplitude / np.pi) * out
 
     return Signal(
@@ -220,7 +248,7 @@ def chirp_noise(band, amplitude):
         time=time,
         spectrum=spectrum,
         spectral_decay=np.inf,
-        derivative=derivative,
+        derivatives=derivatives,
     )
 
 
@@ -242,10 +270,10 @@ def superposition(signals, weights=None):
         def spectrum(om):
             return sum(w * s.spectrum(om) for w, s in zip(weights, signals))
 
-    derivative = None
-    if all(s.derivative is not None for s in signals):
-        def derivative(k, t):
-            return sum(w * s.derivative(k, t) for w, s in zip(weights, signals))
+    derivatives = None
+    if all(s.derivatives is not None for s in signals):
+        def derivatives(kmax, t):
+            return sum(w * s.derivatives(kmax, t) for w, s in zip(weights, signals))
 
     return Signal(
         kind="superposition",
@@ -254,7 +282,7 @@ def superposition(signals, weights=None):
         time=time,
         spectrum=spectrum,
         spectral_decay=min(s.spectral_decay for s in signals),
-        derivative=derivative,
+        derivatives=derivatives,
     )
 
 

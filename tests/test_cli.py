@@ -56,6 +56,30 @@ class TestConfig:
         assert result.exit_code == EXIT_CONFIG, result.output
         assert f"config error: {key}: expected an integer" in result.output
 
+    @pytest.mark.parametrize("key, overrides, expected", [
+        ("T", {"T": "0.5"}, "a finite number"),
+        ("theta", {"theta": None}, "a finite number"),
+        ("r", {"r": True}, "a finite number"),
+        ("eps_target", {"eps_target": [1e-4]}, "a finite number"),
+        ("nu_range", {"nu_range": 0.1}, "a list of numbers"),
+        ("nu_range", {"nu_range": [0.0, "0.1"]}, "a finite number"),
+        ("grid.n_points", {"grid": {"omega_max": None, "n_points": 2.5}}, "an integer"),
+        ("grid.omega_max", {"grid": {"omega_max": "40", "n_points": 2048}}, "a finite number"),
+        ("grid.omega_max", {"grid": {"omega_max": -1.0, "n_points": 2048}},
+         "a positive number or null"),
+        ("grid", {"grid": 5}, "an object"),
+        ("tgrid", {"tgrid": [1]}, "an object"),
+        ("signal", {"signal": "poisson"}, "an object"),
+        ("output_dir", {"output_dir": 5}, "a string"),
+        ("d_range", {"d_range": 5}, "[start, stop]"),
+    ])
+    def test_mistyped_field_names_the_key(self, runner, tmp_path, key, overrides, expected):
+        overrides = {"output_dir": str(tmp_path / "out"), **overrides}
+        cfgp = write_config(tmp_path / "c.json", **overrides)
+        result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert f"config error: {key}: expected {expected}" in result.output
+
     def test_json_error_carries_position(self):
         with pytest.raises(ConfigError, match="line 1"):
             ExperimentConfig.from_json("{bad json")
@@ -175,6 +199,36 @@ class TestNoiseSweep:
         (top,) = [r for r in rows if r[0] == 0.0 and r[1] == 16.0]
         assert top[2] <= top[3]
 
+    def test_chirp_derivatives_once_per_row_block(self, runner, tmp_path, monkeypatch):
+        # d = 6..12 all predict by derivative transfer; the chirp stack of
+        # orders 0..12 is evaluated once per row block for the whole sweep
+        from dataclasses import replace
+
+        from horizon import predictor, signals
+
+        calls = []
+        real_chirp = signals.chirp_noise
+
+        def counted_chirp(band, amplitude):
+            base = real_chirp(band, amplitude)
+
+            def derivatives(kmax, t):
+                calls.append(kmax)
+                return base.derivatives(kmax, t)
+
+            return replace(base, derivatives=derivatives)
+
+        monkeypatch.setattr(signals, "chirp_noise", counted_chirp)
+        tgrid = {"t_min": -2.0, "t_max": 2.0, "n_points": 201}
+        cfgp = write_config(tmp_path / "c.json", d_range=[6, 12], tgrid=tgrid,
+                            output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
+        assert result.exit_code == 0, result.output
+        nodes, _ = predictor._target_rule(ExperimentConfig().build_kernel())
+        blocks = predictor._row_blocks(tgrid["n_points"], nodes.size)
+        assert len(blocks) == 2
+        assert calls == [12] * len(blocks)
+
     def test_zero_noise_rows_match_convergence(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json", d_range=[2, 2],
                             nu_range=[0.0], output_dir=str(tmp_path / "out"))
@@ -212,6 +266,14 @@ class TestPredict:
         cfgp = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, ["predict", "--config", str(cfgp), "--times", "a,b"])
         assert result.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("times", ["nan,inf,1", "0.5,-inf", "nan"])
+    def test_non_finite_times_are_config_error(self, runner, tmp_path, times):
+        cfgp = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, ["predict", "--config", str(cfgp), "--times", times])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "config error: times: expected finite values" in result.output
+        assert not (tmp_path / "out" / "predict.csv").exists()
 
 
 class TestRemovedOptions:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,13 @@ from horizon.polynomials import projection_psi
 from horizon import predictor
 from horizon.predictor import _band_spectrum, _predict_by_transfer, transfer_norms
 
-from oracles import adaptive_simpson, bump_transform_mp, gram_l2_norm_sq, transfer_prediction_mp
+from oracles import (
+    adaptive_simpson,
+    bump_transform_mp,
+    chirp_transfer_prediction_mp,
+    gram_l2_norm_sq,
+    transfer_prediction_mp,
+)
 
 T, TH, R, A = 0.5, 0.1, 2.0, 1.5
 
@@ -195,8 +202,60 @@ class TestPredict:
         np.testing.assert_allclose(predict_values(pk, canonical_signal, ts), ref,
                                    rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("method", ["taylor", "projection"])
+    @pytest.mark.parametrize("d", [10, 12, 16])
+    def test_chirp_transfer_against_70_digits(self, canonical_kernel, method, d):
+        # the chirp moments are O(12^k), so the sum over k carries a
+        # roundoff floor eps sum_k |Re a_k| |M_k| of about 1.2e-14 here
+        # (measured errors 1.9e-15 to 3.7e-15); 1e-14 is that floor
+        psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
+        pk = build_predictor(canonical_kernel, psi)
+        assert pk.needs_extended()
+        ts = np.linspace(-2.0, 2.0, 5)
+        ref = chirp_transfer_prediction_mp(psi.coeffs, T, TH, (6.0, 12.0), 1.0, ts, dps=70)
+        np.testing.assert_allclose(predict_values(pk, chirp_noise((6.0, 12.0), 1.0), ts), ref,
+                                   rtol=0, atol=1e-14)
+
+    def test_sweep_reads_one_moment_table(self, canonical_kernel):
+        # a sweep naming its top degree evaluates the signal's derivative
+        # stack once per row block, whatever degree it starts from
+        calls = []
+        base = chirp_noise((6.0, 12.0), 1.0)
+
+        def counted(kmax, t):
+            calls.append(kmax)
+            return base.derivatives(kmax, t)
+
+        # a kind of its own: the table cache on the shared kernel is keyed by signal value
+        x = replace(base, kind="counted_chirp", derivatives=counted)
+        ts = np.linspace(-2.0, 2.0, 7)
+        for d in range(6, 13):
+            pk = build_predictor(canonical_kernel, taylor_psi(T, d))
+            got = predict_values(pk, x, ts, 12)
+            np.testing.assert_array_equal(got, _predict_by_transfer(pk, base, ts))
+        assert calls == [12]
+
 
 class TestErrorBound:
+    def test_q_on_mirrored_grid_from_positive_half(self, monkeypatch):
+        # each test builds its own kernel: _q_on_grid caches per kernel
+        h = bump_kernel(T, TH)
+        sizes = []
+
+        def counted(h_, omegas, *args):
+            sizes.append(np.size(omegas))
+            return q_spectrum(h_, omegas, *args)
+
+        monkeypatch.setattr(predictor, "q_spectrum", counted)
+        grid = SpectralGrid.for_rate(R, 4096)
+        np.testing.assert_array_equal(predictor._q_on_grid(h, grid), q_spectrum(h, grid.nodes))
+        assert sizes == [grid.n_points // 2]
+        # a grid that is not mirrored about 0 is transformed node by node
+        nodes = grid.nodes + 0.25
+        shifted = SpectralGrid(omega_max=grid.omega_max, nodes=nodes, weights=grid.weights)
+        np.testing.assert_array_equal(predictor._q_on_grid(h, shifted), q_spectrum(h, nodes))
+        assert sizes[1:] == [grid.n_points]
+
     def test_beta_value_and_grid_stability(self, canonical_kernel, canonical_signal):
         b1 = beta_energy(canonical_kernel, canonical_signal, R)
         b2 = beta_energy(canonical_kernel, canonical_signal, R,

@@ -124,26 +124,40 @@ class TestDerivative:
         x, f = _mp_definitions(mp)[kind]
         # 25 is far enough out that the chirp's band rule needs many panels
         ts = np.array([-1.3, 0.4, 2.7, 25.0])
+        stack = x.derivatives(16, ts)
         for k in range(17):
             ref = np.array([float(mp.diff(f, mp.mpf(t), k)) for t in ts])
-            got = x.derivative(k, ts)
+            got = stack[k]
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+    @pytest.mark.parametrize("kind", ["poisson", "gaussian", "cosine_modulated_poisson",
+                                      "chirp_noise", "superposition"])
+    def test_order_does_not_depend_on_kmax(self, kind):
+        # the moment table reuses a taller stack for lower degrees
+        import mpmath
+
+        x, _ = _mp_definitions(mpmath.mp)[kind]
+        ts = np.array([[-1.3, 0.4], [2.7, 25.0]])
+        tall = x.derivatives(16, ts)
+        for kmax in (0, 5, 12):
+            np.testing.assert_array_equal(x.derivatives(kmax, ts), tall[:kmax + 1])
 
     def test_zero_signal(self):
         ts = np.linspace(-1, 1, 5)
-        for k in (0, 7, 16):
-            np.testing.assert_array_equal(zero_signal().derivative(k, ts), 0.0)
+        stack = zero_signal().derivatives(16, ts)
+        assert stack.shape == (17, 5)
+        np.testing.assert_array_equal(stack, 0.0)
 
     def test_shape_follows_input(self):
         import mpmath
 
         ts = np.linspace(-1, 1, 6).reshape(2, 3)
         for x, _ in _mp_definitions(mpmath.mp).values():
-            assert x.derivative(3, ts).shape == (2, 3)
+            assert x.derivatives(3, ts).shape == (4, 2, 3)
 
     def test_superposition_needs_every_part(self):
         bare = Signal(kind="samples", params={}, time=lambda t: np.zeros_like(t))
-        assert superposition([poisson_signal(1.0), bare]).derivative is None
+        assert superposition([poisson_signal(1.0), bare]).derivatives is None
 
 
 class TestClassNorm:
