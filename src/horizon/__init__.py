@@ -24,6 +24,7 @@ from .polynomials import (
     taylor_psi,
 )
 from .predictor import (
+    BoundRangeError,
     ClassMembershipError,
     NoiseReport,
     PredictionResult,

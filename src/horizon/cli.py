@@ -1,7 +1,8 @@
 """Experiment harness: config-driven sweeps emitting CSV and JSON.
 
-Exit codes: 0 success, 2 config error, 3 class-membership refusal,
-4 bound violation.  CSV output is deterministic (no wall-clock columns,
+Exit codes: 0 success, 2 config error, 3 refusal (the signal lies
+outside the class, or its bound exceeds the double range), 4 bound
+violation.  CSV output is deterministic (no wall-clock columns,
 full-precision scientific notation); per-row runtimes go to the JSON
 summary, which is not covered by the byte-identity guarantee.
 """
@@ -23,6 +24,7 @@ from .polynomials import (
     taylor_psi,
 )
 from .predictor import (
+    BoundRangeError,
     ClassMembershipError,
     build_predictor,
     error_bound_parts,
@@ -54,7 +56,7 @@ def _write_csv(path, header, rows):
 
 
 def _exit_codes(command):
-    """Map a config error to exit 2 and a class-membership refusal to exit 3."""
+    """Map a config error to exit 2, and a class-membership or bound-range refusal to exit 3."""
 
     @functools.wraps(command)
     def wrapped(*args, **kwargs):
@@ -63,7 +65,7 @@ def _exit_codes(command):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except ClassMembershipError as exc:
+        except (ClassMembershipError, BoundRangeError) as exc:
             click.echo(f"refusing: {exc}", err=True)
             sys.exit(EXIT_CLASS)
 
@@ -149,12 +151,12 @@ def cmd_convergence(config_path, out):
     h = cfg.build_kernel()
     tgrid = cfg.build_tgrid()
     y = target_values(h, x, tgrid.nodes)
+    pks = [build_predictor(h, _psi_for(cfg, d)) for d in cfg.ds]
     results = []
-    for d in cfg.ds:
+    for pk in pks:
         start = time.perf_counter()
-        pk = build_predictor(h, _psi_for(cfg, d))
-        res = run_prediction(pk, x, tgrid, cfg.r, method=cfg.method, y=y, top_degree=cfg.ds[-1])
-        results.append((d, res, 1000.0 * (time.perf_counter() - start)))
+        res = run_prediction(pk, x, tgrid, cfg.r, method=cfg.method, y=y, sweep=pks)
+        results.append((pk.d, res, 1000.0 * (time.perf_counter() - start)))
 
     rows = [(d, res.sup_error, res.bound) for d, res, _ in results]
     path = Path(cfg.output_dir) / "convergence.csv"
@@ -194,16 +196,16 @@ def cmd_noise_sweep(config_path, out):
 
     rows = []
     y = target_values(h, x0, tgrid.nodes)
-    for d in cfg.ds:
-        pk = build_predictor(h, _psi_for(cfg, d))
-        y_hat0 = predict_values(pk, x0, tgrid.nodes, cfg.ds[-1])
-        conv_unit = predict_values(pk, eta_unit, tgrid.nodes, cfg.ds[-1])
+    pks = [build_predictor(h, _psi_for(cfg, d)) for d in cfg.ds]
+    for pk in pks:
+        y_hat0 = predict_values(pk, x0, tgrid.nodes, sweep=pks)
+        conv_unit = predict_values(pk, eta_unit, tgrid.nodes, sweep=pks)
         _, _, eps_bound = error_bound_parts(pk, x0, cfg.r)
         slope = noise_bound(pk, h, 1.0, cfg.p)  # norms on the transfer band
         for nu in cfg.nu_range:
             scale = nu / unit_norm
             total = float(np.max(np.abs(y - y_hat0 - scale * conv_unit)))
-            rows.append((nu, d, total, eps_bound + nu * slope))
+            rows.append((nu, pk.d, total, eps_bound + nu * slope))
 
     rows.sort(key=lambda row: (row[0], row[1]))
     path = Path(cfg.output_dir) / "noise_sweep.csv"

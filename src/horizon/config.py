@@ -76,6 +76,9 @@ class ExperimentConfig:
         for key in ("kernel", "signal", "noise", "tgrid", "grid"):
             if not isinstance(getattr(self, key), dict):
                 raise ConfigError(f"{key}: expected an object, got {getattr(self, key)!r}")
+        if self.kernel.get("shape") == "mollified":
+            raise ConfigError("kernel.shape: 'mollified' is refused until its kernel owns its "
+                              "quadrature panels (ROADMAP item 4); its predictions miss their bound")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir: expected a string, got {self.output_dir!r}")
         if not isinstance(self.d_range, (list, tuple)):

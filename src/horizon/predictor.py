@@ -7,31 +7,37 @@ The predicting kernel is assembled in the time domain as
 so its transform is psi_d(i omega) Q(i omega) = e^{-i omega T} psi_d H
 exactly; the property tests enforce that identity.
 
-High-degree assemblies are numerically brutal: hhat_12 for the canonical
-configuration carries an L1 mass near 3.5e15 while its convolutions are
-O(0.1), so a quadrature against the assembled kernel cancels some 16
-orders of magnitude.  Predictions therefore avoid it once the L1 mass
-makes double-precision roundoff exceed the quadrature budget
-(``needs_extended``).  Every derivative of q vanishes at 0 and at tau, so
-integrating by parts gives exactly
+Both prediction routes read a table of moments that does not depend on
+d: with hhat_d = sum_k a_k q^(k) and x real,
 
-    int q^(k)(u) x(t - u) du = int q(u) x^(k)(t - u) du,
+    y_hat_d(t) = Re int_0^tau hhat_d(u) x(t - u) du = sum_k Re(a_k) S[k, t],
+    S[k, t] = int q^(k)(u) x(t - u) du.
+
+Below the switch S is the sample-moment table: x sampled on the panel
+rule of the top order, times each weight vector w q^(k)(s).  High-degree
+assemblies are numerically brutal, though: hhat_12 for the canonical
+configuration carries an L1 mass near 3.5e15 while its convolutions are
+O(0.1), so a quadrature against it cancels some 16 orders of magnitude.
+Once the L1 mass makes double-precision roundoff exceed the quadrature
+budget (``needs_extended``) the moments are taken otherwise.  Every
+derivative of q vanishes at 0 and at tau, so integrating by parts gives
+exactly
+
+    S[k, t] = int q(u) x^(k)(t - u) du = M[k, t],
 
 the same causal window and value, but a quadrature against the positive
-unit-mass bump with no cancellation.  Past that point signals that carry
-a derivative evaluator are predicted by this derivative transfer; a
-signal given only as samples, and the transform of the assembled kernel
-(``PredictorKernel.spectrum``), are refused there rather than returned
-at a roundoff floor of ~1e-16 times the L1 mass.  Below it both run on
-the double node table.
+unit-mass bump with no cancellation.  Past the switch signals that carry
+a derivative evaluator are predicted from this derivative-transfer table
+M; a signal given only as samples, and the transform of the assembled
+kernel (``PredictorKernel.spectrum``), are refused there rather than
+returned at a roundoff floor of ~1e-16 times the L1 mass.
 
-The transfer moments M[k, t] = int h(s) x^(k)(t - T - s) ds do not
-depend on d, and y_hat_d(t) = sum_k Re(a_k) M[k, t].  They are tabulated
-once per kernel, signal and time grid, up to the top degree the caller
-names, from one ``x.derivatives`` stack per row block, so a degree sweep
-evaluates each signal derivative once rather than once per degree.
-Every quantity here is computed in double precision; only alpha
-(``alpha_closed_form``) uses extended precision.
+A degree sweep names its predictors, and each route builds one table per
+kernel, signal and time grid, up to the top degree of the sweep members
+on that route, from one ``x.time`` block or one ``x.derivatives`` stack
+per row block.  So a sweep evaluates the signal once per route rather
+than once per degree.  Every quantity here is computed in double
+precision; only alpha (``alpha_closed_form``) uses extended precision.
 """
 
 import math
@@ -51,6 +57,10 @@ EPS_QUAD = 1e-10
 
 class ClassMembershipError(ValueError):
     """The signal lies outside the spectral class the bound requires."""
+
+
+class BoundRangeError(ValueError):
+    """The signal is in the class, but its error bound exceeds the double range."""
 
 
 class PredictorKernel:
@@ -165,21 +175,30 @@ def _row_blocks(n_rows, n_cols):
     so a blocked product sums each row exactly as one full product does.
     """
     step = max(16, _BLOCK_ELEMENTS // n_cols // 16 * 16)
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
-def _sample_convolution(x, ts, nodes, wv):
-    """sum_m wv_m x(t - s_m) for each t, over row blocks of the sample matrix."""
-    out = np.empty(ts.size, dtype=np.result_type(float, wv))
-    for rows in _row_blocks(ts.size, nodes.size):
-        out[rows] = x.time(ts[rows, None] - nodes[None, :]) @ wv
+def _blocked(ts, nodes, evaluate, out):
+    """out[..., rows] = evaluate(t - s) over the row blocks of the (times x nodes) argument matrix.
+
+    t - s is written into one buffer allocated once per call, each block a
+    C-contiguous leading slice of it: a block-sized array allocated and
+    freed per block is handed back to the operating system and faulted in
+    again page by page.
+    """
+    blocks = _row_blocks(ts.size, nodes.size)
+    buf = np.empty((blocks[0].stop if blocks else 0, nodes.size))
+    for rows in blocks:
+        args = np.subtract(ts[rows, None], nodes, out=buf[:rows.stop - rows.start])
+        out[..., rows] = evaluate(args)
     return out
 
 
 def target_values(h, x, ts):
     ts = np.asarray(ts, dtype=float)
     nodes, weights = _target_rule(h)
-    return _sample_convolution(x, ts, nodes, h(nodes) * weights)
+    hw = h(nodes) * weights
+    return _blocked(ts, nodes, lambda args: x.time(args) @ hw, np.empty(ts.size))
 
 
 def predict(pk, x, t):
@@ -191,59 +210,74 @@ def predict(pk, x, t):
     return float(predict_values(pk, x, np.atleast_1d(float(t)))[0])
 
 
-def predict_values(pk, x, ts, top_degree=None):
-    """Predictions at ``ts``: derivative transfer where ``pk.needs_extended()``
-    holds and x has a derivative evaluator, the double sample path otherwise.
+def predict_values(pk, x, ts, sweep=None):
+    """Predictions sum_k Re(a_k) S[k, t] at ``ts`` from the moment table of pk's route.
 
-    ``top_degree`` is the highest degree the caller will predict with the
-    same kernel, signal and times; a sweep passes it so that the first
-    transfer prediction tabulates the moments every later degree reads.
+    The route is derivative transfer (``_moment_table``) where
+    ``pk.needs_extended()`` holds, refused for a signal without a
+    derivative evaluator, and the sample moments (``_sample_table``)
+    otherwise.  ``sweep`` names the predictors of pk's kernel that the
+    caller evaluates on the same signal and times; each route then builds
+    one table, up to the top degree of the sweep members on it, kept on
+    the kernel for this signal object and read by every later member.
+    Without a sweep the table goes up to pk's degree and is not kept.
     """
     ts = np.asarray(ts, dtype=float)
-    if pk.needs_extended():
-        if x.derivatives is None:
-            raise pk._roundoff_error(f"the sample path of signal {x.kind!r} (no derivative)")
-        return _predict_by_transfer(pk, x, ts, top_degree)
-    nodes, weights, values, _ = pk._double_table()
-    return np.real(_sample_convolution(x, ts, nodes, weights * values))
+    transfer = pk.needs_extended()
+    if transfer and x.derivatives is None:
+        raise pk._roundoff_error(f"the sample path of signal {x.kind!r} (no derivative)")
+    build = _moment_table if transfer else _sample_table
+    if sweep is None:
+        return _predict_from(pk, build(pk.h, x, ts, pk.d))
+    kmax = max(p.d for p in (pk, *sweep) if p.needs_extended() == transfer)
+    key, grid = (build.__name__, id(x)), ts.tobytes()
+    cached = pk.h._spectra.get(key)  # (x, grid, table); holding x keeps id(x) its own
+    if cached is None or cached[0] is not x or cached[1] != grid or len(cached[2]) != kmax + 1:
+        cached = pk.h._spectra[key] = (x, grid, build(pk.h, x, ts, kmax))
+    return _predict_from(pk, cached[2])
 
 
-def _predict_by_transfer(pk, x, ts, top_degree=None):
-    """sum_k Re(a_k) M[k, t], summed in k order over the nonzero Re(a_k).
+def _predict_from(pk, table):
+    """sum_k Re(a_k) table[k], summed in k order over the nonzero Re(a_k).
 
     x is real, so Re(a_k x^(k)) = Re(a_k) x^(k).
     """
-    moments = _moment_table(pk.h, x, ts, max(pk.d, top_degree or 0))
-    out = np.zeros(ts.size)
+    out = np.zeros(table.shape[1])
     for k, a in enumerate(pk.psi.coeffs):
         if a.real != 0.0:
-            out += a.real * moments[k]
+            out += a.real * table[k]
     return out
+
+
+def _sample_table(h, x, ts, kmax):
+    """S[k, t] = int q^(k)(u) x(t - u) du for k <= kmax, on the order-kmax panel rule.
+
+    One ``x.time`` block per row block, times each weight vector
+    w q^(k)(s) by a matrix-vector product, so row blocks sum each row as
+    one full product does.  A table serves degrees up to kmax only on its
+    own rule, so it is rebuilt, not sliced, for another kmax.
+    """
+    nodes, weights = gauss_legendre_edges(derivative_panel_edges(h.width, kmax))
+    qw = [h.derivative(k, nodes - h.T) * weights for k in range(kmax + 1)]
+
+    def evaluate(args):
+        block = x.time(args)
+        return [block @ w for w in qw]
+
+    return _blocked(ts, nodes, evaluate, np.empty((kmax + 1, ts.size)))
 
 
 def _moment_table(h, x, ts, kmax):
     """M[k, t] = int h(s) x^(k)(t - T - s) ds for k <= kmax, on the target rule.
 
     One ``x.derivatives(kmax, .)`` stack per row block.  The arguments
-    t - T - s stay inside the causal window (t - tau, t).  Cached on the
-    kernel per signal (by value) for the last time grid it was built on,
-    so the cache holds one table per signal; it is rebuilt for another
-    grid or a higher order (row k does not depend on kmax).
+    t - T - s stay inside the causal window (t - tau, t).  Row k does not
+    depend on kmax.
     """
-    key, grid_bytes = ("moments", x.to_json()), ts.tobytes()
-    cached = h._spectra.get(key)
-    if cached is not None and cached[0] == grid_bytes and cached[1].shape[0] > kmax:
-        return cached[1]
     nodes, weights = _target_rule(h)
     hw = h(nodes) * weights
-    table = np.empty((kmax + 1, ts.size))
-    for rows in _row_blocks(ts.size, nodes.size):
-        args = (ts[rows] - h.T)[:, None] - nodes[None, :]
-        stack = x.derivatives(kmax, args)
-        for k in range(kmax + 1):
-            table[k, rows] = stack[k] @ hw
-    h._spectra[key] = (grid_bytes, table)
-    return table
+    return _blocked(ts - h.T, nodes, lambda args: [d @ hw for d in x.derivatives(kmax, args)],
+                    np.empty((kmax + 1, ts.size)))
 
 
 # -- bounds ------------------------------------------------------------------
@@ -288,21 +322,42 @@ def _q_on_grid(h, grid):
 
 
 def _beta_integrand(x, h, r, grid):
+    """e^{r|omega|} |Q X|^2 on the grid's nodes.
+
+    Where that product is not finite (e^{r|omega|} overflows, perhaps
+    against |Q X|^2 = 0) it is taken as exp(r|omega| + 2 log|Q X|); the
+    entries that were finite keep their bits.
+    """
     q = _q_on_grid(h, grid)
     xv = x.spectrum(grid.nodes)
-    return np.exp(r * np.abs(grid.nodes)) * np.abs(q * xv) ** 2
+    rw = r * np.abs(grid.nodes)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.exp(rw) * np.abs(q * xv) ** 2
+        bad = ~np.isfinite(out)
+        out[bad] = np.exp(rw[bad] + 2.0 * np.log(np.abs(q[bad] * xv[bad])))
+    return out
 
 
 def beta_energy(h, x, r, grid=None):
-    """beta = int e^{r|omega|} |Q(i omega) X(i omega)|^2 domega."""
+    """beta = int e^{r|omega|} |Q(i omega) X(i omega)|^2 domega.
+
+    Refused as outside the class when the integral diverges, and with
+    ``BoundRangeError`` when it converges (2 x.spectral_decay > r) but
+    exceeds the double range.
+    """
     if x.spectrum is None:
         raise ValueError("signal carries no exact spectrum")
     if grid is None:
         grid = _beta_grid(x, h, r)
     integrand = _beta_integrand(x, h, r, grid)
-    if not np.all(np.isfinite(integrand)) or _tail_is_divergent(integrand, grid.nodes):
+    finite = bool(np.all(np.isfinite(integrand)))
+    diverges = _tail_is_divergent(integrand, grid.nodes) if finite else 2.0 * x.spectral_decay <= r
+    if diverges:
         raise ClassMembershipError("signal outside class: beta integral diverges")
-    return float(integrand @ grid.weights)
+    beta = float(integrand @ grid.weights) if finite else math.inf
+    if not math.isfinite(beta):
+        raise BoundRangeError(f"bound exceeds double range: beta overflows at r={r}")
+    return beta
 
 
 def error_bound_parts(pk, x, r, grid=None):
@@ -466,17 +521,17 @@ class NoiseReport:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def run_prediction(pk, x, tgrid, r, method="", y=None, top_degree=None):
+def run_prediction(pk, x, tgrid, r, method="", y=None, sweep=None):
     """Evaluate target and prediction over a time grid, with the bound.
 
     ``y``, the target values on the grid, may be passed in by a caller that
-    computed them once for several degrees; ``top_degree`` is passed on to
+    computed them once for several degrees; ``sweep`` is passed on to
     ``predict_values``.
     """
     ts = tgrid.nodes
     if y is None:
         y = target_values(pk.h, x, ts)
-    y_hat = predict_values(pk, x, ts, top_degree)
+    y_hat = predict_values(pk, x, ts, sweep)
     alpha, beta, bound = error_bound_parts(pk, x, r)
     sup = float(np.max(np.abs(y - y_hat)))
     return PredictionResult(grid=tgrid, y=y, y_hat=y_hat, sup_error=sup,

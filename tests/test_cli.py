@@ -1,5 +1,8 @@
 import json
+import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -79,6 +82,17 @@ class TestConfig:
         result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
         assert result.exit_code == EXIT_CONFIG, result.output
         assert f"config error: {key}: expected {expected}" in result.output
+
+    @pytest.mark.parametrize("command", ["alpha-sweep", "convergence"])
+    def test_mollified_kernel_is_config_error(self, runner, tmp_path, command):
+        # its sample-path predictions at d = 4 missed their bound by a factor 6e3
+        cfgp = write_config(tmp_path / "c.json", kernel={"shape": "mollified", "epsilon": 0.05},
+                            d_range=[0, 4], output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, [command, "--config", str(cfgp)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "config error: kernel.shape: 'mollified'" in result.output
+        assert "ROADMAP item 4" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_json_error_carries_position(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -162,6 +176,53 @@ class TestConvergence:
         result = runner.invoke(main, ["convergence", "--config", str(cfgp)])
         assert result.exit_code == EXIT_CLASS
         assert "refusing" in result.output or result.exception is not None
+
+    def test_bound_beyond_double_range_is_its_own_refusal(self, runner, tmp_path):
+        # sigma = 0.02 is in the class, but beta is about e^2500
+        cfgp = write_config(tmp_path / "c.json",
+                            signal={"kind": "gaussian", "params": {"sigma": 0.02}},
+                            d_range=[0, 2], output_dir=str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["convergence", "--config", str(cfgp)])
+        assert result.exit_code == EXIT_CLASS, result.output
+        assert "refusing: bound exceeds double range" in result.output
+        assert "outside class" not in result.output
+
+    def test_sample_route_reads_signal_once_per_row_block(self, runner, tmp_path, monkeypatch):
+        # d = 0..4 all take the sample route: the target and the one
+        # sample-moment table of the sweep each evaluate x once per row
+        # block, not once per degree
+        from horizon import predictor, signals
+        from horizon.kernels import derivative_panel_edges
+        from horizon.spectral_core import gauss_legendre_edges
+
+        calls = []
+        real_poisson = signals.poisson_signal
+
+        def counted_poisson(a):
+            base = real_poisson(a)
+
+            def time(t):
+                calls.append(np.shape(t))
+                return base.time(t)
+
+            return replace(base, time=time)
+
+        monkeypatch.setattr(signals, "poisson_signal", counted_poisson)
+        tgrid = {"t_min": -2.0, "t_max": 2.0, "n_points": 201}
+        cfgp = write_config(tmp_path / "c.json", d_range=[0, 4], tgrid=tgrid,
+                            output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, ["convergence", "--config", str(cfgp)])
+        assert result.exit_code == 0, result.output
+        h = ExperimentConfig().build_kernel()
+        target_nodes = predictor._target_rule(h)[0]
+        table_nodes = gauss_legendre_edges(derivative_panel_edges(h.width, 4))[0]
+        expected = [(rows.stop - rows.start, nodes.size)
+                    for nodes in (target_nodes, table_nodes)
+                    for rows in predictor._row_blocks(tgrid["n_points"], nodes.size)]
+        assert len(expected) == 4
+        assert calls == expected
 
     def test_zero_signal_rows_zero(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from horizon import (
 from horizon.signals import Signal
 from horizon.polynomials import projection_psi
 from horizon import predictor
-from horizon.predictor import _band_spectrum, _predict_by_transfer, transfer_norms
+from horizon.predictor import _band_spectrum, _moment_table, _predict_from, transfer_norms
 
 from oracles import (
     adaptive_simpson,
@@ -172,8 +173,25 @@ class TestPredict:
         # where the sample path is still accurate
         ts = np.linspace(-1, 1, 5)
         a = predict_values(pk_small, canonical_signal, ts)
-        b = _predict_by_transfer(pk_small, canonical_signal, ts)
+        b = _predict_from(pk_small, _moment_table(pk_small.h, canonical_signal, ts, pk_small.d))
         np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["taylor", "projection"])
+    def test_sample_table_against_per_degree_quadrature(self, canonical_kernel, canonical_signal,
+                                                        method):
+        # below the switch every degree of a sweep reads one sample-moment
+        # table on the top degree's panel rule; each stays within the
+        # roundoff floor 1e-15 l1_mass of its own node-table quadrature
+        pks = [build_predictor(canonical_kernel,
+                               taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d))
+               for d in range(5)]
+        ts = np.linspace(-2.0, 2.0, 41)
+        for pk in pks:
+            assert not pk.needs_extended()
+            nodes, weights, values, l1_mass = pk._double_table()
+            ref = np.real(canonical_signal.time(ts[:, None] - nodes) @ (weights * values))
+            np.testing.assert_allclose(predict_values(pk, canonical_signal, ts, sweep=pks), ref,
+                                       rtol=0, atol=1e-15 * l1_mass)
 
     def test_signal_without_derivative_takes_sample_path(self, pk_small, pk_big,
                                                          canonical_signal):
@@ -217,8 +235,8 @@ class TestPredict:
                                    rtol=0, atol=1e-14)
 
     def test_sweep_reads_one_moment_table(self, canonical_kernel):
-        # a sweep naming its top degree evaluates the signal's derivative
-        # stack once per row block, whatever degree it starts from
+        # a named sweep evaluates the signal's derivative stack once per
+        # row block, up to its top degree, whatever degree it starts from
         calls = []
         base = chirp_noise((6.0, 12.0), 1.0)
 
@@ -226,14 +244,30 @@ class TestPredict:
             calls.append(kmax)
             return base.derivatives(kmax, t)
 
-        # a kind of its own: the table cache on the shared kernel is keyed by signal value
-        x = replace(base, kind="counted_chirp", derivatives=counted)
+        x = replace(base, derivatives=counted)
         ts = np.linspace(-2.0, 2.0, 7)
-        for d in range(6, 13):
-            pk = build_predictor(canonical_kernel, taylor_psi(T, d))
-            got = predict_values(pk, x, ts, 12)
-            np.testing.assert_array_equal(got, _predict_by_transfer(pk, base, ts))
+        pks = [build_predictor(canonical_kernel, taylor_psi(T, d)) for d in range(6, 13)]
+        for pk in pks:
+            got = predict_values(pk, x, ts, sweep=pks)
+            np.testing.assert_array_equal(
+                got, _predict_from(pk, _moment_table(canonical_kernel, base, ts, pk.d)))
         assert calls == [12]
+
+    @pytest.mark.parametrize("d", [4, 12], ids=["sample", "transfer"])
+    def test_sweep_tables_are_kept_per_signal_object(self, d):
+        # two signals of one kind and params but different values: each
+        # reads its own table (a table cache keyed by kind and params gave
+        # the second the first's predictions, 0.10 off at d = 12)
+        h = bump_kernel(T, TH)
+        pk = build_predictor(h, taylor_psi(T, d))
+        assert pk.needs_extended() == (d == 12)
+        xs = [Signal(kind="custom", params={}, time=p.time, derivatives=p.derivatives)
+              for p in (poisson_signal(1.5), poisson_signal(3.0))]
+        ts = np.linspace(-2.0, 2.0, 9)
+        got = [predict_values(pk, x, ts, sweep=[pk]) for x in xs]
+        for x, y_hat in zip(xs, got):
+            np.testing.assert_array_equal(y_hat, predict_values(pk, x, ts))
+        assert np.max(np.abs(got[0] - got[1])) > 0.05
 
 
 class TestErrorBound:
@@ -255,6 +289,19 @@ class TestErrorBound:
         shifted = SpectralGrid(omega_max=grid.omega_max, nodes=nodes, weights=grid.weights)
         np.testing.assert_array_equal(predictor._q_on_grid(h, shifted), q_spectrum(h, nodes))
         assert sizes[1:] == [grid.n_points]
+
+    def test_beta_where_the_weight_overflows(self, canonical_kernel):
+        # on the a = 1.005 grid (omega_max 3684) e^{r omega} overflows
+        # against |Q X|^2 = 0; beta is finite, below the a -> r/2 limit
+        # 2 pi ||h||^2 (Parseval) and above beta at a larger a
+        nodes, weights = predictor._target_rule(canonical_kernel)
+        parseval = 2.0 * math.pi * float(canonical_kernel(nodes) ** 2 @ weights)
+        beta = beta_energy(canonical_kernel, poisson_signal(1.005), R)
+        assert beta_energy(canonical_kernel, poisson_signal(1.05), R) < beta < parseval
+
+    def test_beta_beyond_double_range_refused(self, canonical_kernel):
+        with pytest.raises(predictor.BoundRangeError, match="exceeds double range"):
+            beta_energy(canonical_kernel, gaussian_signal(0.02), R)
 
     def test_beta_value_and_grid_stability(self, canonical_kernel, canonical_signal):
         b1 = beta_energy(canonical_kernel, canonical_signal, R)
@@ -401,6 +448,7 @@ class TestBandSpectrum:
 
 class TestSamplePathBlocks:
     def test_blocks_match_one_product(self, monkeypatch, pk_small, canonical_signal):
+        # no sweep is named, so each call builds its table: no cache hit
         ts = np.linspace(-2.0, 2.0, 301)
         h = pk_small.h
         whole_y = predictor.target_values(h, canonical_signal, ts)
@@ -411,6 +459,24 @@ class TestSamplePathBlocks:
                                    whole_y, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(predict_values(pk_small, canonical_signal, ts),
                                    whole_y_hat, rtol=0.0, atol=1e-15)
+
+    def test_dense_grid_peaks_below_three_blocks(self, canonical_signal):
+        # the argument block lives in one reused buffer and the Poisson
+        # time evaluator allocates only its result block
+        h = bump_kernel(T, TH)
+        pk = build_predictor(h, taylor_psi(T, 4))
+        assert not pk.needs_extended()  # node table built before tracing
+        ts = np.linspace(-20.0, 20.0, 20001)
+        block = predictor._BLOCK_ELEMENTS * 8
+        for run in (lambda: predictor.target_values(h, canonical_signal, ts),
+                    lambda: predict_values(pk, canonical_signal, ts)):
+            tracemalloc.start()
+            try:
+                out = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes < 3 * block
 
 
 class TestPredictionResult:

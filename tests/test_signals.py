@@ -113,6 +113,37 @@ def _mp_definitions(mp):
     }
 
 
+class TestTimeEvaluator:
+    @pytest.mark.parametrize("kind", ["poisson", "gaussian", "cosine_modulated_poisson",
+                                      "chirp_noise", "superposition"])
+    def test_against_mpmath(self, kind):
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        x, f = _mp_definitions(mp)[kind]
+        ts = np.array([-1.3, 0.4, 2.7, 25.0])
+        ref = np.array([float(f(mp.mpf(t))) for t in ts])
+        # relative to the largest value: the Gaussian at t = 25 (e^-638)
+        # carries the rounding of its argument, condition number 1.3e3
+        assert np.max(np.abs(x.time(ts) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["poisson", "gaussian", "cosine_modulated_poisson",
+                                      "chirp_noise", "superposition", "zero"])
+    def test_scalar_and_0d_input(self, kind):
+        import mpmath
+
+        x = zero_signal() if kind == "zero" else _mp_definitions(mpmath.mp)[kind][0]
+        ts = np.array([-1.3, 0.0, 0.4])
+        values = x.time(ts)
+        for t, value in zip(ts, values):
+            for arg in (float(t), np.float64(t), np.array(t)):
+                got = x.time(arg)
+                assert np.shape(got) == ()
+                assert float(got) == pytest.approx(value, rel=1e-15, abs=0.0)
+            assert float(x(float(t))) == pytest.approx(value, rel=1e-15, abs=0.0)
+
+
 class TestDerivative:
     @pytest.mark.parametrize("kind", ["poisson", "gaussian", "cosine_modulated_poisson",
                                       "chirp_noise", "superposition"])
