@@ -167,6 +167,9 @@ def target(h, x, t):
 #: bound on the (time points x nodes) block evaluated at once
 _BLOCK_ELEMENTS = 1 << 18
 
+#: sweep tables kept per kernel and route, one per signal object
+_KEPT_TABLES = 2
+
 
 def _row_blocks(n_rows, n_cols):
     """Row slices of about ``_BLOCK_ELEMENTS`` elements, each a whole multiple of 16 rows.
@@ -220,7 +223,10 @@ def predict_values(pk, x, ts, sweep=None):
     caller evaluates on the same signal and times; each route then builds
     one table, up to the top degree of the sweep members on it, kept on
     the kernel for this signal object and read by every later member.
-    Without a sweep the table goes up to pk's degree and is not kept.
+    A route keeps the tables of its last ``_KEPT_TABLES`` signal objects
+    (a noise sweep alternates between signal and noise), so a caller that
+    builds a fresh signal per call does not pile up tables.  Without a
+    sweep the table goes up to pk's degree and is not kept.
     """
     ts = np.asarray(ts, dtype=float)
     transfer = pk.needs_extended()
@@ -230,11 +236,15 @@ def predict_values(pk, x, ts, sweep=None):
     if sweep is None:
         return _predict_from(pk, build(pk.h, x, ts, pk.d))
     kmax = max(p.d for p in (pk, *sweep) if p.needs_extended() == transfer)
-    key, grid = (build.__name__, id(x)), ts.tobytes()
-    cached = pk.h._spectra.get(key)  # (x, grid, table); holding x keeps id(x) its own
-    if cached is None or cached[0] is not x or cached[1] != grid or len(cached[2]) != kmax + 1:
-        cached = pk.h._spectra[key] = (x, grid, build(pk.h, x, ts, kmax))
-    return _predict_from(pk, cached[2])
+    grid = ts.tobytes()
+    kept = pk.h._spectra.setdefault((build.__name__,), [])  # (x, grid, table), newest last
+    for other, g, table in kept:
+        if other is x and g == grid and len(table) == kmax + 1:
+            return _predict_from(pk, table)
+    table = build(pk.h, x, ts, kmax)
+    kept.append((x, grid, table))
+    del kept[:-_KEPT_TABLES]
+    return _predict_from(pk, table)
 
 
 def _predict_from(pk, table):

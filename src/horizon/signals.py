@@ -11,10 +11,9 @@ frequency node, the Poisson kinds form their polar coordinates and the
 modulation phase once, and the Gaussian emits every step of its Hermite
 recurrence.  Order k of the stack does not depend on kmax.
 
-The time evaluators of the kinds update their result in place, so a
-block of arguments costs one block-sized result and at most one
-block-sized temporary (chirp noise two), with the same bits as the plain
-expressions; a scalar or 0-d argument gives a 0-d result.
+The Poisson time evaluator forms its result in place, so a block of
+arguments costs one block-sized array, with the same bits as the plain
+expression; a scalar or 0-d argument gives a 0-d result.
 """
 
 import json
@@ -76,15 +75,10 @@ class ClassReport:
         return self.norm * self.norm if math.isfinite(self.norm) else math.inf
 
 
-def _product(t, b):
-    """t * b in a new array (0-d for a scalar t), ready for in-place updates."""
-    t = np.asarray(t, dtype=float)
-    return np.multiply(t, b, out=np.empty_like(t))
-
-
 def _poisson_time(a, t):
-    """(a / pi) / (a^2 + t^2), formed in its result array."""
-    out = _product(t, t)
+    """(a / pi) / (a^2 + t^2), formed in its result array (0-d for a scalar t)."""
+    t = np.asarray(t, dtype=float)
+    out = np.multiply(t, t, out=np.empty_like(t))
     out += a * a
     return np.divide(a / np.pi, out, out=out)
 
@@ -142,11 +136,7 @@ def gaussian_signal(sigma):
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
     def time(t):
-        out = _product(t, t)
-        out /= -2.0 * sigma * sigma
-        np.exp(out, out=out)
-        out *= norm
-        return out
+        return norm * np.exp(-t * t / (2.0 * sigma * sigma))
 
     def spectrum(om):
         return np.exp(-0.5 * (sigma * om) ** 2).astype(complex)
@@ -197,10 +187,7 @@ def cosine_modulated_poisson(a, omega0):
     a, omega0 = float(a), float(omega0)
 
     def time(t):
-        out = _poisson_time(a, t)
-        phase = _product(t, omega0)
-        out *= np.cos(phase, out=phase)
-        return out
+        return (a / np.pi) / (a * a + t * t) * np.cos(omega0 * t)
 
     def spectrum(om):
         om = np.asarray(om, dtype=float)
@@ -229,22 +216,6 @@ def cosine_modulated_poisson(a, omega0):
     )
 
 
-def _sin_over_t(b, t):
-    """sin(b t) / t = b sinc(b t / pi), formed as ``np.sinc`` forms it.
-
-    With y = pi (b t / pi), sin(y) / y is taken at y = eps where y = 0
-    (exactly 1 there), in a new array plus one temporary.
-    """
-    y = _product(t, b)
-    y /= np.pi
-    y *= np.pi
-    y[y == 0] = np.finfo(float).eps
-    out = np.sin(y)
-    out /= y
-    out *= b
-    return out
-
-
 def chirp_noise(band, amplitude):
     """Flat band-limited noise: X = amplitude on band <= |omega| <= band.
 
@@ -257,10 +228,9 @@ def chirp_noise(band, amplitude):
     amplitude = float(amplitude)
 
     def time(t):
-        out = _sin_over_t(hi, t)
-        out -= _sin_over_t(lo, t)
-        out *= amplitude / np.pi
-        return out
+        t = np.asarray(t, dtype=float)
+        # sin(b t)/t = b sinc(b t / pi)
+        return (amplitude / np.pi) * (hi * np.sinc(hi * t / np.pi) - lo * np.sinc(lo * t / np.pi))
 
     def spectrum(om):
         om = np.abs(np.asarray(om, dtype=float))

@@ -269,6 +269,19 @@ class TestPredict:
             np.testing.assert_array_equal(y_hat, predict_values(pk, x, ts))
         assert np.max(np.abs(got[0] - got[1])) > 0.05
 
+    @pytest.mark.parametrize("d", [4, 12], ids=["sample", "transfer"])
+    def test_sweep_tables_do_not_pile_up(self, d):
+        # a caller that builds an equal signal afresh for every sweep keeps
+        # at most two tables per route on the kernel
+        h = bump_kernel(T, TH)
+        pk = build_predictor(h, taylor_psi(T, d))
+        ts = np.linspace(-2.0, 2.0, 9)
+        for _ in range(5):
+            predict_values(pk, poisson_signal(A), ts, sweep=[pk])
+        tables = [v for v in h._spectra.values() if isinstance(v, list)]
+        assert len(tables) == 1
+        assert len(tables[0]) == 2
+
 
 class TestErrorBound:
     def test_q_on_mirrored_grid_from_positive_half(self, monkeypatch):
