@@ -1,6 +1,6 @@
-"""Hot numeric kernels: bump-derivative values and the oscillatory transform.
+"""Hot numeric kernels: bump-derivative values and the oscillatory transforms.
 
-Both are vectorized numpy; they back every kernel evaluation over
+All are vectorized numpy; they back every kernel evaluation over
 quadrature nodes and every transform over frequency grids.
 """
 
@@ -53,10 +53,20 @@ def bump_derivative_values(u, edge, k):
 
 
 def oscillatory_transform(t_nodes, t_weights, f_vals, omegas, chunk=1024):
-    """sum_m w_m f_m exp(-i omega t_m) for each omega, chunked to bound memory."""
-    wf = t_weights * f_vals
+    """sum_m w_m f_m exp(-i omega t_m) for each omega: one panel per node."""
+    return panel_transform(t_nodes, np.zeros(1), (t_weights * f_vals)[:, None], omegas, chunk)
+
+
+def panel_transform(mids, offsets, fw, omegas, chunk=1024):
+    """sum_{p,i} fw[p, i] exp(-i omega (mids[p] + offsets[i])) for each omega.
+
+    Panels that share their node offsets (a uniform-panel rule) take one
+    exponential per panel and per offset, not one per node.
+    """
     out = np.empty(omegas.size, dtype=np.complex128)
     for i in range(0, omegas.size, chunk):
-        sl = slice(i, min(i + chunk, omegas.size))
-        out[sl] = np.exp(-1j * np.outer(omegas[sl], t_nodes)) @ wf
+        om = omegas[i:i + chunk, None]
+        inner = np.exp(-1j * om * offsets) @ fw.T
+        inner *= np.exp(-1j * om * mids)
+        out[i:i + chunk] = inner.sum(axis=1)
     return out

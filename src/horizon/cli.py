@@ -43,15 +43,17 @@ EXIT_BOUND = 4
 _BOUND_SLACK = 1e-8
 
 
-def _fmt(x):
-    return f"{float(x):.16e}"
-
-
 def _write_csv(path, header, rows):
+    """Header and a list of rows: str cells as they are, numbers as ``{:.16e}``.
+
+    Each row is formatted by one ``str.format`` with the format of the
+    first row, so a row with str and number cells swapped raises.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+    if rows:
+        fmt = ",".join("{:s}" if isinstance(cell, str) else "{:.16e}" for cell in rows[0])
+        lines += [fmt.format(*row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -128,7 +130,7 @@ def cmd_alpha_sweep(config_path, out):
         bound = taylor_alpha_bound(cfg.T, cfg.r, d) if cfg.T < cfg.r else None
         results.append((d, alpha, bound))
 
-    rows = [(_fmt(float(d)), cfg.method, _fmt(alpha), "" if bound is None else _fmt(bound))
+    rows = [(d, cfg.method, alpha, "" if bound is None else f"{bound:.16e}")
             for d, alpha, bound in results]
     path = Path(cfg.output_dir) / "alpha_sweep.csv"
     _write_csv(path, ["d", "method", "alpha", "taylor_bound"], rows)
@@ -245,7 +247,7 @@ def cmd_predict(config_path, out, times):
 
     path = Path(cfg.output_dir) / "predict.csv"
     _write_csv(path, ["t", "y", "y_hat", "abs_err"],
-               [(t, yv, yh, abs(yv - yh)) for t, yv, yh in zip(ts, y, y_hat)])
+               list(zip(ts.tolist(), y.tolist(), y_hat.tolist(), np.abs(y - y_hat).tolist())))
     click.echo(f"wrote {path}")
 
 

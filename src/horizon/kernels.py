@@ -30,9 +30,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _mp
 from ._accel import bump_derivative_values
-from ._mp import ctx
-from .spectral_core import PANEL_DEGREE, fourier_transform_at, gauss_legendre_edges, gauss_legendre_rule
+from .spectral_core import (PANEL_DEGREE, fourier_transform_at, gauss_legendre_edges, gauss_legendre_rule,
+                            laplace_transform)
 
 D_MAX = 16
 
@@ -91,13 +92,13 @@ def _bump_fk_mp(u, k):
     """f^(k)(u) for the unit bump, scalar, extended precision."""
     delta = 1 - u * u
     if delta <= 0:
-        return ctx.mpf(0)
-    p = ctx.mpf(0)
+        return _mp.ctx.mpf(0)
+    p = _mp.ctx.mpf(0)
     for c in reversed(bump_poly_exact(k)):
         p = p * u + c
     if p == 0:
-        return ctx.mpf(0)
-    return p * ctx.exp(-2 * k * ctx.log(delta) - 1 / delta)
+        return _mp.ctx.mpf(0)
+    return p * _mp.ctx.exp(-2 * k * _mp.ctx.log(delta) - 1 / delta)
 
 
 @lru_cache(maxsize=1)
@@ -113,15 +114,15 @@ def _gl_mp(degree=PANEL_DEGREE):
     n = degree
     xs, ws = [], []
     for i in range(1, n + 1):
-        x = ctx.mpf(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
+        x = _mp.ctx.mpf(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
         for _ in range(60):
-            p0, p1 = ctx.mpf(1), x
+            p0, p1 = _mp.ctx.mpf(1), x
             for j in range(2, n + 1):
                 p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
             dp = n * (x * p1 - p0) / (x * x - 1)
             dx = p1 / dp
             x = x - dx
-            if abs(dx) < ctx.mpf(10) ** (-ctx.dps - 2):
+            if abs(dx) < _mp.ctx.mpf(10) ** (-_mp.ctx.dps - 2):
                 break
         xs.append(x)
         ws.append(2 / ((1 - x * x) * dp * dp))
@@ -131,8 +132,8 @@ def _gl_mp(degree=PANEL_DEGREE):
 @lru_cache(maxsize=1)
 def _raw_bump_mass_mp():
     x, w = _gl_mp()
-    total = ctx.mpf(0)
-    edges = [ctx.mpf(-1) + ctx.mpf(i) / 16 for i in range(33)]
+    total = _mp.ctx.mpf(0)
+    edges = [_mp.ctx.mpf(-1) + _mp.ctx.mpf(i) / 16 for i in range(33)]
     for i in range(32):
         mid = (edges[i] + edges[i + 1]) / 2
         half = (edges[i + 1] - edges[i]) / 2
@@ -257,29 +258,29 @@ class TargetKernel:
         """Scalar k-th derivative in the extended context."""
         if not 0 <= k <= self.d_max:
             raise ValueError(f"derivative order {k} outside [0, {self.d_max}]")
-        tm = ctx.mpf(t)
+        tm = _mp.ctx.mpf(t)
         if self.shape == "bump":
-            u = (2 * tm - (ctx.mpf(self.theta) - ctx.mpf(self.T))) / ctx.mpf(self.width)
-            scale = 2 / (ctx.mpf(self.width) * self._mass_mp_value())
-            return _bump_fk_mp(u, k) * scale * (2 / ctx.mpf(self.width)) ** k
+            u = (2 * tm - (_mp.ctx.mpf(self.theta) - _mp.ctx.mpf(self.T))) / _mp.ctx.mpf(self.width)
+            scale = 2 / (_mp.ctx.mpf(self.width) * self._mass_mp_value())
+            return _bump_fk_mp(u, k) * scale * (2 / _mp.ctx.mpf(self.width)) ** k
         a, b = self._mollified_region(float(t))
         if b <= a:
-            return ctx.mpf(0)
+            return _mp.ctx.mpf(0)
         edges = float(t) - derivative_panel_edges(2.0 * self.epsilon, k)[::-1] + self.epsilon
         edges = np.unique(np.clip(edges, a, b))
         if edges.size < 2:
-            return ctx.mpf(0)
+            return _mp.ctx.mpf(0)
         x, w = _gl_mp()
-        eps_m = ctx.mpf(self.epsilon)
-        total = ctx.mpf(0)
+        eps_m = _mp.ctx.mpf(self.epsilon)
+        total = _mp.ctx.mpf(0)
         for i in range(edges.size - 1):
-            mid = (ctx.mpf(edges[i]) + ctx.mpf(edges[i + 1])) / 2
-            half = (ctx.mpf(edges[i + 1]) - ctx.mpf(edges[i])) / 2
+            mid = (_mp.ctx.mpf(edges[i]) + _mp.ctx.mpf(edges[i + 1])) / 2
+            half = (_mp.ctx.mpf(edges[i + 1]) - _mp.ctx.mpf(edges[i])) / 2
             for xi, wi in zip(x, w):
                 s = mid + half * xi
                 v = (tm - s) / eps_m
                 kv = _bump_fk_mp(v, k) / (_raw_bump_mass_mp() * eps_m ** (k + 1))
-                total += half * wi * kv * ctx.mpf(float(self._prototype(float(s))))
+                total += half * wi * kv * _mp.ctx.mpf(float(self._prototype(float(s))))
         return total
 
     def _mass_mp_value(self):
@@ -355,12 +356,7 @@ def kernel_derivative(h, k, t):
 
 def q_transform(h, z, base_panels=32):
     """Q(z) = int_0^{T+theta} e^{-z t} h(t - T) dt (entire in z)."""
-    z = complex(z)
-    width = h.width
-    n_panels = max(base_panels, int(np.ceil(width * abs(z) / 6.0)))
-    nodes, weights = gauss_legendre_rule(0.0, width, n_panels)
-    vals = h(nodes - h.T)
-    return complex(np.exp(-z * nodes) @ (weights * vals))
+    return laplace_transform(lambda t: h(t - h.T), (0.0, h.width), z, base_panels)
 
 
 def q_spectrum(h, omegas, base_panels=32):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mp import ctx
+from . import _mp
 from .weighted_space import (
     exponential_moment,
     exponential_moment_mp,
@@ -185,17 +185,17 @@ def alpha_closed_form(psi, T, r):
     in double once alpha is small, so it is always evaluated in the
     extended context.
     """
-    abar = [ctx.mpc(c) for c in psi.omega_coeffs()]
+    abar = [_mp.ctx.mpc(c) for c in psi.omega_coeffs()]
     size = len(abar)
-    total = ctx.mpf(0)
+    total = _mp.ctx.mpf(0)
     for j in range(size):
         for k in range(size):
-            total += (abar[j] * ctx.conj(abar[k]) * monomial_moment_mp(j + k, r, signed=True)).real
-    cross = ctx.fsum(
-        (abar[k] * ctx.conj(exponential_moment_mp(k, r, T))).real for k in range(size)
+            total += (abar[j] * _mp.ctx.conj(abar[k]) * monomial_moment_mp(j + k, r, signed=True)).real
+    cross = _mp.ctx.fsum(
+        (abar[k] * _mp.ctx.conj(exponential_moment_mp(k, r, T))).real for k in range(size)
     )
     total += -2 * cross + monomial_moment_mp(0, r)
-    return float(max(ctx.mpf(0), total))
+    return float(max(_mp.ctx.mpf(0), total))
 
 
 def alpha_grid_bound(T, r, d):

@@ -30,14 +30,19 @@ unit-mass bump with no cancellation.  Past the switch signals that carry
 a derivative evaluator are predicted from this derivative-transfer table
 M; a signal given only as samples, and the transform of the assembled
 kernel (``PredictorKernel.spectrum``), are refused there rather than
-returned at a roundoff floor of ~1e-16 times the L1 mass.
+returned at a roundoff floor of ~1e-16 times the L1 mass.  A signal made
+of lines, x(t) = Re sum_j c_j e^{i omega_j t} (chirp noise, its
+frequency rule), gives the same double sum over nodes s and lines j
+taken over s first: one transcendental per line and per time, not per
+(time, node, line).
 
 A degree sweep names its predictors, and each route builds one table per
 kernel, signal and time grid, up to the top degree of the sweep members
 on that route, from one ``x.time`` block or one ``x.derivatives`` stack
-per row block.  So a sweep evaluates the signal once per route rather
-than once per degree.  Every quantity here is computed in double
-precision; only alpha (``alpha_closed_form``) uses extended precision.
+per row block, or one read of the lines.  So a sweep evaluates the
+signal once per route rather than once per degree.  Every quantity here
+is computed in double precision; only alpha (``alpha_closed_form``) uses
+extended precision, in a context built on first use.
 """
 
 import math
@@ -48,7 +53,8 @@ import numpy as np
 from ._accel import oscillatory_transform
 from .kernels import derivative_panel_edges, q_spectrum
 from .polynomials import alpha_closed_form
-from .spectral_core import SpectralGrid, TimeGrid, default_omega_max, gauss_legendre_edges
+from .spectral_core import (SpectralGrid, TimeGrid, _exp_weighted_square, default_omega_max,
+                            gauss_legendre_edges)
 from .weighted_space import _tail_is_divergent
 
 #: default quadrature budget (absolute) for prediction integrals
@@ -282,12 +288,25 @@ def _moment_table(h, x, ts, kmax):
 
     One ``x.derivatives(kmax, .)`` stack per row block.  The arguments
     t - T - s stay inside the causal window (t - tau, t).  Row k does not
-    depend on kmax.
+    depend on kmax.  With lines resolving every argument, M[k, t] =
+    Re sum_j c_j (i omega_j)^k Q_j e^{i omega_j t}, Q_j = sum_s h(s) w_s
+    e^{-i omega_j (s + T)}.
     """
     nodes, weights = _target_rule(h)
     hw = h(nodes) * weights
-    return _blocked(ts - h.T, nodes, lambda args: [d @ hw for d in x.derivatives(kmax, args)],
-                    np.empty((kmax + 1, ts.size)))
+    tt = ts - h.T
+    if x.lines is None:
+        return _blocked(tt, nodes, lambda args: [d @ hw for d in x.derivatives(kmax, args)],
+                        np.empty((kmax + 1, ts.size)))
+    om, c = x.lines(max(np.max(tt) - np.min(nodes), np.max(nodes) - np.min(tt)))
+    q = np.exp(-1j * np.outer(om, nodes + h.T)) @ hw
+    b = (c * q)[:, None] * (1j * om[:, None]) ** np.arange(kmax + 1)
+    out = np.empty((kmax + 1, ts.size))
+    for rows in _row_blocks(ts.size, om.size):
+        phases = np.exp(1j * np.outer(ts[rows], om))
+        for k in range(kmax + 1):
+            out[k, rows] = (phases @ b[:, k]).real
+    return out
 
 
 # -- bounds ------------------------------------------------------------------
@@ -332,20 +351,8 @@ def _q_on_grid(h, grid):
 
 
 def _beta_integrand(x, h, r, grid):
-    """e^{r|omega|} |Q X|^2 on the grid's nodes.
-
-    Where that product is not finite (e^{r|omega|} overflows, perhaps
-    against |Q X|^2 = 0) it is taken as exp(r|omega| + 2 log|Q X|); the
-    entries that were finite keep their bits.
-    """
-    q = _q_on_grid(h, grid)
-    xv = x.spectrum(grid.nodes)
-    rw = r * np.abs(grid.nodes)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.exp(rw) * np.abs(q * xv) ** 2
-        bad = ~np.isfinite(out)
-        out[bad] = np.exp(rw[bad] + 2.0 * np.log(np.abs(q[bad] * xv[bad])))
-    return out
+    """e^{r|omega|} |Q X|^2 on the grid's nodes, in log space where it overflows."""
+    return _exp_weighted_square(r * np.abs(grid.nodes), np.abs(_q_on_grid(h, grid) * x.spectrum(grid.nodes)))
 
 
 def beta_energy(h, x, r, grid=None):

@@ -6,10 +6,13 @@ exponential decay rate of |X| (np.inf for compact or super-exponential
 spectra), and one all-orders evaluator ``derivatives(kmax, t)`` that
 returns the ``(kmax + 1, *t.shape)`` stack of x, x', ..., x^(kmax), used
 by the derivative-transfer prediction path.  Each kind shares its work
-across orders: chirp noise forms cos and sin of omega t once per
-frequency node, the Poisson kinds form their polar coordinates and the
-modulation phase once, and the Gaussian emits every step of its Hermite
-recurrence.  Order k of the stack does not depend on kmax.
+across orders: chirp noise forms cos and sin of omega t once per line,
+the Poisson kinds take powers of 1 / (t - i a) by repeated
+multiplication and form the modulation phase once, and the Gaussian
+emits every step of its Hermite recurrence.  Order k of the stack does
+not depend on kmax.  Chirp noise also exposes its frequency rule as
+``lines(t_scale)``: (omega_j, c_j) with x(t) = Re sum_j c_j e^{i omega_j t}
+for |t| <= t_scale, which the prediction path reads in place of the stack.
 
 The Poisson time evaluator forms its result in place, so a block of
 arguments costs one block-sized array, with the same bits as the plain
@@ -23,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral_core import SpectralGrid, _time_rule, default_omega_max
+from .spectral_core import SpectralGrid, _exp_weighted_square, _time_rule, default_omega_max
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,7 @@ class Signal:
     spectrum: Optional[Callable] = field(repr=False, default=None)
     spectral_decay: float = 0.0
     derivatives: Optional[Callable] = field(repr=False, default=None)
+    lines: Optional[Callable] = field(repr=False, default=None)
 
     def __call__(self, t):
         return self.time(np.asarray(t, dtype=float))
@@ -95,17 +99,17 @@ def zero_signal():
 
 
 def _poisson_derivatives(a, kmax, t):
-    """Orders 0..kmax of (1/pi) a / (a^2 + t^2) = Im[1 / (t - i a)] / pi.
+    """Orders 0..kmax of (1/pi) a / (a^2 + t^2) = Im[z] / pi, z = 1 / (t - i a).
 
-    (-1)^k k! Im[(t - i a)^-(k+1)] / pi, taken in polar form with rho and
-    phi formed once.
+    (-1)^k k! Im[z^(k+1)] / pi, the powers of z formed by repeated
+    multiplication.
     """
-    t = np.asarray(t, dtype=float)
-    rho = np.hypot(t, a)
-    phi = np.arctan2(-a, t)
-    out = np.empty((kmax + 1, *t.shape))
+    z = 1.0 / (np.asarray(t, dtype=float) - 1j * a)
+    power = z.copy()
+    out = np.empty((kmax + 1, *z.shape))
     for k in range(kmax + 1):
-        out[k] = ((-1) ** (k + 1) * math.factorial(k) / np.pi) * rho ** -(k + 1) * np.sin((k + 1) * phi)
+        np.multiply(power.imag, (-1) ** k * math.factorial(k) / np.pi, out=out[k])
+        power *= z
     return out
 
 
@@ -236,20 +240,22 @@ def chirp_noise(band, amplitude):
         om = np.abs(np.asarray(om, dtype=float))
         return (amplitude * ((om >= lo) & (om <= hi))).astype(complex)
 
-    def derivatives(kmax, t):
-        # x^(k) = (amplitude/pi) int_lo^hi omega^k cos(omega t + k pi/2) domega,
-        # accumulated one frequency node at a time; cos and sin of omega t
-        # are formed once per node and serve every order
-        t = np.asarray(t, dtype=float)
-        t_scale = float(np.max(np.abs(t))) if t.size else 0.0
+    def lines(t_scale):
+        # x(t) = (amplitude/pi) int_lo^hi cos(omega t) domega on a rule resolving |t| <= t_scale
         om_nodes, om_weights = _time_rule((lo, hi), t_scale, 1)
+        return om_nodes, (amplitude / np.pi) * om_weights
+
+    def derivatives(kmax, t):
+        # x^(k)(t) = sum_j c_j omega_j^k cos(omega_j t + k pi/2) over the lines;
+        # cos and sin of omega_j t are formed once per line and serve every order
+        t = np.asarray(t, dtype=float)
         out = np.zeros((kmax + 1, *t.shape))
-        for om, w in zip(om_nodes, om_weights):
+        for om, c in zip(*lines(float(np.max(np.abs(t))) if t.size else 0.0)):
             phase = om * t
-            c, s = np.cos(phase), np.sin(phase)
+            cos, sin = np.cos(phase), np.sin(phase)
             for k in range(kmax + 1):
-                _add_cos_shift(out[k], k, c, s, w * om**k)
-        return (amplitude / np.pi) * out
+                _add_cos_shift(out[k], k, cos, sin, c * om**k)
+        return out
 
     return Signal(
         kind="chirp_noise",
@@ -258,6 +264,7 @@ def chirp_noise(band, amplitude):
         spectrum=spectrum,
         spectral_decay=np.inf,
         derivatives=derivatives,
+        lines=lines,
     )
 
 
@@ -323,8 +330,7 @@ def class_norm(x, r, sign=-1, grid=None):
     else:
         if grid is None:
             grid = _adequate_grid(x, r, sign, rho)
-        vals = np.abs(x.spectrum(grid.nodes)) ** 2
-        integrand = np.exp(sign * r * np.abs(grid.nodes)) * vals
+        integrand = _exp_weighted_square(sign * r * np.abs(grid.nodes), np.abs(x.spectrum(grid.nodes)))
         if not np.all(np.isfinite(integrand)):
             return ClassReport(r=r, norm=math.inf, member=False, unit_ball=False)
         from .weighted_space import _tail_is_divergent
@@ -345,7 +351,7 @@ def _adequate_grid(x, r, sign, rho):
     omega = default_omega_max(r)
     for _ in range(8):
         grid = SpectralGrid.build(omega, 4096)
-        integrand = np.exp(sign * r * np.abs(grid.nodes)) * np.abs(x.spectrum(grid.nodes)) ** 2
+        integrand = _exp_weighted_square(sign * r * np.abs(grid.nodes), np.abs(x.spectrum(grid.nodes)))
         peak = float(np.max(integrand))
         if peak == 0.0 or integrand[-1] <= 1e-16 * peak:
             return grid

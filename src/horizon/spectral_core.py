@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._accel import oscillatory_transform
+from ._accel import panel_transform
 
 #: panel degree used by every composite Gauss-Legendre rule
 PANEL_DEGREE = 16
@@ -37,11 +37,7 @@ def gauss_legendre_rule(a, b, n_panels, degree=PANEL_DEGREE):
     """Composite Gauss-Legendre nodes/weights on [a, b] with uniform panels."""
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise ValueError(f"invalid interval [{a}, {b}]")
-    x, w = _leggauss(degree)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    return (mid + half * x[None, :]).ravel(), (half * w[None, :]).ravel()
+    return gauss_legendre_edges(np.linspace(a, b, n_panels + 1), degree)
 
 
 def gauss_legendre_edges(edges, degree=PANEL_DEGREE):
@@ -58,6 +54,16 @@ def default_omega_max(r):
     if r <= 0:
         raise ValueError("r must be positive")
     return _LOG_WEIGHT_CUTOFF / r
+
+
+def _exp_weighted_square(log_weight, mag):
+    """e^{log_weight} mag^2, taken as exp(log_weight + 2 log mag) where that
+    product is not finite (the weight overflows, perhaps against mag^2 = 0)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.exp(log_weight) * mag**2
+        bad = ~np.isfinite(out)
+        out[bad] = np.exp(log_weight[bad] + 2.0 * np.log(mag[bad]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -93,10 +99,6 @@ class SpectralGrid:
         """Grid truncated where the weight e^{-r|omega|} drops below 1e-16."""
         return cls.build(default_omega_max(r), n_points)
 
-    def positive_half(self):
-        n = self.n_points // 2
-        return self.nodes[n:], self.weights[n:]
-
     def integrate(self, values):
         return values @ self.weights
 
@@ -124,26 +126,35 @@ class TimeGrid:
         return np.linspace(self.t_min, self.t_max, self.n_points)
 
 
-def _time_rule(support, omega_scale, base_panels):
+def _panel_count(support, omega_scale, base_panels):
     a, b = support
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("support must be finite")
     if b <= a:
         raise ValueError("empty support")
-    length = b - a
-    n_panels = max(base_panels, int(np.ceil(length * omega_scale / _PHASE_PER_PANEL)))
-    return gauss_legendre_rule(a, b, n_panels)
+    return max(base_panels, int(np.ceil((b - a) * omega_scale / _PHASE_PER_PANEL)))
+
+
+def _time_rule(support, omega_scale, base_panels):
+    return gauss_legendre_rule(*support, _panel_count(support, omega_scale, base_panels))
 
 
 def fourier_transform_at(f, support, omegas, base_panels=32):
-    """F(i omega) = int_a^b e^{-i omega t} f(t) dt at arbitrary frequencies."""
+    """F(i omega) = int_a^b e^{-i omega t} f(t) dt at arbitrary frequencies.
+
+    Gauss-Legendre on uniform panels of half-width h puts node i of
+    panel p at m_p + h x_i, so the phase factors (``panel_transform``).
+    """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     omega_scale = float(np.max(np.abs(omegas))) if omegas.size else 0.0
-    t_nodes, t_weights = _time_rule(support, omega_scale, base_panels)
-    f_vals = np.asarray(f(t_nodes), dtype=float)
+    n_panels = _panel_count(support, omega_scale, base_panels)
+    x, w = _leggauss(PANEL_DEGREE)
+    half = 0.5 * (support[1] - support[0]) / n_panels
+    mids = support[0] + half * (2.0 * np.arange(n_panels) + 1.0)
+    f_vals = np.asarray(f((mids[:, None] + half * x).ravel()), dtype=float)
     if np.any(np.isnan(f_vals)):
         raise ValueError("f returned NaN on the integration nodes")
-    return oscillatory_transform(t_nodes, t_weights, f_vals, omegas)
+    return panel_transform(mids, half * x, f_vals.reshape(n_panels, -1) * (half * w), omegas)
 
 
 def fourier_transform(f, support, grid, base_panels=32):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mp import ctx
+from . import _mp
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,13 @@ def exponential_moment(k, r, T):
 def monomial_moment_mp(k, r, signed=False):
     """Extended-precision monomial moment (40 significant digits)."""
     if signed and k % 2 == 1:
-        return ctx.mpf(0)
-    return 2 * ctx.factorial(k) / ctx.mpf(r) ** (k + 1)
+        return _mp.ctx.mpf(0)
+    return 2 * _mp.ctx.factorial(k) / _mp.ctx.mpf(r) ** (k + 1)
 
 
 def exponential_moment_mp(k, r, T):
     """Extended-precision exponential moment (40 significant digits)."""
-    rm = ctx.mpf(r)
-    Tm = ctx.mpf(T)
-    fk = ctx.factorial(k)
+    rm = _mp.ctx.mpf(r)
+    Tm = _mp.ctx.mpf(T)
+    fk = _mp.ctx.factorial(k)
     return fk * ((rm - 1j * Tm) ** (-(k + 1)) + (-1) ** k * (rm + 1j * Tm) ** (-(k + 1)))

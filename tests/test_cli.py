@@ -260,9 +260,10 @@ class TestNoiseSweep:
         (top,) = [r for r in rows if r[0] == 0.0 and r[1] == 16.0]
         assert top[2] <= top[3]
 
-    def test_chirp_derivatives_once_per_row_block(self, runner, tmp_path, monkeypatch):
-        # d = 6..12 all predict by derivative transfer; the chirp stack of
-        # orders 0..12 is evaluated once per row block for the whole sweep
+    def test_chirp_lines_once_per_sweep(self, runner, tmp_path, monkeypatch):
+        # d = 6..12 all predict by derivative transfer; the chirp's lines are
+        # read once for the whole sweep, on a grid of two row blocks, and its
+        # derivative stack is never evaluated on that route
         from dataclasses import replace
 
         from horizon import predictor, signals
@@ -273,11 +274,15 @@ class TestNoiseSweep:
         def counted_chirp(band, amplitude):
             base = real_chirp(band, amplitude)
 
+            def lines(t_scale):
+                calls.append("lines")
+                return base.lines(t_scale)
+
             def derivatives(kmax, t):
                 calls.append(kmax)
                 return base.derivatives(kmax, t)
 
-            return replace(base, derivatives=derivatives)
+            return replace(base, lines=lines, derivatives=derivatives)
 
         monkeypatch.setattr(signals, "chirp_noise", counted_chirp)
         tgrid = {"t_min": -2.0, "t_max": 2.0, "n_points": 201}
@@ -286,9 +291,8 @@ class TestNoiseSweep:
         result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
         assert result.exit_code == 0, result.output
         nodes, _ = predictor._target_rule(ExperimentConfig().build_kernel())
-        blocks = predictor._row_blocks(tgrid["n_points"], nodes.size)
-        assert len(blocks) == 2
-        assert calls == [12] * len(blocks)
+        assert len(predictor._row_blocks(tgrid["n_points"], nodes.size)) == 2
+        assert calls == ["lines"]
 
     def test_zero_noise_rows_match_convergence(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json", d_range=[2, 2],
@@ -335,6 +339,38 @@ class TestPredict:
         assert result.exit_code == EXIT_CONFIG, result.output
         assert "config error: times: expected finite values" in result.output
         assert not (tmp_path / "out" / "predict.csv").exists()
+
+
+class TestCsvWriter:
+    def test_rows_match_the_per_cell_format(self, tmp_path):
+        from horizon.cli import _write_csv
+
+        rows = [(0.0, -0.0, 5e-324, 1e300, "taylor", ""),
+                (-1e300, 3, -5e-324, 0.1, "projection", "1.0000000000000000e+00")]
+        _write_csv(tmp_path / "out.csv", ["a", "b", "c", "d", "e", "f"], rows)
+        per_cell = [",".join(c if isinstance(c, str) else f"{float(c):.16e}" for c in row)
+                    for row in rows]
+        assert (tmp_path / "out.csv").read_bytes() == "\n".join(["a,b,c,d,e,f", *per_cell, ""]).encode()
+
+    def test_row_with_cells_swapped_raises(self, tmp_path):
+        from horizon.cli import _write_csv
+
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "out.csv", ["a", "b"], [("x", 1.0), (1.0, "x")])
+
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import horizon
+
+        src = str(Path(horizon.__file__).resolve().parent.parent)
+        code = "import sys, horizon.cli; sys.exit('mpmath' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRemovedOptions:

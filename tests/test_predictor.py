@@ -237,8 +237,9 @@ class TestPredict:
     def test_sweep_reads_one_moment_table(self, canonical_kernel):
         # a named sweep evaluates the signal's derivative stack once per
         # row block, up to its top degree, whatever degree it starts from
+        # (the chirp without its lines, which take the other transfer route)
         calls = []
-        base = chirp_noise((6.0, 12.0), 1.0)
+        base = replace(chirp_noise((6.0, 12.0), 1.0), lines=None)
 
         def counted(kmax, t):
             calls.append(kmax)
@@ -252,6 +253,19 @@ class TestPredict:
             np.testing.assert_array_equal(
                 got, _predict_from(pk, _moment_table(canonical_kernel, base, ts, pk.d)))
         assert calls == [12]
+
+    @pytest.mark.parametrize("n_points", [41, 201], ids=["one-block", "two-blocks"])
+    def test_chirp_lines_table_matches_derivative_table(self, canonical_kernel, n_points):
+        # the same double sum over kernel nodes and lines, taken over the
+        # nodes first; a block's rule is no finer than the whole grid's
+        ts = np.linspace(-2.0, 2.0, n_points)
+        nodes, _ = predictor._target_rule(canonical_kernel)
+        assert len(predictor._row_blocks(n_points, nodes.size)) == (n_points > 41) + 1
+        eta = chirp_noise((6.0, 12.0), 1.0)
+        lines = _moment_table(canonical_kernel, eta, ts, 12)
+        stacks = _moment_table(canonical_kernel, replace(eta, lines=None), ts, 12)
+        scale = np.max(np.abs(stacks), axis=1, keepdims=True)
+        assert np.all(np.abs(lines - stacks) <= 2e-15 * scale)
 
     @pytest.mark.parametrize("d", [4, 12], ids=["sample", "transfer"])
     def test_sweep_tables_are_kept_per_signal_object(self, d):
@@ -418,6 +432,15 @@ class TestBandSpectrum:
             i = int(np.argmin(np.abs(omegas - target_omega)))
             assert q_abs[i] == pytest.approx(bump_transform_mp(omegas[i], h.width),
                                              rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("T_, theta", [(T, TH), (2.0, 0.5)])
+    def test_panel_factored_q_against_30_digits(self, T_, theta):
+        # the factored transform is as close to the 30-digit values at these
+        # frequencies as the node-by-node one was (at most 4.5e-16)
+        h = bump_kernel(T_, theta)
+        omegas = np.array([0.0, 37.0, 141.0, 1062.0])
+        ref = [bump_transform_mp(om, h.width) for om in omegas]
+        np.testing.assert_allclose(np.abs(q_spectrum(h, omegas)), ref, rtol=0.0, atol=5e-16)
 
     @pytest.mark.parametrize("T_, theta", [(T, TH), (2.0, 0.5)])
     def test_fft_band_against_quadrature(self, T_, theta):

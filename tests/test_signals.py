@@ -186,6 +186,24 @@ class TestDerivative:
         for x, _ in _mp_definitions(mpmath.mp).values():
             assert x.derivatives(3, ts).shape == (4, 2, 3)
 
+    @pytest.mark.parametrize("a", [0.05, 0.2, 1.0, 1.5, 3.5])
+    def test_poisson_powers_against_40_digits(self, a):
+        # (-1)^k k! Im[(t - i a)^-(k+1)] / pi at 40 digits; t = a tan(theta)
+        # for uniform theta puts nodes on every peak of every order, down
+        # to the a / k scale of the high orders at small a
+        import mpmath
+
+        from horizon.signals import _poisson_derivatives
+
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        ts = a * np.tan(np.linspace(-1.0, 1.0, 301) * math.atan(25.0 / a))
+        stack = _poisson_derivatives(a, 16, ts)
+        for k in range(17):
+            ref = np.array([float((mp.factorial(k) * (-1) ** k / (mp.mpf(t) - mp.mpc(0, a)) ** (k + 1)).imag
+                                  / mp.pi) for t in ts])
+            assert np.max(np.abs(stack[k] - ref)) <= 5e-15 * np.max(np.abs(ref)), k
+
     def test_superposition_needs_every_part(self):
         bare = Signal(kind="samples", params={}, time=lambda t: np.zeros_like(t))
         assert superposition([poisson_signal(1.0), bare]).derivatives is None
@@ -222,6 +240,20 @@ class TestClassNorm:
         bare = Signal(kind="opaque", params={}, time=lambda t: np.zeros_like(t))
         with pytest.raises(ValueError):
             class_norm(bare, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_energy_weight_where_the_weight_overflows(self):
+        # e^{r omega} overflows past omega = 354 while these spectra do not
+        # vanish there; the integrand is taken in log space, as beta's is
+        rep = class_norm(cosine_modulated_poisson(1.005, 0.0), 2.0, sign=+1)
+        # omega0 = 0 gives the Poisson spectrum, 2 / (2a - r) = 200; the
+        # spectrum underflows to 0 past omega = 741, where the integrand
+        # e^{-0.01 omega} still holds 6e-4 of the mass
+        assert rep.member and rep.norm_sq == pytest.approx(200.0, rel=1e-3)
+        sigma = 0.05  # int e^{2|omega|} e^{-sigma^2 omega^2} domega
+        exact = math.exp(1.0 / sigma**2) * math.sqrt(math.pi) / sigma * (1.0 + math.erf(1.0 / sigma))
+        rep = class_norm(gaussian_signal(sigma), 2.0, sign=+1)
+        assert rep.member and rep.norm_sq == pytest.approx(exact, rel=1e-12)
 
 
 def rep_norm_sq(x, r):
