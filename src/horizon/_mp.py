@@ -1,11 +1,11 @@
 """Private extended-precision context, built on first read of ``_mp.ctx``.
 
 A cloned mpmath context pinned at 40 significant digits, so the library
-never mutates the global ``mpmath.mp`` state.  It serves the closed-form
-alpha expansion (``alpha_closed_form``), which cancels catastrophically
-in double once alpha is small, and the scalar kernel derivative
-``TargetKernel.derivative_mp`` that the test oracles build on.  Importing
-the package, the class gate and ``predict`` never import mpmath.
+never mutates the global ``mpmath.mp`` state.  It serves only the scalar
+kernel derivative ``TargetKernel.derivative_mp`` and the test oracles
+built on it; no CLI command reads it, so none imports mpmath.  alpha,
+whose expansion cancels past 40 digits, is summed in exact rationals
+instead (``polynomials.alpha_closed_form``).
 """
 
 

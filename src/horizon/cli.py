@@ -44,17 +44,25 @@ _BOUND_SLACK = 1e-8
 
 
 def _write_csv(path, header, rows):
-    """Header and a list of rows: str cells as they are, numbers as ``{:.16e}``.
+    """Header and an iterable of rows, streamed: str cells as they are, numbers as ``{:.16e}``.
 
     Each row is formatted by one ``str.format`` with the format of the
-    first row, so a row with str and number cells swapped raises.
+    first row, so a row with str and number cells swapped raises; the
+    partly written file is then deleted, so no truncated CSV is left.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    if rows:
-        fmt = ",".join("{:s}" if isinstance(cell, str) else "{:.16e}" for cell in rows[0])
-        lines += [fmt.format(*row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = iter(rows)
+    first = next(rows, None)
+    try:
+        with path.open("w", encoding="utf-8", newline="\n") as f:
+            f.write(",".join(header) + "\n")
+            if first is not None:
+                fmt = ",".join("{:s}" if isinstance(c, str) else "{:.16e}" for c in first) + "\n"
+                f.write(fmt.format(*first))
+                f.writelines(fmt.format(*row) for row in rows)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _exit_codes(command):
@@ -247,7 +255,7 @@ def cmd_predict(config_path, out, times):
 
     path = Path(cfg.output_dir) / "predict.csv"
     _write_csv(path, ["t", "y", "y_hat", "abs_err"],
-               list(zip(ts.tolist(), y.tolist(), y_hat.tolist(), np.abs(y - y_hat).tolist())))
+               zip(ts.tolist(), y.tolist(), y_hat.tolist(), np.abs(y - y_hat).tolist()))
     click.echo(f"wrote {path}")
 
 

@@ -41,8 +41,8 @@ kernel, signal and time grid, up to the top degree of the sweep members
 on that route, from one ``x.time`` block or one ``x.derivatives`` stack
 per row block, or one read of the lines.  So a sweep evaluates the
 signal once per route rather than once per degree.  Every quantity here
-is computed in double precision; only alpha (``alpha_closed_form``) uses
-extended precision, in a context built on first use.
+is computed in double precision; only alpha (``alpha_closed_form``),
+whose expansion cancels catastrophically, is summed in exact rationals.
 """
 
 import math
@@ -177,25 +177,27 @@ _BLOCK_ELEMENTS = 1 << 18
 _KEPT_TABLES = 2
 
 
-def _row_blocks(n_rows, n_cols):
-    """Row slices of about ``_BLOCK_ELEMENTS`` elements, each a whole multiple of 16 rows.
+def _row_blocks(n_rows, n_cols, depth=1):
+    """Row slices of about ``_BLOCK_ELEMENTS`` elements over ``depth`` stacked (rows x cols) arrays.
 
-    Whole multiples of 16 rows keep the BLAS matrix-vector kernel's row unrolling,
-    so a blocked product sums each row exactly as one full product does.
+    Each block is a whole multiple of 16 rows, at least 16: that keeps the BLAS
+    matrix-vector kernel's row unrolling, so a blocked product sums each row
+    exactly as one full product does.
     """
-    step = max(16, _BLOCK_ELEMENTS // n_cols // 16 * 16)
+    step = max(16, _BLOCK_ELEMENTS // (n_cols * depth) // 16 * 16)
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
-def _blocked(ts, nodes, evaluate, out):
+def _blocked(ts, nodes, evaluate, out, depth=1):
     """out[..., rows] = evaluate(t - s) over the row blocks of the (times x nodes) argument matrix.
 
     t - s is written into one buffer allocated once per call, each block a
     C-contiguous leading slice of it: a block-sized array allocated and
     freed per block is handed back to the operating system and faulted in
-    again page by page.
+    again page by page.  ``depth`` is the number of (rows x nodes) arrays
+    ``evaluate`` holds at once, so its whole stack stays near one block.
     """
-    blocks = _row_blocks(ts.size, nodes.size)
+    blocks = _row_blocks(ts.size, nodes.size, depth)
     buf = np.empty((blocks[0].stop if blocks else 0, nodes.size))
     for rows in blocks:
         args = np.subtract(ts[rows, None], nodes, out=buf[:rows.stop - rows.start])
@@ -286,7 +288,8 @@ def _sample_table(h, x, ts, kmax):
 def _moment_table(h, x, ts, kmax):
     """M[k, t] = int h(s) x^(k)(t - T - s) ds for k <= kmax, on the target rule.
 
-    One ``x.derivatives(kmax, .)`` stack per row block.  The arguments
+    One ``x.derivatives(kmax, .)`` stack per row block, the blocks sized by
+    the whole (kmax + 1)-deep stack.  The arguments
     t - T - s stay inside the causal window (t - tau, t).  Row k does not
     depend on kmax.  With lines resolving every argument, M[k, t] =
     Re sum_j c_j (i omega_j)^k Q_j e^{i omega_j t}, Q_j = sum_s h(s) w_s
@@ -297,7 +300,7 @@ def _moment_table(h, x, ts, kmax):
     tt = ts - h.T
     if x.lines is None:
         return _blocked(tt, nodes, lambda args: [d @ hw for d in x.derivatives(kmax, args)],
-                        np.empty((kmax + 1, ts.size)))
+                        np.empty((kmax + 1, ts.size)), depth=kmax + 1)
     om, c = x.lines(max(np.max(tt) - np.min(nodes), np.max(nodes) - np.min(tt)))
     q = np.exp(-1j * np.outer(om, nodes + h.T)) @ hw
     b = (c * q)[:, None] * (1j * om[:, None]) ** np.arange(kmax + 1)
@@ -413,10 +416,11 @@ def _band_spectrum(h):
         dt = h.width / n
         samples = h(np.arange(n + 1) * dt - h.T)
         m = 1 << (_BAND_PAD * (n + 1) - 1).bit_length()
-        omegas = (2.0 * math.pi / (m * dt)) * np.arange(m // 2 + 1)
-        keep = omegas <= _SCAN_OMEGA_MAX
-        q_abs = dt * np.abs(np.fft.rfft(samples, m)[keep])
-        h._spectra[key] = (omegas[keep], q_abs)
+        step = 2.0 * math.pi / (m * dt)
+        omegas = step * np.arange(int(_SCAN_OMEGA_MAX / step) + 1)
+        q_abs = np.abs(np.fft.rfft(samples, m)[:omegas.size])
+        q_abs *= dt
+        h._spectra[key] = (omegas, q_abs)
     return h._spectra[key]
 
 

@@ -4,16 +4,15 @@ All moments are exact gamma-integral identities; quadrature appears only
 as a test oracle.  The Gram matrices assembled from these moments are
 Hankel-like and severely ill-conditioned.  The projection still runs on
 the double moments (Gram-Schmidt twice holds to degree 16); the
-extended-precision variants serve the closed-form alpha expansion, whose
-terms cancel catastrophically once alpha is small.
+closed-form alpha expansion, whose terms cancel catastrophically once
+alpha is small, forms the same moments in exact rationals
+(``polynomials.alpha_closed_form``).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _mp
 
 
 @dataclass(frozen=True)
@@ -83,18 +82,3 @@ def exponential_moment(k, r, T):
         raise ValueError("r must be positive")
     fk = math.factorial(k)
     return fk * ((r - 1j * T) ** (-(k + 1)) + (-1) ** k * (r + 1j * T) ** (-(k + 1)))
-
-
-def monomial_moment_mp(k, r, signed=False):
-    """Extended-precision monomial moment (40 significant digits)."""
-    if signed and k % 2 == 1:
-        return _mp.ctx.mpf(0)
-    return 2 * _mp.ctx.factorial(k) / _mp.ctx.mpf(r) ** (k + 1)
-
-
-def exponential_moment_mp(k, r, T):
-    """Extended-precision exponential moment (40 significant digits)."""
-    rm = _mp.ctx.mpf(r)
-    Tm = _mp.ctx.mpf(T)
-    fk = _mp.ctx.factorial(k)
-    return fk * ((rm - 1j * Tm) ** (-(k + 1)) + (-1) ** k * (rm + 1j * Tm) ** (-(k + 1)))

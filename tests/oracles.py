@@ -3,8 +3,9 @@
 These deliberately avoid the library's own quadrature machinery:
 adaptive Simpson for integrals, Richardson-extrapolated central
 differences for derivatives, mpmath at 70-80 digits for the high-degree
-kernel derivatives, predictions and the weighted projection, and the
-40-digit node tables of the kernel transforms.
+kernel derivatives, predictions and the weighted projection, at 120
+digits for the closed-form alpha expansion, and the 40-digit node tables
+of the kernel transforms.
 """
 
 import numpy as np
@@ -235,6 +236,55 @@ def projection_mp(T, r, d, dps=80):
     alpha = 2 / rm - ctx.re(ctx.fsum(ctx.conj(b[k]) * abar[k] for k in range(size)))
     coeffs = [complex(abar[k] * (-1j) ** k) for k in range(size)]
     return coeffs, float(alpha)
+
+
+def mp_context(dps):
+    """A private mpmath context at ``dps`` significant digits."""
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    return ctx
+
+
+def monomial_moment_mp(ctx, k, r, signed=False):
+    """int |omega|^k e^{-r|omega|} domega = 2 k! / r^(k+1) in the mpmath context ``ctx``.
+
+    With ``signed=True`` the integrand is omega^k, which vanishes for odd k.
+    """
+    if signed and k % 2 == 1:
+        return ctx.mpf(0)
+    return 2 * ctx.factorial(k) / ctx.mpf(r) ** (k + 1)
+
+
+def exponential_moment_mp(ctx, k, r, T):
+    """k! [(r - iT)^-(k+1) + (-1)^k (r + iT)^-(k+1)] in the mpmath context ``ctx``."""
+    rm = ctx.mpf(r)
+    Tm = ctx.mpf(T)
+    fk = ctx.factorial(k)
+    return fk * ((rm - 1j * Tm) ** (-(k + 1)) + (-1) ** k * (rm + 1j * Tm) ** (-(k + 1)))
+
+
+def alpha_closed_form_mp(psi, T, r, dps=120):
+    """alpha from the moment expansion of ``alpha_closed_form``, summed at ``dps`` digits.
+
+    The same quadratic form in psi's omega-coefficients, on the moments
+    above, clamped at 0 and rounded to double.  At small T the terms are
+    of order 2 / r, so at 40 digits the alphas below about 1e-25 lose
+    digits to cancellation (8.5 % of 5.1e-40 at T = 0.05, r = 4, taylor d = 16);
+    120 digits leave some 80 of them.
+    """
+    ctx = mp_context(dps)
+    abar = [ctx.mpc(c) for c in psi.omega_coeffs()]
+    size = len(abar)
+    total = ctx.mpf(0)
+    for j in range(size):
+        for k in range(size):
+            total += (abar[j] * ctx.conj(abar[k]) * monomial_moment_mp(ctx, j + k, r, signed=True)).real
+    cross = ctx.fsum((abar[k] * ctx.conj(exponential_moment_mp(ctx, k, r, T))).real
+                     for k in range(size))
+    total += -2 * cross + monomial_moment_mp(ctx, 0, r)
+    return float(max(ctx.mpf(0), total))
 
 
 def gram_l2_norm_sq(h, coeffs):

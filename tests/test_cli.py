@@ -357,8 +357,28 @@ class TestCsvWriter:
 
         with pytest.raises(ValueError):
             _write_csv(tmp_path / "out.csv", ["a", "b"], [("x", 1.0), (1.0, "x")])
+        assert not (tmp_path / "out.csv").exists()
 
-    def test_cli_import_leaves_mpmath_unloaded(self):
+    def test_dense_rows_stream_below_one_megabyte(self, tmp_path):
+        import tracemalloc
+
+        from horizon.cli import _write_csv
+
+        cols = [np.linspace(-20.0, 20.0, 20001).tolist() for _ in range(4)]
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "out.csv", ["t", "y", "y_hat", "abs_err"], zip(*cols))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 20002
+
+    @pytest.mark.parametrize("method_range", [None, ("projection", [0, 16])],
+                             ids=["default", "projection-0-16"])
+    @pytest.mark.parametrize("command", ["alpha-sweep", "convergence", "noise-sweep", "predict"])
+    def test_cli_import_leaves_mpmath_unloaded(self, tmp_path, command, method_range):
+        # every command runs without mpmath: alpha is summed in exact rationals
         import os
         import subprocess
         import sys
@@ -366,11 +386,17 @@ class TestCsvWriter:
 
         import horizon
 
+        args = [command, "--out", str(tmp_path / "out")]
+        if method_range is not None:
+            method, d_range = method_range
+            args += ["--config", str(write_config(tmp_path / "c.json", method=method, d_range=d_range))]
         src = str(Path(horizon.__file__).resolve().parent.parent)
-        code = "import sys, horizon.cli; sys.exit('mpmath' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+        code = ("import sys\nfrom horizon.cli import main\n"
+                "try:\n    main(sys.argv[1:])\nfinally:\n    print('mpmath' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestRemovedOptions:

@@ -17,7 +17,7 @@ from horizon import (
 )
 from horizon.weighted_space import monomial_moment
 
-from oracles import adaptive_simpson, projection_mp
+from oracles import adaptive_simpson, alpha_closed_form_mp, projection_mp
 
 T, R = 0.5, 2.0
 
@@ -180,6 +180,22 @@ class TestAlphaDecay:
         alphas = {d: alpha_closed_form(taylor_psi(T, d), T, R) for d in range(4, 13)}
         for d in range(4, 11):
             assert alphas[d + 2] / alphas[d] < 1.0
+
+
+class TestAlphaExact:
+    @pytest.mark.parametrize("method", ["taylor", "projection"])
+    @pytest.mark.parametrize("r_", [1.0, 2.0, 4.0])
+    def test_correctly_rounded_where_40_digits_cancel(self, method, r_):
+        # at T = 0.05, r = 4 the taylor alpha is below 1e-39 from d = 11 on, past 40-digit resolution
+        for d in range(17):
+            psi, rep = approx_report(method, 0.05, r_, d)
+            assert rep.alpha == alpha_closed_form_mp(psi, 0.05, r_, dps=120)
+
+    @pytest.mark.parametrize("method", ["taylor", "projection"])
+    def test_same_bits_as_40_digits_where_they_suffice(self, method):
+        for d in range(17):
+            psi, rep = approx_report(method, T, R, d)
+            assert rep.alpha == alpha_closed_form_mp(psi, T, R, dps=40)
 
 
 class TestApproxReport:

@@ -498,14 +498,18 @@ class TestSamplePathBlocks:
 
     def test_dense_grid_peaks_below_three_blocks(self, canonical_signal):
         # the argument block lives in one reused buffer and the Poisson
-        # time evaluator allocates only its result block
+        # time evaluator allocates only its result block; on the transfer
+        # route the row blocks are sized by the whole 13-deep derivative stack
         h = bump_kernel(T, TH)
         pk = build_predictor(h, taylor_psi(T, 4))
         assert not pk.needs_extended()  # node table built before tracing
+        pk12 = build_predictor(h, taylor_psi(T, 12))
+        assert pk12.needs_extended()
         ts = np.linspace(-20.0, 20.0, 20001)
         block = predictor._BLOCK_ELEMENTS * 8
         for run in (lambda: predictor.target_values(h, canonical_signal, ts),
-                    lambda: predict_values(pk, canonical_signal, ts)):
+                    lambda: predict_values(pk, canonical_signal, ts),
+                    lambda: predict_values(pk12, canonical_signal, ts)):
             tracemalloc.start()
             try:
                 out = run()
