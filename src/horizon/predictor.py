@@ -396,17 +396,25 @@ def error_bound(pk, x, r, grid=None):
 _SCAN_OMEGA_MAX = 16384.0
 #: FFT frequencies per crest period 2 pi / tau of |Q| (zero-padding factor)
 _BAND_PAD = 128
+#: complex values per group of short band transforms, and frequencies per sup chunk
+_BAND_GROUP, _SUP_CHUNK = _BLOCK_ELEMENTS >> 2, _BLOCK_ELEMENTS >> 4
 
 
 def _band_spectrum(h):
-    """(omega, |Q(i omega)|) on [0, _SCAN_OMEGA_MAX], computed once per kernel.
+    """(step, |Q(i omega)|) at omega = step * arange(n_omega) <= _SCAN_OMEGA_MAX, once per kernel.
 
     q(t) = h(t - T) is sampled on n + 1 uniform points of [0, tau] at a
     step of at most pi / (2 _SCAN_OMEGA_MAX), twice the Nyquist rate of
-    the band, and transformed by one FFT zero-padded to a power of two
-    at least ``_BAND_PAD`` (n + 1) long, so the frequency spacing puts at
-    least ``_BAND_PAD`` samples on each crest of |Q|.  q and all its
-    derivatives vanish at 0 and tau, so this trapezoid rule is
+    the band.  |Q| is the DFT X of the samples zero-padded to m, a power
+    of two at least ``_BAND_PAD`` (n + 1) long, so at least ``_BAND_PAD``
+    frequencies fall on each crest of |Q|.  With m = L P, L the smallest
+    power of two >= n + 1, X[l P + p] = FFT_L(x_j e^{-2 pi i p j / m})[l]:
+    P transforms of length L in groups of about ``_BAND_GROUP`` values,
+    each keeping its outputs in the band.  The phase factor comes from two
+    tables, e^{-2 pi i p (j mod P) / m} and e^{-2 pi i p (j div P) / L},
+    each entry its own exp (a recurrence in p loses digits where |Q| is
+    small).  Memory is the stored band plus about one group.  q and all
+    its derivatives vanish at 0 and tau, so this trapezoid rule is
     spectrally accurate below Nyquist (Trefethen & Weideman, SIAM Review
     56, 2014).
     """
@@ -414,22 +422,34 @@ def _band_spectrum(h):
     if key not in h._spectra:
         n = math.ceil(2.0 * _SCAN_OMEGA_MAX * h.width / math.pi)
         dt = h.width / n
-        samples = h(np.arange(n + 1) * dt - h.T)
         m = 1 << (_BAND_PAD * (n + 1) - 1).bit_length()
         step = 2.0 * math.pi / (m * dt)
-        omegas = step * np.arange(int(_SCAN_OMEGA_MAX / step) + 1)
-        q_abs = np.abs(np.fft.rfft(samples, m)[:omegas.size])
+        n_omega = int(_SCAN_OMEGA_MAX / step) + 1
+        L, P = 1 << n.bit_length(), m >> n.bit_length()
+        x = np.zeros((-(-L // P), P))  # x[j div P, j mod P]
+        x.flat[:n + 1] = h(np.arange(n + 1) * dt - h.T)
+        lo_tab = np.exp(-2j * math.pi / m * np.outer(np.arange(P), np.arange(P)))
+        hi_tab = np.exp(-2j * math.pi / L * np.outer(np.arange(P), np.arange(len(x))))
+        keep, rows = -(-n_omega // P), max(1, _BAND_GROUP // L)
+        q_abs = np.empty((keep, P))
+        for g in range(0, P, rows):
+            mod = x * lo_tab[g:g + rows, None, :]
+            mod *= hi_tab[g:g + rows, :, None]
+            spectra = mod.reshape(len(mod), -1)[:, :L]
+            q_abs[:, g:g + rows] = np.abs(np.fft.fft(spectra, out=spectra)[:, :keep]).T
+        q_abs = q_abs.reshape(-1)[:n_omega]
         q_abs *= dt
-        h._spectra[key] = (omegas, q_abs)
+        h._spectra[key] = (step, q_abs)
     return h._spectra[key]
 
 
 def _transfer_sup(pk, h):
     """(sup |psi_d Q|, sup |Q|) over the transfer band [0, _SCAN_OMEGA_MAX].
 
-    |Q| comes from ``_band_spectrum`` (one FFT per kernel, shared by every
-    degree), within 1e-15 absolute of 30-digit values.  Far up the band
-    |Q| itself falls below that roundoff while psi_d(i omega) grows like
+    |Q| comes from ``_band_spectrum`` (once per kernel, shared by every
+    degree), within 1e-15 absolute of 30-digit values; |psi_d Q| is maxed
+    over chunks of ``_SUP_CHUNK`` frequencies.  Far up the band |Q|
+    itself falls below that roundoff while psi_d(i omega) grows like
     omega^d, so at high degree the largest product on the band is
     |psi_d| times roundoff, above the true sup, which |psi_d Q| reaches
     well inside the resolved band (omega ~ 1e3 at d = 10 for the
@@ -438,9 +458,11 @@ def _transfer_sup(pk, h):
     sum with no cancellation, so the reported norm never exceeds a bound
     that holds.
     """
-    omegas, q_abs = _band_spectrum(h)
-    prod = np.abs(pk.psi.at_iw(omegas)) * q_abs
-    return min(float(np.max(prod)), pk.l1_mass), float(np.max(q_abs))
+    step, q_abs = _band_spectrum(h)
+    starts = range(0, q_abs.size, _SUP_CHUNK)
+    sup = max(float(np.max(np.abs(pk.psi.at_iw(step * np.arange(i, i + c.size))) * c))
+              for i, c in zip(starts, np.split(q_abs, starts[1:])))
+    return min(sup, pk.l1_mass), float(np.max(q_abs))
 
 
 def _l2_time_norm_sq(pk):
@@ -459,13 +481,15 @@ def transfer_norms(pk, h, p, grid=None):
 
     |H(i omega)| = |Q(i omega)| since the e^{i omega T} factor is
     unimodular.  With an explicit grid the norms are grid quadratures /
-    grid sups.  Without one, the honest transfer-band values are used:
+    grid sups of Q from the per-kernel cache ``_q_on_grid``, which beta
+    reads too.  Without one, the honest transfer-band values are used:
     the L2 norms via time-domain Parseval (exact, no truncation) and the
-    sup norms on the FFT band of ``_transfer_sup``, both cached per
+    sup norms of ``_transfer_sup`` over the band of short FFTs, in the
+    stored band plus about one chunk of memory; both are cached per
     predictor.
     """
     if grid is not None:
-        q_vals = np.abs(q_spectrum(h, grid.nodes))
+        q_vals = np.abs(_q_on_grid(h, grid))
         hhat_vals = np.abs(pk.psi.at_iw(grid.nodes)) * q_vals
         if p == 1:  # q = infinity: sup over the grid
             return float(np.max(hhat_vals)), float(np.max(q_vals))

@@ -4,9 +4,12 @@ These deliberately avoid the library's own quadrature machinery:
 adaptive Simpson for integrals, Richardson-extrapolated central
 differences for derivatives, mpmath at 70-80 digits for the high-degree
 kernel derivatives, predictions and the weighted projection, at 120
-digits for the closed-form alpha expansion, and the 40-digit node tables
-of the kernel transforms.
+digits for the closed-form alpha expansion, the 40-digit node tables
+of the kernel transforms, and one long zero-padded FFT for the p = 1
+transfer band.
 """
+
+import math
 
 import numpy as np
 
@@ -209,6 +212,22 @@ def bump_transform_mp(omega, width, dps=30):
     transform = ctx.quad(lambda u: bump(u) * ctx.cos(a * u), panels)
     mass = ctx.quad(bump, ctx.linspace(0, 1, 16))
     return float(abs(transform / mass))
+
+
+def padded_band_spectrum(h, omega_max, pad):
+    """(step, |Q(i omega)|) at omega = step * arange(n) on [0, omega_max] by one long FFT.
+
+    The same trapezoid samples as ``predictor._band_spectrum``: q(t) =
+    h(t - T) on n + 1 uniform points of [0, tau] at a step of at most
+    pi / (2 omega_max), transformed by one ``rfft`` zero-padded to the
+    power of two m >= pad (n + 1) (2^20 points for the canonical kernel).
+    """
+    n = math.ceil(2.0 * omega_max * h.width / math.pi)
+    dt = h.width / n
+    m = 1 << (pad * (n + 1) - 1).bit_length()
+    step = 2.0 * math.pi / (m * dt)
+    q_abs = np.abs(np.fft.rfft(h(np.arange(n + 1) * dt - h.T), m)[:int(omega_max / step) + 1])
+    return step, q_abs * dt
 
 
 def projection_mp(T, r, d, dps=80):

@@ -38,6 +38,7 @@ from oracles import (
     bump_transform_mp,
     chirp_transfer_prediction_mp,
     gram_l2_norm_sq,
+    padded_band_spectrum,
     transfer_prediction_mp,
 )
 
@@ -383,6 +384,24 @@ class TestNoise:
         b2 = noise_bound(pk_small, canonical_kernel, 0.2, 2, grid_r2)
         assert b2 == pytest.approx(2.0 * b1, rel=1e-14)
 
+    def test_grid_norms_read_the_q_cache(self, monkeypatch):
+        # on an explicit grid Q comes from _q_on_grid's per-kernel cache, as
+        # beta's does: one transform of the positive half for every degree and p
+        h = bump_kernel(T, TH)
+        sizes = []
+
+        def counted(h_, omegas, *args):
+            sizes.append(np.size(omegas))
+            return q_spectrum(h_, omegas, *args)
+
+        monkeypatch.setattr(predictor, "q_spectrum", counted)
+        grid = SpectralGrid.for_rate(R, 2048)
+        for d in (2, 4):
+            pk = build_predictor(h, taylor_psi(T, d))
+            for p in (1, 2):
+                transfer_norms(pk, h, p, grid)
+        assert sizes == [grid.n_points // 2]
+
     def test_bound_grows_with_degree(self, canonical_kernel):
         # norms taken on the transfer band, where the degree blow-up lives
         pk4 = build_predictor(canonical_kernel, taylor_psi(T, 4))
@@ -418,16 +437,28 @@ class TestTransferNorms:
         assert transfer_norms(pk, canonical_kernel, 2)[0] == pytest.approx(ref, rel=1e-11)
 
 
+BAND_KERNELS = pytest.mark.parametrize("T_, theta", [(T, TH), (2.0, 0.5)], ids=["canonical", "wide"])
+
+
+def _oracle_band(h):
+    return padded_band_spectrum(h, predictor._SCAN_OMEGA_MAX, predictor._BAND_PAD)
+
+
 class TestBandSpectrum:
     @pytest.mark.parametrize("T_, theta, targets", [
-        (T, TH, (0.0, 37.0, 141.0, 1062.0, 1930.0)),
-        (2.0, 0.5, (0.0, 37.0, 141.0, 1062.0)),  # 4x wider: a longer padded FFT
+        (T, TH, (0.0, 37.0, 141.0, 1062.0, 1930.0, 4000.0, 9000.0, 16000.0)),
+        # 4x wider: 4x longer short transforms
+        (2.0, 0.5, (0.0, 37.0, 141.0, 1062.0, 4000.0, 9000.0, 16000.0)),
     ])
     def test_fft_band_against_30_digits(self, T_, theta, targets):
+        # at 4000, 9000 and 16000 |Q| is below 5e-18 and the band is within
+        # 1e-17 of it (canonical 3.3e-18, 3.5e-18, 8.5e-18; wide 5.3e-19,
+        # 1.8e-18, 7.6e-18)
         h = bump_kernel(T_, theta)
-        omegas, q_abs = _band_spectrum(h)
-        assert omegas[0] == 0.0 and omegas[-1] <= predictor._SCAN_OMEGA_MAX
-        assert omegas[1] <= 2.0 * math.pi / (predictor._BAND_PAD * h.width)
+        step, q_abs = _band_spectrum(h)
+        omegas = step * np.arange(q_abs.size)
+        assert omegas[-1] <= predictor._SCAN_OMEGA_MAX < omegas[-1] + step
+        assert step <= 2.0 * math.pi / (predictor._BAND_PAD * h.width)
         for target_omega in targets:
             i = int(np.argmin(np.abs(omegas - target_omega)))
             assert q_abs[i] == pytest.approx(bump_transform_mp(omegas[i], h.width),
@@ -448,10 +479,60 @@ class TestBandSpectrum:
         # up to 2e-15 (canonical) and 3e-14 (wide) off the 30-digit values
         # at omega <= 2000; the FFT's twiddles are exact to 3e-18 there
         h = bump_kernel(T_, theta)
-        omegas, q_abs = _band_spectrum(h)
+        step, q_abs = _band_spectrum(h)
+        omegas = step * np.arange(q_abs.size)
         sel = np.flatnonzero(omegas <= 2000.0)[::29]
         np.testing.assert_allclose(q_abs[sel], np.abs(q_spectrum(h, omegas[sel])),
                                    rtol=0.0, atol=1e-13)
+
+    @BAND_KERNELS
+    def test_band_uses_short_transforms(self, monkeypatch, T_, theta):
+        # the band is P transforms of length L, L the smallest power of two
+        # >= n + 1 (8192 canonical, 32768 wide), never one of length m = L P
+        h = bump_kernel(T_, theta)
+        n = math.ceil(2.0 * predictor._SCAN_OMEGA_MAX * h.width / math.pi)
+        lengths = []
+        for name in ("fft", "rfft"):
+            def spy(a, n_=None, *args, _f=getattr(np.fft, name), **kwargs):
+                lengths.append(np.shape(a)[-1] if n_ is None else n_)
+                return _f(a, n_, *args, **kwargs)
+            monkeypatch.setattr(predictor.np.fft, name, spy)
+        _band_spectrum(h)
+        assert lengths and max(lengths) == 1 << n.bit_length() == {T: 8192, 2.0: 32768}[T_]
+
+    @BAND_KERNELS
+    def test_band_matches_padded_fft(self, T_, theta):
+        # the same DFT samples as one FFT zero-padded to 2^20 (2^22 wide);
+        # measured within 5.6e-16 (canonical) and 4.4e-16 (wide)
+        h = bump_kernel(T_, theta)
+        step, q_abs = _band_spectrum(h)
+        ref_step, ref = _oracle_band(h)
+        assert step == ref_step and q_abs.size == ref.size
+        np.testing.assert_allclose(q_abs, ref, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("method, d", [("taylor", d) for d in range(2, 8)] + [("projection", 16)])
+    def test_p1_sup_against_padded_fft(self, canonical_kernel, method, d):
+        # the sup over the chunked band against the sup of the long FFT's
+        # band; taylor d = 6 moves most, 5.2e-13, where |Q| is 4.6e-6
+        psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
+        pk = build_predictor(canonical_kernel, psi)
+        step, q_abs = _oracle_band(canonical_kernel)
+        prod = np.abs(psi.at_iw(step * np.arange(q_abs.size))) * q_abs
+        ref = min(float(np.max(prod)), pk.l1_mass)
+        assert transfer_norms(pk, canonical_kernel, 1)[0] == pytest.approx(ref, rel=1e-12)
+
+    def test_p1_sup_streams(self, canonical_kernel):
+        # with the band cached, the sup takes about one chunk of memory, not
+        # a band-sized complex psi_d(i omega) (8.0 MB for the canonical band)
+        _band_spectrum(canonical_kernel)
+        pk = build_predictor(canonical_kernel, taylor_psi(T, 6))
+        tracemalloc.start()
+        try:
+            transfer_norms(pk, canonical_kernel, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("method, d", [("taylor", d) for d in (0, 4, 8, 10, 12, 16)]
                              + [("projection", 16)])
