@@ -10,7 +10,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field
 
-from .kernels import D_MAX, TargetKernel
+from .kernels import D_MAX, bump_kernel
 from .signals import Signal
 from .spectral_core import SpectralGrid, TimeGrid, default_omega_max
 
@@ -76,9 +76,12 @@ class ExperimentConfig:
         for key in ("kernel", "signal", "noise", "tgrid", "grid"):
             if not isinstance(getattr(self, key), dict):
                 raise ConfigError(f"{key}: expected an object, got {getattr(self, key)!r}")
-        if self.kernel.get("shape") == "mollified":
-            raise ConfigError("kernel.shape: 'mollified' is refused until its kernel owns its "
-                              "quadrature panels (ROADMAP item 4); its predictions miss their bound")
+        for key, value in self.kernel.items():
+            if key != "shape":
+                raise ConfigError(f"kernel.{key}: unknown key; the kernel is the bump on "
+                                  "[-T, theta] of the top-level T and theta")
+            if value != "bump":
+                raise ConfigError(f"kernel.shape: expected 'bump', got {value!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir: expected a string, got {self.output_dir!r}")
         if not isinstance(self.d_range, (list, tuple)):
@@ -167,13 +170,7 @@ class ExperimentConfig:
         return list(range(self.d_range[0], self.d_range[1] + 1, self.d_step))
 
     def build_kernel(self):
-        spec = dict(self.kernel)
-        spec.setdefault("T", self.T)
-        spec.setdefault("theta", self.theta)
-        try:
-            return TargetKernel.from_spec(spec)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"kernel: {exc}") from exc
+        return bump_kernel(self.T, self.theta)
 
     def build_signal(self):
         try:

@@ -24,7 +24,6 @@ the envelope per panel stays bounded; every convolution against these
 kernels must use such panels.
 """
 
-import json
 import math
 from functools import lru_cache
 
@@ -32,8 +31,7 @@ import numpy as np
 
 from . import _mp
 from ._accel import bump_derivative_values
-from .spectral_core import (PANEL_DEGREE, fourier_transform_at, gauss_legendre_edges, gauss_legendre_rule,
-                            laplace_transform)
+from .spectral_core import PANEL_DEGREE, fourier_transform_at, gauss_legendre_rule, laplace_transform
 
 D_MAX = 16
 
@@ -171,7 +169,7 @@ def derivative_panel_edges(width, k, dg_max=2.0):
 
 
 class TargetKernel:
-    """C-infinity kernel h supported on [-T, theta].
+    """Unit-mass C-infinity bump kernel h supported on [-T, theta].
 
     T is the anticausal reach (prediction horizon), theta the causal tail.
     q(t) = h(t - T) is then causal with support [0, T + theta].
@@ -179,7 +177,7 @@ class TargetKernel:
 
     d_max = D_MAX
 
-    def __init__(self, T, theta, shape="bump", epsilon=None, prototype=None):
+    def __init__(self, T, theta):
         if T <= 0:
             raise ValueError("prediction horizon T must be positive")
         if theta < 0:
@@ -188,23 +186,10 @@ class TargetKernel:
             raise ValueError("degenerate support")
         self.T = float(T)
         self.theta = float(theta)
-        self.shape = shape
-        self.epsilon = epsilon
-        self._prototype = prototype
         self._mass_mp = None
         #: frequency-domain data that does not depend on the degree (see predictor)
         self._spectra = {}
-        if shape == "bump":
-            self.normalization = 2.0 / (self.width * _raw_bump_mass())
-        elif shape == "mollified":
-            if epsilon is None or prototype is None:
-                raise ValueError("mollified kernel needs epsilon and prototype")
-            if not 0 < epsilon < self.width / 2:
-                raise ValueError("epsilon must be below half the support width")
-            self.normalization = 1.0
-            self._mollifier = MollifierKernel(epsilon)
-        else:
-            raise ValueError(f"unknown kernel shape {shape!r}")
+        self.normalization = 2.0 / (self.width * _raw_bump_mass())
 
     @property
     def width(self):
@@ -227,61 +212,18 @@ class TargetKernel:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        if self.shape == "bump":
-            u = self._to_unit(t)
-            vals = bump_derivative_values(u, _bump_poly_edge(k), k)
-            out = vals * self.normalization * (2.0 / self.width) ** k
-        else:
-            out = np.array([self._mollified_derivative(k, float(ti)) for ti in t])
+        vals = bump_derivative_values(self._to_unit(t), _bump_poly_edge(k), k)
+        out = vals * self.normalization * (2.0 / self.width) ** k
         return float(out[0]) if scalar else out
-
-    def _mollified_region(self, t):
-        a = max(self.support[0] + self.epsilon, t - self.epsilon)
-        b = min(self.support[1] - self.epsilon, t + self.epsilon)
-        return a, b
-
-    def _mollified_derivative(self, k, t):
-        a, b = self._mollified_region(t)
-        if b <= a:
-            return 0.0
-        edges = t - derivative_panel_edges(2.0 * self.epsilon, k)[::-1] + self.epsilon
-        edges = np.clip(edges, a, b)
-        edges = np.unique(edges)
-        if edges.size < 2:
-            return 0.0
-        s_nodes, s_weights = gauss_legendre_edges(edges)
-        kv = self._mollifier.derivative(k, t - s_nodes)
-        pv = np.asarray(self._prototype(s_nodes), dtype=float)
-        return float((kv * pv) @ s_weights)
 
     def derivative_mp(self, t, k):
         """Scalar k-th derivative in the extended context."""
         if not 0 <= k <= self.d_max:
             raise ValueError(f"derivative order {k} outside [0, {self.d_max}]")
         tm = _mp.ctx.mpf(t)
-        if self.shape == "bump":
-            u = (2 * tm - (_mp.ctx.mpf(self.theta) - _mp.ctx.mpf(self.T))) / _mp.ctx.mpf(self.width)
-            scale = 2 / (_mp.ctx.mpf(self.width) * self._mass_mp_value())
-            return _bump_fk_mp(u, k) * scale * (2 / _mp.ctx.mpf(self.width)) ** k
-        a, b = self._mollified_region(float(t))
-        if b <= a:
-            return _mp.ctx.mpf(0)
-        edges = float(t) - derivative_panel_edges(2.0 * self.epsilon, k)[::-1] + self.epsilon
-        edges = np.unique(np.clip(edges, a, b))
-        if edges.size < 2:
-            return _mp.ctx.mpf(0)
-        x, w = _gl_mp()
-        eps_m = _mp.ctx.mpf(self.epsilon)
-        total = _mp.ctx.mpf(0)
-        for i in range(edges.size - 1):
-            mid = (_mp.ctx.mpf(edges[i]) + _mp.ctx.mpf(edges[i + 1])) / 2
-            half = (_mp.ctx.mpf(edges[i + 1]) - _mp.ctx.mpf(edges[i])) / 2
-            for xi, wi in zip(x, w):
-                s = mid + half * xi
-                v = (tm - s) / eps_m
-                kv = _bump_fk_mp(v, k) / (_raw_bump_mass_mp() * eps_m ** (k + 1))
-                total += half * wi * kv * _mp.ctx.mpf(float(self._prototype(float(s))))
-        return total
+        u = (2 * tm - (_mp.ctx.mpf(self.theta) - _mp.ctx.mpf(self.T))) / _mp.ctx.mpf(self.width)
+        scale = 2 / (_mp.ctx.mpf(self.width) * self._mass_mp_value())
+        return _bump_fk_mp(u, k) * scale * (2 / _mp.ctx.mpf(self.width)) ** k
 
     def _mass_mp_value(self):
         if self._mass_mp is None:
@@ -293,65 +235,10 @@ class TargetKernel:
         nodes, weights = gauss_legendre_rule(*self.support, 32)
         return float(self(nodes) @ weights)
 
-    def to_json(self):
-        spec = {"shape": self.shape, "T": self.T, "theta": self.theta}
-        if self.epsilon is not None:
-            spec["epsilon"] = self.epsilon
-        return json.dumps(spec)
-
-    @classmethod
-    def from_spec(cls, spec):
-        shape = spec.get("shape", "bump")
-        if shape == "bump":
-            return bump_kernel(spec["T"], spec["theta"])
-        if shape == "mollified":
-            return mollify(lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                           spec["epsilon"], spec["T"], spec["theta"])
-        raise ValueError(f"unknown kernel shape {shape!r}")
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_spec(json.loads(text))
-
-
-class MollifierKernel:
-    """Unit-mass smoothing bump kappa_eps supported on [-eps, eps]."""
-
-    def __init__(self, epsilon):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        self.epsilon = float(epsilon)
-
-    def __call__(self, v):
-        return self.derivative(0, v)
-
-    def derivative(self, k, v):
-        v = np.asarray(v, dtype=float)
-        u = v / self.epsilon
-        vals = bump_derivative_values(u, _bump_poly_edge(k), k)
-        return vals / (_raw_bump_mass() * self.epsilon ** (k + 1))
-
 
 def bump_kernel(T, theta):
     """Unit-mass bump kernel on [-T, theta]."""
-    return TargetKernel(T, theta, shape="bump")
-
-
-def mollify(prototype, epsilon, T, theta):
-    """Smooth a square-integrable prototype supported in (-T, theta).
-
-    h_eps(t) = int kappa_eps(t - s) 1_[-T+eps, theta-eps](s) prototype(s) ds,
-    which is C-infinity with support inside [-T, theta].  No rescaling is
-    applied; the plateau of a unit prototype stays at height 1.
-    """
-    if epsilon >= (T + theta) / 2:
-        raise ValueError("epsilon must be below half the support width")
-    return TargetKernel(T, theta, shape="mollified", epsilon=float(epsilon), prototype=prototype)
-
-
-def kernel_derivative(h, k, t):
-    """k-th derivative of a target kernel at t."""
-    return h.derivative(k, t)
+    return TargetKernel(T, theta)
 
 
 def q_transform(h, z, base_panels=32):

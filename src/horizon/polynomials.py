@@ -67,21 +67,6 @@ class Polynomial:
         return all(abs(c.imag) <= tol for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class ApproxReport:
-    """Weighted squared approximation error of one construction."""
-
-    d: int
-    alpha: float
-    method: str
-    r: float
-    T: float
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-
-
 def taylor_psi(T, d):
     """Truncated series of e^{Tz}: a_k = T^k / k!."""
     if d < 0:
@@ -141,11 +126,6 @@ def projection_psi(T, r, d):
             warnings.warn(f"projection coefficient {k} keeps imaginary part {c.imag:.3e}")
             cleaned.append(complex(c))
     return Polynomial(tuple(cleaned))
-
-
-def projection_alpha(T, r, d):
-    """alpha of the degree-d projection."""
-    return alpha_closed_form(projection_psi(T, r, d), T, r)
 
 
 def _alpha_tail_guard(psi, T, r, grid):
@@ -219,14 +199,3 @@ def alpha_grid_bound(T, r, d):
         om_new = (2 * d * math.log(max(T * om, 1.0)) - 2 * lgd - target) / r
         om = max(om_new, 10.0 / r)
     return max(om, 60.0 / r)
-
-
-def approx_report(method, T, r, d):
-    """Build one ApproxReport for either construction."""
-    if method == "taylor":
-        psi = taylor_psi(T, d)
-    elif method == "projection":
-        psi = projection_psi(T, r, d)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return psi, ApproxReport(d=d, alpha=alpha_closed_form(psi, T, r), method=method, r=r, T=T)

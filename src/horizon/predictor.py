@@ -98,9 +98,6 @@ class PredictorKernel:
                 out += a * self.h.derivative(k, t - self.h.T)
         return complex(out[0]) if scalar else out
 
-    def eval_real(self, t):
-        return np.real(self(t))
-
     # -- quadrature tables -------------------------------------------------
 
     def _double_table(self):
@@ -146,11 +143,6 @@ class PredictorKernel:
         im = oscillatory_transform(nodes, weights, np.ascontiguousarray(values.imag), omegas)
         return re + 1j * im
 
-    def closed_spectrum(self, h_or_grid_omegas):
-        """psi_d(i omega) Q(i omega) on an array of frequencies."""
-        omegas = np.asarray(h_or_grid_omegas, dtype=float)
-        return self.psi.at_iw(omegas) * q_spectrum(self.h, omegas)
-
 
 def build_predictor(h, psi, eps_quad=EPS_QUAD):
     """Assemble the order-d predicting kernel from a target kernel and psi."""
@@ -163,11 +155,6 @@ def build_predictor(h, psi, eps_quad=EPS_QUAD):
 def _target_rule(h):
     edges = derivative_panel_edges(h.width, 0) + h.support[0]
     return gauss_legendre_edges(edges)
-
-
-def target(h, x, t):
-    """y(t) = int h(u) x(t-u) du over u in [-T, theta]: the anticausal target."""
-    return float(target_values(h, x, np.atleast_1d(float(t)))[0])
 
 
 #: bound on the (time points x nodes) block evaluated at once
@@ -206,19 +193,11 @@ def _blocked(ts, nodes, evaluate, out, depth=1):
 
 
 def target_values(h, x, ts):
+    """y(t) = int h(u) x(t-u) du over u in [-T, theta] at ``ts``: the anticausal target."""
     ts = np.asarray(ts, dtype=float)
     nodes, weights = _target_rule(h)
     hw = h(nodes) * weights
     return _blocked(ts, nodes, lambda args: x.time(args) @ hw, np.empty(ts.size))
-
-
-def predict(pk, x, t):
-    """Causal prediction Re int_0^tau hhat_d(u) x(t-u) du.
-
-    Only samples x(s) with s strictly below t are read: the quadrature
-    nodes live in the open window (t - tau, t).
-    """
-    return float(predict_values(pk, x, np.atleast_1d(float(t)))[0])
 
 
 def predict_values(pk, x, ts, sweep=None):
@@ -387,11 +366,6 @@ def error_bound_parts(pk, x, r, grid=None):
     return alpha, beta, math.sqrt(alpha * beta) / (2.0 * math.pi)
 
 
-def error_bound(pk, x, r, grid=None):
-    """Uniform prediction error bound sqrt(alpha_d beta) / (2 pi)."""
-    return error_bound_parts(pk, x, r, grid)[2]
-
-
 #: top of the p = 1 transfer band
 _SCAN_OMEGA_MAX = 16384.0
 #: FFT frequencies per crest period 2 pi / tau of |Q| (zero-padding factor)
@@ -550,22 +524,6 @@ class PredictionResult:
         }
 
 
-@dataclass(frozen=True)
-class NoiseReport:
-    nu: float
-    p: int
-    base_error: float
-    noise_error: float
-    bound_slope: float
-
-    def __post_init__(self):
-        if self.p not in (1, 2):
-            raise ValueError("p must be 1 or 2")
-        for name in ("nu", "base_error", "noise_error", "bound_slope"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
 def run_prediction(pk, x, tgrid, r, method="", y=None, sweep=None):
     """Evaluate target and prediction over a time grid, with the bound.
 
@@ -582,25 +540,3 @@ def run_prediction(pk, x, tgrid, r, method="", y=None, sweep=None):
     return PredictionResult(grid=tgrid, y=y, y_hat=y_hat, sup_error=sup,
                             bound=bound, alpha=alpha, beta=beta,
                             d=pk.d, method=method or "unspecified")
-
-
-def empirical_noise_error(pk, h, x0, eta, tgrid, p=2, grid=None):
-    """Measure the extra error a noise term induces and compare to its bound.
-
-    E_eta = sup_t |(hhat_d * eta)(t) - (h * eta)(t)| over the time grid;
-    the slope bound is (1/2pi)(||Hhat_d||_q + ||H||_q) per unit noise norm.
-    """
-    if grid is None:
-        grid = SpectralGrid.for_rate(2.0, 4096)
-    ts = tgrid.nodes
-    conv_pred = predict_values(pk, eta, ts)
-    conv_target = target_values(h, eta, ts)
-    noise_error = float(np.max(np.abs(conv_pred - conv_target)))
-    base_error = float(np.max(np.abs(
-        target_values(h, x0, ts) - predict_values(pk, x0, ts))))
-    from .signals import noise_norm
-
-    nu = noise_norm(eta, p, grid)
-    slope = noise_bound(pk, h, 1.0, p)  # norms on the transfer band
-    return NoiseReport(nu=nu, p=p, base_error=base_error,
-                       noise_error=noise_error, bound_slope=slope)

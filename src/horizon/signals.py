@@ -19,7 +19,6 @@ arguments costs one block-sized array, with the same bits as the plain
 expression; a scalar or 0-d argument gives a 0-d result.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -42,9 +41,6 @@ class Signal:
     def __call__(self, t):
         return self.time(np.asarray(t, dtype=float))
 
-    def to_json(self):
-        return json.dumps({"kind": self.kind, "params": self.params})
-
     @classmethod
     def from_spec(cls, spec):
         kind = spec["kind"]
@@ -59,10 +55,6 @@ class Signal:
         if kind not in factories:
             raise ValueError(f"unknown signal kind {kind!r}")
         return factories[kind](params)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_spec(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -302,10 +294,6 @@ def superposition(signals, weights=None):
     )
 
 
-def _default_grid(r):
-    return SpectralGrid.for_rate(r, n_points=4096)
-
-
 def class_norm(x, r, sign=-1, grid=None):
     """Weighted spectral norm of a signal and class membership.
 
@@ -369,21 +357,3 @@ def noise_norm(eta, p, grid):
     if p == 2:
         return math.sqrt(float((mag * mag) @ grid.weights))
     raise ValueError("p must be 1 or 2")
-
-
-def add_noise(x0, eta, nu, p, grid=None):
-    """x = x0 + eta with the noise spectrum scaled to ||N||_{L_p} = nu.
-
-    Normalization is grid-relative by contract: the norm is evaluated with
-    the same quadrature rule the experiment uses.
-    """
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    if nu == 0.0:
-        return x0
-    if grid is None:
-        grid = _default_grid(2.0)
-    base = noise_norm(eta, p, grid)
-    if base <= 0.0:
-        raise ValueError("noise signal has zero spectrum: cannot normalize")
-    return superposition([x0, eta], [1.0, nu / base])

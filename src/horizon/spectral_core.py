@@ -99,9 +99,6 @@ class SpectralGrid:
         """Grid truncated where the weight e^{-r|omega|} drops below 1e-16."""
         return cls.build(default_omega_max(r), n_points)
 
-    def integrate(self, values):
-        return values @ self.weights
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -157,11 +154,6 @@ def fourier_transform_at(f, support, omegas, base_panels=32):
     return panel_transform(mids, half * x, f_vals.reshape(n_panels, -1) * (half * w), omegas)
 
 
-def fourier_transform(f, support, grid, base_panels=32):
-    """Forward transform of a compactly supported function on a grid."""
-    return fourier_transform_at(f, support, grid.nodes, base_panels)
-
-
 def laplace_transform(f, support, z, base_panels=32):
     """int_0^b e^{-z t} f(t) dt for a causal f supported on [0, b].
 
@@ -191,6 +183,6 @@ def parseval_check(f, support, grid, base_panels=32):
     norm_t = float((f_vals * f_vals) @ t_weights)
     if norm_t == 0.0:
         raise ValueError("zero function: relative discrepancy undefined")
-    F = fourier_transform(f, support, grid, base_panels)
+    F = fourier_transform_at(f, support, grid.nodes, base_panels)
     norm_w = float((np.abs(F) ** 2) @ grid.weights) / (2.0 * np.pi)
     return abs(norm_t - norm_w) / norm_t

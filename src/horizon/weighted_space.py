@@ -1,4 +1,4 @@
-"""Exponentially weighted L2 machinery: norms and closed-form moments.
+"""Exponentially weighted L2 machinery: closed-form moments and the divergence test.
 
 All moments are exact gamma-integral identities; quadrature appears only
 as a test oracle.  The Gram matrices assembled from these moments are
@@ -10,27 +10,8 @@ alpha is small, forms the same moments in exact rationals
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class WeightedNorm:
-    """Weight e^{sign * r |omega|}; sign=-1 is the approximation weight,
-    sign=+1 shows up in the spectral-energy factor of the error bound."""
-
-    r: float
-    sign: int = -1
-
-    def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("decay rate r must be positive")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be -1 or +1")
-
-    def weight(self, omegas):
-        return np.exp(self.sign * self.r * np.abs(omegas))
 
 
 def _tail_is_divergent(integrand, nodes):
@@ -44,17 +25,6 @@ def _tail_is_divergent(integrand, nodes):
     head = tail[: tail.size // 2]
     back = tail[tail.size // 2:]
     return float(np.mean(back)) > float(np.mean(head)) > 0.0
-
-
-def weighted_norm_sq(u, norm, grid):
-    """int e^{sign r |omega|} |u(omega)|^2 domega over the truncated grid."""
-    vals = np.asarray(u(grid.nodes))
-    integrand = norm.weight(grid.nodes) * np.abs(vals) ** 2
-    if not np.all(np.isfinite(integrand)):
-        raise ValueError("weight/decay mismatch")
-    if norm.sign > 0 and _tail_is_divergent(integrand, grid.nodes):
-        raise ValueError("weight/decay mismatch")
-    return float(integrand @ grid.weights)
 
 
 def monomial_moment(k, r, signed=False):

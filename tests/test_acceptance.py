@@ -21,7 +21,7 @@ from horizon import (
     bump_kernel,
     chirp_noise,
     class_norm,
-    error_bound,
+    error_bound_parts,
     exponential_moment,
     h_spectrum,
     monomial_moment,
@@ -29,7 +29,6 @@ from horizon import (
     noise_norm,
     poisson_signal,
     predict_values,
-    projection_alpha,
     projection_psi,
     target_values,
     taylor_alpha_bound,
@@ -76,7 +75,7 @@ def predictions(predictors, signal, tgrid):
         pk = predictors[d]
         y_hat = predict_values(pk, signal, tgrid.nodes)
         sups[d] = float(np.max(np.abs(y - y_hat)))
-        bounds[d] = error_bound(pk, signal, R)
+        bounds[d] = error_bound_parts(pk, signal, R)[2]
     return y, sups, bounds
 
 
@@ -97,7 +96,7 @@ def test_criterion_2_projection_optimality():
         a_proj = alpha_closed_form(projection_psi(T, R, d), T, R)
         a_tay = alpha_closed_form(taylor_psi(T, d), T, R)
         assert a_proj <= a_tay + 1e-12, (d, a_proj, a_tay)
-        alphas.append(projection_alpha(T, R, d))
+        alphas.append(alpha_closed_form(projection_psi(T, R, d), T, R))
     for d, (a1, a2) in enumerate(zip(alphas, alphas[1:])):
         assert a2 <= a1 + 1e-12, (d, a1, a2)
     print(f"ACCEPTANCE 2 PASS: projection alpha below taylor and non-increasing "
@@ -146,7 +145,7 @@ def test_criterion_6_noise_robustness(kernel, predictors, signal, tgrid, grid):
         pk = predictors[d]
         y_hat0 = predict_values(pk, signal, tgrid.nodes)
         conv_eta = predict_values(pk, eta_unit, tgrid.nodes)
-        eps_bound = error_bound(pk, signal, R)
+        eps_bound = error_bound_parts(pk, signal, R)[2]
         for p in (1, 2):
             unit = noise_norm(eta_unit, p, grid)
             slope = noise_bound(pk, kernel, 1.0, p)
@@ -240,6 +239,6 @@ def test_criterion_10_class_gate(kernel):
     assert not rep_bad.member and rep_bad.norm == math.inf
     pk = build_predictor(kernel, taylor_psi(T, 2))
     with pytest.raises(ClassMembershipError):
-        error_bound(pk, poisson_signal(0.9), R)
+        error_bound_parts(pk, poisson_signal(0.9), R)
     print("ACCEPTANCE 10 PASS: class norm 0.4 exact for a=1.5, r=2; divergence "
           "flagged for a=0.9 under the energy weight")

@@ -85,14 +85,28 @@ class TestConfig:
 
     @pytest.mark.parametrize("command", ["alpha-sweep", "convergence"])
     def test_mollified_kernel_is_config_error(self, runner, tmp_path, command):
-        # its sample-path predictions at d = 4 missed their bound by a factor 6e3
-        cfgp = write_config(tmp_path / "c.json", kernel={"shape": "mollified", "epsilon": 0.05},
+        cfgp = write_config(tmp_path / "c.json", kernel={"shape": "mollified"},
                             d_range=[0, 4], output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, [command, "--config", str(cfgp)])
         assert result.exit_code == EXIT_CONFIG, result.output
-        assert "config error: kernel.shape: 'mollified'" in result.output
-        assert "ROADMAP item 4" in result.output
+        assert "config error: kernel.shape: expected 'bump', got 'mollified'" in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["alpha-sweep", "convergence", "noise-sweep", "predict"])
+    @pytest.mark.parametrize("key, value", [("T", 0.3), ("theta", 0.4), ("epsilon", 7)])
+    def test_kernel_keys_beside_shape_are_config_errors(self, runner, tmp_path, command, key, value):
+        # a kernel.T used to reshape h while psi_d kept the top-level T
+        cfgp = write_config(tmp_path / "c.json", kernel={"shape": "bump", key: value},
+                            d_range=[0, 4], output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, [command, "--config", str(cfgp)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert f"config error: kernel.{key}: unknown key" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kernel", [{}, {"shape": "bump"}])
+    def test_bump_kernel_spec_is_accepted(self, kernel):
+        h = ExperimentConfig.from_dict({"T": 0.3, "theta": 0.4, "kernel": kernel}).build_kernel()
+        assert (h.T, h.theta) == (0.3, 0.4)
 
     def test_json_error_carries_position(self):
         with pytest.raises(ConfigError, match="line 1"):

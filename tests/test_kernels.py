@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from horizon import (
-    MollifierKernel,
     TargetKernel,
     bump_kernel,
     fourier_transform_at,
     h_spectrum,
-    kernel_derivative,
-    mollify,
     q_spectrum,
     q_transform,
 )
+from horizon.config import ExperimentConfig
 from horizon.kernels import D_MAX, bump_poly_exact
 
-from oracles import adaptive_simpson, bump_derivative_mp, derivative_spectrum, richardson_derivative
+from oracles import bump_derivative_mp, derivative_spectrum, richardson_derivative
 
 
 class TestBumpPolynomials:
@@ -74,11 +72,11 @@ class TestKernelDerivative:
     def test_zero_outside_support(self, canonical_kernel):
         h = canonical_kernel
         for k in range(1, 9):
-            assert kernel_derivative(h, k, -h.T - 1e-6) == 0.0
-            assert kernel_derivative(h, k, h.theta + 1e-6) == 0.0
+            assert h.derivative(k, -h.T - 1e-6) == 0.0
+            assert h.derivative(k, h.theta + 1e-6) == 0.0
 
     def test_first_derivative_vanishes_at_center(self, unit_bump):
-        assert kernel_derivative(unit_bump, 1, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert unit_bump.derivative(1, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_finite_differences(self, canonical_kernel, k):
@@ -121,65 +119,6 @@ class TestKernelDerivative:
             canonical_kernel.derivative(TargetKernel.d_max + 1, 0.0)
 
 
-class TestMollifier:
-    def test_unit_mass(self):
-        for eps in (0.5, 0.1):
-            kappa = MollifierKernel(eps)
-            val = adaptive_simpson(lambda v: kappa(np.asarray(v)), -eps, eps, tol=1e-13)
-            assert val == pytest.approx(1.0, rel=1e-10)
-
-    def test_support(self):
-        kappa = MollifierKernel(0.25)
-        assert kappa(0.26) == 0.0 and kappa(-0.26) == 0.0
-
-
-class TestMollify:
-    def test_zero_prototype(self):
-        zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-        h = mollify(zero, 0.05, 0.5, 0.5)
-        ts = np.linspace(-0.5, 0.5, 21)
-        np.testing.assert_array_equal(h(ts), 0.0)
-
-    def test_plateau_of_unit_prototype(self):
-        one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-        eps = 0.1
-        h = mollify(one, eps, 0.5, 0.5)
-        plateau = np.linspace(-0.5 + 2 * eps, 0.5 - 2 * eps, 9)
-        np.testing.assert_allclose(h(plateau), 1.0, atol=1e-10)
-
-    def test_support_containment(self):
-        one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-        h = mollify(one, 0.1, 0.5, 0.5)
-        assert h(0.55) == 0.0 and h(-0.55) == 0.0
-        assert h(0.5) == 0.0 and h(-0.5) == 0.0
-
-    def test_l2_convergence_to_prototype(self):
-        # edge clipping makes the L2 gap shrink like sqrt(eps): monotone down
-        proto = lambda s: np.cos(np.asarray(s, dtype=float))
-        errs = []
-        for eps in (0.1, 0.05, 0.025):
-            h = mollify(proto, eps, 0.5, 0.5)
-            err = adaptive_simpson(
-                lambda s: (h(np.asarray(s)) - proto(s)) ** 2, -0.5, 0.5, tol=1e-10)
-            errs.append(math.sqrt(max(err, 0.0)))
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[2] < 0.6 * errs[0]
-
-    def test_endpoint_flatness(self):
-        one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-        h = mollify(one, 0.1, 0.5, 0.5)
-        for k in range(0, 5):
-            inner = np.linspace(-0.45, 0.45, 31)
-            scale = np.max(np.abs(h.derivative(k, inner)))
-            assert abs(h.derivative(k, -0.5 + 1e-9)) < 1e-6 * scale
-            assert abs(h.derivative(k, 0.5 - 1e-9)) < 1e-6 * scale
-
-    def test_epsilon_guard(self):
-        one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-        with pytest.raises(ValueError):
-            mollify(one, 0.6, 0.5, 0.5)
-
-
 class TestQTransform:
     def test_mass_at_zero(self, canonical_kernel):
         val = q_transform(canonical_kernel, 0.0)
@@ -217,15 +156,9 @@ class TestSupportOrientation:
 
 class TestSerialization:
     def test_bump_roundtrip(self, canonical_kernel):
-        text = canonical_kernel.to_json()
-        back = TargetKernel.from_json(text)
-        assert back.shape == "bump"
+        # a config carries the kernel as its top-level T and theta
+        cfg = ExperimentConfig.from_dict({"T": canonical_kernel.T, "theta": canonical_kernel.theta})
+        back = ExperimentConfig.from_json(cfg.to_json()).build_kernel()
         assert back.T == canonical_kernel.T and back.theta == canonical_kernel.theta
-
-    def test_mollified_roundtrip(self):
-        one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-        h = mollify(one, 0.1, 0.5, 0.5)
-        back = TargetKernel.from_json(h.to_json())
-        assert back.shape == "mollified" and back.epsilon == 0.1
-        ts = np.linspace(-0.4, 0.4, 9)
-        np.testing.assert_allclose(back(ts), h(ts), rtol=1e-12)
+        ts = np.linspace(-0.4, 0.05, 9)
+        np.testing.assert_array_equal(back(ts), canonical_kernel(ts))

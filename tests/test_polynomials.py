@@ -9,8 +9,6 @@ from horizon import (
     alpha_closed_form,
     alpha_grid_bound,
     alpha_of,
-    approx_report,
-    projection_alpha,
     projection_psi,
     taylor_alpha_bound,
     taylor_psi,
@@ -165,7 +163,7 @@ class TestAlpha:
 
 class TestAlphaDecay:
     def test_projection_monotone(self):
-        alphas = [projection_alpha(T, R, d) for d in range(0, 17)]
+        alphas = [alpha_closed_form(projection_psi(T, R, d), T, R) for d in range(0, 17)]
         for a1, a2 in zip(alphas, alphas[1:]):
             assert a2 <= a1 * (1.0 + 1e-12)
 
@@ -182,41 +180,24 @@ class TestAlphaDecay:
             assert alphas[d + 2] / alphas[d] < 1.0
 
 
+def _psi(method, T_, r_, d):
+    return taylor_psi(T_, d) if method == "taylor" else projection_psi(T_, r_, d)
+
+
 class TestAlphaExact:
     @pytest.mark.parametrize("method", ["taylor", "projection"])
     @pytest.mark.parametrize("r_", [1.0, 2.0, 4.0])
     def test_correctly_rounded_where_40_digits_cancel(self, method, r_):
         # at T = 0.05, r = 4 the taylor alpha is below 1e-39 from d = 11 on, past 40-digit resolution
         for d in range(17):
-            psi, rep = approx_report(method, 0.05, r_, d)
-            assert rep.alpha == alpha_closed_form_mp(psi, 0.05, r_, dps=120)
+            psi = _psi(method, 0.05, r_, d)
+            assert alpha_closed_form(psi, 0.05, r_) == alpha_closed_form_mp(psi, 0.05, r_, dps=120)
 
     @pytest.mark.parametrize("method", ["taylor", "projection"])
     def test_same_bits_as_40_digits_where_they_suffice(self, method):
         for d in range(17):
-            psi, rep = approx_report(method, T, R, d)
-            assert rep.alpha == alpha_closed_form_mp(psi, T, R, dps=40)
-
-
-class TestApproxReport:
-    def test_taylor_report(self):
-        psi, rep = approx_report("taylor", T, R, 6)
-        assert rep.method == "taylor" and rep.d == 6
-        assert rep.alpha == pytest.approx(alpha_closed_form(psi, T, R))
-
-    def test_projection_report(self):
-        _, rep = approx_report("projection", T, R, 4)
-        assert rep.alpha >= 0
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            approx_report("chebyshev", T, R, 4)
-
-    def test_negative_alpha_rejected(self):
-        from horizon.polynomials import ApproxReport
-
-        with pytest.raises(ValueError):
-            ApproxReport(d=1, alpha=-1.0, method="taylor", r=R, T=T)
+            psi = _psi(method, T, R, d)
+            assert alpha_closed_form(psi, T, R) == alpha_closed_form_mp(psi, T, R, dps=40)
 
 
 def test_weight_mass_consistency():

@@ -11,18 +11,17 @@ from horizon import (
     TimeGrid,
     beta_energy,
     build_predictor,
+    error_bound_parts,
     bump_kernel,
-    empirical_noise_error,
-    error_bound,
     h_spectrum,
     noise_bound,
+    noise_norm,
     poisson_signal,
-    predict,
     predict_values,
     q_spectrum,
     run_prediction,
     superposition,
-    target,
+    target_values,
     taylor_psi,
     chirp_noise,
     gaussian_signal,
@@ -45,6 +44,11 @@ from oracles import (
 T, TH, R, A = 0.5, 0.1, 2.0, 1.5
 
 
+def _noise_error(pk, h, eta, ts):
+    """sup_t |(hhat_d * eta)(t) - (h * eta)(t)|: the extra error a noise term induces."""
+    return float(np.max(np.abs(predict_values(pk, eta, ts) - target_values(h, eta, ts))))
+
+
 @pytest.fixture(scope="module")
 def pk_small(canonical_kernel):
     return build_predictor(canonical_kernel, taylor_psi(T, 4))
@@ -60,7 +64,7 @@ class TestAssembly:
         pk = build_predictor(canonical_kernel, Polynomial((1.0,)))
         ts = np.linspace(0.0, pk.tau, 19)
         np.testing.assert_allclose(
-            pk.eval_real(ts), canonical_kernel(ts - T), rtol=1e-13, atol=1e-300)
+            pk(ts).real, canonical_kernel(ts - T), rtol=1e-13, atol=1e-300)
 
     def test_support(self, pk_small):
         assert pk_small(-0.01) == 0.0
@@ -74,7 +78,7 @@ class TestAssembly:
     def test_transfer_identity_small_d(self, pk_small):
         omegas = np.array([0.0, 1.0, 3.0])
         lhs = pk_small.spectrum(omegas)
-        rhs = pk_small.closed_spectrum(omegas)
+        rhs = pk_small.psi.at_iw(omegas) * q_spectrum(pk_small.h, omegas)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-8)
 
     def test_transfer_identity_equals_shifted_H(self, pk_small, canonical_kernel):
@@ -82,7 +86,8 @@ class TestAssembly:
         omegas = np.array([0.5, 2.0, 7.0])
         H = h_spectrum(canonical_kernel, omegas)
         rhs = np.exp(-1j * omegas * T) * pk_small.psi.at_iw(omegas) * H
-        np.testing.assert_allclose(pk_small.closed_spectrum(omegas), rhs, rtol=1e-9)
+        closed = pk_small.psi.at_iw(omegas) * q_spectrum(canonical_kernel, omegas)
+        np.testing.assert_allclose(closed, rhs, rtol=1e-9)
 
     def test_l1_mass_triggers_extended(self, pk_small, pk_big):
         assert not pk_small.needs_extended()
@@ -91,14 +96,14 @@ class TestAssembly:
 
 class TestTarget:
     def test_zero_signal(self, canonical_kernel):
-        assert target(canonical_kernel, zero_signal(), 0.3) == 0.0
+        assert target_values(canonical_kernel, zero_signal(), [0.3])[0] == 0.0
 
     def test_against_adaptive_quadrature(self, canonical_kernel, canonical_signal):
         h, x = canonical_kernel, canonical_signal
         t0 = 0.0
         ref = adaptive_simpson(
             lambda u: h(np.asarray(u)) * x.time(np.asarray(t0 - u)), -T, TH, tol=1e-13)
-        assert target(h, x, t0) == pytest.approx(ref, rel=1e-9)
+        assert target_values(h, x, [t0])[0] == pytest.approx(ref, rel=1e-9)
 
     def test_spectral_factorization(self, canonical_kernel, canonical_signal):
         # y(0) = (1/2pi) int H(i w) X(i w) dw
@@ -107,26 +112,26 @@ class TestTarget:
         H = h_spectrum(h, grid.nodes)
         X = x.spectrum(grid.nodes)
         via_freq = float(np.real((H * X) @ grid.weights)) / (2.0 * math.pi)
-        assert target(h, x, 0.0) == pytest.approx(via_freq, rel=1e-6)
+        assert target_values(h, x, [0.0])[0] == pytest.approx(via_freq, rel=1e-6)
 
 
 class TestPredict:
     def test_zero_signal(self, pk_small):
-        assert predict(pk_small, zero_signal(), 0.2) == 0.0
+        assert predict_values(pk_small, zero_signal(), [0.2])[0] == 0.0
 
     def test_degree_zero_predicts_delayed_target(self, canonical_kernel, canonical_signal):
         pk = build_predictor(canonical_kernel, Polynomial((1.0,)))
         for t0 in (-0.5, 0.0, 1.2):
-            lhs = predict(pk, canonical_signal, t0)
-            rhs = target(canonical_kernel, canonical_signal, t0 - T)
+            lhs = predict_values(pk, canonical_signal, [t0])[0]
+            rhs = target_values(canonical_kernel, canonical_signal, [t0 - T])[0]
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_linearity(self, pk_small):
         x1, x2 = poisson_signal(1.5), gaussian_signal(0.7)
         combo = superposition([x1, x2], [0.7, -1.3])
         t0 = 0.4
-        lhs = predict(pk_small, combo, t0)
-        rhs = 0.7 * predict(pk_small, x1, t0) - 1.3 * predict(pk_small, x2, t0)
+        lhs = predict_values(pk_small, combo, [t0])[0]
+        rhs = 0.7 * predict_values(pk_small, x1, [t0])[0] - 1.3 * predict_values(pk_small, x2, [t0])[0]
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_never_reads_future_samples(self, pk_small, canonical_signal):
@@ -139,7 +144,7 @@ class TestPredict:
 
         x = Signal(kind="spy", params={}, time=spy)
         for t0 in (-1.0, 0.0, 0.7):
-            predict(pk_small, x, t0)
+            predict_values(pk_small, x, [t0])
             assert max(accessed) < t0
             accessed.clear()
 
@@ -153,7 +158,7 @@ class TestPredict:
 
         x = Signal(kind="spy", params={}, time=spy)
         t0 = 0.25
-        predict(pk_small, x, t0)
+        predict_values(pk_small, x, [t0])
         assert min(lows) > t0 - pk_small.tau
 
     def test_complex_coefficients_take_real_part_at_output(self, canonical_kernel,
@@ -161,13 +166,14 @@ class TestPredict:
         pk = build_predictor(canonical_kernel, Polynomial((1.0, 0.1j)))
         assert not pk.real_coeffs
         t0 = 0.3
-        val = predict(pk, canonical_signal, t0)
+        val = predict_values(pk, canonical_signal, [t0])[0]
         nodes, weights, values, _ = pk._double_table()
         manual = float(np.real(np.sum(weights * values * canonical_signal.time(t0 - nodes))))
         assert val == pytest.approx(manual, rel=1e-12)
         # the complex branch of the assembled-kernel transform stays consistent
         omegas = np.array([0.5, 2.0])
-        np.testing.assert_allclose(pk.spectrum(omegas), pk.closed_spectrum(omegas), rtol=1e-8)
+        closed = pk.psi.at_iw(omegas) * q_spectrum(canonical_kernel, omegas)
+        np.testing.assert_allclose(pk.spectrum(omegas), closed, rtol=1e-8)
 
     def test_double_and_extended_paths_agree_at_low_degree(self, pk_small, canonical_signal):
         # derivative transfer against the sample path, forced at d = 4
@@ -346,15 +352,15 @@ class TestErrorBound:
     def test_positive_and_taylor_decay(self, canonical_kernel, canonical_signal):
         pk6 = build_predictor(canonical_kernel, taylor_psi(T, 6))
         pk8 = build_predictor(canonical_kernel, taylor_psi(T, 8))
-        b6 = error_bound(pk6, canonical_signal, R)
-        b8 = error_bound(pk8, canonical_signal, R)
+        b6 = error_bound_parts(pk6, canonical_signal, R)[2]
+        b8 = error_bound_parts(pk8, canonical_signal, R)[2]
         assert 0 < b8 <= b6 / 2.0
 
     def test_signal_outside_class_rejected(self, canonical_kernel):
         thin = poisson_signal(0.9)  # 2a < r
         pk = build_predictor(canonical_kernel, taylor_psi(T, 4))
         with pytest.raises(ValueError, match="outside"):
-            error_bound(pk, thin, R)
+            error_bound_parts(pk, thin, R)
 
     def test_bound_validity_on_grid(self, pk_small, canonical_signal, canonical_tgrid):
         res = run_prediction(pk_small, canonical_signal, canonical_tgrid, R)
@@ -374,10 +380,10 @@ class TestConvergenceInDegree:
 
 
 class TestNoise:
-    def test_zero_noise(self, pk_small, canonical_kernel, canonical_signal, canonical_tgrid):
-        rep = empirical_noise_error(pk_small, canonical_kernel, canonical_signal,
-                                    zero_signal(), canonical_tgrid)
-        assert rep.noise_error == 0.0 and rep.nu == 0.0
+    def test_zero_noise(self, pk_small, canonical_kernel, canonical_tgrid):
+        eta = zero_signal()
+        assert _noise_error(pk_small, canonical_kernel, eta, canonical_tgrid.nodes) == 0.0
+        assert noise_norm(eta, 2, SpectralGrid.for_rate(2.0, 4096)) == 0.0
 
     def test_noise_bound_linearity(self, pk_small, canonical_kernel, grid_r2):
         b1 = noise_bound(pk_small, canonical_kernel, 0.1, 2, grid_r2)
@@ -411,20 +417,16 @@ class TestNoise:
             b10 = noise_bound(pk10, canonical_kernel, 0.1, p)
             assert b10 > b4
 
-    def test_empirical_below_bound(self, pk_small, canonical_kernel, canonical_signal,
-                                   canonical_tgrid, grid_r2):
+    def test_empirical_below_bound(self, pk_small, canonical_kernel, canonical_tgrid, grid_r2):
         eta = chirp_noise((6.0, 12.0), 0.05)
-        rep = empirical_noise_error(pk_small, canonical_kernel, canonical_signal, eta,
-                                    canonical_tgrid, p=2, grid=grid_r2)
-        assert rep.noise_error <= rep.nu * rep.bound_slope + 1e-10
+        noise_error = _noise_error(pk_small, canonical_kernel, eta, canonical_tgrid.nodes)
+        slope = noise_bound(pk_small, canonical_kernel, 1.0, 2)  # norms on the transfer band
+        assert noise_error <= noise_norm(eta, 2, grid_r2) * slope + 1e-10
 
-    def test_doubling_noise_doubles_error(self, pk_small, canonical_kernel, canonical_signal,
-                                          canonical_tgrid, grid_r2):
-        e1 = empirical_noise_error(pk_small, canonical_kernel, canonical_signal,
-                                   chirp_noise((6.0, 12.0), 0.05), canonical_tgrid, grid=grid_r2)
-        e2 = empirical_noise_error(pk_small, canonical_kernel, canonical_signal,
-                                   chirp_noise((6.0, 12.0), 0.10), canonical_tgrid, grid=grid_r2)
-        assert e2.noise_error == pytest.approx(2.0 * e1.noise_error, rel=1e-12)
+    def test_doubling_noise_doubles_error(self, pk_small, canonical_kernel, canonical_tgrid):
+        e1, e2 = (_noise_error(pk_small, canonical_kernel, chirp_noise((6.0, 12.0), amp),
+                               canonical_tgrid.nodes) for amp in (0.05, 0.10))
+        assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
 
 
 class TestTransferNorms:
@@ -625,4 +627,4 @@ class TestFrequencyIdentityOfTarget:
         HX = h_spectrum(h, grid.nodes) * x.spectrum(grid.nodes)
         for t0 in (-0.5, 0.0, 0.8):
             inv = float(np.real((HX * np.exp(1j * grid.nodes * t0)) @ grid.weights)) / (2 * math.pi)
-            assert target(h, x, t0) == pytest.approx(inv, abs=1e-6)
+            assert target_values(h, x, [t0])[0] == pytest.approx(inv, abs=1e-6)

@@ -6,13 +6,11 @@ import pytest
 from horizon import (
     Signal,
     SpectralGrid,
-    add_noise,
     chirp_noise,
     class_norm,
     cosine_modulated_poisson,
     fourier_transform_at,
     gaussian_signal,
-    noise_norm,
     poisson_signal,
     superposition,
     zero_signal,
@@ -275,41 +273,6 @@ class TestSuperposition:
         assert combo.spectral_decay == 1.0
 
 
-class TestAddNoise:
-    def test_zero_intensity_returns_base(self):
-        x0 = poisson_signal(1.5)
-        assert add_noise(x0, chirp_noise((6, 12), 1.0), 0.0, 2) is x0
-
-    def test_l2_normalization_self_check(self):
-        grid = SpectralGrid.for_rate(2.0, 2048)
-        x0 = poisson_signal(1.5)
-        eta = chirp_noise((6.0, 12.0), 1.0)
-        noisy = add_noise(x0, eta, 0.25, 2, grid)
-        parts = noisy.params["parts"]
-        assert parts[1]["kind"] == "chirp_noise"
-        scaled = superposition([eta], [noisy.params["weights"][1]])
-        assert noise_norm(scaled, 2, grid) == pytest.approx(0.25, rel=1e-8)
-
-    def test_l1_normalization_self_check(self):
-        grid = SpectralGrid.for_rate(2.0, 2048)
-        eta = chirp_noise((6.0, 12.0), 1.0)
-        noisy = add_noise(poisson_signal(1.5), eta, 0.1, 1, grid)
-        scaled = superposition([eta], [noisy.params["weights"][1]])
-        assert noise_norm(scaled, 1, grid) == pytest.approx(0.1, rel=1e-8)
-
-    def test_scaling_homogeneity(self):
-        grid = SpectralGrid.for_rate(2.0, 2048)
-        x0 = poisson_signal(1.5)
-        eta = chirp_noise((6.0, 12.0), 1.0)
-        n1 = add_noise(x0, eta, 0.1, 2, grid)
-        n2 = add_noise(x0, eta, 0.2, 2, grid)
-        assert n2.params["weights"][1] == pytest.approx(2.0 * n1.params["weights"][1], rel=1e-14)
-
-    def test_zero_spectrum_rejected(self):
-        with pytest.raises(ValueError):
-            add_noise(poisson_signal(1.0), zero_signal(), 0.1, 2)
-
-
 class TestSerialization:
     @pytest.mark.parametrize("make", [
         lambda: poisson_signal(1.5),
@@ -319,7 +282,7 @@ class TestSerialization:
     ])
     def test_roundtrip(self, make):
         x = make()
-        back = Signal.from_json(x.to_json())
+        back = Signal.from_spec({"kind": x.kind, "params": x.params})
         assert back.kind == x.kind and back.params == x.params
         ts = np.linspace(-1, 1, 7)
         np.testing.assert_allclose(back(ts), x(ts), rtol=1e-14)

@@ -4,42 +4,44 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from horizon import SpectralGrid, WeightedNorm, exponential_moment, monomial_moment, weighted_norm_sq
+from horizon import (SpectralGrid, class_norm, cosine_modulated_poisson, exponential_moment, monomial_moment,
+                     zero_signal)
+from horizon.weighted_space import _tail_is_divergent
 from oracles import exponential_moment_mp, monomial_moment_mp, mp_context
+
+
+#: spectrum e^{-|w|}, taken by grid quadrature (only the kind "poisson" has a closed-form norm)
+_EXP_SPECTRUM = cosine_modulated_poisson(1.0, 0.0)
 
 
 class TestWeightedNormSq:
     def test_decaying_exponential_closed_form(self):
         # integral e^{-2|w|} e^{-2|w|} dw = 2/4
         grid = SpectralGrid.for_rate(2.0, 2048)
-        norm = WeightedNorm(r=2.0, sign=-1)
-        val = weighted_norm_sq(lambda om: np.exp(-np.abs(om)), norm, grid)
+        val = class_norm(_EXP_SPECTRUM, 2.0, sign=-1, grid=grid).norm_sq
         assert val == pytest.approx(0.5, rel=1e-10)
 
     def test_zero_function(self):
         grid = SpectralGrid.for_rate(1.0, 512)
-        norm = WeightedNorm(r=1.0, sign=-1)
-        val = weighted_norm_sq(lambda om: np.zeros_like(om), norm, grid)
-        assert val == 0.0
+        assert class_norm(zero_signal(), 1.0, sign=-1, grid=grid).norm_sq == 0.0
 
     def test_growing_weight_with_fast_decay(self):
         # integral e^{+|w|} e^{-2|w|} dw = 2
         grid = SpectralGrid.for_rate(1.0, 2048)
-        norm = WeightedNorm(r=1.0, sign=+1)
-        val = weighted_norm_sq(lambda om: np.exp(-np.abs(om)), norm, grid)
+        val = class_norm(_EXP_SPECTRUM, 1.0, sign=+1, grid=grid).norm_sq
         assert val == pytest.approx(2.0, rel=1e-10)
 
-    def test_weight_decay_mismatch_raises(self):
+    def test_weight_decay_mismatch_is_divergent(self):
+        # e^{+3|w|} e^{-2|w|} grows toward the grid edge
         grid = SpectralGrid.for_rate(1.0, 2048)
-        norm = WeightedNorm(r=3.0, sign=+1)
-        with pytest.raises(ValueError, match="weight/decay mismatch"):
-            weighted_norm_sq(lambda om: np.exp(-np.abs(om)), norm, grid)
+        integrand = np.exp(3.0 * np.abs(grid.nodes)) * np.exp(-np.abs(grid.nodes)) ** 2
+        assert _tail_is_divergent(integrand, grid.nodes)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WeightedNorm(r=-1.0)
+            class_norm(_EXP_SPECTRUM, -1.0)
         with pytest.raises(ValueError):
-            WeightedNorm(r=1.0, sign=2)
+            class_norm(_EXP_SPECTRUM, 1.0, sign=2)
 
 
 class TestMonomialMoment:
