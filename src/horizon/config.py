@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 from .kernels import D_MAX, bump_kernel
 from .signals import Signal
-from .spectral_core import SpectralGrid, TimeGrid, default_omega_max
+from .spectral_core import TimeGrid
 
 
 class ConfigError(ValueError):
@@ -44,7 +44,6 @@ _DEFAULTS = {
     "signal": {"kind": "poisson", "params": {"a": 1.5}},
     "noise": {"kind": "chirp_noise", "params": {"band": [6.0, 12.0], "amplitude": 1.0}},
     "tgrid": {"t_min": -2.0, "t_max": 2.0, "n_points": 41},
-    "grid": {"omega_max": None, "n_points": 2048},
     "nu_range": [0.0, 0.01, 0.1],
     "p": 2,
     "eps_target": 1e-4,
@@ -64,7 +63,6 @@ class ExperimentConfig:
     signal: dict = field(default_factory=lambda: dict(_DEFAULTS["signal"]))
     noise: dict = field(default_factory=lambda: dict(_DEFAULTS["noise"]))
     tgrid: dict = field(default_factory=lambda: dict(_DEFAULTS["tgrid"]))
-    grid: dict = field(default_factory=lambda: dict(_DEFAULTS["grid"]))
     nu_range: tuple = (0.0, 0.01, 0.1)
     p: int = 2
     eps_target: float = 1e-4
@@ -73,7 +71,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for key in ("T", "theta", "r", "eps_target"):
             _require_number(key, getattr(self, key))
-        for key in ("kernel", "signal", "noise", "tgrid", "grid"):
+        for key in ("kernel", "signal", "noise", "tgrid"):
             if not isinstance(getattr(self, key), dict):
                 raise ConfigError(f"{key}: expected an object, got {getattr(self, key)!r}")
         for key, value in self.kernel.items():
@@ -105,11 +103,6 @@ class ExperimentConfig:
             raise ConfigError("d_step: must be a positive integer")
         if "n_points" in self.tgrid:
             _require_int("tgrid.n_points", self.tgrid["n_points"])
-        if "n_points" in self.grid:
-            _require_int("grid.n_points", self.grid["n_points"])
-        omega_max = self.grid.get("omega_max")
-        if omega_max is not None and _require_number("grid.omega_max", omega_max) <= 0:
-            raise ConfigError(f"grid.omega_max: expected a positive number or null, got {omega_max!r}")
         if not isinstance(self.nu_range, (list, tuple)):
             raise ConfigError(f"nu_range: expected a list of numbers, got {self.nu_range!r}")
         if len(self.nu_range) == 0:
@@ -189,12 +182,3 @@ class ExperimentConfig:
             return TimeGrid(self.tgrid["t_min"], self.tgrid["t_max"], self.tgrid["n_points"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"tgrid: {exc}") from exc
-
-    def build_grid(self):
-        spec = dict(self.grid)
-        omega_max = spec.get("omega_max") or default_omega_max(self.r)
-        n_points = spec.get("n_points", 2048)
-        try:
-            return SpectralGrid.build(omega_max, n_points)
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc

@@ -315,20 +315,13 @@ def _beta_grid(x, h, r, n_points=4096):
 def _q_on_grid(h, grid):
     """Q(i omega) on the grid's nodes, computed once per kernel and grid (it does not depend on d).
 
-    q is real, so Q(-i omega) = conj Q(i omega): on a grid mirrored about
-    0, as ``SpectralGrid.build`` makes them, only the upper half is
-    transformed.
+    q is real, so Q(-i omega) = conj Q(i omega): every grid is mirrored
+    about 0 (``SpectralGrid.build``), so only the upper half is transformed.
     """
     key = ("grid", grid.nodes.tobytes())
     if key not in h._spectra:
-        nodes = grid.nodes
-        half = nodes.size // 2
-        pos = nodes[half:]
-        if np.array_equal(nodes[:half], -pos[::-1]):
-            q_pos = q_spectrum(h, pos)
-            h._spectra[key] = np.concatenate([np.conj(q_pos[::-1]), q_pos])
-        else:
-            h._spectra[key] = q_spectrum(h, nodes)
+        q_pos = q_spectrum(h, grid.nodes[grid.nodes.size // 2:])
+        h._spectra[key] = np.concatenate([np.conj(q_pos[::-1]), q_pos])
     return h._spectra[key]
 
 
@@ -359,10 +352,10 @@ def beta_energy(h, x, r, grid=None):
     return beta
 
 
-def error_bound_parts(pk, x, r, grid=None):
+def error_bound_parts(pk, x, r):
     """(alpha, beta, bound) with bound = sqrt(alpha beta) / (2 pi)."""
     alpha = alpha_closed_form(pk.psi, pk.h.T, r)
-    beta = beta_energy(pk.h, x, r, grid)
+    beta = beta_energy(pk.h, x, r)
     return alpha, beta, math.sqrt(alpha * beta) / (2.0 * math.pi)
 
 
@@ -450,27 +443,15 @@ def _l2_time_norm_sq(pk):
     return float(weights @ (np.abs(values) ** 2))
 
 
-def transfer_norms(pk, h, p, grid=None):
+def transfer_norms(pk, h, p):
     """(||Hhat_d||_{L_q}, ||H||_{L_q}) with q dual to p.
 
     |H(i omega)| = |Q(i omega)| since the e^{i omega T} factor is
-    unimodular.  With an explicit grid the norms are grid quadratures /
-    grid sups of Q from the per-kernel cache ``_q_on_grid``, which beta
-    reads too.  Without one, the honest transfer-band values are used:
-    the L2 norms via time-domain Parseval (exact, no truncation) and the
-    sup norms of ``_transfer_sup`` over the band of short FFTs, in the
-    stored band plus about one chunk of memory; both are cached per
-    predictor.
+    unimodular.  The L2 norms come from time-domain Parseval (exact, no
+    truncation) and the sup norms from ``_transfer_sup`` over the band of
+    short FFTs, in the stored band plus about one chunk of memory; both
+    are cached per predictor.
     """
-    if grid is not None:
-        q_vals = np.abs(_q_on_grid(h, grid))
-        hhat_vals = np.abs(pk.psi.at_iw(grid.nodes)) * q_vals
-        if p == 1:  # q = infinity: sup over the grid
-            return float(np.max(hhat_vals)), float(np.max(q_vals))
-        if p == 2:
-            return (math.sqrt(float((hhat_vals**2) @ grid.weights)),
-                    math.sqrt(float((q_vals**2) @ grid.weights)))
-        raise ValueError("p must be 1 or 2")
     if p == 1:
         if pk._sup_cache is None:
             pk._sup_cache = _transfer_sup(pk, h)
@@ -486,11 +467,11 @@ def transfer_norms(pk, h, p, grid=None):
     raise ValueError("p must be 1 or 2")
 
 
-def noise_bound(pk, h, nu, p, grid=None):
+def noise_bound(pk, h, nu, p):
     """(nu / 2 pi) (||Hhat_d||_{L_q} + ||H||_{L_q}), q dual to p."""
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    n_hhat, n_h = transfer_norms(pk, h, p, grid)
+    n_hhat, n_h = transfer_norms(pk, h, p)
     return nu / (2.0 * math.pi) * (n_hhat + n_h)
 
 

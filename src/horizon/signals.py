@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .spectral_core import SpectralGrid, _exp_weighted_square, _time_rule, default_omega_max
+from .weighted_space import _tail_is_divergent
 
 
 @dataclass(frozen=True)
@@ -294,12 +295,14 @@ def superposition(signals, weights=None):
     )
 
 
-def class_norm(x, r, sign=-1, grid=None):
+def class_norm(x, r, sign=-1):
     """Weighted spectral norm of a signal and class membership.
 
     sign=-1 is the defining weight of the class; sign=+1 probes the
     spectral-energy weight of the error bound, where membership requires
-    the spectrum to decay strictly faster than e^{-r|omega|/2}.
+    the spectrum to decay strictly faster than e^{-r|omega|/2}.  The
+    Poisson kinds are taken in closed form (``_poisson_norm_sq``), every
+    other kind by quadrature on a grid sized from its decay.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -312,22 +315,40 @@ def class_norm(x, r, sign=-1, grid=None):
     if sign > 0 and math.isfinite(rho) and 2.0 * rho <= r:
         return ClassReport(r=r, norm=math.inf, member=False, unit_ball=False)
 
-    if x.kind == "poisson":
-        a = x.params["a"]
-        norm_sq = 2.0 / (r + 2.0 * a) if sign < 0 else 2.0 / (2.0 * a - r)
+    if x.kind in ("poisson", "cosine_modulated_poisson"):
+        try:
+            norm_sq = _poisson_norm_sq(x.params["a"], abs(x.params.get("omega0", 0.0)), sign * r)
+        except OverflowError:  # e^{r omega0}: finite, since 2a > r, but past the double range
+            norm_sq = math.inf
     else:
-        if grid is None:
-            grid = _adequate_grid(x, r, sign, rho)
+        grid = _adequate_grid(x, r, sign, rho)
         integrand = _exp_weighted_square(sign * r * np.abs(grid.nodes), np.abs(x.spectrum(grid.nodes)))
-        if not np.all(np.isfinite(integrand)):
-            return ClassReport(r=r, norm=math.inf, member=False, unit_ball=False)
-        from .weighted_space import _tail_is_divergent
-
-        if sign > 0 and _tail_is_divergent(integrand, grid.nodes):
+        if not np.all(np.isfinite(integrand)) or (
+                sign > 0 and _tail_is_divergent(integrand, grid.nodes)):
             return ClassReport(r=r, norm=math.inf, member=False, unit_ball=False)
         norm_sq = float(integrand @ grid.weights)
     norm = math.sqrt(norm_sq)
     return ClassReport(r=r, norm=norm, member=True, unit_ball=norm <= 1.0)
+
+
+def _exp_integral(c0, b, w):
+    """int_0^w e^{c0 + b omega} domega: the integrand's value at its larger end times
+    int_0^w e^{-|b| u} du, so no factor overflows where the result is finite."""
+    return math.exp(c0 + max(b, 0.0) * w) * (math.expm1(-abs(b) * w) / -abs(b) if b else w)
+
+
+def _poisson_norm_sq(a, omega0, s):
+    """int e^{s|omega|} X^2 domega for X = (e^{-a|omega - omega0|} + e^{-a|omega + omega0|}) / 2, 2a > s.
+
+    Twice the half-line, where X^2 = (E1^2 + E2^2 + 2 E1 E2) / 4 with
+    E1 = e^{-a|omega - omega0|} and E2 = e^{-a (omega + omega0)}; each piece
+    is an exponential on [0, omega0] and on [omega0, inf).  omega0 = 0 is
+    the Poisson spectrum, 2 / (2a - s).
+    """
+    c, low = 2.0 * a - s, -2.0 * a * omega0
+    j1 = (math.exp(low) + math.exp(s * omega0)) / c + _exp_integral(low, s + 2.0 * a, omega0)
+    j2 = 2.0 * (_exp_integral(low, s, omega0) + math.exp(low + s * omega0) / c)
+    return 0.5 * (j1 + j2)
 
 
 def _adequate_grid(x, r, sign, rho):
@@ -347,13 +368,24 @@ def _adequate_grid(x, r, sign, rho):
     return grid
 
 
-def noise_norm(eta, p, grid):
-    """||N(i .)||_{L_p} of a noise signal, computed on the given grid."""
-    if eta.spectrum is None:
-        raise ValueError("noise signal carries no exact spectrum")
-    mag = np.abs(eta.spectrum(grid.nodes))
-    if p == 1:
-        return float(mag @ grid.weights)
-    if p == 2:
-        return math.sqrt(float((mag * mag) @ grid.weights))
-    raise ValueError("p must be 1 or 2")
+def noise_norm(eta, p):
+    """||N(i .)||_{L_p} of a noise signal, in closed form for every kind a config can name.
+
+    A kind with no closed form here (``superposition``) raises ValueError.
+    """
+    if p not in (1, 2):
+        raise ValueError("p must be 1 or 2")
+    prm = eta.params
+    if eta.kind == "zero":
+        return 0.0
+    if eta.kind == "chirp_noise":
+        amp, width = abs(prm["amplitude"]), prm["band"][1] - prm["band"][0]
+        return 2.0 * amp * width if p == 1 else amp * math.sqrt(2.0 * width)
+    if eta.kind == "gaussian":  # int e^{-p sigma^2 omega^2 / 2} domega = sqrt(2 pi / p) / sigma
+        norm_p = math.sqrt(2.0 * math.pi / p) / prm["sigma"]
+    elif eta.kind in ("poisson", "cosine_modulated_poisson"):  # L2 squared: weight exponent s = 0
+        a, omega0 = prm["a"], abs(prm.get("omega0", 0.0))
+        norm_p = 2.0 / a if p == 1 else _poisson_norm_sq(a, omega0, 0.0)
+    else:
+        raise ValueError(f"no closed-form noise norm for signal kind {eta.kind!r}")
+    return norm_p if p == 1 else math.sqrt(norm_p)

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from horizon import SpectralGrid, TimeGrid, bump_kernel, poisson_signal
+from horizon import TimeGrid, bump_kernel, poisson_signal
 
 # canonical desk-scale configuration shared across the suite
 CANON = dict(T=0.5, theta=0.1, r=2.0, a=1.5)
@@ -24,11 +24,6 @@ def canonical_signal():
 @pytest.fixture(scope="session")
 def canonical_tgrid():
     return TimeGrid(-2.0, 2.0, 41)
-
-
-@pytest.fixture(scope="session")
-def grid_r2():
-    return SpectralGrid.for_rate(CANON["r"], n_points=2048)
 
 
 @pytest.fixture(scope="session")

@@ -137,7 +137,7 @@ def test_criterion_5_convergence(predictions):
           f"from d=2 ({sups[2]:.2e}) to d=10 ({sups[10]:.2e})")
 
 
-def test_criterion_6_noise_robustness(kernel, predictors, signal, tgrid, grid):
+def test_criterion_6_noise_robustness(kernel, predictors, signal, tgrid):
     eta_unit = chirp_noise((6.0, 12.0), 1.0)
     y = target_values(kernel, signal, tgrid.nodes)
     slopes = {}
@@ -147,7 +147,7 @@ def test_criterion_6_noise_robustness(kernel, predictors, signal, tgrid, grid):
         conv_eta = predict_values(pk, eta_unit, tgrid.nodes)
         eps_bound = error_bound_parts(pk, signal, R)[2]
         for p in (1, 2):
-            unit = noise_norm(eta_unit, p, grid)
+            unit = noise_norm(eta_unit, p)
             slope = noise_bound(pk, kernel, 1.0, p)
             slopes[(d, p)] = slope
             for nu in (0.0, 0.01, 0.1):

@@ -66,11 +66,10 @@ class TestConfig:
         ("eps_target", {"eps_target": [1e-4]}, "a finite number"),
         ("nu_range", {"nu_range": 0.1}, "a list of numbers"),
         ("nu_range", {"nu_range": [0.0, "0.1"]}, "a finite number"),
-        ("grid.n_points", {"grid": {"omega_max": None, "n_points": 2.5}}, "an integer"),
-        ("grid.omega_max", {"grid": {"omega_max": "40", "n_points": 2048}}, "a finite number"),
-        ("grid.omega_max", {"grid": {"omega_max": -1.0, "n_points": 2048}},
-         "a positive number or null"),
-        ("grid", {"grid": 5}, "an object"),
+        ("kernel", {"kernel": 5}, "an object"),
+        ("noise", {"noise": [1]}, "an object"),
+        ("method", {"method": "spline"}, "taylor or projection"),
+        ("p", {"p": 3}, "1 or 2"),
         ("tgrid", {"tgrid": [1]}, "an object"),
         ("signal", {"signal": "poisson"}, "an object"),
         ("output_dir", {"output_dir": 5}, "a string"),
@@ -82,6 +81,16 @@ class TestConfig:
         result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
         assert result.exit_code == EXIT_CONFIG, result.output
         assert f"config error: {key}: expected {expected}" in result.output
+
+    @pytest.mark.parametrize("command", ["alpha-sweep", "convergence", "noise-sweep", "predict"])
+    def test_removed_grid_key_is_config_error(self, runner, tmp_path, command):
+        # the frequency grid fed only the noise norm, now in closed form
+        cfgp = write_config(tmp_path / "c.json", grid={"omega_max": None, "n_points": 2048},
+                            d_range=[0, 2], output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, [command, "--config", str(cfgp)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "config error: unknown config key(s): ['grid']" in result.output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["alpha-sweep", "convergence"])
     def test_mollified_kernel_is_config_error(self, runner, tmp_path, command):
@@ -273,6 +282,30 @@ class TestNoiseSweep:
         rows = [list(map(float, l.split(","))) for l in lines]
         (top,) = [r for r in rows if r[0] == 0.0 and r[1] == 16.0]
         assert top[2] <= top[3]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("r", [4.0, 6.5, 8.0])
+    def test_noise_normalized_past_the_old_grid_edge(self, runner, tmp_path, r, p):
+        # the chirp band [6, 12] lies beyond 36.8 / r, where a frequency grid
+        # sized by r used to end; the noise norm is exact at every r
+        cfgp = write_config(tmp_path / "c.json", r=r, p=p, d_range=[0, 4], d_step=2,
+                            signal={"kind": "poisson", "params": {"a": 0.875 * r}},
+                            output_dir=str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "out" / "noise_sweep.csv").read_text().splitlines()[1:]
+        rows = [list(map(float, l.split(","))) for l in lines]
+        assert len(rows) == 9
+        assert all(emp <= bnd for _, _, emp, bnd in rows)
+
+    def test_zero_noise_is_config_error(self, runner, tmp_path):
+        cfgp = write_config(tmp_path / "c.json", noise={"kind": "zero", "params": {}},
+                            d_range=[0, 2], output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "config error: noise: zero spectrum" in result.output
 
     def test_chirp_lines_once_per_sweep(self, runner, tmp_path, monkeypatch):
         # d = 6..12 all predict by derivative transfer; the chirp's lines are

@@ -318,11 +318,6 @@ class TestErrorBound:
         grid = SpectralGrid.for_rate(R, 4096)
         np.testing.assert_array_equal(predictor._q_on_grid(h, grid), q_spectrum(h, grid.nodes))
         assert sizes == [grid.n_points // 2]
-        # a grid that is not mirrored about 0 is transformed node by node
-        nodes = grid.nodes + 0.25
-        shifted = SpectralGrid(omega_max=grid.omega_max, nodes=nodes, weights=grid.weights)
-        np.testing.assert_array_equal(predictor._q_on_grid(h, shifted), q_spectrum(h, nodes))
-        assert sizes[1:] == [grid.n_points]
 
     def test_beta_where_the_weight_overflows(self, canonical_kernel):
         # on the a = 1.005 grid (omega_max 3684) e^{r omega} overflows
@@ -383,30 +378,12 @@ class TestNoise:
     def test_zero_noise(self, pk_small, canonical_kernel, canonical_tgrid):
         eta = zero_signal()
         assert _noise_error(pk_small, canonical_kernel, eta, canonical_tgrid.nodes) == 0.0
-        assert noise_norm(eta, 2, SpectralGrid.for_rate(2.0, 4096)) == 0.0
+        assert noise_norm(eta, 1) == noise_norm(eta, 2) == 0.0
 
-    def test_noise_bound_linearity(self, pk_small, canonical_kernel, grid_r2):
-        b1 = noise_bound(pk_small, canonical_kernel, 0.1, 2, grid_r2)
-        b2 = noise_bound(pk_small, canonical_kernel, 0.2, 2, grid_r2)
+    def test_noise_bound_linearity(self, pk_small, canonical_kernel):
+        b1 = noise_bound(pk_small, canonical_kernel, 0.1, 2)
+        b2 = noise_bound(pk_small, canonical_kernel, 0.2, 2)
         assert b2 == pytest.approx(2.0 * b1, rel=1e-14)
-
-    def test_grid_norms_read_the_q_cache(self, monkeypatch):
-        # on an explicit grid Q comes from _q_on_grid's per-kernel cache, as
-        # beta's does: one transform of the positive half for every degree and p
-        h = bump_kernel(T, TH)
-        sizes = []
-
-        def counted(h_, omegas, *args):
-            sizes.append(np.size(omegas))
-            return q_spectrum(h_, omegas, *args)
-
-        monkeypatch.setattr(predictor, "q_spectrum", counted)
-        grid = SpectralGrid.for_rate(R, 2048)
-        for d in (2, 4):
-            pk = build_predictor(h, taylor_psi(T, d))
-            for p in (1, 2):
-                transfer_norms(pk, h, p, grid)
-        assert sizes == [grid.n_points // 2]
 
     def test_bound_grows_with_degree(self, canonical_kernel):
         # norms taken on the transfer band, where the degree blow-up lives
@@ -417,11 +394,11 @@ class TestNoise:
             b10 = noise_bound(pk10, canonical_kernel, 0.1, p)
             assert b10 > b4
 
-    def test_empirical_below_bound(self, pk_small, canonical_kernel, canonical_tgrid, grid_r2):
+    def test_empirical_below_bound(self, pk_small, canonical_kernel, canonical_tgrid):
         eta = chirp_noise((6.0, 12.0), 0.05)
         noise_error = _noise_error(pk_small, canonical_kernel, eta, canonical_tgrid.nodes)
         slope = noise_bound(pk_small, canonical_kernel, 1.0, 2)  # norms on the transfer band
-        assert noise_error <= noise_norm(eta, 2, grid_r2) * slope + 1e-10
+        assert noise_error <= noise_norm(eta, 2) * slope + 1e-10
 
     def test_doubling_noise_doubles_error(self, pk_small, canonical_kernel, canonical_tgrid):
         e1, e2 = (_noise_error(pk_small, canonical_kernel, chirp_noise((6.0, 12.0), amp),
@@ -446,16 +423,30 @@ def _oracle_band(h):
     return padded_band_spectrum(h, predictor._SCAN_OMEGA_MAX, predictor._BAND_PAD)
 
 
+#: (band index, omega, |Q|) at the band frequencies nearest 4000, 9000 and
+#: 16000, |Q| from ``oracles.bump_transform_mp(omega, h.width)`` at 30 digits
+#: (0.9 to 3.2 s per call on the canonical kernel, 3.2 to 12.7 s on the wide
+#: one); a value below 1e-30 is at that working precision, far under 1e-17
+_HIGH_BAND_30_DIGITS = {
+    (T, TH): ((63992, 3999.9940013155447, 4.971485246078324e-18),
+              (143982, 8999.986502959975, 2.3608927531197705e-26),
+              (255968, 15999.976005262179, 1.0093749674092737e-33)),
+    (2.0, 0.5): ((255999, 3999.9926774581663, 1.9686467096512376e-36),
+                 (575999, 9000.003055571415, 2.5640553613396335e-37),
+                 (1023998, 16000.001959897529, 1.5452123045727728e-37)),
+}
+
+
 class TestBandSpectrum:
     @pytest.mark.parametrize("T_, theta, targets", [
-        (T, TH, (0.0, 37.0, 141.0, 1062.0, 1930.0, 4000.0, 9000.0, 16000.0)),
+        (T, TH, (0.0, 37.0, 141.0, 1062.0, 1930.0)),
         # 4x wider: 4x longer short transforms
-        (2.0, 0.5, (0.0, 37.0, 141.0, 1062.0, 4000.0, 9000.0, 16000.0)),
+        (2.0, 0.5, (0.0, 37.0, 141.0, 1062.0)),
     ])
     def test_fft_band_against_30_digits(self, T_, theta, targets):
-        # at 4000, 9000 and 16000 |Q| is below 5e-18 and the band is within
-        # 1e-17 of it (canonical 3.3e-18, 3.5e-18, 8.5e-18; wide 5.3e-19,
-        # 1.8e-18, 7.6e-18)
+        # live oracle up to omega = 1930; at 4000, 9000 and 16000 |Q| is
+        # below 5e-18 and the band is within 1e-17 of the committed values
+        # (canonical 3.3e-18, 3.5e-18, 8.5e-18; wide 5.3e-19, 1.8e-18, 7.6e-18)
         h = bump_kernel(T_, theta)
         step, q_abs = _band_spectrum(h)
         omegas = step * np.arange(q_abs.size)
@@ -465,6 +456,9 @@ class TestBandSpectrum:
             i = int(np.argmin(np.abs(omegas - target_omega)))
             assert q_abs[i] == pytest.approx(bump_transform_mp(omegas[i], h.width),
                                              rel=0.0, abs=1e-15)
+        for i, omega, ref in _HIGH_BAND_30_DIGITS[(T_, theta)]:
+            assert omegas[i] == omega
+            assert q_abs[i] == pytest.approx(ref, rel=0.0, abs=1e-17)
 
     @pytest.mark.parametrize("T_, theta", [(T, TH), (2.0, 0.5)])
     def test_panel_factored_q_against_30_digits(self, T_, theta):

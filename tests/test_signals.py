@@ -11,6 +11,7 @@ from horizon import (
     cosine_modulated_poisson,
     fourier_transform_at,
     gaussian_signal,
+    noise_norm,
     poisson_signal,
     superposition,
     zero_signal,
@@ -246,12 +247,75 @@ class TestClassNorm:
         rep = class_norm(cosine_modulated_poisson(1.005, 0.0), 2.0, sign=+1)
         # omega0 = 0 gives the Poisson spectrum, 2 / (2a - r) = 200; the
         # spectrum underflows to 0 past omega = 741, where the integrand
-        # e^{-0.01 omega} still holds 6e-4 of the mass
-        assert rep.member and rep.norm_sq == pytest.approx(200.0, rel=1e-3)
+        # e^{-0.01 omega} still holds 6e-4 of the mass, so no grid
+        # quadrature of the spectrum reaches it
+        assert rep.member and rep.norm_sq == pytest.approx(200.0, rel=1e-13)
         sigma = 0.05  # int e^{2|omega|} e^{-sigma^2 omega^2} domega
         exact = math.exp(1.0 / sigma**2) * math.sqrt(math.pi) / sigma * (1.0 + math.erf(1.0 / sigma))
         rep = class_norm(gaussian_signal(sigma), 2.0, sign=+1)
         assert rep.member and rep.norm_sq == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, omega0, s", [
+        (1.3, 3.0, -2.0), (1.3, 3.0, 2.0), (5.656, 5.0, 4.0),  # 0.00224273, 380.400, 4.90186e7
+        (0.3, 0.0, -3.0), (0.3, 0.0, 0.59), (4.0, 0.5, -0.4), (0.7, 9.0, 0.5), (5.0, 100.0, 4.0),
+    ])
+    def test_poisson_kinds_against_mpmath(self, a, omega0, s):
+        # int e^{s|omega|} X^2 domega in closed form, at either sign of the weight
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        a_, w0, s_ = mp.mpf(a), mp.mpf(omega0), mp.mpf(s)
+        spec = lambda w: (mp.exp(-a_ * abs(w - w0)) + mp.exp(-a_ * abs(w + w0))) / 2  # noqa: E731
+        ref = 2 * mp.quad(lambda w: mp.exp(s_ * w) * spec(w) ** 2, [0, w0, mp.inf] if omega0 else [0, mp.inf])
+        rep = class_norm(cosine_modulated_poisson(a, omega0), abs(s), sign=1 if s > 0 else -1)
+        assert rep.member and rep.norm_sq == pytest.approx(float(ref), rel=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    def test_member_with_norm_past_double_range(self):
+        # 2a > r, but the weight at the modulation peak is e^{4 * 200}
+        rep = class_norm(cosine_modulated_poisson(5.0, 200.0), 4.0, sign=+1)
+        assert rep.member and rep.norm == math.inf and not rep.unit_ball
+
+
+class TestNoiseNorm:
+    """Closed-form L1 and L2 norms of every noise kind a config can name, against 30-digit quadrature."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("spec, breaks", [
+        ({"kind": "chirp_noise", "params": {"band": [6.0, 12.0], "amplitude": 0.7}}, [6, 12]),
+        ({"kind": "chirp_noise", "params": {"band": [0.0, 2.5], "amplitude": -3.0}}, [0, 2.5]),
+        ({"kind": "poisson", "params": {"a": 1.7}}, [0]),
+        ({"kind": "gaussian", "params": {"sigma": 0.6}}, [0]),
+        ({"kind": "cosine_modulated_poisson", "params": {"a": 1.3, "omega0": 0.0}}, [0]),
+        ({"kind": "cosine_modulated_poisson", "params": {"a": 1.3, "omega0": 3.0}}, [0, 3]),
+        ({"kind": "cosine_modulated_poisson", "params": {"a": 0.4, "omega0": -3.0}}, [0, 3]),
+    ], ids=["chirp", "chirp-from-0-negative-amplitude", "poisson", "gaussian", "cmp-omega0-0",
+            "cmp-omega0-3", "cmp-omega0-minus-3"])
+    def test_against_mpmath(self, spec, breaks, p):
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        prm = {k: mp.mpf(v) for k, v in spec["params"].items() if k != "band"}
+        spectra = {
+            "chirp_noise": lambda w: abs(prm["amplitude"]),
+            "poisson": lambda w: mp.exp(-prm["a"] * w),
+            "gaussian": lambda w: mp.exp(-(prm["sigma"] * w) ** 2 / 2),
+            "cosine_modulated_poisson": lambda w: (mp.exp(-prm["a"] * abs(w - prm["omega0"]))
+                                                   + mp.exp(-prm["a"] * abs(w + prm["omega0"]))) / 2,
+        }
+        upper = [] if spec["kind"] == "chirp_noise" else [mp.inf]
+        ref = 2 * mp.quad(lambda w: spectra[spec["kind"]](w) ** p, [mp.mpf(b) for b in breaks] + upper)
+        ref = ref if p == 1 else mp.sqrt(ref)
+        assert noise_norm(Signal.from_spec(spec), p) == pytest.approx(float(ref), rel=1e-14, abs=0)
+
+    def test_kind_without_closed_form_raises(self):
+        with pytest.raises(ValueError, match="superposition"):
+            noise_norm(superposition([poisson_signal(1.0)]), 2)
+        with pytest.raises(ValueError, match="p must be"):
+            noise_norm(poisson_signal(1.0), 3)
 
 
 def rep_norm_sq(x, r):

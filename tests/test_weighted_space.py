@@ -4,31 +4,28 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from horizon import (SpectralGrid, class_norm, cosine_modulated_poisson, exponential_moment, monomial_moment,
-                     zero_signal)
+from horizon import (SpectralGrid, class_norm, exponential_moment, monomial_moment, poisson_signal,
+                     superposition, zero_signal)
 from horizon.weighted_space import _tail_is_divergent
 from oracles import exponential_moment_mp, monomial_moment_mp, mp_context
 
 
-#: spectrum e^{-|w|}, taken by grid quadrature (only the kind "poisson" has a closed-form norm)
-_EXP_SPECTRUM = cosine_modulated_poisson(1.0, 0.0)
+#: spectrum e^{-|w|} as a superposition, whose class norm is taken by grid quadrature
+_EXP_SPECTRUM = superposition([poisson_signal(1.0)])
 
 
 class TestWeightedNormSq:
     def test_decaying_exponential_closed_form(self):
         # integral e^{-2|w|} e^{-2|w|} dw = 2/4
-        grid = SpectralGrid.for_rate(2.0, 2048)
-        val = class_norm(_EXP_SPECTRUM, 2.0, sign=-1, grid=grid).norm_sq
+        val = class_norm(_EXP_SPECTRUM, 2.0, sign=-1).norm_sq
         assert val == pytest.approx(0.5, rel=1e-10)
 
     def test_zero_function(self):
-        grid = SpectralGrid.for_rate(1.0, 512)
-        assert class_norm(zero_signal(), 1.0, sign=-1, grid=grid).norm_sq == 0.0
+        assert class_norm(zero_signal(), 1.0, sign=-1).norm_sq == 0.0
 
     def test_growing_weight_with_fast_decay(self):
         # integral e^{+|w|} e^{-2|w|} dw = 2
-        grid = SpectralGrid.for_rate(1.0, 2048)
-        val = class_norm(_EXP_SPECTRUM, 1.0, sign=+1, grid=grid).norm_sq
+        val = class_norm(_EXP_SPECTRUM, 1.0, sign=+1).norm_sq
         assert val == pytest.approx(2.0, rel=1e-10)
 
     def test_weight_decay_mismatch_is_divergent(self):
