@@ -20,14 +20,12 @@ from .polynomials import (
 from .predictor import (
     BoundRangeError,
     ClassMembershipError,
-    PredictionResult,
     PredictorKernel,
     beta_energy,
     build_predictor,
     error_bound_parts,
-    noise_bound,
+    moment_tables,
     predict_values,
-    run_prediction,
     target_values,
     transfer_norms,
 )

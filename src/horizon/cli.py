@@ -9,6 +9,7 @@ summary, which is not covered by the byte-identity guarantee.
 
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -28,12 +29,12 @@ from .predictor import (
     ClassMembershipError,
     build_predictor,
     error_bound_parts,
-    noise_bound,
+    moment_tables,
     predict_values,
-    run_prediction,
     target_values,
+    transfer_norms,
 )
-from .signals import class_norm, noise_norm
+from .signals import noise_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,19 +99,6 @@ def _psi_for(cfg, d):
     return projection_psi(cfg.T, cfg.r, d)
 
 
-def _class_gate(cfg):
-    x = cfg.build_signal()
-    report = class_norm(x, cfg.r)
-    if not report.member:
-        click.echo(
-            f"refusing: signal {cfg.signal} lies outside the class for r={cfg.r} "
-            f"(weighted spectral norm diverges)",
-            err=True,
-        )
-        sys.exit(EXIT_CLASS)
-    return x
-
-
 def common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                       default=None, help="JSON experiment config (canonical defaults if omitted).")(fn)
@@ -157,35 +145,39 @@ def cmd_alpha_sweep(config_path, out):
 def cmd_convergence(config_path, out):
     """Prediction-error convergence over the degree range, with bounds."""
     cfg = _load_config(config_path, out)
-    x = _class_gate(cfg)
+    x = cfg.build_signal()
     h = cfg.build_kernel()
-    tgrid = cfg.build_tgrid()
-    y = target_values(h, x, tgrid.nodes)
+    ts = cfg.build_tgrid().nodes
     pks = [build_predictor(h, _psi_for(cfg, d)) for d in cfg.ds]
+    parts = error_bound_parts(pks, x, cfg.r)
+    y = target_values(h, x, ts)
     results = []
-    for pk in pks:
+    for pk, table, (alpha, beta, bound) in zip(pks, moment_tables(pks, x, ts), parts):
         start = time.perf_counter()
-        res = run_prediction(pk, x, tgrid, cfg.r, method=cfg.method, y=y, sweep=pks)
-        results.append((pk.d, res, 1000.0 * (time.perf_counter() - start)))
+        sup = float(np.max(np.abs(y - predict_values(pk, table))))
+        results.append({"d": pk.d, "method": cfg.method, "sup_error": sup, "bound": bound,
+                        "alpha": alpha, "beta": beta,
+                        "runtime_ms": 1000.0 * (time.perf_counter() - start)})
 
-    rows = [(d, res.sup_error, res.bound) for d, res, _ in results]
     path = Path(cfg.output_dir) / "convergence.csv"
-    _write_csv(path, ["d", "sup_error", "bound"], rows)
+    _write_csv(path, ["d", "sup_error", "bound"],
+               [(row["d"], row["sup_error"], row["bound"]) for row in results])
 
-    smallest = next((d for d, res, _ in results if res.sup_error <= cfg.eps_target), None)
+    smallest = next((row["d"] for row in results if row["sup_error"] <= cfg.eps_target), None)
     summary = {
         "method": cfg.method,
         "eps_target": cfg.eps_target,
         "smallest_d_within_target": smallest,
-        "rows": [dict(res.summary(), runtime_ms=ms) for _, res, ms in results],
+        "rows": results,
     }
     spath = Path(cfg.output_dir) / "convergence_summary.json"
     spath.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     click.echo(f"wrote {path} and {spath}")
 
-    for d, res, _ in results:
-        if res.sup_error > res.bound + _BOUND_SLACK:
-            click.echo(f"bound violation at d={d}: {res.sup_error:.3e} > {res.bound:.3e}", err=True)
+    for row in results:
+        if row["sup_error"] > row["bound"] + _BOUND_SLACK:
+            click.echo(f"bound violation at d={row['d']}: {row['sup_error']:.3e} > {row['bound']:.3e}",
+                       err=True)
             sys.exit(EXIT_BOUND)
 
 
@@ -195,22 +187,24 @@ def cmd_convergence(config_path, out):
 def cmd_noise_sweep(config_path, out):
     """Total prediction error under noise versus the robustness bound."""
     cfg = _load_config(config_path, out)
-    x0 = _class_gate(cfg)
+    x0 = cfg.build_signal()
     h = cfg.build_kernel()
-    tgrid = cfg.build_tgrid()
+    ts = cfg.build_tgrid().nodes
     eta_unit = cfg.build_noise()
     unit_norm = noise_norm(eta_unit, cfg.p)
     if unit_norm <= 0:
         raise ConfigError("noise: zero spectrum")
 
-    rows = []
-    y = target_values(h, x0, tgrid.nodes)
     pks = [build_predictor(h, _psi_for(cfg, d)) for d in cfg.ds]
-    for pk in pks:
-        y_hat0 = predict_values(pk, x0, tgrid.nodes, sweep=pks)
-        conv_unit = predict_values(pk, eta_unit, tgrid.nodes, sweep=pks)
-        _, _, eps_bound = error_bound_parts(pk, x0, cfg.r)
-        slope = noise_bound(pk, h, 1.0, cfg.p)  # norms on the transfer band
+    parts = error_bound_parts(pks, x0, cfg.r)
+    norms = transfer_norms(pks, cfg.p)  # on the transfer band
+    y = target_values(h, x0, ts)
+    rows = []
+    for pk, (_, _, eps_bound), (n_hhat, n_h), table0, table_unit in zip(
+            pks, parts, norms, moment_tables(pks, x0, ts), moment_tables(pks, eta_unit, ts)):
+        y_hat0 = predict_values(pk, table0)
+        conv_unit = predict_values(pk, table_unit)
+        slope = 1.0 / (2.0 * math.pi) * (n_hhat + n_h)  # (nu / 2 pi)(||Hhat_d|| + ||H||) at nu = 1
         for nu in cfg.nu_range:
             scale = nu / unit_norm
             total = float(np.max(np.abs(y - y_hat0 - scale * conv_unit)))
@@ -236,7 +230,7 @@ def cmd_noise_sweep(config_path, out):
 def cmd_predict(config_path, out, times):
     """Single-shot prediction dump at the top degree of the range."""
     cfg = _load_config(config_path, out)
-    x = _class_gate(cfg)
+    x = cfg.build_signal()
     h = cfg.build_kernel()
     if times is not None:
         try:
@@ -250,7 +244,7 @@ def cmd_predict(config_path, out, times):
     d = cfg.d_range[1]
     pk = build_predictor(h, _psi_for(cfg, d))
     y = target_values(h, x, ts)
-    y_hat = predict_values(pk, x, ts)
+    y_hat = predict_values(pk, moment_tables([pk], x, ts)[0])
 
     path = Path(cfg.output_dir) / "predict.csv"
     _write_csv(path, ["t", "y", "y_hat", "abs_err"],

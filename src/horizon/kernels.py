@@ -187,8 +187,6 @@ class TargetKernel:
         self.T = float(T)
         self.theta = float(theta)
         self._mass_mp = None
-        #: frequency-domain data that does not depend on the degree (see predictor)
-        self._spectra = {}
         self.normalization = 2.0 / (self.width * _raw_bump_mass())
 
     @property

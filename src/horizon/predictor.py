@@ -36,28 +36,29 @@ frequency rule), gives the same double sum over nodes s and lines j
 taken over s first: one transcendental per line and per time, not per
 (time, node, line).
 
-A degree sweep names its predictors, and each route builds one table per
-kernel, signal and time grid, up to the top degree of the sweep members
-on that route, from one ``x.time`` block or one ``x.derivatives`` stack
-per row block, or one read of the lines.  So a sweep evaluates the
-signal once per route rather than once per degree.  Every quantity here
-is computed in double precision; only alpha (``alpha_closed_form``),
-whose expansion cancels catastrophically, is summed in exact rationals.
+The degree sweep, a list of predictors of one kernel, is the unit of
+work.  Only alpha depends on d, so each degree-free quantity is computed
+once per sweep and returned per predictor: ``moment_tables`` builds one
+table per route, up to the top degree of the sweep members on that
+route, from one ``x.time`` block or one ``x.derivatives`` stack per row
+block, or one read of the lines; ``error_bound_parts`` integrates beta
+once; ``transfer_norms`` builds the p = 1 band or ||H||_2 once.  Every
+quantity here is computed in double precision; only alpha
+(``alpha_closed_form``), whose expansion cancels catastrophically, is
+summed in exact rationals.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._accel import oscillatory_transform
 from .kernels import derivative_panel_edges, q_spectrum
 from .polynomials import alpha_closed_form
-from .spectral_core import (SpectralGrid, TimeGrid, _exp_weighted_square, default_omega_max,
-                            gauss_legendre_edges)
+from .spectral_core import SpectralGrid, _exp_weighted_square, default_omega_max, gauss_legendre_edges
 from .weighted_space import _tail_is_divergent
 
-#: default quadrature budget (absolute) for prediction integrals
+#: quadrature budget (absolute) for prediction integrals
 EPS_QUAD = 1e-10
 
 
@@ -72,18 +73,15 @@ class BoundRangeError(ValueError):
 class PredictorKernel:
     """Causal bounded-support kernel; memory window is exactly [0, T+theta]."""
 
-    def __init__(self, h, psi, eps_quad=EPS_QUAD):
+    def __init__(self, h, psi):
         if psi.degree > h.d_max:
             raise ValueError(f"polynomial degree {psi.degree} exceeds kernel d_max {h.d_max}")
         self.h = h
         self.psi = psi
         self.d = psi.degree
         self.tau = h.width
-        self.eps_quad = float(eps_quad)
         self.real_coeffs = psi.is_real()
         self._table = None
-        self._sup_cache = None
-        self._l2_cache = None
 
     # -- assembly ---------------------------------------------------------
 
@@ -117,12 +115,12 @@ class PredictorKernel:
     def needs_extended(self):
         """True once roundoff of a quadrature against hhat_d (~1e-15 l1_mass)
         exceeds a tenth of the quadrature budget: the node table is unusable."""
-        return self.l1_mass * 1e-15 > 0.1 * self.eps_quad
+        return self.l1_mass * 1e-15 > 0.1 * EPS_QUAD
 
     def _roundoff_error(self, what):
         return ValueError(
             f"{what} at d={self.d} would be roundoff: l1_mass {self.l1_mass:.2e} "
-            f"times 1e-15 exceeds a tenth of the quadrature budget {self.eps_quad:.0e}")
+            f"times 1e-15 exceeds a tenth of the quadrature budget {EPS_QUAD:.0e}")
 
     # -- transform of the assembled kernel ----------------------------------
 
@@ -144,9 +142,9 @@ class PredictorKernel:
         return re + 1j * im
 
 
-def build_predictor(h, psi, eps_quad=EPS_QUAD):
+def build_predictor(h, psi):
     """Assemble the order-d predicting kernel from a target kernel and psi."""
-    return PredictorKernel(h, psi, eps_quad)
+    return PredictorKernel(h, psi)
 
 
 # -- convolutions ------------------------------------------------------------
@@ -159,9 +157,6 @@ def _target_rule(h):
 
 #: bound on the (time points x nodes) block evaluated at once
 _BLOCK_ELEMENTS = 1 << 18
-
-#: sweep tables kept per kernel and route, one per signal object
-_KEPT_TABLES = 2
 
 
 def _row_blocks(n_rows, n_cols, depth=1):
@@ -200,44 +195,33 @@ def target_values(h, x, ts):
     return _blocked(ts, nodes, lambda args: x.time(args) @ hw, np.empty(ts.size))
 
 
-def predict_values(pk, x, ts, sweep=None):
-    """Predictions sum_k Re(a_k) S[k, t] at ``ts`` from the moment table of pk's route.
+def moment_tables(pks, x, ts):
+    """The moment table of each predictor's route at ``ts``, one table built per route.
 
     The route is derivative transfer (``_moment_table``) where
     ``pk.needs_extended()`` holds, refused for a signal without a
     derivative evaluator, and the sample moments (``_sample_table``)
-    otherwise.  ``sweep`` names the predictors of pk's kernel that the
-    caller evaluates on the same signal and times; each route then builds
-    one table, up to the top degree of the sweep members on it, kept on
-    the kernel for this signal object and read by every later member.
-    A route keeps the tables of its last ``_KEPT_TABLES`` signal objects
-    (a noise sweep alternates between signal and noise), so a caller that
-    builds a fresh signal per call does not pile up tables.  Without a
-    sweep the table goes up to pk's degree and is not kept.
+    otherwise.  Each route's table goes up to the top degree of the
+    predictors on it, and every predictor on the route reads it.
     """
     ts = np.asarray(ts, dtype=float)
-    transfer = pk.needs_extended()
-    if transfer and x.derivatives is None:
+    routes = [pk.needs_extended() for pk in pks]
+    if x.derivatives is None and any(routes):
+        pk = pks[routes.index(True)]
         raise pk._roundoff_error(f"the sample path of signal {x.kind!r} (no derivative)")
-    build = _moment_table if transfer else _sample_table
-    if sweep is None:
-        return _predict_from(pk, build(pk.h, x, ts, pk.d))
-    kmax = max(p.d for p in (pk, *sweep) if p.needs_extended() == transfer)
-    grid = ts.tobytes()
-    kept = pk.h._spectra.setdefault((build.__name__,), [])  # (x, grid, table), newest last
-    for other, g, table in kept:
-        if other is x and g == grid and len(table) == kmax + 1:
-            return _predict_from(pk, table)
-    table = build(pk.h, x, ts, kmax)
-    kept.append((x, grid, table))
-    del kept[:-_KEPT_TABLES]
-    return _predict_from(pk, table)
+    tables = {}
+    for transfer in set(routes):
+        kmax = max(pk.d for pk, route in zip(pks, routes) if route == transfer)
+        build = _moment_table if transfer else _sample_table
+        tables[transfer] = build(pks[0].h, x, ts, kmax)
+    return [tables[route] for route in routes]
 
 
-def _predict_from(pk, table):
-    """sum_k Re(a_k) table[k], summed in k order over the nonzero Re(a_k).
+def predict_values(pk, table):
+    """Predictions sum_k Re(a_k) table[k] from pk's entry of ``moment_tables``.
 
-    x is real, so Re(a_k x^(k)) = Re(a_k) x^(k).
+    Summed in k order over the nonzero Re(a_k); x is real, so
+    Re(a_k x^(k)) = Re(a_k) x^(k).
     """
     out = np.zeros(table.shape[1])
     for k, a in enumerate(pk.psi.coeffs):
@@ -295,34 +279,32 @@ def _moment_table(h, x, ts, kmax):
 
 
 def _beta_grid(x, h, r, n_points=4096):
+    """(grid, beta integrand on it), the grid sized from the signal's decay."""
     rho = x.spectral_decay
     if math.isfinite(rho):
         if 2.0 * rho <= r:
             raise ClassMembershipError("signal outside class: beta integral diverges")
-        return SpectralGrid.for_rate(2.0 * rho - r, n_points)
+        grid = SpectralGrid.for_rate(2.0 * rho - r, n_points)
+        return grid, _beta_integrand(x, h, r, grid)
     omega = default_omega_max(r)
-    grid = SpectralGrid.build(omega, n_points)
-    for _ in range(6):
+    for _ in range(7):
+        grid = SpectralGrid.build(omega, n_points)
         integrand = _beta_integrand(x, h, r, grid)
         peak = float(np.max(integrand))
         if peak == 0.0 or integrand[-1] <= 1e-16 * peak:
-            return grid
+            break
         omega *= 2.0
-        grid = SpectralGrid.build(omega, n_points)
-    return grid
+    return grid, integrand
 
 
 def _q_on_grid(h, grid):
-    """Q(i omega) on the grid's nodes, computed once per kernel and grid (it does not depend on d).
+    """Q(i omega) on the grid's nodes.
 
     q is real, so Q(-i omega) = conj Q(i omega): every grid is mirrored
     about 0 (``SpectralGrid.build``), so only the upper half is transformed.
     """
-    key = ("grid", grid.nodes.tobytes())
-    if key not in h._spectra:
-        q_pos = q_spectrum(h, grid.nodes[grid.nodes.size // 2:])
-        h._spectra[key] = np.concatenate([np.conj(q_pos[::-1]), q_pos])
-    return h._spectra[key]
+    q_pos = q_spectrum(h, grid.nodes[grid.nodes.size // 2:])
+    return np.concatenate([np.conj(q_pos[::-1]), q_pos])
 
 
 def _beta_integrand(x, h, r, grid):
@@ -340,8 +322,9 @@ def beta_energy(h, x, r, grid=None):
     if x.spectrum is None:
         raise ValueError("signal carries no exact spectrum")
     if grid is None:
-        grid = _beta_grid(x, h, r)
-    integrand = _beta_integrand(x, h, r, grid)
+        grid, integrand = _beta_grid(x, h, r)
+    else:
+        integrand = _beta_integrand(x, h, r, grid)
     finite = bool(np.all(np.isfinite(integrand)))
     diverges = _tail_is_divergent(integrand, grid.nodes) if finite else 2.0 * x.spectral_decay <= r
     if diverges:
@@ -352,11 +335,17 @@ def beta_energy(h, x, r, grid=None):
     return beta
 
 
-def error_bound_parts(pk, x, r):
-    """(alpha, beta, bound) with bound = sqrt(alpha beta) / (2 pi)."""
-    alpha = alpha_closed_form(pk.psi, pk.h.T, r)
-    beta = beta_energy(pk.h, x, r)
-    return alpha, beta, math.sqrt(alpha * beta) / (2.0 * math.pi)
+def error_bound_parts(pks, x, r):
+    """(alpha, beta, bound) of each predictor, bound = sqrt(alpha beta) / (2 pi).
+
+    beta depends on the kernel and the signal only, so it is integrated once.
+    """
+    beta = beta_energy(pks[0].h, x, r)
+    parts = []
+    for pk in pks:
+        alpha = alpha_closed_form(pk.psi, pk.h.T, r)
+        parts.append((alpha, beta, math.sqrt(alpha * beta) / (2.0 * math.pi)))
+    return parts
 
 
 #: top of the p = 1 transfer band
@@ -368,7 +357,7 @@ _BAND_GROUP, _SUP_CHUNK = _BLOCK_ELEMENTS >> 2, _BLOCK_ELEMENTS >> 4
 
 
 def _band_spectrum(h):
-    """(step, |Q(i omega)|) at omega = step * arange(n_omega) <= _SCAN_OMEGA_MAX, once per kernel.
+    """(step, |Q(i omega)|) at omega = step * arange(n_omega) <= _SCAN_OMEGA_MAX, once per sweep.
 
     q(t) = h(t - T) is sampled on n + 1 uniform points of [0, tau] at a
     step of at most pi / (2 _SCAN_OMEGA_MAX), twice the Nyquist rate of
@@ -385,37 +374,34 @@ def _band_spectrum(h):
     spectrally accurate below Nyquist (Trefethen & Weideman, SIAM Review
     56, 2014).
     """
-    key = ("band",)
-    if key not in h._spectra:
-        n = math.ceil(2.0 * _SCAN_OMEGA_MAX * h.width / math.pi)
-        dt = h.width / n
-        m = 1 << (_BAND_PAD * (n + 1) - 1).bit_length()
-        step = 2.0 * math.pi / (m * dt)
-        n_omega = int(_SCAN_OMEGA_MAX / step) + 1
-        L, P = 1 << n.bit_length(), m >> n.bit_length()
-        x = np.zeros((-(-L // P), P))  # x[j div P, j mod P]
-        x.flat[:n + 1] = h(np.arange(n + 1) * dt - h.T)
-        lo_tab = np.exp(-2j * math.pi / m * np.outer(np.arange(P), np.arange(P)))
-        hi_tab = np.exp(-2j * math.pi / L * np.outer(np.arange(P), np.arange(len(x))))
-        keep, rows = -(-n_omega // P), max(1, _BAND_GROUP // L)
-        q_abs = np.empty((keep, P))
-        for g in range(0, P, rows):
-            mod = x * lo_tab[g:g + rows, None, :]
-            mod *= hi_tab[g:g + rows, :, None]
-            spectra = mod.reshape(len(mod), -1)[:, :L]
-            q_abs[:, g:g + rows] = np.abs(np.fft.fft(spectra, out=spectra)[:, :keep]).T
-        q_abs = q_abs.reshape(-1)[:n_omega]
-        q_abs *= dt
-        h._spectra[key] = (step, q_abs)
-    return h._spectra[key]
+    n = math.ceil(2.0 * _SCAN_OMEGA_MAX * h.width / math.pi)
+    dt = h.width / n
+    m = 1 << (_BAND_PAD * (n + 1) - 1).bit_length()
+    step = 2.0 * math.pi / (m * dt)
+    n_omega = int(_SCAN_OMEGA_MAX / step) + 1
+    L, P = 1 << n.bit_length(), m >> n.bit_length()
+    x = np.zeros((-(-L // P), P))  # x[j div P, j mod P]
+    x.flat[:n + 1] = h(np.arange(n + 1) * dt - h.T)
+    lo_tab = np.exp(-2j * math.pi / m * np.outer(np.arange(P), np.arange(P)))
+    hi_tab = np.exp(-2j * math.pi / L * np.outer(np.arange(P), np.arange(len(x))))
+    keep, rows = -(-n_omega // P), max(1, _BAND_GROUP // L)
+    q_abs = np.empty((keep, P))
+    for g in range(0, P, rows):
+        mod = x * lo_tab[g:g + rows, None, :]
+        mod *= hi_tab[g:g + rows, :, None]
+        spectra = mod.reshape(len(mod), -1)[:, :L]
+        q_abs[:, g:g + rows] = np.abs(np.fft.fft(spectra, out=spectra)[:, :keep]).T
+    q_abs = q_abs.reshape(-1)[:n_omega]
+    q_abs *= dt
+    return step, q_abs
 
 
-def _transfer_sup(pk, h):
-    """(sup |psi_d Q|, sup |Q|) over the transfer band [0, _SCAN_OMEGA_MAX].
+def _transfer_sup(pk, band):
+    """sup |psi_d Q| over the transfer band [0, _SCAN_OMEGA_MAX].
 
-    |Q| comes from ``_band_spectrum`` (once per kernel, shared by every
-    degree), within 1e-15 absolute of 30-digit values; |psi_d Q| is maxed
-    over chunks of ``_SUP_CHUNK`` frequencies.  Far up the band |Q|
+    |Q| is the ``band`` of ``_band_spectrum`` (once per sweep, shared by
+    every degree), within 1e-15 absolute of 30-digit values; |psi_d Q| is
+    maxed over chunks of ``_SUP_CHUNK`` frequencies.  Far up the band |Q|
     itself falls below that roundoff while psi_d(i omega) grows like
     omega^d, so at high degree the largest product on the band is
     |psi_d| times roundoff, above the true sup, which |psi_d Q| reaches
@@ -425,15 +411,15 @@ def _transfer_sup(pk, h):
     sum with no cancellation, so the reported norm never exceeds a bound
     that holds.
     """
-    step, q_abs = _band_spectrum(h)
+    step, q_abs = band
     starts = range(0, q_abs.size, _SUP_CHUNK)
     sup = max(float(np.max(np.abs(pk.psi.at_iw(step * np.arange(i, i + c.size))) * c))
               for i, c in zip(starts, np.split(q_abs, starts[1:])))
-    return min(sup, pk.l1_mass), float(np.max(q_abs))
+    return min(sup, pk.l1_mass)
 
 
 def _l2_time_norm_sq(pk):
-    """int |hhat_d|^2 dt from the cached double node table.
+    """int |hhat_d|^2 dt from the double node table.
 
     The integrand is nonnegative, so the sum does not cancel; the node
     values are accurate to every degree through the edge-basis kernel
@@ -443,81 +429,23 @@ def _l2_time_norm_sq(pk):
     return float(weights @ (np.abs(values) ** 2))
 
 
-def transfer_norms(pk, h, p):
-    """(||Hhat_d||_{L_q}, ||H||_{L_q}) with q dual to p.
+def transfer_norms(pks, p):
+    """(||Hhat_d||_{L_q}, ||H||_{L_q}) of each predictor, q dual to p.
 
     |H(i omega)| = |Q(i omega)| since the e^{i omega T} factor is
     unimodular.  The L2 norms come from time-domain Parseval (exact, no
     truncation) and the sup norms from ``_transfer_sup`` over the band of
-    short FFTs, in the stored band plus about one chunk of memory; both
-    are cached per predictor.
+    short FFTs, built once for the sweep and freed on return, in the
+    stored band plus about one chunk of memory.
     """
+    if p not in (1, 2):
+        raise ValueError("p must be 1 or 2")
+    h = pks[0].h
     if p == 1:
-        if pk._sup_cache is None:
-            pk._sup_cache = _transfer_sup(pk, h)
-        return pk._sup_cache
-    if p == 2:
-        if pk._l2_cache is None:
-            two_pi = 2.0 * math.pi
-            nodes, weights = _target_rule(h)
-            h_sq = float((h(nodes) ** 2) @ weights)
-            pk._l2_cache = (math.sqrt(two_pi * _l2_time_norm_sq(pk)),
-                            math.sqrt(two_pi * h_sq))
-        return pk._l2_cache
-    raise ValueError("p must be 1 or 2")
-
-
-def noise_bound(pk, h, nu, p):
-    """(nu / 2 pi) (||Hhat_d||_{L_q} + ||H||_{L_q}), q dual to p."""
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    n_hhat, n_h = transfer_norms(pk, h, p)
-    return nu / (2.0 * math.pi) * (n_hhat + n_h)
-
-
-# -- result containers -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PredictionResult:
-    grid: TimeGrid
-    y: np.ndarray = field(repr=False)
-    y_hat: np.ndarray = field(repr=False)
-    sup_error: float
-    bound: float
-    alpha: float
-    beta: float
-    d: int
-    method: str
-
-    def rows(self):
-        err = np.abs(self.y - self.y_hat)
-        return zip(self.grid.nodes, self.y, self.y_hat, err)
-
-    def summary(self):
-        return {
-            "sup_error": self.sup_error,
-            "bound": self.bound,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "d": self.d,
-            "method": self.method,
-        }
-
-
-def run_prediction(pk, x, tgrid, r, method="", y=None, sweep=None):
-    """Evaluate target and prediction over a time grid, with the bound.
-
-    ``y``, the target values on the grid, may be passed in by a caller that
-    computed them once for several degrees; ``sweep`` is passed on to
-    ``predict_values``.
-    """
-    ts = tgrid.nodes
-    if y is None:
-        y = target_values(pk.h, x, ts)
-    y_hat = predict_values(pk, x, ts, sweep)
-    alpha, beta, bound = error_bound_parts(pk, x, r)
-    sup = float(np.max(np.abs(y - y_hat)))
-    return PredictionResult(grid=tgrid, y=y, y_hat=y_hat, sup_error=sup,
-                            bound=bound, alpha=alpha, beta=beta,
-                            d=pk.d, method=method or "unspecified")
+        band = _band_spectrum(h)
+        n_h = float(np.max(band[1]))
+        return [(_transfer_sup(pk, band), n_h) for pk in pks]
+    two_pi = 2.0 * math.pi
+    nodes, weights = _target_rule(h)
+    n_h = math.sqrt(two_pi * float((h(nodes) ** 2) @ weights))
+    return [(math.sqrt(two_pi * _l2_time_norm_sq(pk)), n_h) for pk in pks]

@@ -301,8 +301,10 @@ def class_norm(x, r, sign=-1):
     sign=-1 is the defining weight of the class; sign=+1 probes the
     spectral-energy weight of the error bound, where membership requires
     the spectrum to decay strictly faster than e^{-r|omega|/2}.  The
-    Poisson kinds are taken in closed form (``_poisson_norm_sq``), every
-    other kind by quadrature on a grid sized from its decay.
+    Poisson kinds (``_poisson_norm_sq``) and chirp noise,
+    2 A^2 int_lo^hi e^{s omega} domega with s = sign r, are taken in closed
+    form, every other kind by quadrature on a grid sized from its decay.
+    A closed form past the double range reads as a member of norm inf.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -315,14 +317,19 @@ def class_norm(x, r, sign=-1):
     if sign > 0 and math.isfinite(rho) and 2.0 * rho <= r:
         return ClassReport(r=r, norm=math.inf, member=False, unit_ball=False)
 
-    if x.kind in ("poisson", "cosine_modulated_poisson"):
+    prm, s = x.params, sign * r
+    if x.kind in ("poisson", "cosine_modulated_poisson", "chirp_noise"):
         try:
-            norm_sq = _poisson_norm_sq(x.params["a"], abs(x.params.get("omega0", 0.0)), sign * r)
-        except OverflowError:  # e^{r omega0}: finite, since 2a > r, but past the double range
+            if x.kind == "chirp_noise":
+                lo, hi = prm["band"]
+                norm_sq = 2.0 * prm["amplitude"] ** 2 * _exp_integral(s * lo, s, hi - lo)
+            else:
+                norm_sq = _poisson_norm_sq(prm["a"], abs(prm.get("omega0", 0.0)), s)
+        except OverflowError:  # e^{s omega}: finite, but past the double range
             norm_sq = math.inf
     else:
         grid = _adequate_grid(x, r, sign, rho)
-        integrand = _exp_weighted_square(sign * r * np.abs(grid.nodes), np.abs(x.spectrum(grid.nodes)))
+        integrand = _exp_weighted_square(s * np.abs(grid.nodes), np.abs(x.spectrum(grid.nodes)))
         if not np.all(np.isfinite(integrand)) or (
                 sign > 0 and _tail_is_divergent(integrand, grid.nodes)):
             return ClassReport(r=r, norm=math.inf, member=False, unit_ball=False)

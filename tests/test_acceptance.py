@@ -24,8 +24,8 @@ from horizon import (
     error_bound_parts,
     exponential_moment,
     h_spectrum,
+    moment_tables,
     monomial_moment,
-    noise_bound,
     noise_norm,
     poisson_signal,
     predict_values,
@@ -33,6 +33,7 @@ from horizon import (
     target_values,
     taylor_alpha_bound,
     taylor_psi,
+    transfer_norms,
 )
 from horizon.signals import Signal
 
@@ -69,13 +70,11 @@ def predictors(kernel):
 @pytest.fixture(scope="module")
 def predictions(predictors, signal, tgrid):
     y = target_values(predictors[2].h, signal, tgrid.nodes)
-    sups = {}
-    bounds = {}
-    for d in (2, 6, 10):
-        pk = predictors[d]
-        y_hat = predict_values(pk, signal, tgrid.nodes)
-        sups[d] = float(np.max(np.abs(y - y_hat)))
-        bounds[d] = error_bound_parts(pk, signal, R)[2]
+    pks = [predictors[d] for d in (2, 6, 10)]
+    tables = moment_tables(pks, signal, tgrid.nodes)
+    parts = error_bound_parts(pks, signal, R)
+    sups = {pk.d: float(np.max(np.abs(y - predict_values(pk, table)))) for pk, table in zip(pks, tables)}
+    bounds = {pk.d: bound for pk, (_, _, bound) in zip(pks, parts)}
     return y, sups, bounds
 
 
@@ -140,15 +139,17 @@ def test_criterion_5_convergence(predictions):
 def test_criterion_6_noise_robustness(kernel, predictors, signal, tgrid):
     eta_unit = chirp_noise((6.0, 12.0), 1.0)
     y = target_values(kernel, signal, tgrid.nodes)
+    pks = [predictors[d] for d in (4, 10)]
+    sweep = zip(pks, moment_tables(pks, signal, tgrid.nodes), moment_tables(pks, eta_unit, tgrid.nodes),
+                error_bound_parts(pks, signal, R), transfer_norms(pks, 1), transfer_norms(pks, 2))
     slopes = {}
-    for d in (4, 10):
-        pk = predictors[d]
-        y_hat0 = predict_values(pk, signal, tgrid.nodes)
-        conv_eta = predict_values(pk, eta_unit, tgrid.nodes)
-        eps_bound = error_bound_parts(pk, signal, R)[2]
-        for p in (1, 2):
+    for pk, table0, table_eta, (_, _, eps_bound), *norms in sweep:
+        d = pk.d
+        y_hat0 = predict_values(pk, table0)
+        conv_eta = predict_values(pk, table_eta)
+        for p, (n_hhat, n_h) in zip((1, 2), norms):
             unit = noise_norm(eta_unit, p)
-            slope = noise_bound(pk, kernel, 1.0, p)
+            slope = (n_hhat + n_h) / (2.0 * math.pi)
             slopes[(d, p)] = slope
             for nu in (0.0, 0.01, 0.1):
                 scale = nu / unit
@@ -223,7 +224,7 @@ def test_criterion_9_causality(predictors, signal):
 
     x = Signal(kind="spy", params={}, time=spy)
     for t0 in (-1.0, 0.0, 0.7):
-        predict_values(pk, x, np.array([t0]))
+        predict_values(pk, moment_tables([pk], x, np.array([t0]))[0])
         assert max(highs) < t0, "future sample accessed"
         assert min(lows) > t0 - pk.tau, "window longer than tau"
         highs.clear()
@@ -239,6 +240,6 @@ def test_criterion_10_class_gate(kernel):
     assert not rep_bad.member and rep_bad.norm == math.inf
     pk = build_predictor(kernel, taylor_psi(T, 2))
     with pytest.raises(ClassMembershipError):
-        error_bound_parts(pk, poisson_signal(0.9), R)
+        error_bound_parts([pk], poisson_signal(0.9), R)
     print("ACCEPTANCE 10 PASS: class norm 0.4 exact for a=1.5, r=2; divergence "
           "flagged for a=0.9 under the energy weight")

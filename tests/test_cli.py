@@ -192,13 +192,14 @@ class TestConvergence:
         assert all("runtime_ms" in r for r in summary["rows"])
 
     def test_class_refusal(self, runner, tmp_path):
-        # 2a <= r makes the spectral-energy factor diverge
+        # 2a <= r makes the spectral-energy factor diverge; beta refuses it
         cfgp = write_config(tmp_path / "c.json",
                             signal={"kind": "poisson", "params": {"a": 0.9}},
                             d_range=[0, 2], output_dir=str(tmp_path / "out"))
-        result = runner.invoke(main, ["convergence", "--config", str(cfgp)])
-        assert result.exit_code == EXIT_CLASS
-        assert "refusing" in result.output or result.exception is not None
+        for command in ("convergence", "noise-sweep"):
+            result = runner.invoke(main, [command, "--config", str(cfgp)])
+            assert result.exit_code == EXIT_CLASS, result.output
+            assert "refusing: signal outside class: beta integral diverges" in result.output
 
     def test_bound_beyond_double_range_is_its_own_refusal(self, runner, tmp_path):
         # sigma = 0.02 is in the class, but beta is about e^2500
@@ -349,6 +350,55 @@ class TestNoiseSweep:
         noise_row = (tmp_path / "out" / "noise_sweep.csv").read_text().splitlines()[1].split(",")
         conv_row = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[1].split(",")
         assert float(noise_row[2]) == pytest.approx(float(conv_row[1]), rel=1e-12)
+
+
+class TestSweepWork:
+    """Each degree-free quantity is computed once per command, not once per degree."""
+
+    @pytest.mark.parametrize("command", ["convergence", "noise-sweep"])
+    def test_beta_once_per_command(self, runner, tmp_path, monkeypatch, command):
+        from horizon import predictor
+
+        calls = []
+        real_beta = predictor.beta_energy
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_beta(*args, **kwargs)
+
+        monkeypatch.setattr(predictor, "beta_energy", counted)
+        cfgp = write_config(tmp_path / "c.json", d_range=[0, 4], output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, [command, "--config", str(cfgp)])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
+    def test_band_once_per_p1_noise_sweep(self, runner, tmp_path, monkeypatch):
+        from horizon import predictor
+
+        calls = []
+        real_band = predictor._band_spectrum
+
+        def counted(h):
+            calls.append(1)
+            return real_band(h)
+
+        monkeypatch.setattr(predictor, "_band_spectrum", counted)
+        cfgp = write_config(tmp_path / "c.json", method="projection", p=1, d_range=[0, 16], d_step=8,
+                            tgrid={"t_min": -2.0, "t_max": 2.0, "n_points": 5},
+                            output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
+    def test_summary_rows_carry_every_key(self, runner, tmp_path):
+        cfgp = write_config(tmp_path / "c.json", d_range=[0, 4], d_step=2,
+                            output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, ["convergence", "--config", str(cfgp)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())
+        assert [row["d"] for row in summary["rows"]] == [0, 2, 4]
+        for row in summary["rows"]:
+            assert set(row) == {"alpha", "beta", "bound", "d", "method", "runtime_ms", "sup_error"}
 
 
 class TestPredict:

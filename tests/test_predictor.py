@@ -8,18 +8,16 @@ import pytest
 from horizon import (
     Polynomial,
     SpectralGrid,
-    TimeGrid,
     beta_energy,
     build_predictor,
     error_bound_parts,
     bump_kernel,
     h_spectrum,
-    noise_bound,
+    moment_tables,
     noise_norm,
     poisson_signal,
     predict_values,
     q_spectrum,
-    run_prediction,
     superposition,
     target_values,
     taylor_psi,
@@ -30,7 +28,7 @@ from horizon import (
 from horizon.signals import Signal
 from horizon.polynomials import projection_psi
 from horizon import predictor
-from horizon.predictor import _band_spectrum, _moment_table, _predict_from, transfer_norms
+from horizon.predictor import _band_spectrum, _moment_table, _transfer_sup, transfer_norms
 
 from oracles import (
     adaptive_simpson,
@@ -44,9 +42,14 @@ from oracles import (
 T, TH, R, A = 0.5, 0.1, 2.0, 1.5
 
 
+def _predict(pk, x, ts):
+    """pk's predictions of x at ts, from a one-predictor sweep."""
+    return predict_values(pk, moment_tables([pk], x, ts)[0])
+
+
 def _noise_error(pk, h, eta, ts):
     """sup_t |(hhat_d * eta)(t) - (h * eta)(t)|: the extra error a noise term induces."""
-    return float(np.max(np.abs(predict_values(pk, eta, ts) - target_values(h, eta, ts))))
+    return float(np.max(np.abs(_predict(pk, eta, ts) - target_values(h, eta, ts))))
 
 
 @pytest.fixture(scope="module")
@@ -117,12 +120,12 @@ class TestTarget:
 
 class TestPredict:
     def test_zero_signal(self, pk_small):
-        assert predict_values(pk_small, zero_signal(), [0.2])[0] == 0.0
+        assert _predict(pk_small, zero_signal(), [0.2])[0] == 0.0
 
     def test_degree_zero_predicts_delayed_target(self, canonical_kernel, canonical_signal):
         pk = build_predictor(canonical_kernel, Polynomial((1.0,)))
         for t0 in (-0.5, 0.0, 1.2):
-            lhs = predict_values(pk, canonical_signal, [t0])[0]
+            lhs = _predict(pk, canonical_signal, [t0])[0]
             rhs = target_values(canonical_kernel, canonical_signal, [t0 - T])[0]
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -130,8 +133,8 @@ class TestPredict:
         x1, x2 = poisson_signal(1.5), gaussian_signal(0.7)
         combo = superposition([x1, x2], [0.7, -1.3])
         t0 = 0.4
-        lhs = predict_values(pk_small, combo, [t0])[0]
-        rhs = 0.7 * predict_values(pk_small, x1, [t0])[0] - 1.3 * predict_values(pk_small, x2, [t0])[0]
+        lhs = _predict(pk_small, combo, [t0])[0]
+        rhs = 0.7 * _predict(pk_small, x1, [t0])[0] - 1.3 * _predict(pk_small, x2, [t0])[0]
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_never_reads_future_samples(self, pk_small, canonical_signal):
@@ -144,7 +147,7 @@ class TestPredict:
 
         x = Signal(kind="spy", params={}, time=spy)
         for t0 in (-1.0, 0.0, 0.7):
-            predict_values(pk_small, x, [t0])
+            _predict(pk_small, x, [t0])
             assert max(accessed) < t0
             accessed.clear()
 
@@ -158,7 +161,7 @@ class TestPredict:
 
         x = Signal(kind="spy", params={}, time=spy)
         t0 = 0.25
-        predict_values(pk_small, x, [t0])
+        _predict(pk_small, x, [t0])
         assert min(lows) > t0 - pk_small.tau
 
     def test_complex_coefficients_take_real_part_at_output(self, canonical_kernel,
@@ -166,7 +169,7 @@ class TestPredict:
         pk = build_predictor(canonical_kernel, Polynomial((1.0, 0.1j)))
         assert not pk.real_coeffs
         t0 = 0.3
-        val = predict_values(pk, canonical_signal, [t0])[0]
+        val = _predict(pk, canonical_signal, [t0])[0]
         nodes, weights, values, _ = pk._double_table()
         manual = float(np.real(np.sum(weights * values * canonical_signal.time(t0 - nodes))))
         assert val == pytest.approx(manual, rel=1e-12)
@@ -179,8 +182,8 @@ class TestPredict:
         # derivative transfer against the sample path, forced at d = 4
         # where the sample path is still accurate
         ts = np.linspace(-1, 1, 5)
-        a = predict_values(pk_small, canonical_signal, ts)
-        b = _predict_from(pk_small, _moment_table(pk_small.h, canonical_signal, ts, pk_small.d))
+        a = _predict(pk_small, canonical_signal, ts)
+        b = predict_values(pk_small, _moment_table(pk_small.h, canonical_signal, ts, pk_small.d))
         np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("method", ["taylor", "projection"])
@@ -193,11 +196,11 @@ class TestPredict:
                                taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d))
                for d in range(5)]
         ts = np.linspace(-2.0, 2.0, 41)
-        for pk in pks:
+        for pk, table in zip(pks, moment_tables(pks, canonical_signal, ts)):
             assert not pk.needs_extended()
             nodes, weights, values, l1_mass = pk._double_table()
             ref = np.real(canonical_signal.time(ts[:, None] - nodes) @ (weights * values))
-            np.testing.assert_allclose(predict_values(pk, canonical_signal, ts, sweep=pks), ref,
+            np.testing.assert_allclose(predict_values(pk, table), ref,
                                        rtol=0, atol=1e-15 * l1_mass)
 
     def test_signal_without_derivative_takes_sample_path(self, pk_small, pk_big,
@@ -206,10 +209,10 @@ class TestPredict:
         # it a signal without derivatives is refused, not returned as roundoff
         samples_only = Signal(kind="samples", params={}, time=canonical_signal.time)
         ts = np.array([-0.5, 0.4])
-        np.testing.assert_array_equal(predict_values(pk_small, samples_only, ts),
-                                      predict_values(pk_small, canonical_signal, ts))
+        np.testing.assert_array_equal(_predict(pk_small, samples_only, ts),
+                                      _predict(pk_small, canonical_signal, ts))
         with pytest.raises(ValueError, match="l1_mass"):
-            predict_values(pk_big, samples_only, ts)
+            _predict(pk_big, samples_only, ts)
 
     def test_assembled_transform_refused_past_roundoff_switch(self, pk_big):
         with pytest.raises(ValueError, match="l1_mass"):
@@ -224,7 +227,7 @@ class TestPredict:
         assert pk.needs_extended()
         ts = np.linspace(-2.0, 2.0, 5)
         ref = transfer_prediction_mp(psi.coeffs, T, TH, A, ts, dps=70)
-        np.testing.assert_allclose(predict_values(pk, canonical_signal, ts), ref,
+        np.testing.assert_allclose(_predict(pk, canonical_signal, ts), ref,
                                    rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("method", ["taylor", "projection"])
@@ -238,12 +241,12 @@ class TestPredict:
         assert pk.needs_extended()
         ts = np.linspace(-2.0, 2.0, 5)
         ref = chirp_transfer_prediction_mp(psi.coeffs, T, TH, (6.0, 12.0), 1.0, ts, dps=70)
-        np.testing.assert_allclose(predict_values(pk, chirp_noise((6.0, 12.0), 1.0), ts), ref,
+        np.testing.assert_allclose(_predict(pk, chirp_noise((6.0, 12.0), 1.0), ts), ref,
                                    rtol=0, atol=1e-14)
 
     def test_sweep_reads_one_moment_table(self, canonical_kernel):
-        # a named sweep evaluates the signal's derivative stack once per
-        # row block, up to its top degree, whatever degree it starts from
+        # a sweep evaluates the signal's derivative stack once per row
+        # block, up to its top degree, whatever degree it starts from
         # (the chirp without its lines, which take the other transfer route)
         calls = []
         base = replace(chirp_noise((6.0, 12.0), 1.0), lines=None)
@@ -255,10 +258,10 @@ class TestPredict:
         x = replace(base, derivatives=counted)
         ts = np.linspace(-2.0, 2.0, 7)
         pks = [build_predictor(canonical_kernel, taylor_psi(T, d)) for d in range(6, 13)]
-        for pk in pks:
-            got = predict_values(pk, x, ts, sweep=pks)
+        for pk, table in zip(pks, moment_tables(pks, x, ts)):
             np.testing.assert_array_equal(
-                got, _predict_from(pk, _moment_table(canonical_kernel, base, ts, pk.d)))
+                predict_values(pk, table),
+                predict_values(pk, _moment_table(canonical_kernel, base, ts, pk.d)))
         assert calls == [12]
 
     @pytest.mark.parametrize("n_points", [41, 201], ids=["one-block", "two-blocks"])
@@ -276,37 +279,25 @@ class TestPredict:
 
     @pytest.mark.parametrize("d", [4, 12], ids=["sample", "transfer"])
     def test_sweep_tables_are_kept_per_signal_object(self, d):
-        # two signals of one kind and params but different values: each
-        # reads its own table (a table cache keyed by kind and params gave
-        # the second the first's predictions, 0.10 off at d = 12)
+        # two signals of one kind and params but different values, one
+        # after the other on one kernel: each gets its own predictions, the
+        # same as on a fresh kernel (a table cache keyed by kind and params
+        # once gave the second the first's predictions, 0.10 off at d = 12)
         h = bump_kernel(T, TH)
         pk = build_predictor(h, taylor_psi(T, d))
         assert pk.needs_extended() == (d == 12)
         xs = [Signal(kind="custom", params={}, time=p.time, derivatives=p.derivatives)
               for p in (poisson_signal(1.5), poisson_signal(3.0))]
         ts = np.linspace(-2.0, 2.0, 9)
-        got = [predict_values(pk, x, ts, sweep=[pk]) for x in xs]
+        got = [_predict(pk, x, ts) for x in xs]
         for x, y_hat in zip(xs, got):
-            np.testing.assert_array_equal(y_hat, predict_values(pk, x, ts))
+            fresh = build_predictor(bump_kernel(T, TH), taylor_psi(T, d))
+            np.testing.assert_array_equal(y_hat, _predict(fresh, x, ts))
         assert np.max(np.abs(got[0] - got[1])) > 0.05
-
-    @pytest.mark.parametrize("d", [4, 12], ids=["sample", "transfer"])
-    def test_sweep_tables_do_not_pile_up(self, d):
-        # a caller that builds an equal signal afresh for every sweep keeps
-        # at most two tables per route on the kernel
-        h = bump_kernel(T, TH)
-        pk = build_predictor(h, taylor_psi(T, d))
-        ts = np.linspace(-2.0, 2.0, 9)
-        for _ in range(5):
-            predict_values(pk, poisson_signal(A), ts, sweep=[pk])
-        tables = [v for v in h._spectra.values() if isinstance(v, list)]
-        assert len(tables) == 1
-        assert len(tables[0]) == 2
 
 
 class TestErrorBound:
     def test_q_on_mirrored_grid_from_positive_half(self, monkeypatch):
-        # each test builds its own kernel: _q_on_grid caches per kernel
         h = bump_kernel(T, TH)
         sizes = []
 
@@ -347,29 +338,31 @@ class TestErrorBound:
     def test_positive_and_taylor_decay(self, canonical_kernel, canonical_signal):
         pk6 = build_predictor(canonical_kernel, taylor_psi(T, 6))
         pk8 = build_predictor(canonical_kernel, taylor_psi(T, 8))
-        b6 = error_bound_parts(pk6, canonical_signal, R)[2]
-        b8 = error_bound_parts(pk8, canonical_signal, R)[2]
+        (_, _, b6), (_, _, b8) = error_bound_parts([pk6, pk8], canonical_signal, R)
         assert 0 < b8 <= b6 / 2.0
 
     def test_signal_outside_class_rejected(self, canonical_kernel):
         thin = poisson_signal(0.9)  # 2a < r
         pk = build_predictor(canonical_kernel, taylor_psi(T, 4))
         with pytest.raises(ValueError, match="outside"):
-            error_bound_parts(pk, thin, R)
+            error_bound_parts([pk], thin, R)
 
     def test_bound_validity_on_grid(self, pk_small, canonical_signal, canonical_tgrid):
-        res = run_prediction(pk_small, canonical_signal, canonical_tgrid, R)
-        assert res.sup_error <= res.bound * (1 + 1e-6) + 1e-8
+        ts = canonical_tgrid.nodes
+        sup = float(np.max(np.abs(target_values(pk_small.h, canonical_signal, ts)
+                                  - _predict(pk_small, canonical_signal, ts))))
+        (_, _, bound), = error_bound_parts([pk_small], canonical_signal, R)
+        assert sup <= bound * (1 + 1e-6) + 1e-8
 
 
 class TestConvergenceInDegree:
     def test_sup_error_non_increasing_projection(self, canonical_kernel, canonical_signal,
                                                  canonical_tgrid):
-        sups = []
-        for d in range(0, 11):
-            pk = build_predictor(canonical_kernel, projection_psi(T, R, d))
-            res = run_prediction(pk, canonical_signal, canonical_tgrid, R)
-            sups.append(res.sup_error)
+        ts = canonical_tgrid.nodes
+        y = target_values(canonical_kernel, canonical_signal, ts)
+        pks = [build_predictor(canonical_kernel, projection_psi(T, R, d)) for d in range(0, 11)]
+        sups = [float(np.max(np.abs(y - predict_values(pk, table))))
+                for pk, table in zip(pks, moment_tables(pks, canonical_signal, ts))]
         for s1, s2 in zip(sups, sups[1:]):
             assert s2 <= s1 + 1e-10
 
@@ -380,24 +373,25 @@ class TestNoise:
         assert _noise_error(pk_small, canonical_kernel, eta, canonical_tgrid.nodes) == 0.0
         assert noise_norm(eta, 1) == noise_norm(eta, 2) == 0.0
 
-    def test_noise_bound_linearity(self, pk_small, canonical_kernel):
-        b1 = noise_bound(pk_small, canonical_kernel, 0.1, 2)
-        b2 = noise_bound(pk_small, canonical_kernel, 0.2, 2)
-        assert b2 == pytest.approx(2.0 * b1, rel=1e-14)
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_sweep_norms_match_single_predictor(self, canonical_kernel, p):
+        # the norms built once for a sweep are each degree's own, bit for bit
+        pks = [build_predictor(canonical_kernel, taylor_psi(T, d)) for d in (2, 8, 12)]
+        assert transfer_norms(pks, p) == [transfer_norms([pk], p)[0] for pk in pks]
 
     def test_bound_grows_with_degree(self, canonical_kernel):
         # norms taken on the transfer band, where the degree blow-up lives
         pk4 = build_predictor(canonical_kernel, taylor_psi(T, 4))
         pk10 = build_predictor(canonical_kernel, taylor_psi(T, 10))
         for p in (1, 2):
-            b4 = noise_bound(pk4, canonical_kernel, 0.1, p)
-            b10 = noise_bound(pk10, canonical_kernel, 0.1, p)
-            assert b10 > b4
+            (n4, h4), (n10, h10) = transfer_norms([pk4, pk10], p)
+            assert h4 == h10 and n10 > n4
 
     def test_empirical_below_bound(self, pk_small, canonical_kernel, canonical_tgrid):
         eta = chirp_noise((6.0, 12.0), 0.05)
         noise_error = _noise_error(pk_small, canonical_kernel, eta, canonical_tgrid.nodes)
-        slope = noise_bound(pk_small, canonical_kernel, 1.0, 2)  # norms on the transfer band
+        (n_hhat, n_h), = transfer_norms([pk_small], 2)  # norms on the transfer band
+        slope = (n_hhat + n_h) / (2.0 * math.pi)
         assert noise_error <= noise_norm(eta, 2) * slope + 1e-10
 
     def test_doubling_noise_doubles_error(self, pk_small, canonical_kernel, canonical_tgrid):
@@ -413,7 +407,7 @@ class TestTransferNorms:
         psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
         pk = build_predictor(canonical_kernel, psi)
         ref = math.sqrt(2.0 * math.pi * gram_l2_norm_sq(canonical_kernel, psi.coeffs))
-        assert transfer_norms(pk, canonical_kernel, 2)[0] == pytest.approx(ref, rel=1e-11)
+        assert transfer_norms([pk], 2)[0][0] == pytest.approx(ref, rel=1e-11)
 
 
 BAND_KERNELS = pytest.mark.parametrize("T_, theta", [(T, TH), (2.0, 0.5)], ids=["canonical", "wide"])
@@ -515,16 +509,16 @@ class TestBandSpectrum:
         step, q_abs = _oracle_band(canonical_kernel)
         prod = np.abs(psi.at_iw(step * np.arange(q_abs.size))) * q_abs
         ref = min(float(np.max(prod)), pk.l1_mass)
-        assert transfer_norms(pk, canonical_kernel, 1)[0] == pytest.approx(ref, rel=1e-12)
+        assert transfer_norms([pk], 1)[0][0] == pytest.approx(ref, rel=1e-12)
 
     def test_p1_sup_streams(self, canonical_kernel):
-        # with the band cached, the sup takes about one chunk of memory, not
-        # a band-sized complex psi_d(i omega) (8.0 MB for the canonical band)
-        _band_spectrum(canonical_kernel)
+        # given the band, the sup takes about one chunk of memory, not a
+        # band-sized complex psi_d(i omega) (8.0 MB for the canonical band)
+        band = _band_spectrum(canonical_kernel)
         pk = build_predictor(canonical_kernel, taylor_psi(T, 6))
         tracemalloc.start()
         try:
-            transfer_norms(pk, canonical_kernel, 1)
+            _transfer_sup(pk, band)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -536,7 +530,7 @@ class TestBandSpectrum:
         # |F f(omega)| <= ||f||_1 holds exactly for every omega
         psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
         pk = build_predictor(canonical_kernel, psi)
-        sup_hhat, sup_h = transfer_norms(pk, canonical_kernel, 1)
+        (sup_hhat, sup_h), = transfer_norms([pk], 1)
         assert sup_hhat <= pk.l1_mass
         assert sup_h == pytest.approx(1.0, rel=1e-15)
 
@@ -551,26 +545,25 @@ class TestBandSpectrum:
         omegas, q_abs = q_scan
         pk = build_predictor(canonical_kernel, taylor_psi(T, d))
         ref = float(np.max(np.abs(pk.psi.at_iw(omegas)) * q_abs))
-        assert transfer_norms(pk, canonical_kernel, 1)[0] == pytest.approx(ref, rel=1e-3)
+        assert transfer_norms([pk], 1)[0][0] == pytest.approx(ref, rel=1e-3)
 
     def test_d10_sup_is_not_roundoff(self, canonical_kernel):
         # the two-stage quadrature scan returned 6.85e18 here: |psi_10| times roundoff of |Q|
         pk = build_predictor(canonical_kernel, taylor_psi(T, 10))
-        assert transfer_norms(pk, canonical_kernel, 1)[0] <= 9.46e11 * (1.0 + 1e-6)
+        assert transfer_norms([pk], 1)[0][0] <= 9.46e11 * (1.0 + 1e-6)
 
 
 class TestSamplePathBlocks:
     def test_blocks_match_one_product(self, monkeypatch, pk_small, canonical_signal):
-        # no sweep is named, so each call builds its table: no cache hit
         ts = np.linspace(-2.0, 2.0, 301)
         h = pk_small.h
         whole_y = predictor.target_values(h, canonical_signal, ts)
-        whole_y_hat = predict_values(pk_small, canonical_signal, ts)
+        whole_y_hat = _predict(pk_small, canonical_signal, ts)
         monkeypatch.setattr(predictor, "_BLOCK_ELEMENTS", 1)  # 16-row blocks
         assert len(predictor._row_blocks(ts.size, 100)) == 19
         np.testing.assert_allclose(predictor.target_values(h, canonical_signal, ts),
                                    whole_y, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(predict_values(pk_small, canonical_signal, ts),
+        np.testing.assert_allclose(_predict(pk_small, canonical_signal, ts),
                                    whole_y_hat, rtol=0.0, atol=1e-15)
 
     def test_dense_grid_peaks_below_three_blocks(self, canonical_signal):
@@ -585,8 +578,8 @@ class TestSamplePathBlocks:
         ts = np.linspace(-20.0, 20.0, 20001)
         block = predictor._BLOCK_ELEMENTS * 8
         for run in (lambda: predictor.target_values(h, canonical_signal, ts),
-                    lambda: predict_values(pk, canonical_signal, ts),
-                    lambda: predict_values(pk12, canonical_signal, ts)):
+                    lambda: _predict(pk, canonical_signal, ts),
+                    lambda: _predict(pk12, canonical_signal, ts)):
             tracemalloc.start()
             try:
                 out = run()
@@ -594,23 +587,6 @@ class TestSamplePathBlocks:
             finally:
                 tracemalloc.stop()
             assert peak - out.nbytes < 3 * block
-
-
-class TestPredictionResult:
-    def test_summary_fields(self, pk_small, canonical_signal, canonical_tgrid):
-        res = run_prediction(pk_small, canonical_signal, canonical_tgrid, R, method="taylor")
-        s = res.summary()
-        assert set(s) == {"sup_error", "bound", "alpha", "beta", "d", "method"}
-        assert s["d"] == 4 and s["method"] == "taylor"
-        assert res.sup_error == pytest.approx(
-            float(np.max(np.abs(res.y - res.y_hat))))
-
-    def test_rows_align_with_grid(self, pk_small, canonical_signal):
-        tg = TimeGrid(-1.0, 1.0, 5)
-        res = run_prediction(pk_small, canonical_signal, tg, R)
-        rows = list(res.rows())
-        assert len(rows) == 5
-        assert rows[0][0] == -1.0
 
 
 class TestFrequencyIdentityOfTarget:

@@ -273,9 +273,27 @@ class TestClassNorm:
         assert rep.member and rep.norm_sq == pytest.approx(float(ref), rel=1e-13)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("r", [2.0, 4.0, 8.0])
+    def test_chirp_closed_form_against_mpmath(self, r, sign):
+        # 2 A^2 int_lo^hi e^{s omega} domega; a grid sized by r missed the
+        # band [6, 12] (r = 8: 0 against 3.56e-22 and 1.23e41)
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        s = mp.mpf(sign * r)
+        ref = 2 * mp.mpf(0.7) ** 2 * (mp.exp(12 * s) - mp.exp(6 * s)) / s
+        rep = class_norm(chirp_noise((6.0, 12.0), 0.7), r, sign=sign)
+        assert rep.member and rep.norm_sq == pytest.approx(float(ref), rel=1e-13)
+
+    @pytest.mark.filterwarnings("error")
     def test_member_with_norm_past_double_range(self):
         # 2a > r, but the weight at the modulation peak is e^{4 * 200}
         rep = class_norm(cosine_modulated_poisson(5.0, 200.0), 4.0, sign=+1)
+        assert rep.member and rep.norm == math.inf and not rep.unit_ball
+        # the chirp's weight at the band edge is e^{100 * 12}
+        rep = class_norm(chirp_noise((6.0, 12.0), 1.0), 100.0, sign=+1)
         assert rep.member and rep.norm == math.inf and not rep.unit_ball
 
 
