@@ -156,7 +156,7 @@ def cmd_convergence(config_path, out):
         start = time.perf_counter()
         sup = float(np.max(np.abs(y - predict_values(pk, table))))
         results.append({"d": pk.d, "method": cfg.method, "sup_error": sup, "bound": bound,
-                        "alpha": alpha, "beta": beta,
+                        "alpha": alpha, "beta": beta, "window_points": table.window_points,
                         "runtime_ms": 1000.0 * (time.perf_counter() - start)})
 
     path = Path(cfg.output_dir) / "convergence.csv"

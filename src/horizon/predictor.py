@@ -13,8 +13,8 @@ d: with hhat_d = sum_k a_k q^(k) and x real,
     y_hat_d(t) = Re int_0^tau hhat_d(u) x(t - u) du = sum_k Re(a_k) S[k, t],
     S[k, t] = int q^(k)(u) x(t - u) du.
 
-Below the switch S is the sample-moment table: x sampled on the panel
-rule of the top order, times each weight vector w q^(k)(s).  High-degree
+Below the switch S is the sample-moment table: x against each weight
+vector w q^(k)(s) of the panel rule of the top order.  High-degree
 assemblies are numerically brutal, though: hhat_12 for the canonical
 configuration carries an L1 mass near 3.5e15 while its convolutions are
 O(0.1), so a quadrature against it cancels some 16 orders of magnitude.
@@ -36,19 +36,38 @@ frequency rule), gives the same double sum over nodes s and lines j
 taken over s first: one transcendental per line and per time, not per
 (time, node, line).
 
+Every other convolution (the target, the sample table and the transfer
+stack) separates the signal from the kernel the same way.  A signal of
+the class is analytic in a strip about the real line, so on a kernel
+window of half-length l, s -> x(t - s) is resolved to double precision
+by its Chebyshev interpolant on M ~ 16 / log10(rho) points, rho =
+a/l + sqrt(1 + (a/l)^2) for a strip of half-width a (Bernstein-ellipse
+convergence; Trefethen, Approximation Theory and Approximation Practice,
+SIAM 2013, Thm 8.2).  Each quadrature sum over the panel nodes s_j is
+then sum_j v_j x(t - s_j) = sum_i x(t - sigma_i) (L.T v)_i, with L the
+barycentric Lagrange basis of the window points sigma_i at the nodes,
+so x is read at (time x M) points in place of (time x node) points,
+while the kernel side stays on its panel rule.  M doubles from 16 until
+the last Chebyshev coefficients of every row's samples are within 4 eps
+of its largest sample, 4 (k + 1) eps for order k of a derivative stack
+(the tail test, ``_window_table``); a signal that never passes it, a
+sharp Gaussian say, and a table of too few times for the interpolant to
+pay are read on the nodes themselves, the direct panel sum.
+
 The degree sweep, a list of predictors of one kernel, is the unit of
 work.  Only alpha depends on d, so each degree-free quantity is computed
 once per sweep and returned per predictor: ``moment_tables`` builds one
 table per route, up to the top degree of the sweep members on that
 route, from one ``x.time`` block or one ``x.derivatives`` stack per row
-block, or one read of the lines; ``error_bound_parts`` integrates beta
-once; ``transfer_norms`` builds the p = 1 band or ||H||_2 once.  Every
-quantity here is computed in double precision; only alpha
-(``alpha_closed_form``), whose expansion cancels catastrophically, is
-summed in exact rationals.
+block and window, or one read of the lines; ``error_bound_parts``
+integrates beta once; ``transfer_norms`` builds the p = 1 band or
+||H||_2 once.  Every quantity here is computed in double precision; only
+alpha (``alpha_closed_form``), whose expansion cancels catastrophically,
+is summed in exact rationals.
 """
 
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -155,48 +174,186 @@ def _target_rule(h):
     return gauss_legendre_edges(edges)
 
 
-#: bound on the (time points x nodes) block evaluated at once
+#: bound on the (time points x window points) block evaluated at once
 _BLOCK_ELEMENTS = 1 << 18
+#: window points of the first interpolant; doubled until the tail test passes
+_FIRST_WINDOW = 16
+#: the tail test: the last ``_TAIL_COEFFS`` Chebyshev coefficients of each
+#: row of order k at most (k + 1) ``_TAIL_EPS`` (4 eps) times the row's
+#: largest sample, since order k of a derivative stack carries about k + 1
+#: roundings (the powers of 1 / (t - i a), the Hermite recurrence)
+_TAIL_COEFFS, _TAIL_EPS = 4, 4.0 * np.finfo(float).eps
+#: cost of one entry of the Lagrange basis, in signal values
+_BASIS_COST = 4
+#: times of the probe that picks M before the whole table is built
+_PROBE_ROWS = 256
+#: bound on the (nodes x window points) chunk of the Lagrange basis formed at once
+_BASIS_ELEMENTS = 1 << 18
 
 
 def _row_blocks(n_rows, n_cols, depth=1):
     """Row slices of about ``_BLOCK_ELEMENTS`` elements over ``depth`` stacked (rows x cols) arrays.
 
-    Each block is a whole multiple of 16 rows, at least 16: that keeps the BLAS
-    matrix-vector kernel's row unrolling, so a blocked product sums each row
-    exactly as one full product does.
+    Each block but the last is a whole multiple of 16 rows, at least 16:
+    that keeps the BLAS matrix-vector kernel's row unrolling.  A one-row
+    tail is merged into the block before it, since numpy takes a one-row
+    product through another kernel.  So with a one-thread BLAS a blocked
+    product sums each row exactly as one full product does (a threaded
+    BLAS splits each product's rows between its threads by its size).
     """
     step = max(16, _BLOCK_ELEMENTS // (n_cols * depth) // 16 * 16)
-    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(i, j) for i, j in zip(starts, starts[1:] + [n_rows])]
 
 
-def _blocked(ts, nodes, evaluate, out, depth=1):
-    """out[..., rows] = evaluate(t - s) over the row blocks of the (times x nodes) argument matrix.
+def _chebyshev_window(window, m):
+    """(points, tail): the m first-kind Chebyshev points of the window, all inside it, and the tail matrix.
 
-    t - s is written into one buffer allocated once per call, each block a
+    ``tail`` takes samples at the points to their last ``_TAIL_COEFFS``
+    Chebyshev coefficients; its angles are reduced modulo 2 pi in
+    integers, since cos(k theta_j) formed directly is off by about k eps,
+    which puts the coefficients of a resolved row near 10 eps instead of 1.
+    """
+    lo, hi = window
+    j = np.arange(m)
+    points = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * j + 1) * (math.pi / (2 * m)))
+    k = np.arange(m - _TAIL_COEFFS, m)
+    tail = (2.0 / m) * np.cos(math.pi / (2 * m) * (np.outer(2 * j + 1, k) % (4 * m)))
+    return points, tail
+
+
+def _window_weights(points, nodes, vectors):
+    """L.T v for each weight vector v, L[j, i] the barycentric Lagrange polynomial l_i at nodes[j].
+
+    The points are ``_chebyshev_window``'s, with barycentric weights
+    (-1)^i sin theta_i (Berrut & Trefethen, SIAM Review 46, 2004).  L is
+    formed in chunks of about ``_BASIS_ELEMENTS`` entries (2 MB) and
+    summed in an order that does not depend on the row blocks of the
+    times.
+    """
+    m = points.size
+    theta = (2 * np.arange(m) + 1) * (math.pi / (2 * m))
+    barycentric = np.where(np.arange(m) % 2, -1.0, 1.0) * np.sin(theta)
+    out = np.zeros((len(vectors), m))
+    chunk = max(1, _BASIS_ELEMENTS // m)
+    for i in range(0, nodes.size, chunk):
+        rows = slice(i, i + chunk)
+        basis = np.subtract.outer(nodes[rows], points)
+        hit = basis == 0.0
+        basis[hit] = 1.0
+        np.divide(barycentric, basis, out=basis)
+        basis /= basis.sum(axis=1, keepdims=True)
+        on_point = hit.any(axis=1)
+        basis[on_point] = hit[on_point]
+        out += vectors[:, rows] @ basis
+    return out
+
+
+def _block_sums(samples, vectors, tail):
+    """(sums, None) with sums[k] = samples[k] @ vectors[k], or (None, the rows that fail the tail test).
+
+    ``samples`` is a stack of (rows x points) blocks, one per order, or a
+    stack of one that every vector reads; ``vectors`` holds one weight
+    vector per order, or one that every block reads; ``tail`` None skips
+    the test.  The samples die on return.
+    """
+    if tail is not None:
+        failed = np.zeros(len(samples[0]), dtype=bool)
+        for k, block in enumerate(samples):
+            bound = (k + 1) * _TAIL_EPS * np.max(np.abs(block), axis=-1, keepdims=True)
+            failed |= ~np.all(np.abs(block @ tail) <= bound, axis=-1)
+        if failed.any():
+            return None, np.flatnonzero(failed)
+    last_s, last_v = len(samples) - 1, len(vectors) - 1
+    return [samples[min(k, last_s)] @ vectors[min(k, last_v)] for k in range(max(last_s, last_v) + 1)], None
+
+
+def _blocked(ts, rule, sample, depth=1):
+    """(out, None), out[k, t] = sample(t - points)[k] @ vectors[k] over the row blocks of ts.
+
+    ``rule`` is (points, vectors, tail) (``_block_sums``); the first row
+    block with a row that fails the tail test stops the table, and
+    (None, the indices in ts of its failing rows) is returned.  t - s is
+    written into one buffer allocated once per call, each block a
     C-contiguous leading slice of it: a block-sized array allocated and
     freed per block is handed back to the operating system and faulted in
-    again page by page.  ``depth`` is the number of (rows x nodes) arrays
-    ``evaluate`` holds at once, so its whole stack stays near one block.
+    again page by page.  ``depth`` is the number of (rows x points) arrays
+    ``sample`` holds at once, and the tail test holds one more, so the
+    whole stack stays near one block.
     """
-    blocks = _row_blocks(ts.size, nodes.size, depth)
-    buf = np.empty((blocks[0].stop if blocks else 0, nodes.size))
+    points, vectors, tail = rule
+    blocks = _row_blocks(ts.size, points.size, depth + (tail is not None))
+    buf = np.empty((max((rows.stop - rows.start for rows in blocks), default=0), points.size))
+    out = np.empty((max(depth, len(vectors)), ts.size))
     for rows in blocks:
-        args = np.subtract(ts[rows, None], nodes, out=buf[:rows.stop - rows.start])
-        out[..., rows] = evaluate(args)
-    return out
+        args = np.subtract(ts[rows, None], points, out=buf[:rows.stop - rows.start])
+        sums, failed = _block_sums(sample(args), vectors, tail)
+        if sums is None:
+            return None, rows.start + failed
+        out[:, rows] = sums
+    return out, None
+
+
+def _window_table(ts, window, nodes, sample, vectors, depth=1):
+    """(table, M): table[k, t] = sum_j vectors[k][j] y_k(t - s_j) over the nodes s_j, y read on M points.
+
+    ``sample(args)`` returns the stack of y_k at a (rows x points) block
+    of arguments (``_block_sums``).  For a signal of the class,
+    s -> y(t - s) is analytic across the kernel's window, so it is
+    resolved to double precision by its Chebyshev interpolant on M points
+    sigma_i of the window (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 8.2).  With L[j, i] = l_i(s_j) at the
+    nodes, sum_j v_j y(t - s_j) = sum_i y(t - sigma_i) (L.T v)_i: M
+    samples per time in place of one per node.  M doubles from
+    ``_FIRST_WINDOW`` until every row, of every order, passes the tail
+    test.  Past ``_PROBE_ROWS`` times it is tried first on a probe of
+    at most that many evenly spaced times, and the rows that fail after
+    the probe passed join the probe, so that a whole table is seldom
+    built and dropped.  Once M would reach the node count N, or the
+    signal values per point (times x depth) over ``_BASIS_COST``, the
+    nodes themselves are the points (L the identity): the direct panel
+    sum.  Past that, forming the N x M basis would cost more than the
+    direct sum reads (the break-even measured near 80 times for the
+    target and 20 for a 17-deep transfer stack), so a short table takes
+    the direct sum at once.
+    """
+    vectors = np.asarray(vectors)
+    stride = -(-ts.size // _PROBE_ROWS)
+    probe = ts[::stride] if stride > 1 else None
+    m = _FIRST_WINDOW
+    while m < nodes.size and _BASIS_COST * m < ts.size * depth:
+        points, tail = _chebyshev_window(window, m)
+        # the probe needs no weights, so L is formed only once it passed
+        if probe is None or _blocked(probe, (points, np.zeros((1, m)), tail), sample, depth)[1] is None:
+            weights = _window_weights(points, nodes, vectors)
+            table, failed = _blocked(ts, (points, weights, tail), sample, depth)
+            if failed is None:
+                return table, m
+            if probe is not None:
+                probe = np.concatenate([probe, ts[failed]])
+        m *= 2
+    return _blocked(ts, (nodes, vectors, None), sample, depth)[0], nodes.size
 
 
 def target_values(h, x, ts):
     """y(t) = int h(u) x(t-u) du over u in [-T, theta] at ``ts``: the anticausal target."""
     ts = np.asarray(ts, dtype=float)
     nodes, weights = _target_rule(h)
-    hw = h(nodes) * weights
-    return _blocked(ts, nodes, lambda args: x.time(args) @ hw, np.empty(ts.size))
+    table, _ = _window_table(ts, h.support, nodes, lambda args: (x.time(args),), [h(nodes) * weights])
+    return table[0]
+
+
+class MomentTable(NamedTuple):
+    """A moment table and the window points it read the signal on (None for a signal's lines)."""
+
+    values: np.ndarray
+    window_points: Optional[int]
 
 
 def moment_tables(pks, x, ts):
-    """The moment table of each predictor's route at ``ts``, one table built per route.
+    """The ``MomentTable`` of each predictor's route at ``ts``, one table built per route.
 
     The route is derivative transfer (``_moment_table``) where
     ``pk.needs_extended()`` holds, refused for a signal without a
@@ -218,52 +375,51 @@ def moment_tables(pks, x, ts):
 
 
 def predict_values(pk, table):
-    """Predictions sum_k Re(a_k) table[k] from pk's entry of ``moment_tables``.
+    """Predictions sum_k Re(a_k) table.values[k] from pk's entry of ``moment_tables``.
 
     Summed in k order over the nonzero Re(a_k); x is real, so
     Re(a_k x^(k)) = Re(a_k) x^(k).
     """
-    out = np.zeros(table.shape[1])
+    values = table.values
+    out = np.zeros(values.shape[1])
     for k, a in enumerate(pk.psi.coeffs):
         if a.real != 0.0:
-            out += a.real * table[k]
+            out += a.real * values[k]
     return out
 
 
 def _sample_table(h, x, ts, kmax):
     """S[k, t] = int q^(k)(u) x(t - u) du for k <= kmax, on the order-kmax panel rule.
 
-    One ``x.time`` block per row block, times each weight vector
-    w q^(k)(s) by a matrix-vector product, so row blocks sum each row as
-    one full product does.  A table serves degrees up to kmax only on its
-    own rule, so it is rebuilt, not sliced, for another kmax.
+    x is read at the points of its window interpolant on [0, tau]
+    (``_window_table``), one ``x.time`` block per row block, times each
+    weight vector L.T (w q^(k)(s)) by a matrix-vector product.  A table
+    serves degrees up to kmax only on its own rule, so it is rebuilt,
+    not sliced, for another kmax.
     """
     nodes, weights = gauss_legendre_edges(derivative_panel_edges(h.width, kmax))
     qw = [h.derivative(k, nodes - h.T) * weights for k in range(kmax + 1)]
-
-    def evaluate(args):
-        block = x.time(args)
-        return [block @ w for w in qw]
-
-    return _blocked(ts, nodes, evaluate, np.empty((kmax + 1, ts.size)))
+    return MomentTable(*_window_table(ts, (0.0, h.width), nodes, lambda args: (x.time(args),), qw))
 
 
 def _moment_table(h, x, ts, kmax):
     """M[k, t] = int h(s) x^(k)(t - T - s) ds for k <= kmax, on the target rule.
 
-    One ``x.derivatives(kmax, .)`` stack per row block, the blocks sized by
-    the whole (kmax + 1)-deep stack.  The arguments
-    t - T - s stay inside the causal window (t - tau, t).  Row k does not
-    depend on kmax.  With lines resolving every argument, M[k, t] =
-    Re sum_j c_j (i omega_j)^k Q_j e^{i omega_j t}, Q_j = sum_s h(s) w_s
-    e^{-i omega_j (s + T)}.
+    One ``x.derivatives(kmax, .)`` stack at the points of the window
+    interpolant on [-T, theta] (``_window_table``) per row block, the
+    blocks sized by the whole (kmax + 1)-deep stack and the tail test
+    passed by every order; each order times L.T (h w).  The arguments
+    t - T - s stay inside the causal window (t - tau, t).  Row k depends
+    on kmax only through the window points M.  With lines resolving every
+    argument, M[k, t] = Re sum_j c_j (i omega_j)^k Q_j e^{i omega_j t},
+    Q_j = sum_s h(s) w_s e^{-i omega_j (s + T)}, and no window is read.
     """
     nodes, weights = _target_rule(h)
     hw = h(nodes) * weights
     tt = ts - h.T
     if x.lines is None:
-        return _blocked(tt, nodes, lambda args: [d @ hw for d in x.derivatives(kmax, args)],
-                        np.empty((kmax + 1, ts.size)), depth=kmax + 1)
+        return MomentTable(*_window_table(tt, h.support, nodes, lambda args: x.derivatives(kmax, args),
+                                          [hw], depth=kmax + 1))
     om, c = x.lines(max(np.max(tt) - np.min(nodes), np.max(nodes) - np.min(tt)))
     q = np.exp(-1j * np.outer(om, nodes + h.T)) @ hw
     b = (c * q)[:, None] * (1j * om[:, None]) ** np.arange(kmax + 1)
@@ -272,7 +428,7 @@ def _moment_table(h, x, ts, kmax):
         phases = np.exp(1j * np.outer(ts[rows], om))
         for k in range(kmax + 1):
             out[k, rows] = (phases @ b[:, k]).real
-    return out
+    return MomentTable(out, None)
 
 
 # -- bounds ------------------------------------------------------------------

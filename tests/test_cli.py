@@ -216,10 +216,9 @@ class TestConvergence:
     def test_sample_route_reads_signal_once_per_row_block(self, runner, tmp_path, monkeypatch):
         # d = 0..4 all take the sample route: the target and the one
         # sample-moment table of the sweep each evaluate x once per row
-        # block, not once per degree
-        from horizon import predictor, signals
-        from horizon.kernels import derivative_panel_edges
-        from horizon.spectral_core import gauss_legendre_edges
+        # block and window, not once per degree, on (rows x M) blocks with
+        # M doubling from 16 to at most 64, not on the 1,376 and 2,208 nodes
+        from horizon import signals
 
         calls = []
         real_poisson = signals.poisson_signal
@@ -239,14 +238,13 @@ class TestConvergence:
                             output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, ["convergence", "--config", str(cfgp)])
         assert result.exit_code == 0, result.output
-        h = ExperimentConfig().build_kernel()
-        target_nodes = predictor._target_rule(h)[0]
-        table_nodes = gauss_legendre_edges(derivative_panel_edges(h.width, 4))[0]
-        expected = [(rows.stop - rows.start, nodes.size)
-                    for nodes in (target_nodes, table_nodes)
-                    for rows in predictor._row_blocks(tgrid["n_points"], nodes.size)]
-        assert len(expected) == 4
-        assert calls == expected
+        windows = [m for rows, m in calls]
+        assert all(rows == tgrid["n_points"] for rows, _ in calls)
+        assert windows[0] == 16 and max(windows) <= 64
+        assert all(m in (16, 2 * prev) for prev, m in zip(windows, windows[1:]))
+        assert windows.count(16) == 2  # the target, then the table
+        summary = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())
+        assert [row["window_points"] for row in summary["rows"]] == [windows[-1]] * 5
 
     def test_zero_signal_rows_zero(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json",
@@ -310,13 +308,13 @@ class TestNoiseSweep:
 
     def test_chirp_lines_once_per_sweep(self, runner, tmp_path, monkeypatch):
         # d = 6..12 all predict by derivative transfer; the chirp's lines are
-        # read once for the whole sweep, on a grid of two row blocks, and its
-        # derivative stack is never evaluated on that route
+        # read once for the whole sweep, on a grid of two row blocks of the
+        # lines, and its derivative stack is never evaluated on that route
         from dataclasses import replace
 
         from horizon import predictor, signals
 
-        calls = []
+        calls, n_lines = [], []
         real_chirp = signals.chirp_noise
 
         def counted_chirp(band, amplitude):
@@ -324,6 +322,7 @@ class TestNoiseSweep:
 
             def lines(t_scale):
                 calls.append("lines")
+                n_lines.append(base.lines(t_scale)[0].size)
                 return base.lines(t_scale)
 
             def derivatives(kmax, t):
@@ -333,13 +332,13 @@ class TestNoiseSweep:
             return replace(base, lines=lines, derivatives=derivatives)
 
         monkeypatch.setattr(signals, "chirp_noise", counted_chirp)
+        monkeypatch.setattr(predictor, "_BLOCK_ELEMENTS", 1 << 13)
         tgrid = {"t_min": -2.0, "t_max": 2.0, "n_points": 201}
         cfgp = write_config(tmp_path / "c.json", d_range=[6, 12], tgrid=tgrid,
                             output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
         assert result.exit_code == 0, result.output
-        nodes, _ = predictor._target_rule(ExperimentConfig().build_kernel())
-        assert len(predictor._row_blocks(tgrid["n_points"], nodes.size)) == 2
+        assert len(predictor._row_blocks(tgrid["n_points"], n_lines[0])) == 2
         assert calls == ["lines"]
 
     def test_zero_noise_rows_match_convergence(self, runner, tmp_path):
@@ -398,7 +397,11 @@ class TestSweepWork:
         summary = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())
         assert [row["d"] for row in summary["rows"]] == [0, 2, 4]
         for row in summary["rows"]:
-            assert set(row) == {"alpha", "beta", "bound", "d", "method", "runtime_ms", "sup_error"}
+            assert set(row) == {"alpha", "beta", "bound", "d", "method", "runtime_ms", "sup_error",
+                                "window_points"}
+            # 41 times are too few for a window to pay: the direct sum on
+            # the 2,208 nodes of the d <= 4 panel rule
+            assert row["window_points"] == 2208
 
 
 class TestPredict:

@@ -22,6 +22,7 @@ from horizon import (
     target_values,
     taylor_psi,
     chirp_noise,
+    cosine_modulated_poisson,
     gaussian_signal,
     zero_signal,
 )
@@ -34,6 +35,7 @@ from oracles import (
     adaptive_simpson,
     bump_transform_mp,
     chirp_transfer_prediction_mp,
+    direct_table,
     gram_l2_norm_sq,
     padded_band_spectrum,
     transfer_prediction_mp,
@@ -246,36 +248,54 @@ class TestPredict:
 
     def test_sweep_reads_one_moment_table(self, canonical_kernel):
         # a sweep evaluates the signal's derivative stack once per row
-        # block, up to its top degree, whatever degree it starts from
-        # (the chirp without its lines, which take the other transfer route)
+        # block and window, up to its top degree, whatever degree it starts
+        # from, M doubling from 16 (the chirp without its lines, which take
+        # the other transfer route); a degree's own table may take another
+        # M, so the two agree within twice the window tolerance of each
+        # against the direct sum, 8 eps ||h w||_1 max|x^(k)| per order
         calls = []
         base = replace(chirp_noise((6.0, 12.0), 1.0), lines=None)
 
         def counted(kmax, t):
-            calls.append(kmax)
+            calls.append((kmax, np.shape(t)))
             return base.derivatives(kmax, t)
 
         x = replace(base, derivatives=counted)
-        ts = np.linspace(-2.0, 2.0, 7)
+        ts = np.linspace(-2.0, 2.0, 41)
         pks = [build_predictor(canonical_kernel, taylor_psi(T, d)) for d in range(6, 13)]
-        for pk, table in zip(pks, moment_tables(pks, x, ts)):
-            np.testing.assert_array_equal(
+        tables = moment_tables(pks, x, ts)
+        assert calls == [(12, (41, 16 << i)) for i in range(len(calls))]
+        assert calls[-1][1][1] == tables[0].window_points <= 128
+        _, vectors, samples = direct_table(canonical_kernel, base, ts, 12, transfer=True)
+        tol = 16.0 * np.finfo(float).eps * np.abs(vectors[0]).sum() * np.abs(samples).max(axis=(1, 2))
+        for pk, table in zip(pks, tables):
+            re_a = np.abs([a.real for a in pk.psi.coeffs])
+            np.testing.assert_allclose(
                 predict_values(pk, table),
-                predict_values(pk, _moment_table(canonical_kernel, base, ts, pk.d)))
-        assert calls == [12]
+                predict_values(pk, _moment_table(canonical_kernel, base, ts, pk.d)),
+                rtol=0, atol=re_a @ tol[:pk.d + 1])
 
     @pytest.mark.parametrize("n_points", [41, 201], ids=["one-block", "two-blocks"])
-    def test_chirp_lines_table_matches_derivative_table(self, canonical_kernel, n_points):
-        # the same double sum over kernel nodes and lines, taken over the
-        # nodes first; a block's rule is no finer than the whole grid's
-        ts = np.linspace(-2.0, 2.0, n_points)
-        nodes, _ = predictor._target_rule(canonical_kernel)
-        assert len(predictor._row_blocks(n_points, nodes.size)) == (n_points > 41) + 1
+    def test_chirp_lines_table_matches_derivative_table(self, canonical_kernel, monkeypatch, n_points):
+        # the same double sum over kernel nodes and lines as the direct sum
+        # of the derivative stack, taken over the nodes first; the lines are
+        # read once for the whole grid, so a row block's rule is no finer
+        # than the whole grid's
+        monkeypatch.setattr(predictor, "_BLOCK_ELEMENTS", 1 << 13)
+        n_lines = []
         eta = chirp_noise((6.0, 12.0), 1.0)
-        lines = _moment_table(canonical_kernel, eta, ts, 12)
-        stacks = _moment_table(canonical_kernel, replace(eta, lines=None), ts, 12)
+
+        def lines(t_scale):
+            n_lines.append(eta.lines(t_scale)[0].size)
+            return eta.lines(t_scale)
+
+        ts = np.linspace(-2.0, 2.0, n_points)
+        table = _moment_table(canonical_kernel, replace(eta, lines=lines), ts, 12)
+        assert table.window_points is None
+        assert len(predictor._row_blocks(n_points, n_lines[0])) == (n_points > 41) + 1
+        stacks = direct_table(canonical_kernel, eta, ts, 12, transfer=True)[0]
         scale = np.max(np.abs(stacks), axis=1, keepdims=True)
-        assert np.all(np.abs(lines - stacks) <= 2e-15 * scale)
+        assert np.all(np.abs(table.values - stacks) <= 2e-15 * scale)
 
     @pytest.mark.parametrize("d", [4, 12], ids=["sample", "transfer"])
     def test_sweep_tables_are_kept_per_signal_object(self, d):
@@ -587,6 +607,92 @@ class TestSamplePathBlocks:
             finally:
                 tracemalloc.stop()
             assert peak - out.nbytes < 3 * block
+
+
+WINDOW_KERNELS = [(T, TH), (0.05, 1.0), (2.0, 0.5), (0.2, 2.0)]
+WINDOW_SIGNALS = {
+    "poisson": poisson_signal(1.01),
+    "modulated": cosine_modulated_poisson(1.5, 5.0),
+    "gauss-0.5": gaussian_signal(0.5),
+    "gauss-0.1": gaussian_signal(0.1),
+    "gauss-0.02": gaussian_signal(0.02),
+    "chirp": replace(chirp_noise((6.0, 12.0), 1.0), lines=None),
+}
+
+
+def _library_table(h, x, ts, kmax, transfer):
+    """The library's table of one route: the target for kmax None."""
+    if kmax is None:
+        return predictor.target_values(h, x, ts)[None, :]
+    return (_moment_table if transfer else predictor._sample_table)(h, x, ts, kmax).values
+
+
+class TestWindowTables:
+    """Each convolution reads x through its window interpolant, within roundoff of the direct sum."""
+
+    @pytest.mark.parametrize("signal", list(WINDOW_SIGNALS), ids=list(WINDOW_SIGNALS))
+    @pytest.mark.parametrize("T_, theta", WINDOW_KERNELS)
+    @pytest.mark.parametrize("kmax, transfer", [(None, False), (16, False), (16, True)],
+                             ids=["target", "sample", "transfer"])
+    def test_within_eight_eps_of_direct_sum(self, monkeypatch, T_, theta, signal, kmax, transfer):
+        # |table[k] - direct[k]| <= 8 eps ||v_k||_1 max|y_k|, v_k the weight
+        # vector and y_k the signal (or its k-th derivative) over the
+        # table's arguments; measured at most 7.2 eps, most of it the
+        # direct sum's own roundoff.  61 times would take the direct sum
+        # unless the basis is free
+        monkeypatch.setattr(predictor, "_BASIS_COST", 0)
+        h, x = bump_kernel(T_, theta), WINDOW_SIGNALS[signal]
+        ts = np.linspace(-3.0, 3.0, 61)
+        ref, vectors, samples = direct_table(h, x, ts, kmax, transfer)
+        scale = (np.array([np.abs(v).sum() for v in vectors])[:, None]
+                 * np.array([np.abs(y).max() for y in samples])[:, None])
+        got = _library_table(h, x, ts, kmax, transfer)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 8.0 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("T_, theta", WINDOW_KERNELS)
+    def test_sharp_gaussian_is_the_direct_sum(self, monkeypatch, T_, theta):
+        # sigma = 5e-4 needs some 5000 window points on every one of these
+        # windows, past every node count: each table tries every window,
+        # falls back to the nodes and is the direct panel sum bit for bit
+        monkeypatch.setattr(predictor, "_BASIS_COST", 0)
+        h, x = bump_kernel(T_, theta), gaussian_signal(5e-4)
+        ts = np.linspace(-0.2, 0.4, 41)
+        for kmax, transfer in [(None, False), (4, False), (4, True)]:
+            args = ts + h.T if transfer else ts
+            ref, vectors, _ = direct_table(h, x, args, kmax, transfer)
+            np.testing.assert_array_equal(_library_table(h, x, args, kmax, transfer), ref)
+            if kmax is not None:  # the node count of its rule
+                build = _moment_table if transfer else predictor._sample_table
+                assert build(h, x, args, kmax).window_points == vectors[0].size
+
+    @pytest.mark.parametrize("n_cols", [1376, 2208])
+    def test_row_blocks_merge_a_one_row_tail(self, n_cols):
+        # numpy takes a one-row product through another kernel, so a tail
+        # of one row changed that row's bits (177 times on the target rule)
+        step = predictor._row_blocks(1 << 20, n_cols)[0].stop
+        for n in (step + 1, 2 * step + 1):
+            blocks = predictor._row_blocks(n, n_cols)
+            assert [b.stop - b.start for b in blocks] == [step] * (n // step - 1) + [step + 1]
+        rng = np.random.default_rng(0)
+        a, v = rng.standard_normal((step + 1, n_cols)), rng.standard_normal(n_cols)
+        blocked = np.concatenate([a[b] @ v for b in predictor._row_blocks(step + 1, n_cols)])
+        np.testing.assert_array_equal(blocked, a @ v)
+
+    def test_dense_poisson_reads_32_window_points(self, canonical_kernel, canonical_signal):
+        # the dense benchmark grid: the target and the d <= 4 sample table
+        # read x on 32 points per time, not on 1,376 and 2,208 nodes
+        ts = np.linspace(-20.0, 20.0, 20001)
+        shapes = []
+
+        def time(t):
+            shapes.append(np.shape(t))
+            return canonical_signal.time(t)
+
+        x = replace(canonical_signal, time=time)
+        target_values(canonical_kernel, x, ts)
+        assert predictor._sample_table(canonical_kernel, x, ts, 4).window_points == 32
+        assert max(m for _, m in shapes) == 32
 
 
 class TestFrequencyIdentityOfTarget:
