@@ -17,6 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .polynomials import (
     alpha_closed_form,
@@ -108,7 +109,7 @@ def common_options(fn):
 
 
 @click.group()
-@click.version_option(package_name="horizon")
+@click.version_option(version=__version__, prog_name="horizon")
 def main():
     """Limited-memory spectral predictor experiments."""
 

@@ -107,9 +107,9 @@ def _raw_bump_mass():
 
 
 @lru_cache(maxsize=1)
-def _gl_mp(degree=PANEL_DEGREE):
-    """Gauss-Legendre nodes/weights at extended precision (Newton on P_n)."""
-    n = degree
+def _gl_mp():
+    """The PANEL_DEGREE-point Gauss-Legendre nodes/weights at extended precision (Newton on P_n)."""
+    n = PANEL_DEGREE
     xs, ws = [], []
     for i in range(1, n + 1):
         x = _mp.ctx.mpf(math.cos(math.pi * (i - 0.25) / (n + 0.5)))

@@ -508,27 +508,32 @@ def error_bound_parts(pks, x, r):
 _SCAN_OMEGA_MAX = 16384.0
 #: FFT frequencies per crest period 2 pi / tau of |Q| (zero-padding factor)
 _BAND_PAD = 128
-#: complex values per group of short band transforms, and frequencies per sup chunk
-_BAND_GROUP, _SUP_CHUNK = _BLOCK_ELEMENTS >> 2, _BLOCK_ELEMENTS >> 4
+#: complex values per group of short band transforms
+_BAND_GROUP = _BLOCK_ELEMENTS >> 2
 
 
 def _band_spectrum(h):
-    """(step, |Q(i omega)|) at omega = step * arange(n_omega) <= _SCAN_OMEGA_MAX, once per sweep.
+    """|Q(i omega)| at omega = step * i <= _SCAN_OMEGA_MAX, one group of transforms at a time.
 
     q(t) = h(t - T) is sampled on n + 1 uniform points of [0, tau] at a
     step of at most pi / (2 _SCAN_OMEGA_MAX), twice the Nyquist rate of
     the band.  |Q| is the DFT X of the samples zero-padded to m, a power
     of two at least ``_BAND_PAD`` (n + 1) long, so at least ``_BAND_PAD``
-    frequencies fall on each crest of |Q|.  With m = L P, L the smallest
-    power of two >= n + 1, X[l P + p] = FFT_L(x_j e^{-2 pi i p j / m})[l]:
-    P transforms of length L in groups of about ``_BAND_GROUP`` values,
-    each keeping its outputs in the band.  The phase factor comes from two
-    tables, e^{-2 pi i p (j mod P) / m} and e^{-2 pi i p (j div P) / L},
-    each entry its own exp (a recurrence in p loses digits where |Q| is
-    small).  Memory is the stored band plus about one group.  q and all
-    its derivatives vanish at 0 and tau, so this trapezoid rule is
-    spectrally accurate below Nyquist (Trefethen & Weideman, SIAM Review
-    56, 2014).
+    frequencies fall on each crest of |Q|, and step = 2 pi / (m dt).
+    With m = L P, L the smallest power of two >= n + 1,
+    X[l P + p] = FFT_L(x_j e^{-2 pi i p j / m})[l]: P transforms of
+    length L in groups of about ``_BAND_GROUP`` values.  The phase factor
+    comes from two tables, e^{-2 pi i p (j mod P) / m} and
+    e^{-2 pi i p (j div P) / L}, each entry its own exp (a recurrence in
+    p loses digits where |Q| is small).  q and all its derivatives vanish
+    at 0 and tau, so this trapezoid rule is spectrally accurate below
+    Nyquist (Trefethen & Weideman, SIAM Review 56, 2014).
+
+    Yields (omegas, q_abs, cut) per group, a block of rows p and columns
+    l: omegas = step (l P + p) and q_abs = |Q(i omegas)|.  Only the last
+    column runs past the band, and its rows below ``cut`` are still in it
+    (``_band_max``); together the groups hold each band frequency once.
+    Nothing band-sized is stored: memory is about one group.
     """
     n = math.ceil(2.0 * _SCAN_OMEGA_MAX * h.width / math.pi)
     dt = h.width / n
@@ -540,38 +545,21 @@ def _band_spectrum(h):
     x.flat[:n + 1] = h(np.arange(n + 1) * dt - h.T)
     lo_tab = np.exp(-2j * math.pi / m * np.outer(np.arange(P), np.arange(P)))
     hi_tab = np.exp(-2j * math.pi / L * np.outer(np.arange(P), np.arange(len(x))))
-    keep, rows = -(-n_omega // P), max(1, _BAND_GROUP // L)
-    q_abs = np.empty((keep, P))
+    keep, rows = -(-n_omega // P), min(P, max(1, _BAND_GROUP // L))
+    columns = P * np.arange(keep, dtype=float)
     for g in range(0, P, rows):
         mod = x * lo_tab[g:g + rows, None, :]
         mod *= hi_tab[g:g + rows, :, None]
-        spectra = mod.reshape(len(mod), -1)[:, :L]
-        q_abs[:, g:g + rows] = np.abs(np.fft.fft(spectra, out=spectra)[:, :keep]).T
-    q_abs = q_abs.reshape(-1)[:n_omega]
-    q_abs *= dt
-    return step, q_abs
+        spectra = mod.reshape(rows, -1)[:, :L]
+        q_abs = np.abs(np.fft.fft(spectra, out=spectra)[:, :keep])
+        q_abs *= dt
+        cut = min(max(n_omega - (keep - 1) * P - g, 0), rows)
+        yield step * (columns + np.arange(g, g + rows, dtype=float)[:, None]), q_abs, cut
 
 
-def _transfer_sup(pk, band):
-    """sup |psi_d Q| over the transfer band [0, _SCAN_OMEGA_MAX].
-
-    |Q| is the ``band`` of ``_band_spectrum`` (once per sweep, shared by
-    every degree), within 1e-15 absolute of 30-digit values; |psi_d Q| is
-    maxed over chunks of ``_SUP_CHUNK`` frequencies.  Far up the band |Q|
-    itself falls below that roundoff while psi_d(i omega) grows like
-    omega^d, so at high degree the largest product on the band is
-    |psi_d| times roundoff, above the true sup, which |psi_d Q| reaches
-    well inside the resolved band (omega ~ 1e3 at d = 10 for the
-    canonical kernel).  The sup is therefore capped by the exact
-    inequality sup |Hhat_d| <= int |hhat_d| = ``pk.l1_mass``, a positive
-    sum with no cancellation, so the reported norm never exceeds a bound
-    that holds.
-    """
-    step, q_abs = band
-    starts = range(0, q_abs.size, _SUP_CHUNK)
-    sup = max(float(np.max(np.abs(pk.psi.at_iw(step * np.arange(i, i + c.size))) * c))
-              for i, c in zip(starts, np.split(q_abs, starts[1:])))
-    return min(sup, pk.l1_mass)
+def _band_max(values, cut):
+    """Max of a group's values over the band: rows < cut whole, the others without their last column."""
+    return max(float(np.max(values[:cut], initial=0.0)), float(np.max(values[cut:, :-1], initial=0.0)))
 
 
 def _l2_time_norm_sq(pk):
@@ -590,17 +578,29 @@ def transfer_norms(pks, p):
 
     |H(i omega)| = |Q(i omega)| since the e^{i omega T} factor is
     unimodular.  The L2 norms come from time-domain Parseval (exact, no
-    truncation) and the sup norms from ``_transfer_sup`` over the band of
-    short FFTs, built once for the sweep and freed on return, in the
-    stored band plus about one chunk of memory.
+    truncation).  The sup norms are maxed over the band of short FFTs
+    (``_band_spectrum``), built once for the sweep: each group of
+    transforms is folded into sup |Q| and into every predictor's
+    sup |psi_d Q| and dropped, so memory is about one group.  |Q| is
+    within 1e-15 absolute of 30-digit values, but far up the band it
+    falls below that roundoff while psi_d(i omega) grows like omega^d, so
+    at high degree the largest product on the band is |psi_d| times
+    roundoff, above the true sup, which |psi_d Q| reaches well inside
+    the resolved band (omega ~ 1e3 at d = 10 for the canonical kernel).
+    The sup is therefore capped by the exact inequality
+    sup |Hhat_d| <= int |hhat_d| = ``pk.l1_mass``, a positive sum with no
+    cancellation, so the reported norm never exceeds a bound that holds.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     h = pks[0].h
     if p == 1:
-        band = _band_spectrum(h)
-        n_h = float(np.max(band[1]))
-        return [(_transfer_sup(pk, band), n_h) for pk in pks]
+        n_h, sups = 0.0, [0.0] * len(pks)
+        for omegas, q_abs, cut in _band_spectrum(h):
+            n_h = max(n_h, _band_max(q_abs, cut))
+            sups = [max(sup, _band_max(np.abs(pk.psi.at_iw(omegas)) * q_abs, cut))
+                    for sup, pk in zip(sups, pks)]
+        return [(min(sup, pk.l1_mass), n_h) for sup, pk in zip(sups, pks)]
     two_pi = 2.0 * math.pi
     nodes, weights = _target_rule(h)
     n_h = math.sqrt(two_pi * float((h(nodes) ** 2) @ weights))

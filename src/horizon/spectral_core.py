@@ -11,7 +11,6 @@ convention.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,27 +25,31 @@ _PHASE_PER_PANEL = 6.0
 #: default truncation picks e^{-r omega_max} < 1e-16
 _LOG_WEIGHT_CUTOFF = 16.0 * np.log(10.0)
 
+#: the PANEL_DEGREE-point Gauss-Legendre rule on [-1, 1], the eigenvalue
+#: solution of Golub & Welsch (Math. Comp. 23, 1969) as numpy's
+#: ``polynomial.legendre.leggauss(16)`` rounds it; the rule is symmetric
+#: about 0, so the positive half is listed
+_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+               0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499)
+_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+                 0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176)
+_GL_NODES = np.concatenate([-np.array(_HALF_NODES[::-1]), _HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 
-@lru_cache(maxsize=32)
-def _leggauss(deg):
-    x, w = np.polynomial.legendre.leggauss(deg)
-    return x, w
 
-
-def gauss_legendre_rule(a, b, n_panels, degree=PANEL_DEGREE):
+def gauss_legendre_rule(a, b, n_panels):
     """Composite Gauss-Legendre nodes/weights on [a, b] with uniform panels."""
     if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
         raise ValueError(f"invalid interval [{a}, {b}]")
-    return gauss_legendre_edges(np.linspace(a, b, n_panels + 1), degree)
+    return gauss_legendre_edges(np.linspace(a, b, n_panels + 1))
 
 
-def gauss_legendre_edges(edges, degree=PANEL_DEGREE):
+def gauss_legendre_edges(edges):
     """Composite Gauss-Legendre rule on explicitly supplied panel edges."""
     edges = np.asarray(edges, dtype=float)
-    x, w = _leggauss(degree)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * np.diff(edges)[:, None]
-    return (mid + half * x[None, :]).ravel(), (half * w[None, :]).ravel()
+    return (mid + half * _GL_NODES[None, :]).ravel(), (half * _GL_WEIGHTS[None, :]).ravel()
 
 
 def default_omega_max(r):
@@ -79,15 +82,15 @@ class SpectralGrid:
         return self.nodes.size
 
     @classmethod
-    def build(cls, omega_max, n_points=4096, degree=PANEL_DEGREE):
+    def build(cls, omega_max, n_points=4096):
         """Mirrored composite Gauss-Legendre rule on [-omega_max, omega_max].
 
-        ``n_points`` is rounded up to a multiple of 2 * degree.
+        ``n_points`` is rounded up to a multiple of 2 * PANEL_DEGREE.
         """
         if omega_max <= 0:
             raise ValueError("omega_max must be positive")
-        per_half = max(1, -(-n_points // (2 * degree)))
-        pos_n, pos_w = gauss_legendre_rule(0.0, omega_max, per_half, degree)
+        per_half = max(1, -(-n_points // (2 * PANEL_DEGREE)))
+        pos_n, pos_w = gauss_legendre_rule(0.0, omega_max, per_half)
         nodes = np.concatenate([-pos_n[::-1], pos_n])
         weights = np.concatenate([pos_w[::-1], pos_w])
         nodes.flags.writeable = False
@@ -145,13 +148,13 @@ def fourier_transform_at(f, support, omegas, base_panels=32):
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     omega_scale = float(np.max(np.abs(omegas))) if omegas.size else 0.0
     n_panels = _panel_count(support, omega_scale, base_panels)
-    x, w = _leggauss(PANEL_DEGREE)
     half = 0.5 * (support[1] - support[0]) / n_panels
     mids = support[0] + half * (2.0 * np.arange(n_panels) + 1.0)
-    f_vals = np.asarray(f((mids[:, None] + half * x).ravel()), dtype=float)
+    f_vals = np.asarray(f((mids[:, None] + half * _GL_NODES).ravel()), dtype=float)
     if np.any(np.isnan(f_vals)):
         raise ValueError("f returned NaN on the integration nodes")
-    return panel_transform(mids, half * x, f_vals.reshape(n_panels, -1) * (half * w), omegas)
+    return panel_transform(mids, half * _GL_NODES, f_vals.reshape(n_panels, -1) * (half * _GL_WEIGHTS),
+                           omegas)
 
 
 def laplace_transform(f, support, z, base_panels=32):

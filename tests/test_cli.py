@@ -478,7 +478,8 @@ class TestCsvWriter:
                              ids=["default", "projection-0-16"])
     @pytest.mark.parametrize("command", ["alpha-sweep", "convergence", "noise-sweep", "predict"])
     def test_cli_import_leaves_mpmath_unloaded(self, tmp_path, command, method_range):
-        # every command runs without mpmath: alpha is summed in exact rationals
+        # every command runs without mpmath: alpha is summed in exact rationals;
+        # nor does it import numpy.polynomial: the Gauss-Legendre rule is tabulated
         import os
         import subprocess
         import sys
@@ -492,11 +493,20 @@ class TestCsvWriter:
             args += ["--config", str(write_config(tmp_path / "c.json", method=method, d_range=d_range))]
         src = str(Path(horizon.__file__).resolve().parent.parent)
         code = ("import sys\nfrom horizon.cli import main\n"
-                "try:\n    main(sys.argv[1:])\nfinally:\n    print('mpmath' in sys.modules)")
+                "try:\n    main(sys.argv[1:])\nfinally:\n"
+                "    print('mpmath' in sys.modules, 'numpy.polynomial' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "False False"
+
+
+class TestVersion:
+    def test_version_option(self, runner):
+        # the version comes from the package itself, so it works from a source checkout
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0, result.output
+        assert "0.1.0" in result.output
 
 
 class TestRemovedOptions:

@@ -29,7 +29,7 @@ from horizon import (
 from horizon.signals import Signal
 from horizon.polynomials import projection_psi
 from horizon import predictor
-from horizon.predictor import _band_spectrum, _moment_table, _transfer_sup, transfer_norms
+from horizon.predictor import _band_spectrum, _moment_table, transfer_norms
 
 from oracles import (
     adaptive_simpson,
@@ -437,6 +437,24 @@ def _oracle_band(h):
     return padded_band_spectrum(h, predictor._SCAN_OMEGA_MAX, predictor._BAND_PAD)
 
 
+def _assembled_band(h):
+    """(step, |Q(i omega)|) at omega = step * arange(n) on the whole band, from ``_band_spectrum``'s groups.
+
+    The groups must hold each band frequency once, each exactly step
+    times its band index.
+    """
+    omegas, values = [], []
+    for om, q_abs, cut in _band_spectrum(h):
+        for part in (np.s_[:cut], np.s_[cut:, :-1]):
+            omegas.append(om[part].ravel())
+            values.append(q_abs[part].ravel())
+    omegas, values = np.concatenate(omegas), np.concatenate(values)
+    order = np.argsort(omegas)
+    step = omegas[order[1]]
+    assert np.array_equal(omegas[order], step * np.arange(omegas.size))
+    return step, values[order]
+
+
 #: (band index, omega, |Q|) at the band frequencies nearest 4000, 9000 and
 #: 16000, |Q| from ``oracles.bump_transform_mp(omega, h.width)`` at 30 digits
 #: (0.9 to 3.2 s per call on the canonical kernel, 3.2 to 12.7 s on the wide
@@ -462,7 +480,7 @@ class TestBandSpectrum:
         # below 5e-18 and the band is within 1e-17 of the committed values
         # (canonical 3.3e-18, 3.5e-18, 8.5e-18; wide 5.3e-19, 1.8e-18, 7.6e-18)
         h = bump_kernel(T_, theta)
-        step, q_abs = _band_spectrum(h)
+        step, q_abs = _assembled_band(h)
         omegas = step * np.arange(q_abs.size)
         assert omegas[-1] <= predictor._SCAN_OMEGA_MAX < omegas[-1] + step
         assert step <= 2.0 * math.pi / (predictor._BAND_PAD * h.width)
@@ -489,7 +507,7 @@ class TestBandSpectrum:
         # up to 2e-15 (canonical) and 3e-14 (wide) off the 30-digit values
         # at omega <= 2000; the FFT's twiddles are exact to 3e-18 there
         h = bump_kernel(T_, theta)
-        step, q_abs = _band_spectrum(h)
+        step, q_abs = _assembled_band(h)
         omegas = step * np.arange(q_abs.size)
         sel = np.flatnonzero(omegas <= 2000.0)[::29]
         np.testing.assert_allclose(q_abs[sel], np.abs(q_spectrum(h, omegas[sel])),
@@ -507,7 +525,7 @@ class TestBandSpectrum:
                 lengths.append(np.shape(a)[-1] if n_ is None else n_)
                 return _f(a, n_, *args, **kwargs)
             monkeypatch.setattr(predictor.np.fft, name, spy)
-        _band_spectrum(h)
+        _assembled_band(h)
         assert lengths and max(lengths) == 1 << n.bit_length() == {T: 8192, 2.0: 32768}[T_]
 
     @BAND_KERNELS
@@ -515,14 +533,14 @@ class TestBandSpectrum:
         # the same DFT samples as one FFT zero-padded to 2^20 (2^22 wide);
         # measured within 5.6e-16 (canonical) and 4.4e-16 (wide)
         h = bump_kernel(T_, theta)
-        step, q_abs = _band_spectrum(h)
+        step, q_abs = _assembled_band(h)
         ref_step, ref = _oracle_band(h)
         assert step == ref_step and q_abs.size == ref.size
         np.testing.assert_allclose(q_abs, ref, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("method, d", [("taylor", d) for d in range(2, 8)] + [("projection", 16)])
     def test_p1_sup_against_padded_fft(self, canonical_kernel, method, d):
-        # the sup over the chunked band against the sup of the long FFT's
+        # the sup over the streamed band against the sup of the long FFT's
         # band; taylor d = 6 moves most, 5.2e-13, where |Q| is 4.6e-6
         psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
         pk = build_predictor(canonical_kernel, psi)
@@ -531,18 +549,21 @@ class TestBandSpectrum:
         ref = min(float(np.max(prod)), pk.l1_mass)
         assert transfer_norms([pk], 1)[0][0] == pytest.approx(ref, rel=1e-12)
 
-    def test_p1_sup_streams(self, canonical_kernel):
-        # given the band, the sup takes about one chunk of memory, not a
-        # band-sized complex psi_d(i omega) (8.0 MB for the canonical band)
-        band = _band_spectrum(canonical_kernel)
-        pk = build_predictor(canonical_kernel, taylor_psi(T, 6))
+    @BAND_KERNELS
+    def test_p1_norms_stream(self, T_, theta):
+        # each group of transforms is folded into the sups and dropped:
+        # nothing band-sized is held (|Q| on the band alone is 2.0 MB
+        # canonical, 8.0 MB wide; a stored band peaked at 4.8 and 11.3 MB here)
+        h = bump_kernel(T_, theta)
+        pks = [build_predictor(h, projection_psi(T_, R, d)) for d in (0, 16)]
+        assert all(pk.l1_mass > 0.0 for pk in pks)  # node tables built before tracing
         tracemalloc.start()
         try:
-            _transfer_sup(pk, band)
+            transfer_norms(pks, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize("method, d", [("taylor", d) for d in (0, 4, 8, 10, 12, 16)]
                              + [("projection", 16)])

@@ -8,7 +8,7 @@ from horizon import (
     laplace_transform,
     parseval_check,
 )
-from horizon.spectral_core import gauss_legendre_rule
+from horizon.spectral_core import PANEL_DEGREE, gauss_legendre_rule
 
 from oracles import simpson_fourier
 
@@ -163,3 +163,10 @@ def test_gauss_legendre_panels_integrate_polynomials():
     for k in (0, 3, 11):
         exact = (3.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
         assert (nodes**k) @ weights == pytest.approx(exact, rel=1e-13)
+
+
+def test_tabulated_rule_is_numpys_leggauss():
+    # the tabulated 16-point rule is numpy's eigenvalue solution, bit for bit
+    nodes, weights = gauss_legendre_rule(-1.0, 1.0, 1)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(PANEL_DEGREE)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
