@@ -71,7 +71,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._accel import oscillatory_transform
+from ._accel import _BLOCK_ELEMENTS, _row_blocks, oscillatory_transform
 from .kernels import derivative_panel_edges, q_spectrum
 from .polynomials import alpha_closed_form
 from .spectral_core import SpectralGrid, _exp_weighted_square, default_omega_max, gauss_legendre_edges
@@ -174,8 +174,6 @@ def _target_rule(h):
     return gauss_legendre_edges(edges)
 
 
-#: bound on the (time points x window points) block evaluated at once
-_BLOCK_ELEMENTS = 1 << 18
 #: window points of the first interpolant; doubled until the tail test passes
 _FIRST_WINDOW = 16
 #: the tail test: the last ``_TAIL_COEFFS`` Chebyshev coefficients of each
@@ -189,23 +187,6 @@ _BASIS_COST = 4
 _PROBE_ROWS = 256
 #: bound on the (nodes x window points) chunk of the Lagrange basis formed at once
 _BASIS_ELEMENTS = 1 << 18
-
-
-def _row_blocks(n_rows, n_cols, depth=1):
-    """Row slices of about ``_BLOCK_ELEMENTS`` elements over ``depth`` stacked (rows x cols) arrays.
-
-    Each block but the last is a whole multiple of 16 rows, at least 16:
-    that keeps the BLAS matrix-vector kernel's row unrolling.  A one-row
-    tail is merged into the block before it, since numpy takes a one-row
-    product through another kernel.  So with a one-thread BLAS a blocked
-    product sums each row exactly as one full product does (a threaded
-    BLAS splits each product's rows between its threads by its size).
-    """
-    step = max(16, _BLOCK_ELEMENTS // (n_cols * depth) // 16 * 16)
-    starts = list(range(0, n_rows, step))
-    if len(starts) > 1 and n_rows - starts[-1] == 1:
-        starts.pop()
-    return [slice(i, j) for i, j in zip(starts, starts[1:] + [n_rows])]
 
 
 def _chebyshev_window(window, m):
@@ -412,7 +393,10 @@ def _moment_table(h, x, ts, kmax):
     t - T - s stay inside the causal window (t - tau, t).  Row k depends
     on kmax only through the window points M.  With lines resolving every
     argument, M[k, t] = Re sum_j c_j (i omega_j)^k Q_j e^{i omega_j t},
-    Q_j = sum_s h(s) w_s e^{-i omega_j (s + T)}, and no window is read.
+    Q_j = sum_s h(s) w_s e^{-i omega_j (s + T)}, and no window is read;
+    the (lines x nodes) and (times x lines) phases are formed in row
+    blocks, each block's complex exponent and exponential (four doubles
+    an entry) within ``_BLOCK_ELEMENTS``.
     """
     nodes, weights = _target_rule(h)
     hw = h(nodes) * weights
@@ -421,10 +405,12 @@ def _moment_table(h, x, ts, kmax):
         return MomentTable(*_window_table(tt, h.support, nodes, lambda args: x.derivatives(kmax, args),
                                           [hw], depth=kmax + 1))
     om, c = x.lines(max(np.max(tt) - np.min(nodes), np.max(nodes) - np.min(tt)))
-    q = np.exp(-1j * np.outer(om, nodes + h.T)) @ hw
+    q, shifted = np.empty(om.size, dtype=complex), nodes + h.T
+    for rows in _row_blocks(om.size, nodes.size, depth=4):
+        q[rows] = np.exp(-1j * np.outer(om[rows], shifted)) @ hw
     b = (c * q)[:, None] * (1j * om[:, None]) ** np.arange(kmax + 1)
     out = np.empty((kmax + 1, ts.size))
-    for rows in _row_blocks(ts.size, om.size):
+    for rows in _row_blocks(ts.size, om.size, depth=4):
         phases = np.exp(1j * np.outer(ts[rows], om))
         for k in range(kmax + 1):
             out[k, rows] = (phases @ b[:, k]).real
@@ -504,62 +490,91 @@ def error_bound_parts(pks, x, r):
     return parts
 
 
-#: top of the p = 1 transfer band
-_SCAN_OMEGA_MAX = 16384.0
+#: c_m = ||f^(m)||_1 / ||f||_1, m = 0..16, for the unit bump f(u) = exp(-1 / (1 - u^2)),
+#: so ||q^(m)||_1 = (2 / tau)^m c_m for every kernel (||q||_1 = 1); from
+#: ``bump_l1_ratios_mp()`` of tests/oracles.py at 40 digits, rounded to double
+_BUMP_L1_RATIOS = np.array([
+    1.0, 1.6571376797382102, 7.19316101043483, 80.28764953832483,
+    2423.747952905456, 134116.38598067735, 11974461.062135434, 1571233582.371358,
+    284629205296.00507, 68052540459639.54, 2.0759088580491124e+16, 7.867910202269655e+18,
+    3.627004660169873e+21, 1.9983823928054495e+24, 1.2968840047559757e+27, 9.791035886657985e+29,
+    8.508111616836402e+32])
+#: the band stops where |Q| <= ||q^(m)||_1 omega^-m is at most this, double roundoff
+_BAND_FLOOR = 1e-16
+#: Omega tau / 2, the same for every bump: the smallest x with c_m x^-m <= _BAND_FLOOR
+#: for some 1 <= m <= 16 (1143.18, at m = 16)
+_CUT_SCALE = float(np.min((_BUMP_L1_RATIOS[1:] / _BAND_FLOOR) ** (1.0 / np.arange(1, 17))))
+#: ||q^(m)||_1 Omega^-m = c_m _CUT_SCALE^-m: for omega >= Omega, |Q| <= this times (Omega / omega)^m
+_CUT_DECAY = _BUMP_L1_RATIOS / _CUT_SCALE ** np.arange(17)
 #: FFT frequencies per crest period 2 pi / tau of |Q| (zero-padding factor)
 _BAND_PAD = 128
 #: complex values per group of short band transforms
 _BAND_GROUP = _BLOCK_ELEMENTS >> 2
 
 
+def _band_cut(h):
+    """Omega, the top of the p = 1 band: past it |Q| <= min_m ||q^(m)||_1 omega^-m <= ``_BAND_FLOOR``.
+
+    |Q(i omega)| <= ||q^(m)||_1 / omega^m for every m, since q^(m) has
+    transform (i omega)^m Q; Omega is the smallest omega at which one of
+    these bounds, m <= 16, reaches ``_BAND_FLOOR``.  It scales as 1 / tau:
+    3,811 for the canonical kernel, 915 for T = 2, theta = 0.5.
+    """
+    return 2.0 * _CUT_SCALE / h.width
+
+
 def _band_spectrum(h):
-    """|Q(i omega)| at omega = step * i <= _SCAN_OMEGA_MAX, one group of transforms at a time.
+    """|Q(i omega)| at omega = step * i <= Omega (``_band_cut``), one group of transforms at a time.
 
     q(t) = h(t - T) is sampled on n + 1 uniform points of [0, tau] at a
-    step of at most pi / (2 _SCAN_OMEGA_MAX), twice the Nyquist rate of
-    the band.  |Q| is the DFT X of the samples zero-padded to m, a power
-    of two at least ``_BAND_PAD`` (n + 1) long, so at least ``_BAND_PAD``
+    step of at most pi / (2 Omega), twice the Nyquist rate of the band.
+    |Q| is the DFT X of the samples zero-padded to m, a power of two at
+    least ``_BAND_PAD`` (n + 1) long, so at least ``_BAND_PAD``
     frequencies fall on each crest of |Q|, and step = 2 pi / (m dt).
     With m = L P, L the smallest power of two >= n + 1,
     X[l P + p] = FFT_L(x_j e^{-2 pi i p j / m})[l]: P transforms of
-    length L in groups of about ``_BAND_GROUP`` values.  The phase factor
-    comes from two tables, e^{-2 pi i p (j mod P) / m} and
-    e^{-2 pi i p (j div P) / L}, each entry its own exp (a recurrence in
-    p loses digits where |Q| is small).  q and all its derivatives vanish
-    at 0 and tau, so this trapezoid rule is spectrally accurate below
-    Nyquist (Trefethen & Weideman, SIAM Review 56, 2014).
+    length L in groups of about ``_BAND_GROUP`` values, each formed in
+    one buffer.  Omega tau is the same for every bump, so n = 1456,
+    L = 2048 and P = 128 whatever the kernel's width.  The phase factor
+    comes from two factors formed per group, e^{-2 pi i p (j mod P) / m}
+    and e^{-2 pi i p (j div P) / L}, each entry its own exp (a recurrence
+    in p loses digits where |Q| is small).  q and all its derivatives
+    vanish at 0 and tau, so this trapezoid rule is spectrally accurate
+    below Nyquist (Trefethen & Weideman, SIAM Review 56, 2014); its
+    aliases lie past 3 Omega.
 
-    Yields (omegas, q_abs, cut) per group, a block of rows p and columns
+    Yields (omegas, q_abs, full) per group, a block of rows p and columns
     l: omegas = step (l P + p) and q_abs = |Q(i omegas)|.  Only the last
-    column runs past the band, and its rows below ``cut`` are still in it
-    (``_band_max``); together the groups hold each band frequency once.
-    Nothing band-sized is stored: memory is about one group.
+    column runs past the band, and its rows below ``full`` are still in
+    it (``_band_max``); together the groups hold each band frequency
+    once.  Nothing band-sized is stored: memory is about one group.
     """
-    n = math.ceil(2.0 * _SCAN_OMEGA_MAX * h.width / math.pi)
+    omega_max = _band_cut(h)
+    n = math.ceil(2.0 * omega_max * h.width / math.pi)
     dt = h.width / n
     m = 1 << (_BAND_PAD * (n + 1) - 1).bit_length()
     step = 2.0 * math.pi / (m * dt)
-    n_omega = int(_SCAN_OMEGA_MAX / step) + 1
+    n_omega = int(omega_max / step) + 1
     L, P = 1 << n.bit_length(), m >> n.bit_length()
     x = np.zeros((-(-L // P), P))  # x[j div P, j mod P]
     x.flat[:n + 1] = h(np.arange(n + 1) * dt - h.T)
-    lo_tab = np.exp(-2j * math.pi / m * np.outer(np.arange(P), np.arange(P)))
-    hi_tab = np.exp(-2j * math.pi / L * np.outer(np.arange(P), np.arange(len(x))))
     keep, rows = -(-n_omega // P), min(P, max(1, _BAND_GROUP // L))
     columns = P * np.arange(keep, dtype=float)
+    mod = np.empty((rows, *x.shape), dtype=complex)
+    spectra = mod.reshape(rows, -1)[:, :L]
     for g in range(0, P, rows):
-        mod = x * lo_tab[g:g + rows, None, :]
-        mod *= hi_tab[g:g + rows, :, None]
-        spectra = mod.reshape(rows, -1)[:, :L]
+        p = np.arange(g, g + rows)[:, None]
+        np.multiply(x, np.exp(-2j * math.pi / m * (p * np.arange(P)))[:, None, :], out=mod)
+        mod *= np.exp(-2j * math.pi / L * (p * np.arange(len(x))))[:, :, None]
         q_abs = np.abs(np.fft.fft(spectra, out=spectra)[:, :keep])
         q_abs *= dt
-        cut = min(max(n_omega - (keep - 1) * P - g, 0), rows)
-        yield step * (columns + np.arange(g, g + rows, dtype=float)[:, None]), q_abs, cut
+        full = min(max(n_omega - (keep - 1) * P - g, 0), rows)
+        yield step * (columns + np.arange(g, g + rows, dtype=float)[:, None]), q_abs, full
 
 
-def _band_max(values, cut):
-    """Max of a group's values over the band: rows < cut whole, the others without their last column."""
-    return max(float(np.max(values[:cut], initial=0.0)), float(np.max(values[cut:, :-1], initial=0.0)))
+def _band_max(values, full):
+    """Max of a group's values over the band: rows < full whole, the others without their last column."""
+    return max(float(np.max(values[:full], initial=0.0)), float(np.max(values[full:, :-1], initial=0.0)))
 
 
 def _l2_time_norm_sq(pk):
@@ -578,29 +593,35 @@ def transfer_norms(pks, p):
 
     |H(i omega)| = |Q(i omega)| since the e^{i omega T} factor is
     unimodular.  The L2 norms come from time-domain Parseval (exact, no
-    truncation).  The sup norms are maxed over the band of short FFTs
-    (``_band_spectrum``), built once for the sweep: each group of
-    transforms is folded into sup |Q| and into every predictor's
-    sup |psi_d Q| and dropped, so memory is about one group.  |Q| is
-    within 1e-15 absolute of 30-digit values, but far up the band it
-    falls below that roundoff while psi_d(i omega) grows like omega^d, so
-    at high degree the largest product on the band is |psi_d| times
-    roundoff, above the true sup, which |psi_d Q| reaches well inside
-    the resolved band (omega ~ 1e3 at d = 10 for the canonical kernel).
-    The sup is therefore capped by the exact inequality
+    truncation).  The sup norms are maxed over the band [0, Omega] of
+    short FFTs (``_band_spectrum``), built once for the sweep: each group
+    of transforms is folded into sup |Q| and into every predictor's
+    sup |psi_d Q| and dropped, so memory is about one group.  Past the
+    cut Omega (``_band_cut``) |Q| is roundoff, and there, for any
+    d <= m <= 16,
+
+        |psi_d(i omega) Q(i omega)| <= sum_k |a_k| ||q^(m)||_1 omega^(k - m),
+
+    each term non-increasing in omega since k <= d <= m; so its value at
+    Omega, minimized over m, bounds the tail exactly, and the sup is the
+    larger of the band's and the tail's.  At d = 16 no such tail decays,
+    so the sup is also capped by the exact inequality
     sup |Hhat_d| <= int |hhat_d| = ``pk.l1_mass``, a positive sum with no
-    cancellation, so the reported norm never exceeds a bound that holds.
+    cancellation, and the reported norm never exceeds a bound that holds.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     h = pks[0].h
     if p == 1:
         n_h, sups = 0.0, [0.0] * len(pks)
-        for omegas, q_abs, cut in _band_spectrum(h):
-            n_h = max(n_h, _band_max(q_abs, cut))
-            sups = [max(sup, _band_max(np.abs(pk.psi.at_iw(omegas)) * q_abs, cut))
+        for omegas, q_abs, full in _band_spectrum(h):
+            n_h = max(n_h, _band_max(q_abs, full))
+            sups = [max(sup, _band_max(np.abs(pk.psi.at_iw(omegas)) * q_abs, full))
                     for sup, pk in zip(sups, pks)]
-        return [(min(sup, pk.l1_mass), n_h) for sup, pk in zip(sups, pks)]
+        top = _band_cut(h)
+        tails = [float(np.abs(pk.psi.coeffs) @ top ** np.arange(pk.d + 1)) * float(np.min(_CUT_DECAY[pk.d:]))
+                 for pk in pks]
+        return [(min(max(sup, tail), pk.l1_mass), n_h) for sup, tail, pk in zip(sups, tails, pks)]
     two_pi = 2.0 * math.pi
     nodes, weights = _target_rule(h)
     n_h = math.sqrt(two_pi * float((h(nodes) ** 2) @ weights))

@@ -5,8 +5,9 @@ adaptive Simpson for integrals, Richardson-extrapolated central
 differences for derivatives, mpmath at 70-80 digits for the high-degree
 kernel derivatives, predictions and the weighted projection, at 120
 digits for the closed-form alpha expansion, the 40-digit node tables
-of the kernel transforms, and one long zero-padded FFT for the p = 1
-transfer band.
+of the kernel transforms, one long zero-padded FFT for the p = 1
+transfer band, and the bump derivatives' L1 norms, summed between the
+roots of P_m at 40 digits.
 """
 
 import math
@@ -214,13 +215,45 @@ def bump_transform_mp(omega, width, dps=30):
     return float(abs(transform / mass))
 
 
+def bump_l1_ratios_mp(m_max=16, dps=40):
+    """c_m = ||f^(m)||_1 / ||f||_1 for the unit bump f(u) = exp(-1/(1-u^2)), m = 0..m_max.
+
+    f^(m) = P_m(u) (1-u^2)^(-2m) f(u) keeps its sign between consecutive
+    real roots z_i of P_m in (-1, 1), and f^(m-1) vanishes at +-1, so
+    ||f^(m)||_1 = sum_i |f^(m-1)(z_{i+1}) - f^(m-1)(z_i)| over
+    -1 = z_0 < roots < z_last = 1 with no quadrature at all; a root
+    without a sign change only splits an interval.  The roots come from
+    mpmath's ``polyroots`` on the exact integer coefficients and ||f||_1
+    from tanh-sinh, both at ``dps`` digits.
+    """
+    import mpmath
+
+    from horizon.kernels import bump_poly_exact
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    mass = ctx.quad(lambda u: ctx.exp(-1 / ((1 - u) * (1 + u))), [-1, 0, 1])
+    out = [1.0]
+    for m in range(1, m_max + 1):
+        coeffs = list(bump_poly_exact(m))
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        roots = ctx.polyroots(coeffs[::-1], maxsteps=500, extraprec=4 * dps)
+        tiny = ctx.mpf(10) ** (-dps // 2)
+        inner = sorted(ctx.re(z) for z in roots if abs(ctx.im(z)) < tiny and abs(ctx.re(z)) < 1)
+        edges = [ctx.mpf(-1), *inner, ctx.mpf(1)]
+        values = [bump_derivative_mp(u, m - 1, dps) for u in edges]
+        out.append(float(ctx.fsum(abs(b - a) for a, b in zip(values, values[1:])) / mass))
+    return out
+
+
 def padded_band_spectrum(h, omega_max, pad):
     """(step, |Q(i omega)|) at omega = step * arange(n) on [0, omega_max] by one long FFT.
 
     The same trapezoid samples as ``predictor._band_spectrum``: q(t) =
     h(t - T) on n + 1 uniform points of [0, tau] at a step of at most
     pi / (2 omega_max), transformed by one ``rfft`` zero-padded to the
-    power of two m >= pad (n + 1) (2^20 points for the canonical kernel).
+    power of two m >= pad (n + 1) (2^18 points at the band cut Omega).
     """
     n = math.ceil(2.0 * omega_max * h.width / math.pi)
     dt = h.width / n

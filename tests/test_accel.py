@@ -15,15 +15,18 @@ class TestBackendEquivalence:
             ref = np.array([float(_bump_fk_mp(float(v), k)) for v in u])
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
 
-    def test_transform_paths_agree(self):
+    def test_transform_paths_agree(self, monkeypatch):
         rng = np.random.default_rng(11)
         t = np.sort(rng.uniform(-1, 1, size=600))
         w = rng.uniform(0.0, 1e-2, size=600)
         f = rng.normal(size=600)
         om = np.linspace(-50, 50, 257)
         direct = np.array([np.sum(w * f * np.exp(-1j * o * t)) for o in om])
-        for chunk in (1, 100, 1024):
-            got = _accel.oscillatory_transform(t, w, f, om, chunk=chunk)
+        # 16-frequency blocks with a one-row tail merged, and one block
+        for block, n_blocks in ((1, 16), (1 << 24, 1)):
+            monkeypatch.setattr(_accel, "_BLOCK_ELEMENTS", block)
+            assert len(_accel._row_blocks(om.size, t.size + 1, depth=6)) == n_blocks
+            got = _accel.oscillatory_transform(t, w, f, om)
             np.testing.assert_allclose(got, direct, rtol=1e-12, atol=1e-15)
 
     def test_out_of_support_is_exact_zero(self):

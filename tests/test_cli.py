@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -312,7 +313,7 @@ class TestNoiseSweep:
         # lines, and its derivative stack is never evaluated on that route
         from dataclasses import replace
 
-        from horizon import predictor, signals
+        from horizon import _accel, predictor, signals
 
         calls, n_lines = [], []
         real_chirp = signals.chirp_noise
@@ -332,13 +333,13 @@ class TestNoiseSweep:
             return replace(base, lines=lines, derivatives=derivatives)
 
         monkeypatch.setattr(signals, "chirp_noise", counted_chirp)
-        monkeypatch.setattr(predictor, "_BLOCK_ELEMENTS", 1 << 13)
+        monkeypatch.setattr(_accel, "_BLOCK_ELEMENTS", 1 << 15)
         tgrid = {"t_min": -2.0, "t_max": 2.0, "n_points": 201}
         cfgp = write_config(tmp_path / "c.json", d_range=[6, 12], tgrid=tgrid,
                             output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
         assert result.exit_code == 0, result.output
-        assert len(predictor._row_blocks(tgrid["n_points"], n_lines[0])) == 2
+        assert len(predictor._row_blocks(tgrid["n_points"], n_lines[0], depth=4)) == 2
         assert calls == ["lines"]
 
     def test_zero_noise_rows_match_convergence(self, runner, tmp_path):
@@ -388,6 +389,25 @@ class TestSweepWork:
         result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
+
+    def test_noise_sweep_peaks_below_two_megabytes(self, runner, tmp_path):
+        # the canonical noise-sweep at d = 0 and 12 (the canon benchmark
+        # workload), in-process: argument blocks, phase matrices and
+        # transforms are formed in row blocks of about 256 KB; measured
+        # 1.42 MB traced, 2.83 MB with 2 MB blocks and an unblocked
+        # (lines x nodes) chirp matrix
+        cfgp = write_config(tmp_path / "c.json", d_range=[0, 12], d_step=12,
+                            output_dir=str(tmp_path / "out"))
+        args = ["noise-sweep", "--config", str(cfgp)]
+        assert runner.invoke(main, args).exit_code == 0  # imports and caches before tracing
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert peak < 2 << 20
 
     def test_summary_rows_carry_every_key(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json", d_range=[0, 4], d_step=2,
