@@ -24,7 +24,7 @@ from .predictor import (
     beta_energy,
     build_predictor,
     error_bound_parts,
-    moment_tables,
+    moment_table,
     predict_values,
     target_values,
     transfer_norms,

@@ -30,7 +30,7 @@ from .predictor import (
     ClassMembershipError,
     build_predictor,
     error_bound_parts,
-    moment_tables,
+    moment_table,
     predict_values,
     target_values,
     transfer_norms,
@@ -152,8 +152,9 @@ def cmd_convergence(config_path, out):
     pks = [build_predictor(h, _psi_for(cfg, d)) for d in cfg.ds]
     parts = error_bound_parts(pks, x, cfg.r)
     y = target_values(h, x, ts)
+    table = moment_table(h, x, ts, max(cfg.ds))
     results = []
-    for pk, table, (alpha, beta, bound) in zip(pks, moment_tables(pks, x, ts), parts):
+    for pk, (alpha, beta, bound) in zip(pks, parts):
         start = time.perf_counter()
         sup = float(np.max(np.abs(y - predict_values(pk, table))))
         results.append({"d": pk.d, "method": cfg.method, "sup_error": sup, "bound": bound,
@@ -200,9 +201,9 @@ def cmd_noise_sweep(config_path, out):
     parts = error_bound_parts(pks, x0, cfg.r)
     norms = transfer_norms(pks, cfg.p)  # on the transfer band
     y = target_values(h, x0, ts)
+    table0, table_unit = (moment_table(h, x, ts, max(cfg.ds)) for x in (x0, eta_unit))
     rows = []
-    for pk, (_, _, eps_bound), (n_hhat, n_h), table0, table_unit in zip(
-            pks, parts, norms, moment_tables(pks, x0, ts), moment_tables(pks, eta_unit, ts)):
+    for pk, (_, _, eps_bound), (n_hhat, n_h) in zip(pks, parts, norms):
         y_hat0 = predict_values(pk, table0)
         conv_unit = predict_values(pk, table_unit)
         slope = 1.0 / (2.0 * math.pi) * (n_hhat + n_h)  # (nu / 2 pi)(||Hhat_d|| + ||H||) at nu = 1
@@ -245,7 +246,7 @@ def cmd_predict(config_path, out, times):
     d = cfg.d_range[1]
     pk = build_predictor(h, _psi_for(cfg, d))
     y = target_values(h, x, ts)
-    y_hat = predict_values(pk, moment_tables([pk], x, ts)[0])
+    y_hat = predict_values(pk, moment_table(h, x, ts, d))
 
     path = Path(cfg.output_dir) / "predict.csv"
     _write_csv(path, ["t", "y", "y_hat", "abs_err"],

@@ -7,39 +7,37 @@ The predicting kernel is assembled in the time domain as
 so its transform is psi_d(i omega) Q(i omega) = e^{-i omega T} psi_d H
 exactly; the property tests enforce that identity.
 
-Both prediction routes read a table of moments that does not depend on
-d: with hhat_d = sum_k a_k q^(k) and x real,
+Every prediction reads one table of moments that does not depend on d.
+The direct form, with x real,
 
-    y_hat_d(t) = Re int_0^tau hhat_d(u) x(t - u) du = sum_k Re(a_k) S[k, t],
-    S[k, t] = int q^(k)(u) x(t - u) du.
+    y_hat_d(t) = Re int_0^tau hhat_d(u) x(t - u) du
+               = sum_k Re(a_k) int q^(k)(u) x(t - u) du,
 
-Below the switch S is the sample-moment table: x against each weight
-vector w q^(k)(s) of the panel rule of the top order.  High-degree
-assemblies are numerically brutal, though: hhat_12 for the canonical
+is numerically brutal at high degree: hhat_12 for the canonical
 configuration carries an L1 mass near 3.5e15 while its convolutions are
-O(0.1), so a quadrature against it cancels some 16 orders of magnitude.
-Once the L1 mass makes double-precision roundoff exceed the quadrature
-budget (``needs_extended``) the moments are taken otherwise.  Every
+O(0.1), so a quadrature against it cancels some 16 orders of magnitude,
+and even at d <= 4 its roundoff reaches 1e-13 on a dense grid.  Every
 derivative of q vanishes at 0 and at tau, so integrating by parts gives
 exactly
 
-    S[k, t] = int q(u) x^(k)(t - u) du = M[k, t],
+    int q^(k)(u) x(t - u) du = int q(u) x^(k)(t - u) du = M[k, t],
 
 the same causal window and value, but a quadrature against the positive
-unit-mass bump with no cancellation.  Past the switch signals that carry
-a derivative evaluator are predicted from this derivative-transfer table
-M; a signal given only as samples, and the transform of the assembled
-kernel (``PredictorKernel.spectrum``), are refused there rather than
-returned at a roundoff floor of ~1e-16 times the L1 mass.  A signal made
-of lines, x(t) = Re sum_j c_j e^{i omega_j t} (chirp noise, its
-frequency rule), gives the same double sum over nodes s and lines j
-taken over s first: one transcendental per line and per time, not per
-(time, node, line).
+unit-mass bump with no cancellation.  So every degree is predicted from
+this derivative-transfer table M (``moment_table``), read from the
+signal's derivative stack.  Only the transform of the assembled kernel
+(``PredictorKernel.spectrum``), the reference route of the transfer
+identity, still integrates hhat_d itself; it is refused where
+``needs_extended`` holds rather than returned at a roundoff floor of
+~1e-16 times the L1 mass.  A signal made of lines,
+x(t) = Re sum_j c_j e^{i omega_j t} (chirp noise, its frequency rule),
+gives the same double sum over nodes s and lines j taken over s first:
+one transcendental per line and per time, not per (time, node, line).
 
-Every other convolution (the target, the sample table and the transfer
-stack) separates the signal from the kernel the same way.  A signal of
-the class is analytic in a strip about the real line, so on a kernel
-window of half-length l, s -> x(t - s) is resolved to double precision
+The target, and the transfer stack of a signal without lines, separate
+the signal from the kernel the same way.  A signal of the class is
+analytic in a strip about the real line, so on a kernel window of
+half-length l, s -> x(t - s) is resolved to double precision
 by its Chebyshev interpolant on M ~ 16 / log10(rho) points, rho =
 a/l + sqrt(1 + (a/l)^2) for a strip of half-width a (Bernstein-ellipse
 convergence; Trefethen, Approximation Theory and Approximation Practice,
@@ -56,14 +54,13 @@ pay are read on the nodes themselves, the direct panel sum.
 
 The degree sweep, a list of predictors of one kernel, is the unit of
 work.  Only alpha depends on d, so each degree-free quantity is computed
-once per sweep and returned per predictor: ``moment_tables`` builds one
-table per route, up to the top degree of the sweep members on that
-route, from one ``x.time`` block or one ``x.derivatives`` stack per row
-block and window, or one read of the lines; ``error_bound_parts``
-integrates beta once; ``transfer_norms`` builds the p = 1 band or
-||H||_2 once.  Every quantity here is computed in double precision; only
-alpha (``alpha_closed_form``), whose expansion cancels catastrophically,
-is summed in exact rationals.
+once per sweep: ``moment_table`` builds one table up to the top degree
+of the sweep, from one ``x.derivatives`` stack per row block and window
+or one read of the lines, and every predictor reads it;
+``error_bound_parts`` integrates beta once; ``transfer_norms`` builds
+the p = 1 band or ||H||_2 once.  Every quantity here is computed in
+double precision; only alpha (``alpha_closed_form``), whose expansion
+cancels catastrophically, is summed in exact rationals.
 """
 
 import math
@@ -136,11 +133,6 @@ class PredictorKernel:
         exceeds a tenth of the quadrature budget: the node table is unusable."""
         return self.l1_mass * 1e-15 > 0.1 * EPS_QUAD
 
-    def _roundoff_error(self, what):
-        return ValueError(
-            f"{what} at d={self.d} would be roundoff: l1_mass {self.l1_mass:.2e} "
-            f"times 1e-15 exceeds a tenth of the quadrature budget {EPS_QUAD:.0e}")
-
     # -- transform of the assembled kernel ----------------------------------
 
     def spectrum(self, omegas):
@@ -151,7 +143,9 @@ class PredictorKernel:
         where ``needs_extended`` holds.
         """
         if self.needs_extended():
-            raise self._roundoff_error("the assembled-kernel transform")
+            raise ValueError(
+                f"the assembled-kernel transform at d={self.d} would be roundoff: l1_mass "
+                f"{self.l1_mass:.2e} times 1e-15 exceeds a tenth of the quadrature budget {EPS_QUAD:.0e}")
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         nodes, weights, values, _ = self._double_table()
         re = oscillatory_transform(nodes, weights, np.ascontiguousarray(values.real), omegas)
@@ -205,8 +199,8 @@ def _chebyshev_window(window, m):
     return points, tail
 
 
-def _window_weights(points, nodes, vectors):
-    """L.T v for each weight vector v, L[j, i] the barycentric Lagrange polynomial l_i at nodes[j].
+def _window_weights(points, nodes, v):
+    """L.T v, L[j, i] the barycentric Lagrange polynomial l_i at nodes[j].
 
     The points are ``_chebyshev_window``'s, with barycentric weights
     (-1)^i sin theta_i (Berrut & Trefethen, SIAM Review 46, 2004).  L is
@@ -217,7 +211,7 @@ def _window_weights(points, nodes, vectors):
     m = points.size
     theta = (2 * np.arange(m) + 1) * (math.pi / (2 * m))
     barycentric = np.where(np.arange(m) % 2, -1.0, 1.0) * np.sin(theta)
-    out = np.zeros((len(vectors), m))
+    out = np.zeros(m)
     chunk = max(1, _BASIS_ELEMENTS // m)
     for i in range(0, nodes.size, chunk):
         rows = slice(i, i + chunk)
@@ -228,65 +222,67 @@ def _window_weights(points, nodes, vectors):
         basis /= basis.sum(axis=1, keepdims=True)
         on_point = hit.any(axis=1)
         basis[on_point] = hit[on_point]
-        out += vectors[:, rows] @ basis
+        out += v[rows] @ basis
     return out
 
 
-def _block_sums(samples, vectors, tail):
-    """(sums, None) with sums[k] = samples[k] @ vectors[k], or (None, the rows that fail the tail test).
+def _block_sums(samples, v, tail):
+    """(samples @ v, None), or (None, the rows that fail the tail test).
 
-    ``samples`` is a stack of (rows x points) blocks, one per order, or a
-    stack of one that every vector reads; ``vectors`` holds one weight
-    vector per order, or one that every block reads; ``tail`` None skips
-    the test.  The samples die on return.
+    ``samples`` is a stack of (rows x points) blocks, one per order k,
+    overwritten here with its absolute values.  The tail test holds the
+    ``tail`` coefficients of each row of order k to (k + 1) ``_TAIL_EPS``
+    times the row's largest sample, over the whole stack at once;
+    ``tail`` None skips it.
     """
+    sums = samples @ v
     if tail is not None:
-        failed = np.zeros(len(samples[0]), dtype=bool)
-        for k, block in enumerate(samples):
-            bound = (k + 1) * _TAIL_EPS * np.max(np.abs(block), axis=-1, keepdims=True)
-            failed |= ~np.all(np.abs(block @ tail) <= bound, axis=-1)
+        coeffs = np.abs(samples @ tail)
+        peak = np.max(np.abs(samples, out=samples), axis=-1)
+        peak *= (np.arange(1, len(samples) + 1) * _TAIL_EPS)[:, None]
+        failed = ~np.all(coeffs <= peak[..., None], axis=(0, 2))
         if failed.any():
             return None, np.flatnonzero(failed)
-    last_s, last_v = len(samples) - 1, len(vectors) - 1
-    return [samples[min(k, last_s)] @ vectors[min(k, last_v)] for k in range(max(last_s, last_v) + 1)], None
+    return sums, None
 
 
 def _blocked(ts, rule, sample, depth=1):
-    """(out, None), out[k, t] = sample(t - points)[k] @ vectors[k] over the row blocks of ts.
+    """(out, None), out[k, t] = sample(t - points)[k] @ v over the row blocks of ts.
 
-    ``rule`` is (points, vectors, tail) (``_block_sums``); the first row
-    block with a row that fails the tail test stops the table, and
-    (None, the indices in ts of its failing rows) is returned.  t - s is
-    written into one buffer allocated once per call, each block a
-    C-contiguous leading slice of it: a block-sized array allocated and
-    freed per block is handed back to the operating system and faulted in
-    again page by page.  ``depth`` is the number of (rows x points) arrays
-    ``sample`` holds at once, and the tail test holds one more, so the
-    whole stack stays near one block.
+    ``rule`` is (points, v, tail) (``_block_sums``); the first row block
+    with a row that fails the tail test stops the table, and (None, the
+    indices in ts of its failing rows) is returned.  t - s is written
+    into one buffer allocated once per call, each block a C-contiguous
+    leading slice of it: a block-sized array allocated and freed per
+    block is handed back to the operating system and faulted in again
+    page by page.  ``depth`` is the number of (rows x points) arrays
+    ``sample`` returns; a table with the tail test sizes its blocks for
+    one more, so the argument block, the stack and the test's
+    temporaries stay near one block.
     """
-    points, vectors, tail = rule
+    points, v, tail = rule
     blocks = _row_blocks(ts.size, points.size, depth + (tail is not None))
     buf = np.empty((max((rows.stop - rows.start for rows in blocks), default=0), points.size))
-    out = np.empty((max(depth, len(vectors)), ts.size))
+    out = np.empty((depth, ts.size))
     for rows in blocks:
         args = np.subtract(ts[rows, None], points, out=buf[:rows.stop - rows.start])
-        sums, failed = _block_sums(sample(args), vectors, tail)
+        sums, failed = _block_sums(sample(args), v, tail)
         if sums is None:
             return None, rows.start + failed
         out[:, rows] = sums
     return out, None
 
 
-def _window_table(ts, window, nodes, sample, vectors, depth=1):
-    """(table, M): table[k, t] = sum_j vectors[k][j] y_k(t - s_j) over the nodes s_j, y read on M points.
+def _window_table(ts, window, nodes, sample, v, depth=1):
+    """(table, M): table[k, t] = sum_j v_j y_k(t - s_j) over the nodes s_j, y read on M points.
 
-    ``sample(args)`` returns the stack of y_k at a (rows x points) block
-    of arguments (``_block_sums``).  For a signal of the class,
-    s -> y(t - s) is analytic across the kernel's window, so it is
-    resolved to double precision by its Chebyshev interpolant on M points
-    sigma_i of the window (Trefethen, Approximation Theory and
-    Approximation Practice, Thm 8.2).  With L[j, i] = l_i(s_j) at the
-    nodes, sum_j v_j y(t - s_j) = sum_i y(t - sigma_i) (L.T v)_i: M
+    ``sample(args)`` returns the stack of y_k, k < depth, at a
+    (rows x points) block of arguments (``_block_sums``).  For a signal
+    of the class, s -> y(t - s) is analytic across the kernel's window,
+    so it is resolved to double precision by its Chebyshev interpolant
+    on M points sigma_i of the window (Trefethen, Approximation Theory
+    and Approximation Practice, Thm 8.2).  With L[j, i] = l_i(s_j) at
+    the nodes, sum_j v_j y(t - s_j) = sum_i y(t - sigma_i) (L.T v)_i: M
     samples per time in place of one per node.  M doubles from
     ``_FIRST_WINDOW`` until every row, of every order, passes the tail
     test.  Past ``_PROBE_ROWS`` times it is tried first on a probe of
@@ -300,29 +296,27 @@ def _window_table(ts, window, nodes, sample, vectors, depth=1):
     target and 20 for a 17-deep transfer stack), so a short table takes
     the direct sum at once.
     """
-    vectors = np.asarray(vectors)
     stride = -(-ts.size // _PROBE_ROWS)
     probe = ts[::stride] if stride > 1 else None
     m = _FIRST_WINDOW
     while m < nodes.size and _BASIS_COST * m < ts.size * depth:
         points, tail = _chebyshev_window(window, m)
         # the probe needs no weights, so L is formed only once it passed
-        if probe is None or _blocked(probe, (points, np.zeros((1, m)), tail), sample, depth)[1] is None:
-            weights = _window_weights(points, nodes, vectors)
-            table, failed = _blocked(ts, (points, weights, tail), sample, depth)
+        if probe is None or _blocked(probe, (points, np.zeros(m), tail), sample, depth)[1] is None:
+            table, failed = _blocked(ts, (points, _window_weights(points, nodes, v), tail), sample, depth)
             if failed is None:
                 return table, m
             if probe is not None:
                 probe = np.concatenate([probe, ts[failed]])
         m *= 2
-    return _blocked(ts, (nodes, vectors, None), sample, depth)[0], nodes.size
+    return _blocked(ts, (nodes, v, None), sample, depth)[0], nodes.size
 
 
 def target_values(h, x, ts):
     """y(t) = int h(u) x(t-u) du over u in [-T, theta] at ``ts``: the anticausal target."""
     ts = np.asarray(ts, dtype=float)
     nodes, weights = _target_rule(h)
-    table, _ = _window_table(ts, h.support, nodes, lambda args: (x.time(args),), [h(nodes) * weights])
+    table, _ = _window_table(ts, h.support, nodes, lambda args: x.time(args)[None], h(nodes) * weights)
     return table[0]
 
 
@@ -333,77 +327,29 @@ class MomentTable(NamedTuple):
     window_points: Optional[int]
 
 
-def moment_tables(pks, x, ts):
-    """The ``MomentTable`` of each predictor's route at ``ts``, one table built per route.
-
-    The route is derivative transfer (``_moment_table``) where
-    ``pk.needs_extended()`` holds, refused for a signal without a
-    derivative evaluator, and the sample moments (``_sample_table``)
-    otherwise.  Each route's table goes up to the top degree of the
-    predictors on it, and every predictor on the route reads it.
-    """
-    ts = np.asarray(ts, dtype=float)
-    routes = [pk.needs_extended() for pk in pks]
-    if x.derivatives is None and any(routes):
-        pk = pks[routes.index(True)]
-        raise pk._roundoff_error(f"the sample path of signal {x.kind!r} (no derivative)")
-    tables = {}
-    for transfer in set(routes):
-        kmax = max(pk.d for pk, route in zip(pks, routes) if route == transfer)
-        build = _moment_table if transfer else _sample_table
-        tables[transfer] = build(pks[0].h, x, ts, kmax)
-    return [tables[route] for route in routes]
-
-
-def predict_values(pk, table):
-    """Predictions sum_k Re(a_k) table.values[k] from pk's entry of ``moment_tables``.
-
-    Summed in k order over the nonzero Re(a_k); x is real, so
-    Re(a_k x^(k)) = Re(a_k) x^(k).
-    """
-    values = table.values
-    out = np.zeros(values.shape[1])
-    for k, a in enumerate(pk.psi.coeffs):
-        if a.real != 0.0:
-            out += a.real * values[k]
-    return out
-
-
-def _sample_table(h, x, ts, kmax):
-    """S[k, t] = int q^(k)(u) x(t - u) du for k <= kmax, on the order-kmax panel rule.
-
-    x is read at the points of its window interpolant on [0, tau]
-    (``_window_table``), one ``x.time`` block per row block, times each
-    weight vector L.T (w q^(k)(s)) by a matrix-vector product.  A table
-    serves degrees up to kmax only on its own rule, so it is rebuilt,
-    not sliced, for another kmax.
-    """
-    nodes, weights = gauss_legendre_edges(derivative_panel_edges(h.width, kmax))
-    qw = [h.derivative(k, nodes - h.T) * weights for k in range(kmax + 1)]
-    return MomentTable(*_window_table(ts, (0.0, h.width), nodes, lambda args: (x.time(args),), qw))
-
-
-def _moment_table(h, x, ts, kmax):
+def moment_table(h, x, ts, kmax):
     """M[k, t] = int h(s) x^(k)(t - T - s) ds for k <= kmax, on the target rule.
 
-    One ``x.derivatives(kmax, .)`` stack at the points of the window
-    interpolant on [-T, theta] (``_window_table``) per row block, the
-    blocks sized by the whole (kmax + 1)-deep stack and the tail test
-    passed by every order; each order times L.T (h w).  The arguments
-    t - T - s stay inside the causal window (t - tau, t).  Row k depends
-    on kmax only through the window points M.  With lines resolving every
-    argument, M[k, t] = Re sum_j c_j (i omega_j)^k Q_j e^{i omega_j t},
-    Q_j = sum_s h(s) w_s e^{-i omega_j (s + T)}, and no window is read;
-    the (lines x nodes) and (times x lines) phases are formed in row
-    blocks, each block's complex exponent and exponential (four doubles
-    an entry) within ``_BLOCK_ELEMENTS``.
+    Every predictor of a sweep up to degree kmax reads this one table
+    (``predict_values``).  One ``x.derivatives(kmax, .)`` stack at the
+    points of the window interpolant on [-T, theta] (``_window_table``)
+    per row block, the blocks sized by the whole (kmax + 1)-deep stack
+    and the tail test passed by every order; each order times L.T (h w).
+    The arguments t - T - s stay inside the causal window (t - tau, t).
+    Row k depends on kmax only through the window points M.  With lines
+    resolving every argument, M[k, t] = Re sum_j c_j (i omega_j)^k Q_j
+    e^{i omega_j t}, Q_j = sum_s h(s) w_s e^{-i omega_j (s + T)}, and no
+    window is read; the (lines x nodes) and (times x lines) phases are
+    formed in row blocks, each block's complex exponent and exponential
+    (four doubles an entry) within ``_BLOCK_ELEMENTS``.
     """
+    ts = np.asarray(ts, dtype=float)
     nodes, weights = _target_rule(h)
     hw = h(nodes) * weights
     tt = ts - h.T
     if x.lines is None:
         return MomentTable(*_window_table(tt, h.support, nodes, lambda args: x.derivatives(kmax, args),
-                                          [hw], depth=kmax + 1))
+                                          hw, depth=kmax + 1))
     om, c = x.lines(max(np.max(tt) - np.min(nodes), np.max(nodes) - np.min(tt)))
     q, shifted = np.empty(om.size, dtype=complex), nodes + h.T
     for rows in _row_blocks(om.size, nodes.size, depth=4):
@@ -415,6 +361,20 @@ def _moment_table(h, x, ts, kmax):
         for k in range(kmax + 1):
             out[k, rows] = (phases @ b[:, k]).real
     return MomentTable(out, None)
+
+
+def predict_values(pk, table):
+    """Predictions sum_k Re(a_k) table.values[k] from a ``moment_table`` up to degree >= pk.d.
+
+    Summed in k order over the nonzero Re(a_k); x is real, so
+    Re(a_k x^(k)) = Re(a_k) x^(k).
+    """
+    values = table.values
+    out = np.zeros(values.shape[1])
+    for k, a in enumerate(pk.psi.coeffs):
+        if a.real != 0.0:
+            out += a.real * values[k]
+    return out
 
 
 # -- bounds ------------------------------------------------------------------

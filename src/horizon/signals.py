@@ -4,10 +4,10 @@ Every generator returns a real-valued signal carrying a vectorized time
 evaluator, its closed-form spectrum X(i omega) where one exists, the
 exponential decay rate of |X| (np.inf for compact or super-exponential
 spectra), and one all-orders evaluator ``derivatives(kmax, t)`` that
-returns the ``(kmax + 1, *t.shape)`` stack of x, x', ..., x^(kmax), used
-by the derivative-transfer prediction path.  Each kind shares its work
-across orders: chirp noise forms cos and sin of omega t once per line,
-the Poisson kinds take powers of 1 / (t - i a) by repeated
+returns the ``(kmax + 1, *t.shape)`` stack of x, x', ..., x^(kmax), from
+which every prediction is made (derivative transfer).  Each kind shares
+its work across orders: chirp noise forms cos and sin of omega t once
+per line, the Poisson kinds take powers of 1 / (t - i a) by repeated
 multiplication and form the modulation phase once, and the Gaussian
 emits every step of its Hermite recurrence.  Order k of the stack does
 not depend on kmax.  Chirp noise also exposes its frequency rule as
@@ -34,9 +34,9 @@ class Signal:
     kind: str
     params: dict = field(repr=True)
     time: Callable = field(repr=False)
+    derivatives: Callable = field(repr=False)
     spectrum: Optional[Callable] = field(repr=False, default=None)
     spectral_decay: float = 0.0
-    derivatives: Optional[Callable] = field(repr=False, default=None)
     lines: Optional[Callable] = field(repr=False, default=None)
 
     def __call__(self, t):
@@ -279,10 +279,8 @@ def superposition(signals, weights=None):
         def spectrum(om):
             return sum(w * s.spectrum(om) for w, s in zip(weights, signals))
 
-    derivatives = None
-    if all(s.derivatives is not None for s in signals):
-        def derivatives(kmax, t):
-            return sum(w * s.derivatives(kmax, t) for w, s in zip(weights, signals))
+    def derivatives(kmax, t):
+        return sum(w * s.derivatives(kmax, t) for w, s in zip(weights, signals))
 
     return Signal(
         kind="superposition",

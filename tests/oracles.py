@@ -435,35 +435,26 @@ def derivative_spectrum(h, k, omegas):
     return _mp_transform(table, omegas)
 
 
-def direct_table(h, x, ts, kmax=None, transfer=False):
+def direct_table(h, x, ts, kmax=None):
     """(table, vectors, samples): a convolution as the direct panel sum, one full product per order.
 
     The signal is read at every (time, quadrature node) pair, with no
-    window interpolant and no row blocks; ``vectors`` are the weight
-    vectors and ``samples`` the stack of signal values at t - s, for the
-    error scales of the comparisons.
+    window interpolant and no row blocks; ``vectors`` is the one weight
+    vector h(s) w_s of the target rule and ``samples`` the stack of
+    signal values, for the error scales of the comparisons.
 
-    - ``kmax`` None: the target y(t) = sum_s h(s) w_s x(t - s) on the
-      target rule, a one-row table;
-    - ``transfer`` False: S[k, t] = sum_s q^(k)(s) w_s x(t - s), k <= kmax,
-      on the order-kmax panel rule;
-    - ``transfer`` True: M[k, t] = sum_s h(s) w_s x^(k)(t - T - s) on the
-      target rule.
+    - ``kmax`` None: the target y(t) = sum_s h(s) w_s x(t - s), a one-row
+      table;
+    - otherwise the derivative-transfer moments
+      M[k, t] = sum_s h(s) w_s x^(k)(t - T - s), k <= kmax.
     """
-    from horizon.kernels import derivative_panel_edges
     from horizon.predictor import _target_rule
-    from horizon.spectral_core import gauss_legendre_edges
 
     ts = np.asarray(ts, dtype=float)
-    if kmax is None or transfer:
-        nodes, weights = _target_rule(h)
-        vectors = [h(nodes) * weights]
-        if kmax is None:
-            samples = [x.time(ts[:, None] - nodes)]
-        else:
-            samples = x.derivatives(kmax, (ts - h.T)[:, None] - nodes)
-        return np.array([s @ vectors[0] for s in samples]), vectors, samples
-    nodes, weights = gauss_legendre_edges(derivative_panel_edges(h.width, kmax))
-    vectors = [h.derivative(k, nodes - h.T) * weights for k in range(kmax + 1)]
-    samples = [x.time(ts[:, None] - nodes)]
-    return np.array([samples[0] @ v for v in vectors]), vectors, samples
+    nodes, weights = _target_rule(h)
+    vectors = [h(nodes) * weights]
+    if kmax is None:
+        samples = [x.time(ts[:, None] - nodes)]
+    else:
+        samples = x.derivatives(kmax, (ts - h.T)[:, None] - nodes)
+    return np.array([s @ vectors[0] for s in samples]), vectors, samples

@@ -24,7 +24,7 @@ from horizon import (
     error_bound_parts,
     exponential_moment,
     h_spectrum,
-    moment_tables,
+    moment_table,
     monomial_moment,
     noise_norm,
     poisson_signal,
@@ -71,9 +71,9 @@ def predictors(kernel):
 def predictions(predictors, signal, tgrid):
     y = target_values(predictors[2].h, signal, tgrid.nodes)
     pks = [predictors[d] for d in (2, 6, 10)]
-    tables = moment_tables(pks, signal, tgrid.nodes)
+    table = moment_table(predictors[2].h, signal, tgrid.nodes, 10)
     parts = error_bound_parts(pks, signal, R)
-    sups = {pk.d: float(np.max(np.abs(y - predict_values(pk, table)))) for pk, table in zip(pks, tables)}
+    sups = {pk.d: float(np.max(np.abs(y - predict_values(pk, table)))) for pk in pks}
     bounds = {pk.d: bound for pk, (_, _, bound) in zip(pks, parts)}
     return y, sups, bounds
 
@@ -140,10 +140,10 @@ def test_criterion_6_noise_robustness(kernel, predictors, signal, tgrid):
     eta_unit = chirp_noise((6.0, 12.0), 1.0)
     y = target_values(kernel, signal, tgrid.nodes)
     pks = [predictors[d] for d in (4, 10)]
-    sweep = zip(pks, moment_tables(pks, signal, tgrid.nodes), moment_tables(pks, eta_unit, tgrid.nodes),
-                error_bound_parts(pks, signal, R), transfer_norms(pks, 1), transfer_norms(pks, 2))
+    table0, table_eta = (moment_table(kernel, x, tgrid.nodes, 10) for x in (signal, eta_unit))
+    sweep = zip(pks, error_bound_parts(pks, signal, R), transfer_norms(pks, 1), transfer_norms(pks, 2))
     slopes = {}
-    for pk, table0, table_eta, (_, _, eps_bound), *norms in sweep:
+    for pk, (_, _, eps_bound), *norms in sweep:
         d = pk.d
         y_hat0 = predict_values(pk, table0)
         conv_eta = predict_values(pk, table_eta)
@@ -216,15 +216,15 @@ def test_criterion_9_causality(predictors, signal):
     assert pk.tau == T + TH
     highs, lows = [], []
 
-    def spy(ts):
+    def spy(kmax, ts):
         ts = np.asarray(ts, dtype=float)
         highs.append(float(ts.max()))
         lows.append(float(ts.min()))
-        return signal.time(ts)
+        return signal.derivatives(kmax, ts)
 
-    x = Signal(kind="spy", params={}, time=spy)
+    x = Signal(kind="spy", params={}, time=signal.time, derivatives=spy)
     for t0 in (-1.0, 0.0, 0.7):
-        predict_values(pk, moment_tables([pk], x, np.array([t0]))[0])
+        predict_values(pk, moment_table(pk.h, x, np.array([t0]), pk.d))
         assert max(highs) < t0, "future sample accessed"
         assert min(lows) > t0 - pk.tau, "window longer than tau"
         highs.clear()

