@@ -4,7 +4,7 @@ All are vectorized numpy; they back every kernel evaluation over
 quadrature nodes and every transform over frequency grids.  The
 (rows x columns) transients of the transforms here and of the
 convolutions in ``predictor`` are formed in the row blocks of
-``_row_blocks``, about one 256 KB block at a time.
+``_row_blocks``, about one 256 KB block at a time unless the rows are wide.
 """
 
 import numpy as np
@@ -69,6 +69,10 @@ def _row_blocks(n_rows, n_cols, depth=1):
     product through another kernel.  So with a one-thread BLAS a blocked
     product sums each row exactly as one full product does (a threaded
     BLAS splits each product's rows between its threads by its size).
+    The 16-row floor lets blocks of wide rows exceed ``_BLOCK_ELEMENTS``:
+    16 rows of the canonical chirp's (80 lines x 1,376 nodes) phases are
+    one 344 KiB complex block, and the 5 rows of a 5-time table's 17-deep
+    stack on the 1,376 nodes (the direct sum) are 935 KB.
     """
     step = max(16, _BLOCK_ELEMENTS // (n_cols * depth) // 16 * 16)
     starts = list(range(0, n_rows, step))

@@ -1,20 +1,19 @@
 """Experiment harness: config-driven sweeps emitting CSV and JSON.
 
-Exit codes: 0 success, 2 config error, 3 refusal (the signal lies
+Exit codes: 0 success, 2 config or usage error, 3 refusal (the signal lies
 outside the class, or its bound exceeds the double range), 4 bound
 violation.  CSV output is deterministic (no wall-clock columns,
 full-precision scientific notation); per-row runtimes go to the JSON
 summary, which is not covered by the byte-identity guarantee.
 """
 
-import functools
+import argparse
 import json
 import math
 import sys
 import time
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import __version__
@@ -67,30 +66,19 @@ def _write_csv(path, header, rows):
         raise
 
 
-def _exit_codes(command):
-    """Map a config error to exit 2, and a class-membership or bound-range refusal to exit 3."""
+def _load_config(args):
+    """The config of ``--config`` (canonical defaults if omitted), ``--out`` its output directory.
 
-    @functools.wraps(command)
-    def wrapped(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except (ClassMembershipError, BoundRangeError) as exc:
-            click.echo(f"refusing: {exc}", err=True)
-            sys.exit(EXIT_CLASS)
-
-    return wrapped
-
-
-def _load_config(config_path, out):
-    if config_path is None:
-        cfg = ExperimentConfig()
-    else:
-        cfg = ExperimentConfig.load(config_path)
-    if out is not None:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "output_dir": str(out)})
+    The output directory may be missing, but not a file: a bad path is a
+    config error, refused before anything is written.
+    """
+    cfg = ExperimentConfig() if args.config is None else ExperimentConfig.load(args.config)
+    if args.out is not None:
+        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "output_dir": args.out})
+    out = Path(cfg.output_dir)
+    if out.exists() and not out.is_dir():
+        key = "output_dir" if args.out is None else "--out"
+        raise ConfigError(f"{key}: {out} exists and is not a directory")
     return cfg
 
 
@@ -100,26 +88,9 @@ def _psi_for(cfg, d):
     return projection_psi(cfg.T, cfg.r, d)
 
 
-def common_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                      default=None, help="JSON experiment config (canonical defaults if omitted).")(fn)
-    fn = click.option("--out", type=click.Path(file_okay=False), default=None,
-                      help="Output directory (overrides config output_dir).")(fn)
-    return fn
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="horizon")
-def main():
-    """Limited-memory spectral predictor experiments."""
-
-
-@main.command("alpha-sweep")
-@common_options
-@_exit_codes
-def cmd_alpha_sweep(config_path, out):
+def cmd_alpha_sweep(args):
     """Sweep the weighted approximation error alpha over the degree range."""
-    cfg = _load_config(config_path, out)
+    cfg = _load_config(args)
     results = []
     for d in cfg.ds:
         psi = _psi_for(cfg, d)
@@ -131,21 +102,19 @@ def cmd_alpha_sweep(config_path, out):
             for d, alpha, bound in results]
     path = Path(cfg.output_dir) / "alpha_sweep.csv"
     _write_csv(path, ["d", "method", "alpha", "taylor_bound"], rows)
-    click.echo(f"wrote {path}")
+    print(f"wrote {path}")
 
     if cfg.method == "projection":
         alphas = [alpha for _, alpha, _ in results]
         if any(a2 > a1 + 1e-12 for a1, a2 in zip(alphas, alphas[1:])):
-            click.echo("bound violation: projection alpha is not non-increasing", err=True)
-            sys.exit(EXIT_BOUND)
+            print("bound violation: projection alpha is not non-increasing", file=sys.stderr)
+            return EXIT_BOUND
+    return EXIT_OK
 
 
-@main.command("convergence")
-@common_options
-@_exit_codes
-def cmd_convergence(config_path, out):
+def cmd_convergence(args):
     """Prediction-error convergence over the degree range, with bounds."""
-    cfg = _load_config(config_path, out)
+    cfg = _load_config(args)
     x = cfg.build_signal()
     h = cfg.build_kernel()
     ts = cfg.build_tgrid().nodes
@@ -174,21 +143,19 @@ def cmd_convergence(config_path, out):
     }
     spath = Path(cfg.output_dir) / "convergence_summary.json"
     spath.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    click.echo(f"wrote {path} and {spath}")
+    print(f"wrote {path} and {spath}")
 
     for row in results:
         if row["sup_error"] > row["bound"] + _BOUND_SLACK:
-            click.echo(f"bound violation at d={row['d']}: {row['sup_error']:.3e} > {row['bound']:.3e}",
-                       err=True)
-            sys.exit(EXIT_BOUND)
+            print(f"bound violation at d={row['d']}: {row['sup_error']:.3e} > {row['bound']:.3e}",
+                  file=sys.stderr)
+            return EXIT_BOUND
+    return EXIT_OK
 
 
-@main.command("noise-sweep")
-@common_options
-@_exit_codes
-def cmd_noise_sweep(config_path, out):
+def cmd_noise_sweep(args):
     """Total prediction error under noise versus the robustness bound."""
-    cfg = _load_config(config_path, out)
+    cfg = _load_config(args)
     x0 = cfg.build_signal()
     h = cfg.build_kernel()
     ts = cfg.build_tgrid().nodes
@@ -216,31 +183,27 @@ def cmd_noise_sweep(config_path, out):
     path = Path(cfg.output_dir) / "noise_sweep.csv"
     _write_csv(path, ["nu", "d", "empirical_total_error", "bound_total"],
                [(nu, float(d), emp, bnd) for nu, d, emp, bnd in rows])
-    click.echo(f"wrote {path}")
+    print(f"wrote {path}")
 
     for nu, d, emp, bnd in rows:
         if emp > bnd + _BOUND_SLACK:
-            click.echo(f"bound violation at nu={nu}, d={d}: {emp:.3e} > {bnd:.3e}", err=True)
-            sys.exit(EXIT_BOUND)
+            print(f"bound violation at nu={nu}, d={d}: {emp:.3e} > {bnd:.3e}", file=sys.stderr)
+            return EXIT_BOUND
+    return EXIT_OK
 
 
-@main.command("predict")
-@common_options
-@click.option("--times", default=None,
-              help="Comma-separated prediction times (default: the config time grid).")
-@_exit_codes
-def cmd_predict(config_path, out, times):
+def cmd_predict(args):
     """Single-shot prediction dump at the top degree of the range."""
-    cfg = _load_config(config_path, out)
+    cfg = _load_config(args)
     x = cfg.build_signal()
     h = cfg.build_kernel()
-    if times is not None:
+    if args.times is not None:
         try:
-            ts = np.array([float(v) for v in times.split(",")])
+            ts = np.array([float(v) for v in args.times.split(",")])
         except ValueError as exc:
             raise ConfigError(f"times: {exc}") from exc
         if not np.all(np.isfinite(ts)):
-            raise ConfigError(f"times: expected finite values, got {times!r}")
+            raise ConfigError(f"times: expected finite values, got {args.times!r}")
     else:
         ts = cfg.build_tgrid().nodes
     d = cfg.d_range[1]
@@ -251,8 +214,68 @@ def cmd_predict(config_path, out, times):
     path = Path(cfg.output_dir) / "predict.csv"
     _write_csv(path, ["t", "y", "y_hat", "abs_err"],
                zip(ts.tolist(), y.tolist(), y_hat.tolist(), np.abs(y - y_hat).tolist()))
-    click.echo(f"wrote {path}")
+    print(f"wrote {path}")
+    return EXIT_OK
+
+
+#: subcommand -> function; each returns its exit code
+_COMMANDS = {
+    "alpha-sweep": cmd_alpha_sweep,
+    "convergence": cmd_convergence,
+    "noise-sweep": cmd_noise_sweep,
+    "predict": cmd_predict,
+}
+#: option -> help; each takes one value, and ``--times`` is predict's alone
+_OPTIONS = {
+    "--config": "JSON experiment config (canonical defaults if omitted).",
+    "--out": "Output directory (overrides config output_dir).",
+    "--times": "Comma-separated prediction times (default: the config time grid).",
+}
+
+
+def _parser():
+    parser = argparse.ArgumentParser(prog="horizon",
+                                     description="Limited-memory spectral predictor experiments.")
+    parser.add_argument("--version", action="version", version=f"horizon, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, command in _COMMANDS.items():
+        doc = command.__doc__.splitlines()[0]
+        sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        sub.set_defaults(command=command)
+        for option, text in _OPTIONS.items():
+            if option != "--times" or name == "predict":
+                sub.add_argument(option, help=text)
+    return parser
+
+
+def _attach_values(argv):
+    """argv with each ``OPTION VALUE`` of ``_OPTIONS`` joined into ``OPTION=VALUE``.
+
+    argparse takes an argument that starts with '-' and is not a plain
+    number for an option, so ``--times -1.0,0.0,1.0`` would lack its
+    value; an option's value is the next argument, whatever it is.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _OPTIONS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def main(argv=None):
+    """Run one command and return its exit code; a usage error exits 2, ``--version`` 0."""
+    args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+    try:
+        return args.command(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ClassMembershipError, BoundRangeError) as exc:
+        print(f"refusing: {exc}", file=sys.stderr)
+        return EXIT_CLASS
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

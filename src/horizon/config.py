@@ -142,8 +142,14 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 at byte {exc.start}") from exc
+        return cls.from_json(text)
 
     # -- serialization -------------------------------------------------------
 
@@ -168,13 +174,13 @@ class ExperimentConfig:
     def build_signal(self):
         try:
             return Signal.from_spec(self.signal)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"signal: {exc}") from exc
 
     def build_noise(self):
         try:
             return Signal.from_spec(self.noise)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"noise: {exc}") from exc
 
     def build_tgrid(self):

@@ -238,9 +238,11 @@ def _block_sums(samples, v, tail):
     sums = samples @ v
     if tail is not None:
         coeffs = np.abs(samples @ tail)
-        peak = np.max(np.abs(samples, out=samples), axis=-1)
-        peak *= (np.arange(1, len(samples) + 1) * _TAIL_EPS)[:, None]
-        failed = ~np.all(coeffs <= peak[..., None], axis=(0, 2))
+        flat = np.abs(samples, out=samples).reshape(-1)
+        # reduceat, not max(axis=-1), which is slow on rows of a few dozen points
+        peak = np.maximum.reduceat(flat, np.arange(0, flat.size, samples.shape[-1]))
+        peak = peak.reshape(samples.shape[:-1]) * (np.arange(1, len(samples) + 1) * _TAIL_EPS)[:, None]
+        failed = ~(coeffs <= peak[..., None]).all(axis=2).all(axis=0)
         if failed.any():
             return None, np.flatnonzero(failed)
     return sums, None
@@ -339,9 +341,11 @@ def moment_table(h, x, ts, kmax):
     Row k depends on kmax only through the window points M.  With lines
     resolving every argument, M[k, t] = Re sum_j c_j (i omega_j)^k Q_j
     e^{i omega_j t}, Q_j = sum_s h(s) w_s e^{-i omega_j (s + T)}, and no
-    window is read; the (lines x nodes) and (times x lines) phases are
-    formed in row blocks, each block's complex exponent and exponential
-    (four doubles an entry) within ``_BLOCK_ELEMENTS``.
+    window is read.  The (lines x nodes) phases are formed in row blocks
+    of one complex array, reused: each block's exponent is written into
+    its imaginary part and exponentiated in place (two doubles an entry).
+    The (times x lines) phases are formed in row blocks of their complex
+    exponent and exponential (four doubles an entry).
     """
     ts = np.asarray(ts, dtype=float)
     nodes, weights = _target_rule(h)
@@ -352,8 +356,13 @@ def moment_table(h, x, ts, kmax):
                                           hw, depth=kmax + 1))
     om, c = x.lines(max(np.max(tt) - np.min(nodes), np.max(nodes) - np.min(tt)))
     q, shifted = np.empty(om.size, dtype=complex), nodes + h.T
-    for rows in _row_blocks(om.size, nodes.size, depth=4):
-        q[rows] = np.exp(-1j * np.outer(om[rows], shifted)) @ hw
+    blocks = _row_blocks(om.size, nodes.size, depth=2)
+    block = np.empty((max((r.stop - r.start for r in blocks), default=0), nodes.size), dtype=complex)
+    for rows in blocks:
+        phases = block[:rows.stop - rows.start]
+        phases.real = 0.0
+        np.multiply.outer(om[rows], -shifted, out=phases.imag)
+        q[rows] = np.exp(phases, out=phases) @ hw
     b = (c * q)[:, None] * (1j * om[:, None]) ** np.arange(kmax + 1)
     out = np.empty((kmax + 1, ts.size))
     for rows in _row_blocks(ts.size, om.size, depth=4):

@@ -1,18 +1,38 @@
+import contextlib
+import io
 import json
 import tracemalloc
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from horizon.cli import EXIT_CLASS, EXIT_CONFIG, main
+from horizon.cli import EXIT_BOUND, EXIT_CLASS, EXIT_CONFIG, main
 from horizon.config import ConfigError, ExperimentConfig
+
+
+class Result(NamedTuple):
+    exit_code: int
+    output: str
+
+
+class Runner:
+    """Runs a command in this process: its exit code and its stdout and stderr together."""
+
+    def invoke(self, command, args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            try:
+                code = command(args)
+            except SystemExit as exc:
+                code = exc.code
+        return Result(code, out.getvalue())
 
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write_config(path, **overrides):
@@ -81,6 +101,34 @@ class TestConfig:
         result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
         assert result.exit_code == EXIT_CONFIG, result.output
         assert f"config error: {key}: expected {expected}" in result.output
+
+    @pytest.mark.parametrize("case", ["signal-a-string", "signal-sigma-null", "noise-params-list",
+                                      "not-utf8", "missing-config", "config-is-directory",
+                                      "out-is-file"])
+    def test_bad_input_is_one_line_config_error(self, runner, tmp_path, case):
+        # none of these may end in a traceback (exit 1) or write anything
+        out = tmp_path / "out"
+        overrides = {
+            "signal-a-string": {"signal": {"kind": "poisson", "params": {"a": "x"}}},
+            "signal-sigma-null": {"signal": {"kind": "gaussian", "params": {"sigma": None}}},
+            "noise-params-list": {"noise": {"kind": "chirp_noise", "params": [1]}},
+        }.get(case, {})
+        cfgp = write_config(tmp_path / "c.json", output_dir=str(out), **overrides)
+        args = ["noise-sweep", "--config", str(cfgp)]
+        if case == "not-utf8":
+            cfgp.write_bytes(cfgp.read_bytes().replace(b"taylor", b"t\xe4ylor"))
+        elif case == "missing-config":
+            args[-1] = str(tmp_path / "missing.json")
+        elif case == "config-is-directory":
+            args[-1] = str(tmp_path)
+        elif case == "out-is-file":
+            out.write_text("", encoding="utf-8")
+            args += ["--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.output.startswith("config error: ")
+        assert result.output.count("\n") == 1, result.output
+        assert not out.is_dir()
 
     @pytest.mark.parametrize("command", ["alpha-sweep", "convergence", "noise-sweep", "predict"])
     def test_removed_grid_key_is_config_error(self, runner, tmp_path, command):
@@ -224,6 +272,16 @@ class TestConvergence:
                             output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, ["convergence", "--config", str(cfgp)])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("command", ["convergence", "noise-sweep"])
+    def test_row_above_its_bound_exits_4(self, runner, tmp_path, monkeypatch, command):
+        from horizon import cli
+
+        monkeypatch.setattr(cli, "error_bound_parts", lambda pks, x, r: [(0.0, 0.0, 0.0)] * len(pks))
+        cfgp = write_config(tmp_path / "c.json", d_range=[0, 2], output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, [command, "--config", str(cfgp)])
+        assert result.exit_code == EXIT_BOUND, result.output
+        assert "bound violation at " in result.output
 
     def test_zero_signal_rows_zero(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json",
@@ -477,7 +535,8 @@ class TestCsvWriter:
     @pytest.mark.parametrize("command", ["alpha-sweep", "convergence", "noise-sweep", "predict"])
     def test_cli_import_leaves_mpmath_unloaded(self, tmp_path, command, method_range):
         # every command runs without mpmath: alpha is summed in exact rationals;
-        # nor does it import numpy.polynomial: the Gauss-Legendre rule is tabulated
+        # nor does it import numpy.polynomial: the Gauss-Legendre rule is tabulated;
+        # nor click: the front end is argparse
         import os
         import subprocess
         import sys
@@ -491,12 +550,13 @@ class TestCsvWriter:
             args += ["--config", str(write_config(tmp_path / "c.json", method=method, d_range=d_range))]
         src = str(Path(horizon.__file__).resolve().parent.parent)
         code = ("import sys\nfrom horizon.cli import main\n"
-                "try:\n    main(sys.argv[1:])\nfinally:\n"
-                "    print('mpmath' in sys.modules, 'numpy.polynomial' in sys.modules)")
+                "try:\n    sys.exit(main(sys.argv[1:]))\nfinally:\n"
+                "    print('mpmath' in sys.modules, 'numpy.polynomial' in sys.modules,"
+                " 'click' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False False"
+        assert proc.stdout.splitlines()[-1] == "False False False"
 
 
 class TestVersion:
@@ -513,7 +573,7 @@ class TestRemovedOptions:
                             output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, ["alpha-sweep", "--config", str(cfgp), "--threads", "2"])
         assert result.exit_code == 2
-        assert "No such option" in result.output
+        assert "unrecognized arguments" in result.output
         assert not (tmp_path / "out").exists()
 
     def test_precision_option_rejected(self, runner, tmp_path):
@@ -522,5 +582,5 @@ class TestRemovedOptions:
         result = runner.invoke(main, ["convergence", "--config", str(cfgp),
                                       "--precision", "double"])
         assert result.exit_code == 2
-        assert "No such option" in result.output
+        assert "unrecognized arguments" in result.output
         assert not (tmp_path / "out").exists()

@@ -290,6 +290,20 @@ class TestPredict:
         scale = np.max(np.abs(stacks), axis=1, keepdims=True)
         assert np.all(np.abs(table.values - stacks) <= 2e-15 * scale)
 
+    def test_chirp_lines_table_peaks_below_600_kib(self, canonical_kernel):
+        # the canonical chirp's (80 lines x 1,376 nodes) phases take one
+        # reused complex block of 16 rows (344 KiB); an exponent and its
+        # exponential in fresh arrays traced 735 KiB
+        eta = chirp_noise((6.0, 12.0), 1.0)
+        ts = np.linspace(-2.0, 2.0, 41)
+        tracemalloc.start()
+        try:
+            moment_table(canonical_kernel, eta, ts, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 << 10
+
     @pytest.mark.parametrize("d", [4, 12], ids=["sample", "transfer"])
     def test_sweep_tables_are_kept_per_signal_object(self, d):
         # two signals of one kind and params but different values, one
