@@ -11,7 +11,7 @@ import numbers
 from dataclasses import asdict, dataclass, field
 
 from .kernels import D_MAX, bump_kernel
-from .signals import Signal
+from .signals import chirp_noise, cosine_modulated_poisson, gaussian_signal, poisson_signal, zero_signal
 from .spectral_core import TimeGrid
 
 
@@ -33,6 +33,40 @@ def _require_number(key, value):
     return value
 
 
+#: signal kind -> (generator, its params in the generator's order); a signal
+#: or noise is {"kind": kind, "params": {param: value}}, every value a
+#: finite number but ``band``, a list of two
+_SIGNAL_KINDS = {
+    "poisson": (poisson_signal, ("a",)),
+    "gaussian": (gaussian_signal, ("sigma",)),
+    "cosine_modulated_poisson": (cosine_modulated_poisson, ("a", "omega0")),
+    "chirp_noise": (chirp_noise, ("band", "amplitude")),
+    "zero": (zero_signal, ()),
+}
+
+
+def _build_signal(key, spec):
+    """The signal of the spec at ``key``; every key and param is checked."""
+    if set(spec) != {"kind", "params"}:
+        raise ConfigError(f"{key}: expected the keys 'kind' and 'params', got {sorted(spec)}")
+    kind, params = spec["kind"], spec["params"]
+    if not isinstance(kind, str) or kind not in _SIGNAL_KINDS:
+        raise ConfigError(f"{key}.kind: expected one of {sorted(_SIGNAL_KINDS)}, got {kind!r}")
+    make, names = _SIGNAL_KINDS[kind]
+    if not isinstance(params, dict) or set(params) != set(names):
+        raise ConfigError(f"{key}.params: {kind} takes {list(names)}, got {params!r}")
+    for name in names:
+        values = params[name] if name == "band" else [params[name]]
+        if name == "band" and not (isinstance(values, list) and len(values) == 2):
+            raise ConfigError(f"{key}.params.band: expected [lo, hi], got {values!r}")
+        for value in values:
+            _require_number(f"{key}.params.{name}", value)
+    try:
+        return make(*(params[name] for name in names))
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 _DEFAULTS = {
     "T": 0.5,
     "theta": 0.1,
@@ -40,7 +74,6 @@ _DEFAULTS = {
     "method": "taylor",
     "d_range": [0, 12],
     "d_step": 1,
-    "kernel": {"shape": "bump"},
     "signal": {"kind": "poisson", "params": {"a": 1.5}},
     "noise": {"kind": "chirp_noise", "params": {"band": [6.0, 12.0], "amplitude": 1.0}},
     "tgrid": {"t_min": -2.0, "t_max": 2.0, "n_points": 41},
@@ -59,7 +92,6 @@ class ExperimentConfig:
     method: str = "taylor"
     d_range: tuple = (0, 12)
     d_step: int = 1
-    kernel: dict = field(default_factory=lambda: dict(_DEFAULTS["kernel"]))
     signal: dict = field(default_factory=lambda: dict(_DEFAULTS["signal"]))
     noise: dict = field(default_factory=lambda: dict(_DEFAULTS["noise"]))
     tgrid: dict = field(default_factory=lambda: dict(_DEFAULTS["tgrid"]))
@@ -71,15 +103,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for key in ("T", "theta", "r", "eps_target"):
             _require_number(key, getattr(self, key))
-        for key in ("kernel", "signal", "noise", "tgrid"):
+        for key in ("signal", "noise", "tgrid"):
             if not isinstance(getattr(self, key), dict):
                 raise ConfigError(f"{key}: expected an object, got {getattr(self, key)!r}")
-        for key, value in self.kernel.items():
-            if key != "shape":
-                raise ConfigError(f"kernel.{key}: unknown key; the kernel is the bump on "
-                                  "[-T, theta] of the top-level T and theta")
-            if value != "bump":
-                raise ConfigError(f"kernel.shape: expected 'bump', got {value!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir: expected a string, got {self.output_dir!r}")
         if not isinstance(self.d_range, (list, tuple)):
@@ -101,8 +127,11 @@ class ExperimentConfig:
         object.__setattr__(self, "d_step", _require_int("d_step", self.d_step))
         if self.d_step < 1:
             raise ConfigError("d_step: must be a positive integer")
-        if "n_points" in self.tgrid:
-            _require_int("tgrid.n_points", self.tgrid["n_points"])
+        if set(self.tgrid) != {"t_min", "t_max", "n_points"}:
+            raise ConfigError(f"tgrid: expected t_min, t_max and n_points, got {sorted(self.tgrid)}")
+        _require_number("tgrid.t_min", self.tgrid["t_min"])
+        _require_number("tgrid.t_max", self.tgrid["t_max"])
+        _require_int("tgrid.n_points", self.tgrid["n_points"])
         if not isinstance(self.nu_range, (list, tuple)):
             raise ConfigError(f"nu_range: expected a list of numbers, got {self.nu_range!r}")
         if len(self.nu_range) == 0:
@@ -116,6 +145,8 @@ class ExperimentConfig:
             raise ConfigError(f"p: expected 1 or 2, got {self.p!r}")
         if self.eps_target <= 0:
             raise ConfigError("eps_target: must be positive")
+        for key in ("signal", "noise"):
+            _build_signal(key, getattr(self, key))
 
     # -- construction -------------------------------------------------------
 
@@ -172,19 +203,13 @@ class ExperimentConfig:
         return bump_kernel(self.T, self.theta)
 
     def build_signal(self):
-        try:
-            return Signal.from_spec(self.signal)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"signal: {exc}") from exc
+        return _build_signal("signal", self.signal)
 
     def build_noise(self):
-        try:
-            return Signal.from_spec(self.noise)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"noise: {exc}") from exc
+        return _build_signal("noise", self.noise)
 
     def build_tgrid(self):
         try:
-            return TimeGrid(self.tgrid["t_min"], self.tgrid["t_max"], self.tgrid["n_points"])
-        except (KeyError, ValueError) as exc:
+            return TimeGrid(**self.tgrid)
+        except ValueError as exc:
             raise ConfigError(f"tgrid: {exc}") from exc

@@ -14,7 +14,8 @@ precision then holds every order up to ``D_MAX``.  Finite differences
 are useless past k ~ 6 because the derivative magnitudes grow
 factorially; the recurrence is exact.  A scalar extended-precision
 evaluator (``TargetKernel.derivative_mp``) is kept for the test oracles;
-no library route calls it.
+no command calls it.  ``q_spectrum`` gives the transform Q(i omega) of
+the causal kernel q(t) = h(t - T), which the beta integrand reads.
 
 High-order derivatives concentrate into wavepackets near the support
 endpoints whose local frequency diverges like 1/delta^2 (delta the
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import _mp
 from ._accel import bump_derivative_values
-from .spectral_core import PANEL_DEGREE, fourier_transform_at, gauss_legendre_rule, laplace_transform
+from .spectral_core import PANEL_DEGREE, fourier_transform_at, gauss_legendre_rule
 
 D_MAX = 16
 
@@ -228,27 +229,12 @@ class TargetKernel:
             self._mass_mp = _raw_bump_mass_mp()
         return self._mass_mp
 
-    def mass(self):
-        """integral of h over its support."""
-        nodes, weights = gauss_legendre_rule(*self.support, 32)
-        return float(self(nodes) @ weights)
-
 
 def bump_kernel(T, theta):
     """Unit-mass bump kernel on [-T, theta]."""
     return TargetKernel(T, theta)
 
 
-def q_transform(h, z, base_panels=32):
-    """Q(z) = int_0^{T+theta} e^{-z t} h(t - T) dt (entire in z)."""
-    return laplace_transform(lambda t: h(t - h.T), (0.0, h.width), z, base_panels)
-
-
-def q_spectrum(h, omegas, base_panels=32):
+def q_spectrum(h, omegas):
     """Q(i omega) on an array of frequencies via the oscillatory rule."""
-    return fourier_transform_at(lambda t: h(t - h.T), (0.0, h.width), omegas, base_panels)
-
-
-def h_spectrum(h, omegas, base_panels=32):
-    """H(i omega) = F h, the transform of the kernel itself."""
-    return fourier_transform_at(h, h.support, omegas, base_panels)
+    return fourier_transform_at(lambda t: h(t - h.T), (0.0, h.width), omegas)

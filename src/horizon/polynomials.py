@@ -128,30 +128,6 @@ def projection_psi(T, r, d):
     return Polynomial(tuple(cleaned))
 
 
-def _alpha_tail_guard(psi, T, r, grid):
-    om_edge = np.max(np.abs(grid.nodes))
-    p_edge = abs(complex(psi(1j * om_edge)))
-    edge = math.exp(-r * om_edge) * (p_edge + 1.0) ** 2
-    scale = 2.0 / r  # integrand is ~O(1) near omega = 0 in these units
-    if edge > 1e-14 * scale:
-        raise ValueError(
-            f"grid truncation inadequate for alpha: integrand at the edge is {edge:.2e}"
-        )
-
-
-def alpha_of(psi, T, r, grid):
-    """alpha = int e^{-r|omega|} |psi(i omega) - e^{i omega T}|^2 domega.
-
-    Grid quadrature of the (pointwise nonnegative) integrand; the grid
-    must truncate where the integrand is negligible, which is checked.
-    """
-    _alpha_tail_guard(psi, T, r, grid)
-    om = grid.nodes
-    diff = psi.at_iw(om) - np.exp(1j * om * T)
-    integrand = np.exp(-r * np.abs(om)) * (diff.real**2 + diff.imag**2)
-    return float(integrand @ grid.weights)
-
-
 def alpha_closed_form(psi, T, r):
     """alpha from the moment expansion, evaluated exactly and rounded once.
 
@@ -184,18 +160,3 @@ def alpha_closed_form(psi, T, r):
         total -= 4 * math.factorial(k) * (im[k] * y if k % 2 else re[k] * x) / s ** (k + 1)
         x, y = x * r - y * T, x * T + y * r
     return float(max(0, total))
-
-
-def alpha_grid_bound(T, r, d):
-    """Frequency truncation adequate for the alpha integrand at degree d.
-
-    The tail behaves like (T omega)^(2d) / (d!)^2 e^{-r omega}; solve for
-    the point where it falls below 1e-30 by fixed-point iteration.
-    """
-    target = -30.0 * math.log(10.0)
-    lgd = math.lgamma(d + 1)
-    om = 60.0 / r
-    for _ in range(40):
-        om_new = (2 * d * math.log(max(T * om, 1.0)) - 2 * lgd - target) / r
-        om = max(om_new, 10.0 / r)
-    return max(om, 60.0 / r)

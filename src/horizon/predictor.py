@@ -71,7 +71,7 @@ import numpy as np
 from ._accel import _BLOCK_ELEMENTS, _row_blocks, oscillatory_transform
 from .kernels import derivative_panel_edges, q_spectrum
 from .polynomials import alpha_closed_form
-from .spectral_core import SpectralGrid, _exp_weighted_square, default_omega_max, gauss_legendre_edges
+from .spectral_core import _adequate_grid, _exp_weighted_square, gauss_legendre_edges
 from .weighted_space import _tail_is_divergent
 
 #: quadrature budget (absolute) for prediction integrals
@@ -389,41 +389,23 @@ def predict_values(pk, table):
 # -- bounds ------------------------------------------------------------------
 
 
-def _beta_grid(x, h, r, n_points=4096):
-    """(grid, beta integrand on it), the grid sized from the signal's decay."""
-    rho = x.spectral_decay
-    if math.isfinite(rho):
-        if 2.0 * rho <= r:
-            raise ClassMembershipError("signal outside class: beta integral diverges")
-        grid = SpectralGrid.for_rate(2.0 * rho - r, n_points)
-        return grid, _beta_integrand(x, h, r, grid)
-    omega = default_omega_max(r)
-    for _ in range(7):
-        grid = SpectralGrid.build(omega, n_points)
-        integrand = _beta_integrand(x, h, r, grid)
-        peak = float(np.max(integrand))
-        if peak == 0.0 or integrand[-1] <= 1e-16 * peak:
-            break
-        omega *= 2.0
-    return grid, integrand
+def _q_mirrored(h, om):
+    """Q(i omega) at frequencies om mirrored about 0 (``SpectralGrid.build``).
 
-
-def _q_on_grid(h, grid):
-    """Q(i omega) on the grid's nodes.
-
-    q is real, so Q(-i omega) = conj Q(i omega): every grid is mirrored
-    about 0 (``SpectralGrid.build``), so only the upper half is transformed.
+    q is real, so Q(-i omega) = conj Q(i omega): only the upper half of om
+    is transformed.  A function of its own, so that the half is freed
+    before the integrand's temporaries are formed.
     """
-    q_pos = q_spectrum(h, grid.nodes[grid.nodes.size // 2:])
+    q_pos = q_spectrum(h, om[om.size // 2:])
     return np.concatenate([np.conj(q_pos[::-1]), q_pos])
 
 
-def _beta_integrand(x, h, r, grid):
-    """e^{r|omega|} |Q X|^2 on the grid's nodes, in log space where it overflows."""
-    return _exp_weighted_square(r * np.abs(grid.nodes), np.abs(_q_on_grid(h, grid) * x.spectrum(grid.nodes)))
+def _beta_integrand(x, h, r, om):
+    """e^{r|omega|} |Q X|^2 at mirrored frequencies om, in log space where it overflows."""
+    return _exp_weighted_square(r * np.abs(om), np.abs(_q_mirrored(h, om) * x.spectrum(om)))
 
 
-def beta_energy(h, x, r, grid=None):
+def beta_energy(h, x, r):
     """beta = int e^{r|omega|} |Q(i omega) X(i omega)|^2 domega.
 
     Refused as outside the class when the integral diverges, and with
@@ -432,13 +414,11 @@ def beta_energy(h, x, r, grid=None):
     """
     if x.spectrum is None:
         raise ValueError("signal carries no exact spectrum")
-    if grid is None:
-        grid, integrand = _beta_grid(x, h, r)
-    else:
-        integrand = _beta_integrand(x, h, r, grid)
+    if 2.0 * x.spectral_decay <= r:
+        raise ClassMembershipError("signal outside class: beta integral diverges")
+    grid, integrand = _adequate_grid(lambda om: _beta_integrand(x, h, r, om), 2.0 * x.spectral_decay - r, r)
     finite = bool(np.all(np.isfinite(integrand)))
-    diverges = _tail_is_divergent(integrand, grid.nodes) if finite else 2.0 * x.spectral_decay <= r
-    if diverges:
+    if finite and _tail_is_divergent(integrand, grid.nodes):
         raise ClassMembershipError("signal outside class: beta integral diverges")
     beta = float(integrand @ grid.weights) if finite else math.inf
     if not math.isfinite(beta):

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral_core import SpectralGrid, _exp_weighted_square, _time_rule, default_omega_max
+from .spectral_core import _adequate_grid, _exp_weighted_square, _time_rule
 from .weighted_space import _tail_is_divergent
 
 
@@ -41,21 +41,6 @@ class Signal:
 
     def __call__(self, t):
         return self.time(np.asarray(t, dtype=float))
-
-    @classmethod
-    def from_spec(cls, spec):
-        kind = spec["kind"]
-        params = spec.get("params", {k: v for k, v in spec.items() if k != "kind"})
-        factories = {
-            "poisson": lambda p: poisson_signal(p["a"]),
-            "gaussian": lambda p: gaussian_signal(p["sigma"]),
-            "cosine_modulated_poisson": lambda p: cosine_modulated_poisson(p["a"], p["omega0"]),
-            "chirp_noise": lambda p: chirp_noise(tuple(p["band"]), p["amplitude"]),
-            "zero": lambda p: zero_signal(),
-        }
-        if kind not in factories:
-            raise ValueError(f"unknown signal kind {kind!r}")
-        return factories[kind](params)
 
 
 @dataclass(frozen=True)
@@ -261,38 +246,6 @@ def chirp_noise(band, amplitude):
     )
 
 
-def superposition(signals, weights=None):
-    """Weighted sum of signals; spectra combine when all parts carry one."""
-    signals = list(signals)
-    if not signals:
-        raise ValueError("need at least one component")
-    weights = [1.0] * len(signals) if weights is None else [float(w) for w in weights]
-    if len(weights) != len(signals):
-        raise ValueError("one weight per component")
-
-    def time(t):
-        t = np.asarray(t, dtype=float)
-        return sum(w * s.time(t) for w, s in zip(weights, signals))
-
-    spectrum = None
-    if all(s.spectrum is not None for s in signals):
-        def spectrum(om):
-            return sum(w * s.spectrum(om) for w, s in zip(weights, signals))
-
-    def derivatives(kmax, t):
-        return sum(w * s.derivatives(kmax, t) for w, s in zip(weights, signals))
-
-    return Signal(
-        kind="superposition",
-        params={"parts": [{"kind": s.kind, "params": s.params} for s in signals],
-                "weights": weights},
-        time=time,
-        spectrum=spectrum,
-        spectral_decay=min(s.spectral_decay for s in signals),
-        derivatives=derivatives,
-    )
-
-
 def class_norm(x, r, sign=-1):
     """Weighted spectral norm of a signal and class membership.
 
@@ -326,8 +279,8 @@ def class_norm(x, r, sign=-1):
         except OverflowError:  # e^{s omega}: finite, but past the double range
             norm_sq = math.inf
     else:
-        grid = _adequate_grid(x, r, sign, rho)
-        integrand = _exp_weighted_square(s * np.abs(grid.nodes), np.abs(x.spectrum(grid.nodes)))
+        grid, integrand = _adequate_grid(lambda om: _exp_weighted_square(s * np.abs(om), np.abs(x.spectrum(om))),
+                                         r if sign < 0 else 2.0 * rho - r, r)
         if not np.all(np.isfinite(integrand)) or (
                 sign > 0 and _tail_is_divergent(integrand, grid.nodes)):
             return ClassReport(r=r, norm=math.inf, member=False, unit_ball=False)
@@ -356,27 +309,10 @@ def _poisson_norm_sq(a, omega0, s):
     return 0.5 * (j1 + j2)
 
 
-def _adequate_grid(x, r, sign, rho):
-    """Truncate where the weighted integrand is negligible."""
-    if sign < 0:
-        return SpectralGrid.for_rate(r)
-    if math.isfinite(rho):
-        return SpectralGrid.for_rate(2.0 * rho - r)
-    omega = default_omega_max(r)
-    for _ in range(8):
-        grid = SpectralGrid.build(omega, 4096)
-        integrand = _exp_weighted_square(sign * r * np.abs(grid.nodes), np.abs(x.spectrum(grid.nodes)))
-        peak = float(np.max(integrand))
-        if peak == 0.0 or integrand[-1] <= 1e-16 * peak:
-            return grid
-        omega *= 2.0
-    return grid
-
-
 def noise_norm(eta, p):
     """||N(i .)||_{L_p} of a noise signal, in closed form for every kind a config can name.
 
-    A kind with no closed form here (``superposition``) raises ValueError.
+    Any other kind raises ValueError.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")

@@ -1,8 +1,9 @@
-"""Shared numerical substrate: grids, quadrature and transforms.
+"""Shared numerical substrate: grids, quadrature and the Fourier transform.
 
 Frequency grids are composite Gauss-Legendre panel rules mirrored about
 omega = 0, so the kink of the weight e^{-r|omega|} always falls on a
-panel boundary.  The forward transform convention is
+panel boundary; ``_adequate_grid`` sizes the grid of a weighted spectral
+energy (beta and the class norm).  The forward transform convention is
 
     F(i omega) = integral e^{-i omega t} f(t) dt,
 
@@ -77,10 +78,6 @@ class SpectralGrid:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    @property
-    def n_points(self):
-        return self.nodes.size
-
     @classmethod
     def build(cls, omega_max, n_points=4096):
         """Mirrored composite Gauss-Legendre rule on [-omega_max, omega_max].
@@ -103,6 +100,29 @@ class SpectralGrid:
         return cls.build(default_omega_max(r), n_points)
 
 
+def _adequate_grid(integrand, rate, r):
+    """(grid, integrand on its nodes) for a weighted spectral energy int integrand(omega) domega.
+
+    ``integrand`` is even and decays like e^{-rate |omega|}: a finite rate
+    truncates where that falls below 1e-16 (``SpectralGrid.for_rate``).
+    An infinite rate, a compact or super-exponential spectrum, starts at
+    the cut of the weight e^{-r |omega|} and doubles it, up to 8 grids,
+    until the integrand at the edge is within 1e-16 of its peak.
+    """
+    if np.isfinite(rate):
+        grid = SpectralGrid.for_rate(rate)
+        return grid, integrand(grid.nodes)
+    omega = default_omega_max(r)
+    for _ in range(8):
+        grid = SpectralGrid.build(omega)
+        values = integrand(grid.nodes)
+        peak = float(np.max(values))
+        if peak == 0.0 or values[-1] <= 1e-16 * peak:
+            break
+        omega *= 2.0
+    return grid, values
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid on [t_min, t_max]."""
@@ -116,10 +136,6 @@ class TimeGrid:
             raise ValueError("t_min must be < t_max")
         if self.n_points < 2:
             raise ValueError("need at least two time points")
-
-    @property
-    def step(self):
-        return (self.t_max - self.t_min) / (self.n_points - 1)
 
     @property
     def nodes(self):
@@ -155,37 +171,3 @@ def fourier_transform_at(f, support, omegas, base_panels=32):
         raise ValueError("f returned NaN on the integration nodes")
     return panel_transform(mids, half * _GL_NODES, f_vals.reshape(n_panels, -1) * (half * _GL_WEIGHTS),
                            omegas)
-
-
-def laplace_transform(f, support, z, base_panels=32):
-    """int_0^b e^{-z t} f(t) dt for a causal f supported on [0, b].
-
-    The support is compact, so the transform is entire; z anywhere in the
-    complex plane is accepted.
-    """
-    a, b = support
-    if a < 0:
-        raise ValueError("causal support must start at t >= 0")
-    if not np.isfinite(b):
-        raise ValueError("unbounded support")
-    z = complex(z)
-    t_nodes, t_weights = _time_rule((a, b), abs(z), base_panels)
-    f_vals = np.asarray(f(t_nodes), dtype=float)
-    if np.any(np.isnan(f_vals)):
-        raise ValueError("f returned NaN on the integration nodes")
-    return complex(np.exp(-z * t_nodes) @ (t_weights * f_vals))
-
-
-def parseval_check(f, support, grid, base_panels=32):
-    """Relative gap between ||f||^2 in time and (1/2pi)||F||^2 on the grid.
-
-    Large values flag an inadequate frequency truncation.
-    """
-    t_nodes, t_weights = _time_rule(support, 0.0, base_panels)
-    f_vals = np.asarray(f(t_nodes), dtype=float)
-    norm_t = float((f_vals * f_vals) @ t_weights)
-    if norm_t == 0.0:
-        raise ValueError("zero function: relative discrepancy undefined")
-    F = fourier_transform_at(f, support, grid.nodes, base_panels)
-    norm_w = float((np.abs(F) ** 2) @ grid.weights) / (2.0 * np.pi)
-    return abs(norm_t - norm_w) / norm_t

@@ -7,7 +7,10 @@ kernel derivatives, predictions and the weighted projection, at 120
 digits for the closed-form alpha expansion, the 40-digit node tables
 of the kernel transforms, one long zero-padded FFT for the p = 1
 transfer band, and the bump derivatives' L1 norms, summed between the
-roots of P_m at 40 digits.
+roots of P_m at 40 digits.  It also holds the reference routes that no
+command runs: alpha by grid quadrature (``alpha_of``), the transform of
+the target kernel itself (``h_spectrum``) and a weighted sum of signals
+(``superposition``).
 """
 
 import math
@@ -458,3 +461,83 @@ def direct_table(h, x, ts, kmax=None):
     else:
         samples = x.derivatives(kmax, (ts - h.T)[:, None] - nodes)
     return np.array([s @ vectors[0] for s in samples]), vectors, samples
+
+
+def _alpha_tail_guard(psi, T, r, grid):
+    om_edge = np.max(np.abs(grid.nodes))
+    p_edge = abs(complex(psi(1j * om_edge)))
+    edge = math.exp(-r * om_edge) * (p_edge + 1.0) ** 2
+    scale = 2.0 / r  # integrand is ~O(1) near omega = 0 in these units
+    if edge > 1e-14 * scale:
+        raise ValueError(
+            f"grid truncation inadequate for alpha: integrand at the edge is {edge:.2e}"
+        )
+
+
+def alpha_of(psi, T, r, grid):
+    """alpha = int e^{-r|omega|} |psi(i omega) - e^{i omega T}|^2 domega.
+
+    Grid quadrature of the (pointwise nonnegative) integrand; the grid
+    must truncate where the integrand is negligible, which is checked.
+    """
+    _alpha_tail_guard(psi, T, r, grid)
+    om = grid.nodes
+    diff = psi.at_iw(om) - np.exp(1j * om * T)
+    integrand = np.exp(-r * np.abs(om)) * (diff.real**2 + diff.imag**2)
+    return float(integrand @ grid.weights)
+
+
+def alpha_grid_bound(T, r, d):
+    """Frequency truncation adequate for the alpha integrand at degree d.
+
+    The tail behaves like (T omega)^(2d) / (d!)^2 e^{-r omega}; solve for
+    the point where it falls below 1e-30 by fixed-point iteration.
+    """
+    target = -30.0 * math.log(10.0)
+    lgd = math.lgamma(d + 1)
+    om = 60.0 / r
+    for _ in range(40):
+        om_new = (2 * d * math.log(max(T * om, 1.0)) - 2 * lgd - target) / r
+        om = max(om_new, 10.0 / r)
+    return max(om, 60.0 / r)
+
+
+def h_spectrum(h, omegas):
+    """H(i omega) = F h, the transform of the kernel itself."""
+    from horizon.spectral_core import fourier_transform_at
+
+    return fourier_transform_at(h, h.support, omegas)
+
+
+def superposition(signals, weights=None):
+    """Weighted sum of signals; spectra combine when all parts carry one."""
+    from horizon.signals import Signal
+
+    signals = list(signals)
+    if not signals:
+        raise ValueError("need at least one component")
+    weights = [1.0] * len(signals) if weights is None else [float(w) for w in weights]
+    if len(weights) != len(signals):
+        raise ValueError("one weight per component")
+
+    def time(t):
+        t = np.asarray(t, dtype=float)
+        return sum(w * s.time(t) for w, s in zip(weights, signals))
+
+    spectrum = None
+    if all(s.spectrum is not None for s in signals):
+        def spectrum(om):
+            return sum(w * s.spectrum(om) for w, s in zip(weights, signals))
+
+    def derivatives(kmax, t):
+        return sum(w * s.derivatives(kmax, t) for w, s in zip(weights, signals))
+
+    return Signal(
+        kind="superposition",
+        params={"parts": [{"kind": s.kind, "params": s.params} for s in signals],
+                "weights": weights},
+        time=time,
+        spectrum=spectrum,
+        spectral_decay=min(s.spectral_decay for s in signals),
+        derivatives=derivatives,
+    )

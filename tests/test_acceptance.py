@@ -23,7 +23,6 @@ from horizon import (
     class_norm,
     error_bound_parts,
     exponential_moment,
-    h_spectrum,
     moment_table,
     monomial_moment,
     noise_norm,
@@ -37,7 +36,7 @@ from horizon import (
 )
 from horizon.signals import Signal
 
-from oracles import assembled_spectrum_mp, derivative_spectrum, richardson_derivative
+from oracles import assembled_spectrum_mp, derivative_spectrum, h_spectrum, richardson_derivative
 
 T, TH, R, A = 0.5, 0.1, 2.0, 1.5
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tracemalloc
 import warnings
 from typing import NamedTuple
@@ -86,7 +87,7 @@ class TestConfig:
         ("eps_target", {"eps_target": [1e-4]}, "a finite number"),
         ("nu_range", {"nu_range": 0.1}, "a list of numbers"),
         ("nu_range", {"nu_range": [0.0, "0.1"]}, "a finite number"),
-        ("kernel", {"kernel": 5}, "an object"),
+        ("tgrid.t_min", {"tgrid": {"t_min": "a", "t_max": 2.0, "n_points": 41}}, "a finite number"),
         ("noise", {"noise": [1]}, "an object"),
         ("method", {"method": "spline"}, "taylor or projection"),
         ("p", {"p": 3}, "1 or 2"),
@@ -104,16 +105,35 @@ class TestConfig:
 
     @pytest.mark.parametrize("case", ["signal-a-string", "signal-sigma-null", "noise-params-list",
                                       "not-utf8", "missing-config", "config-is-directory",
-                                      "out-is-file"])
+                                      "out-is-file", "tgrid-t-min-string", "tgrid-t-max-overflow",
+                                      "tgrid-t-min-bool", "tgrid-unknown-key", "signal-a-overflow",
+                                      "signal-a-nan", "signal-a-bool", "signal-unknown-param",
+                                      "signal-flat-form", "noise-amplitude-nan", "noise-band-three"])
     def test_bad_input_is_one_line_config_error(self, runner, tmp_path, case):
-        # none of these may end in a traceback (exit 1) or write anything
+        # none of these may end in a traceback (exit 1), a refusal (exit 3), nan rows or
+        # a silently dropped key, and none may write anything; 1e300 is written as the
+        # JSON literal 1e400, which reads as inf
         out = tmp_path / "out"
+        tgrid = {"t_min": -2.0, "t_max": 2.0, "n_points": 41}
+        chirp = {"band": [6.0, 12.0], "amplitude": 1.0}
         overrides = {
             "signal-a-string": {"signal": {"kind": "poisson", "params": {"a": "x"}}},
             "signal-sigma-null": {"signal": {"kind": "gaussian", "params": {"sigma": None}}},
             "noise-params-list": {"noise": {"kind": "chirp_noise", "params": [1]}},
+            "tgrid-t-min-string": {"tgrid": {**tgrid, "t_min": "a"}},
+            "tgrid-t-max-overflow": {"tgrid": {**tgrid, "t_max": 1e300}},
+            "tgrid-t-min-bool": {"tgrid": {**tgrid, "t_min": True}},
+            "tgrid-unknown-key": {"tgrid": {**tgrid, "x": 1}},
+            "signal-a-overflow": {"signal": {"kind": "poisson", "params": {"a": 1e300}}},
+            "signal-a-nan": {"signal": {"kind": "poisson", "params": {"a": math.nan}}},
+            "signal-a-bool": {"signal": {"kind": "poisson", "params": {"a": True}}},
+            "signal-unknown-param": {"signal": {"kind": "poisson", "params": {"a": 1.5, "b": 2}}},
+            "signal-flat-form": {"signal": {"kind": "poisson", "a": 1.5}},
+            "noise-amplitude-nan": {"noise": {"kind": "chirp_noise", "params": {**chirp, "amplitude": math.nan}}},
+            "noise-band-three": {"noise": {"kind": "chirp_noise", "params": {**chirp, "band": [6, 12, 13]}}},
         }.get(case, {})
         cfgp = write_config(tmp_path / "c.json", output_dir=str(out), **overrides)
+        cfgp.write_text(cfgp.read_text(encoding="utf-8").replace("1e+300", "1e400"), encoding="utf-8")
         args = ["noise-sweep", "--config", str(cfgp)]
         if case == "not-utf8":
             cfgp.write_bytes(cfgp.read_bytes().replace(b"taylor", b"t\xe4ylor"))
@@ -146,23 +166,27 @@ class TestConfig:
                             d_range=[0, 4], output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, [command, "--config", str(cfgp)])
         assert result.exit_code == EXIT_CONFIG, result.output
-        assert "config error: kernel.shape: expected 'bump', got 'mollified'" in result.output
+        assert "config error: unknown config key(s): ['kernel']" in result.output
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["alpha-sweep", "convergence", "noise-sweep", "predict"])
     @pytest.mark.parametrize("key, value", [("T", 0.3), ("theta", 0.4), ("epsilon", 7)])
     def test_kernel_keys_beside_shape_are_config_errors(self, runner, tmp_path, command, key, value):
-        # a kernel.T used to reshape h while psi_d kept the top-level T
+        # a kernel.T once reshaped h while psi_d kept the top-level T; the kernel
+        # is the bump of the top-level T and theta, and no config names it
         cfgp = write_config(tmp_path / "c.json", kernel={"shape": "bump", key: value},
                             d_range=[0, 4], output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, [command, "--config", str(cfgp)])
         assert result.exit_code == EXIT_CONFIG, result.output
-        assert f"config error: kernel.{key}: unknown key" in result.output
+        assert "config error: unknown config key(s): ['kernel']" in result.output
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kernel", [{}, {"shape": "bump"}])
-    def test_bump_kernel_spec_is_accepted(self, kernel):
-        h = ExperimentConfig.from_dict({"T": 0.3, "theta": 0.4, "kernel": kernel}).build_kernel()
+    def test_bump_kernel_spec_is_config_error(self, kernel):
+        # the kernel key took only these one-valued specs, so it is gone
+        with pytest.raises(ConfigError, match=r"unknown config key\(s\): \['kernel'\]"):
+            ExperimentConfig.from_dict({"T": 0.3, "theta": 0.4, "kernel": kernel})
+        h = ExperimentConfig.from_dict({"T": 0.3, "theta": 0.4}).build_kernel()
         assert (h.T, h.theta) == (0.3, 0.4)
 
     def test_json_error_carries_position(self):
@@ -349,7 +373,7 @@ class TestNoiseSweep:
         # lines, and its derivative stack is never evaluated on that route
         from dataclasses import replace
 
-        from horizon import _accel, predictor, signals
+        from horizon import _accel, config, predictor, signals
 
         calls, n_lines = [], []
         real_chirp = signals.chirp_noise
@@ -368,7 +392,7 @@ class TestNoiseSweep:
 
             return replace(base, lines=lines, derivatives=derivatives)
 
-        monkeypatch.setattr(signals, "chirp_noise", counted_chirp)
+        monkeypatch.setitem(config._SIGNAL_KINDS, "chirp_noise", (counted_chirp, ("band", "amplitude")))
         monkeypatch.setattr(_accel, "_BLOCK_ELEMENTS", 1 << 15)
         tgrid = {"t_min": -2.0, "t_max": 2.0, "n_points": 201}
         cfgp = write_config(tmp_path / "c.json", d_range=[6, 12], tgrid=tgrid,

@@ -7,15 +7,13 @@ from horizon import (
     Polynomial,
     SpectralGrid,
     alpha_closed_form,
-    alpha_grid_bound,
-    alpha_of,
     projection_psi,
     taylor_alpha_bound,
     taylor_psi,
 )
 from horizon.weighted_space import monomial_moment
 
-from oracles import adaptive_simpson, alpha_closed_form_mp, projection_mp
+from oracles import adaptive_simpson, alpha_closed_form_mp, alpha_grid_bound, alpha_of, projection_mp
 
 T, R = 0.5, 2.0
 

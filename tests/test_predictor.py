@@ -13,13 +13,11 @@ from horizon import (
     build_predictor,
     error_bound_parts,
     bump_kernel,
-    h_spectrum,
     moment_table,
     noise_norm,
     poisson_signal,
     predict_values,
     q_spectrum,
-    superposition,
     target_values,
     taylor_psi,
     chirp_noise,
@@ -33,7 +31,7 @@ from horizon import _accel, predictor
 from horizon._accel import bump_derivative_values
 from horizon.kernels import _bump_poly_edge, derivative_panel_edges
 from horizon.predictor import _band_spectrum, transfer_norms
-from horizon.spectral_core import gauss_legendre_edges
+from horizon.spectral_core import _exp_weighted_square, gauss_legendre_edges
 
 from oracles import (
     adaptive_simpson,
@@ -42,7 +40,9 @@ from oracles import (
     chirp_transfer_prediction_mp,
     direct_table,
     gram_l2_norm_sq,
+    h_spectrum,
     padded_band_spectrum,
+    superposition,
     transfer_prediction_mp,
 )
 
@@ -324,18 +324,19 @@ class TestPredict:
 
 
 class TestErrorBound:
-    def test_q_on_mirrored_grid_from_positive_half(self, monkeypatch):
+    def test_q_on_mirrored_grid_from_positive_half(self, monkeypatch, canonical_signal):
         h = bump_kernel(T, TH)
         sizes = []
 
-        def counted(h_, omegas, *args):
+        def counted(h_, omegas):
             sizes.append(np.size(omegas))
-            return q_spectrum(h_, omegas, *args)
+            return q_spectrum(h_, omegas)
 
         monkeypatch.setattr(predictor, "q_spectrum", counted)
-        grid = SpectralGrid.for_rate(R, 4096)
-        np.testing.assert_array_equal(predictor._q_on_grid(h, grid), q_spectrum(h, grid.nodes))
-        assert sizes == [grid.n_points // 2]
+        om = SpectralGrid.for_rate(R, 4096).nodes
+        full = _exp_weighted_square(R * np.abs(om), np.abs(q_spectrum(h, om) * canonical_signal.spectrum(om)))
+        np.testing.assert_array_equal(predictor._beta_integrand(canonical_signal, h, R, om), full)
+        assert sizes == [om.size // 2]
 
     def test_beta_where_the_weight_overflows(self, canonical_kernel):
         # on the a = 1.005 grid (omega_max 3684) e^{r omega} overflows
@@ -351,9 +352,10 @@ class TestErrorBound:
             beta_energy(canonical_kernel, gaussian_signal(0.02), R)
 
     def test_beta_value_and_grid_stability(self, canonical_kernel, canonical_signal):
+        # against the same integrand on a wider grid of twice the nodes
         b1 = beta_energy(canonical_kernel, canonical_signal, R)
-        b2 = beta_energy(canonical_kernel, canonical_signal, R,
-                         SpectralGrid.build(60.0, 8192))
+        grid = SpectralGrid.build(60.0, 8192)
+        b2 = float(predictor._beta_integrand(canonical_signal, canonical_kernel, R, grid.nodes) @ grid.weights)
         assert b1 == pytest.approx(b2, rel=1e-9)
 
     def test_degenerate_exact_predictor_zero_bound(self, canonical_kernel, canonical_signal):

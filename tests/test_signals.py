@@ -13,9 +13,11 @@ from horizon import (
     gaussian_signal,
     noise_norm,
     poisson_signal,
-    superposition,
     zero_signal,
 )
+from horizon.config import ExperimentConfig
+
+from oracles import superposition
 
 
 class TestPoisson:
@@ -324,7 +326,8 @@ class TestNoiseNorm:
         upper = [] if spec["kind"] == "chirp_noise" else [mp.inf]
         ref = 2 * mp.quad(lambda w: spectra[spec["kind"]](w) ** p, [mp.mpf(b) for b in breaks] + upper)
         ref = ref if p == 1 else mp.sqrt(ref)
-        assert noise_norm(Signal.from_spec(spec), p) == pytest.approx(float(ref), rel=1e-14, abs=0)
+        eta = ExperimentConfig.from_dict({"noise": spec}).build_noise()
+        assert noise_norm(eta, p) == pytest.approx(float(ref), rel=1e-14, abs=0)
 
     def test_kind_without_closed_form_raises(self):
         with pytest.raises(ValueError, match="superposition"):
@@ -361,11 +364,11 @@ class TestSerialization:
     ])
     def test_roundtrip(self, make):
         x = make()
-        back = Signal.from_spec({"kind": x.kind, "params": x.params})
+        back = ExperimentConfig.from_dict({"signal": {"kind": x.kind, "params": x.params}}).build_signal()
         assert back.kind == x.kind and back.params == x.params
         ts = np.linspace(-1, 1, 7)
         np.testing.assert_allclose(back(ts), x(ts), rtol=1e-14)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            Signal.from_spec({"kind": "brownian"})
+            ExperimentConfig.from_dict({"signal": {"kind": "brownian", "params": {}}})

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from horizon import (
-    SpectralGrid,
-    TimeGrid,
-    fourier_transform_at,
-    laplace_transform,
-    parseval_check,
-)
+from horizon import SpectralGrid, TimeGrid, fourier_transform_at
 from horizon.spectral_core import PANEL_DEGREE, gauss_legendre_rule
 
 from oracles import simpson_fourier
@@ -26,8 +20,8 @@ class TestSpectralGrid:
 
     def test_rounds_up_to_panel_multiple(self):
         grid = SpectralGrid.build(10.0, 100)
-        assert grid.n_points % 32 == 0
-        assert grid.n_points >= 100
+        assert grid.nodes.size % 32 == 0
+        assert grid.nodes.size >= 100
 
     def test_immutable_arrays(self):
         grid = SpectralGrid.build(10.0, 128)
@@ -42,8 +36,7 @@ class TestSpectralGrid:
 class TestTimeGrid:
     def test_uniform_spacing(self):
         tg = TimeGrid(-2.0, 2.0, 41)
-        np.testing.assert_allclose(np.diff(tg.nodes), tg.step)
-        assert tg.step == pytest.approx(0.1)
+        np.testing.assert_allclose(np.diff(tg.nodes), 0.1, rtol=1e-12)
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
@@ -55,7 +48,8 @@ class TestFourierTransform:
         grid = SpectralGrid.build(5.0, 256)
         F = fourier_transform_at(unit_bump, unit_bump.support, grid.nodes)
         F0 = fourier_transform_at(unit_bump, unit_bump.support, [0.0])[0]
-        assert F0.real == pytest.approx(unit_bump.mass(), rel=1e-12)
+        nodes, weights = gauss_legendre_rule(-1.0, 1.0, 32)
+        assert F0.real == pytest.approx(unit_bump(nodes) @ weights, rel=1e-12)
         assert abs(F0.imag) < 1e-14
         assert F.shape == grid.nodes.shape
 
@@ -98,64 +92,6 @@ class TestFourierTransform:
         bad = lambda t: np.full_like(np.asarray(t, dtype=float), np.nan)
         with pytest.raises(ValueError):
             fourier_transform_at(bad, (0.0, 1.0), [1.0])
-
-
-class TestLaplaceTransform:
-    def test_zero_function(self):
-        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        assert laplace_transform(zero, (0.0, 1.0), 1 + 2j) == 0.0
-
-    def test_z_zero_is_plain_integral(self, canonical_kernel):
-        h = canonical_kernel
-        q = lambda t: h(t - h.T)
-        val = laplace_transform(q, (0.0, h.width), 0.0)
-        assert val.real == pytest.approx(1.0, rel=1e-10)
-
-    def test_matches_adaptive_oracle(self, canonical_kernel):
-        h = canonical_kernel
-        q = lambda t: h(np.asarray(t) - h.T)
-        z = 1.0 + 2.0j
-        val = laplace_transform(q, (0.0, h.width), z)
-        from oracles import adaptive_simpson
-
-        ref = adaptive_simpson(lambda t: np.exp(-z * t) * q(t), 0.0, h.width, tol=1e-13)
-        assert val == pytest.approx(ref, rel=1e-9)
-
-    def test_imaginary_axis_agrees_with_fourier(self, canonical_kernel):
-        h = canonical_kernel
-        q = lambda t: h(np.asarray(t) - h.T)
-        for om in (0.5, 2.0):
-            lhs = laplace_transform(q, (0.0, h.width), 1j * om)
-            rhs = fourier_transform_at(q, (0.0, h.width), [om])[0]
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_rejects_negative_start(self, unit_bump):
-        with pytest.raises(ValueError):
-            laplace_transform(unit_bump, (-1.0, 1.0), 1.0)
-
-
-class TestParseval:
-    def test_adequate_grid(self, unit_bump):
-        grid = SpectralGrid.build(200.0, 8192)
-        disc = parseval_check(unit_bump, unit_bump.support, grid)
-        assert disc < 1e-8
-
-    def test_truncated_grid_flagged(self, unit_bump):
-        grid = SpectralGrid.build(2.0, 512)
-        disc = parseval_check(unit_bump, unit_bump.support, grid)
-        assert disc > 1e-3
-
-    def test_scale_invariant(self, unit_bump):
-        grid = SpectralGrid.build(60.0, 2048)
-        d1 = parseval_check(unit_bump, unit_bump.support, grid)
-        d2 = parseval_check(lambda t: 7.5 * unit_bump(t), unit_bump.support, grid)
-        assert d1 == pytest.approx(d2, abs=1e-12)
-
-    def test_zero_function_rejected(self):
-        grid = SpectralGrid.build(10.0, 256)
-        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        with pytest.raises(ValueError):
-            parseval_check(zero, (0.0, 1.0), grid)
 
 
 def test_gauss_legendre_panels_integrate_polynomials():

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from horizon import (SpectralGrid, class_norm, exponential_moment, monomial_moment, poisson_signal,
-                     superposition, zero_signal)
+from horizon import SpectralGrid, class_norm, exponential_moment, monomial_moment, poisson_signal, zero_signal
 from horizon.weighted_space import _tail_is_divergent
-from oracles import exponential_moment_mp, monomial_moment_mp, mp_context
+from oracles import exponential_moment_mp, monomial_moment_mp, mp_context, superposition
 
 
 #: spectrum e^{-|w|} as a superposition, whose class norm is taken by grid quadrature
