@@ -1,7 +1,7 @@
 """Limited-memory integral predictors for signals with exponentially
 decaying Fourier transforms."""
 
-from .kernels import TargetKernel, bump_kernel, q_spectrum
+from .kernels import TargetKernel, q_spectrum
 from .polynomials import (
     Polynomial,
     alpha_closed_form,
@@ -14,7 +14,6 @@ from .predictor import (
     ClassMembershipError,
     PredictorKernel,
     beta_energy,
-    build_predictor,
     error_bound_parts,
     moment_table,
     predict_values,
@@ -32,7 +31,7 @@ from .signals import (
     poisson_signal,
     zero_signal,
 )
-from .spectral_core import SpectralGrid, TimeGrid, default_omega_max, fourier_transform_at
+from .spectral_core import TimeGrid, default_omega_max, fourier_transform_at
 from .weighted_space import exponential_moment, monomial_moment
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Experiment harness: config-driven sweeps emitting CSV and JSON.
 
 Exit codes: 0 success, 2 config or usage error, 3 refusal (the signal lies
-outside the class, or its bound exceeds the double range), 4 bound
-violation.  CSV output is deterministic (no wall-clock columns,
+outside the class, or its bound is past what double precision holds), 4
+bound violation.  CSV output is deterministic (no wall-clock columns,
 full-precision scientific notation); per-row runtimes go to the JSON
 summary, which is not covered by the byte-identity guarantee.
 """
@@ -27,7 +27,7 @@ from .polynomials import (
 from .predictor import (
     BoundRangeError,
     ClassMembershipError,
-    build_predictor,
+    PredictorKernel,
     error_bound_parts,
     moment_table,
     predict_values,
@@ -118,7 +118,7 @@ def cmd_convergence(args):
     x = cfg.build_signal()
     h = cfg.build_kernel()
     ts = cfg.build_tgrid().nodes
-    pks = [build_predictor(h, _psi_for(cfg, d)) for d in cfg.ds]
+    pks = [PredictorKernel(h, _psi_for(cfg, d)) for d in cfg.ds]
     parts = error_bound_parts(pks, x, cfg.r)
     y = target_values(h, x, ts)
     table = moment_table(h, x, ts, max(cfg.ds))
@@ -164,7 +164,7 @@ def cmd_noise_sweep(args):
     if unit_norm <= 0:
         raise ConfigError("noise: zero spectrum")
 
-    pks = [build_predictor(h, _psi_for(cfg, d)) for d in cfg.ds]
+    pks = [PredictorKernel(h, _psi_for(cfg, d)) for d in cfg.ds]
     parts = error_bound_parts(pks, x0, cfg.r)
     norms = transfer_norms(pks, cfg.p)  # on the transfer band
     y = target_values(h, x0, ts)
@@ -207,7 +207,7 @@ def cmd_predict(args):
     else:
         ts = cfg.build_tgrid().nodes
     d = cfg.d_range[1]
-    pk = build_predictor(h, _psi_for(cfg, d))
+    pk = PredictorKernel(h, _psi_for(cfg, d))
     y = target_values(h, x, ts)
     y_hat = predict_values(pk, moment_table(h, x, ts, d))
 

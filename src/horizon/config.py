@@ -8,9 +8,9 @@ rejected, every message names the offending key) and parse -> serialize
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from .kernels import D_MAX, bump_kernel
+from .kernels import D_MAX, TargetKernel
 from .signals import chirp_noise, cosine_modulated_poisson, gaussian_signal, poisson_signal, zero_signal
 from .spectral_core import TimeGrid
 
@@ -67,34 +67,20 @@ def _build_signal(key, spec):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-_DEFAULTS = {
-    "T": 0.5,
-    "theta": 0.1,
-    "r": 2.0,
-    "method": "taylor",
-    "d_range": [0, 12],
-    "d_step": 1,
-    "signal": {"kind": "poisson", "params": {"a": 1.5}},
-    "noise": {"kind": "chirp_noise", "params": {"band": [6.0, 12.0], "amplitude": 1.0}},
-    "tgrid": {"t_min": -2.0, "t_max": 2.0, "n_points": 41},
-    "nu_range": [0.0, 0.01, 0.1],
-    "p": 2,
-    "eps_target": 1e-4,
-    "output_dir": "out",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The canonical configuration, as its field defaults; a config file overrides any of them."""
+
     T: float = 0.5
     theta: float = 0.1
     r: float = 2.0
     method: str = "taylor"
     d_range: tuple = (0, 12)
     d_step: int = 1
-    signal: dict = field(default_factory=lambda: dict(_DEFAULTS["signal"]))
-    noise: dict = field(default_factory=lambda: dict(_DEFAULTS["noise"]))
-    tgrid: dict = field(default_factory=lambda: dict(_DEFAULTS["tgrid"]))
+    signal: dict = field(default_factory=lambda: {"kind": "poisson", "params": {"a": 1.5}})
+    noise: dict = field(default_factory=lambda: {"kind": "chirp_noise",
+                                                 "params": {"band": [6.0, 12.0], "amplitude": 1.0}})
+    tgrid: dict = field(default_factory=lambda: {"t_min": -2.0, "t_max": 2.0, "n_points": 41})
     nu_range: tuple = (0.0, 0.01, 0.1)
     p: int = 2
     eps_target: float = 1e-4
@@ -152,12 +138,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        unknown = set(data) - set(_DEFAULTS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        merged = {**_DEFAULTS, **data}
         try:
-            return cls(**{k: merged[k] for k in _DEFAULTS})
+            return cls(**data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -190,9 +175,6 @@ class ExperimentConfig:
         data["nu_range"] = list(self.nu_range)
         return data
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     # -- realized objects ----------------------------------------------------
 
     @property
@@ -200,7 +182,7 @@ class ExperimentConfig:
         return list(range(self.d_range[0], self.d_range[1] + 1, self.d_step))
 
     def build_kernel(self):
-        return bump_kernel(self.T, self.theta)
+        return TargetKernel(self.T, self.theta)
 
     def build_signal(self):
         return _build_signal("signal", self.signal)

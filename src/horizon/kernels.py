@@ -36,6 +36,9 @@ from .spectral_core import PANEL_DEGREE, fourier_transform_at, gauss_legendre_ru
 
 D_MAX = 16
 
+#: largest variation of the log envelope g across one panel of ``derivative_panel_edges``
+_DG_MAX = 2.0
+
 
 def _poly_mul(p, q):
     out = [0] * (len(p) + len(q) - 1)
@@ -141,11 +144,11 @@ def _raw_bump_mass_mp():
     return total
 
 
-def derivative_panel_edges(width, k, dg_max=2.0):
+def derivative_panel_edges(width, k):
     """Panel edges on [0, width] resolving the order-k derivative wavepacket.
 
     Edges march inward from each endpoint keeping the per-panel variation
-    of g = -1/delta - 2k log(delta) below ``dg_max``, then mirror.
+    of g = -1/delta - 2k log(delta) below ``_DG_MAX``, then mirror.
     """
     if width <= 0:
         raise ValueError("width must be positive")
@@ -163,7 +166,7 @@ def derivative_panel_edges(width, k, dg_max=2.0):
     cap = width / 24.0
     half_w = 0.5 * width
     while s < half_w:
-        s = min(s + min(dg_max / gprime(s), cap), half_w)
+        s = min(s + min(_DG_MAX / gprime(s), cap), half_w)
         edges.append(s)
     mirrored = [width - e for e in reversed(edges[:-1])]
     return np.array(edges + mirrored)
@@ -228,11 +231,6 @@ class TargetKernel:
         if self._mass_mp is None:
             self._mass_mp = _raw_bump_mass_mp()
         return self._mass_mp
-
-
-def bump_kernel(T, theta):
-    """Unit-mass bump kernel on [-T, theta]."""
-    return TargetKernel(T, theta)
 
 
 def q_spectrum(h, omegas):

@@ -63,8 +63,8 @@ class Polynomial:
         """Coefficients of p(omega) = psi(i omega) as a polynomial in omega."""
         return np.array([c * (1j) ** k for k, c in enumerate(self.coeffs)])
 
-    def is_real(self, tol=_IMAG_ZERO_TOL):
-        return all(abs(c.imag) <= tol for c in self.coeffs)
+    def is_real(self):
+        return all(abs(c.imag) <= _IMAG_ZERO_TOL for c in self.coeffs)
 
 
 def taylor_psi(T, d):

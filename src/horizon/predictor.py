@@ -71,8 +71,8 @@ import numpy as np
 from ._accel import _BLOCK_ELEMENTS, _row_blocks, oscillatory_transform
 from .kernels import derivative_panel_edges, q_spectrum
 from .polynomials import alpha_closed_form
-from .spectral_core import _adequate_grid, _exp_weighted_square, gauss_legendre_edges
-from .weighted_space import _tail_is_divergent
+from .signals import _log_abs_spectrum
+from .spectral_core import _adequate_grid, gauss_legendre_edges
 
 #: quadrature budget (absolute) for prediction integrals
 EPS_QUAD = 1e-10
@@ -83,7 +83,7 @@ class ClassMembershipError(ValueError):
 
 
 class BoundRangeError(ValueError):
-    """The signal is in the class, but its error bound exceeds the double range."""
+    """The signal is in the class, but its error bound is past what double precision holds."""
 
 
 class PredictorKernel:
@@ -153,11 +153,6 @@ class PredictorKernel:
             return re
         im = oscillatory_transform(nodes, weights, np.ascontiguousarray(values.imag), omegas)
         return re + 1j * im
-
-
-def build_predictor(h, psi):
-    """Assemble the order-d predicting kernel from a target kernel and psi."""
-    return PredictorKernel(h, psi)
 
 
 # -- convolutions ------------------------------------------------------------
@@ -390,7 +385,7 @@ def predict_values(pk, table):
 
 
 def _q_mirrored(h, om):
-    """Q(i omega) at frequencies om mirrored about 0 (``SpectralGrid.build``).
+    """Q(i omega) at frequencies om mirrored about 0 (``_adequate_grid``).
 
     q is real, so Q(-i omega) = conj Q(i omega): only the upper half of om
     is transformed.  A function of its own, so that the half is freed
@@ -401,26 +396,42 @@ def _q_mirrored(h, om):
 
 
 def _beta_integrand(x, h, r, om):
-    """e^{r|omega|} |Q X|^2 at mirrored frequencies om, in log space where it overflows."""
-    return _exp_weighted_square(r * np.abs(om), np.abs(_q_mirrored(h, om) * x.spectrum(om)))
+    """e^{r|omega|} |Q X|^2 at mirrored frequencies om.
+
+    Where that product leaves the normal double range (the weight
+    overflows, or |Q X|^2 is subnormal or 0) it is taken as
+    exp(r|omega| + 2 log|Q| + 2 log|X|), log|X| from
+    ``_log_abs_spectrum``: neither the overflow of the weight nor the
+    underflow of X, past |omega| = 745 / a for the Poisson kinds, drops
+    a finite part of beta.
+    """
+    q, weight = _q_mirrored(h, om), r * np.abs(om)
+    with np.errstate(all="ignore"):
+        sq = np.abs(q * x.spectrum(om)) ** 2
+        out = np.exp(weight) * sq
+        bad = ~np.isfinite(out) | (sq < np.finfo(float).tiny)
+        out[bad] = np.exp(weight[bad] + 2.0 * (np.log(np.abs(q[bad])) + _log_abs_spectrum(x, om[bad])))
+    return out
 
 
 def beta_energy(h, x, r):
     """beta = int e^{r|omega|} |Q(i omega) X(i omega)|^2 domega.
 
-    Refused as outside the class when the integral diverges, and with
-    ``BoundRangeError`` when it converges (2 x.spectral_decay > r) but
-    exceeds the double range.
+    Refused as outside the class when the integral diverges, exactly when
+    2 x.spectral_decay <= r.  Otherwise it is taken on the grid of every
+    weighted spectral energy (``_adequate_grid``), split at the kinks of
+    |X|, and refused with ``BoundRangeError`` when it overflows, or when
+    the integrand has not decayed by the band cut (``_band_cut``), past
+    which Q is roundoff.
     """
-    if x.spectrum is None:
-        raise ValueError("signal carries no exact spectrum")
     if 2.0 * x.spectral_decay <= r:
         raise ClassMembershipError("signal outside class: beta integral diverges")
-    grid, integrand = _adequate_grid(lambda om: _beta_integrand(x, h, r, om), 2.0 * x.spectral_decay - r, r)
-    finite = bool(np.all(np.isfinite(integrand)))
-    if finite and _tail_is_divergent(integrand, grid.nodes):
-        raise ClassMembershipError("signal outside class: beta integral diverges")
-    beta = float(integrand @ grid.weights) if finite else math.inf
+    top = _band_cut(h)
+    grid = _adequate_grid(lambda om: _beta_integrand(x, h, r, om), r, x.spectral_kinks, top)
+    if grid is None:
+        raise BoundRangeError(f"beta integrand has not decayed at omega = {top:.4g}, past which Q is roundoff")
+    _, weights, integrand = grid
+    beta = float(integrand @ weights) if np.all(np.isfinite(integrand)) else math.inf
     if not math.isfinite(beta):
         raise BoundRangeError(f"bound exceeds double range: beta overflows at r={r}")
     return beta

@@ -1,11 +1,13 @@
 """Analytic test processes with exact Fourier transforms.
 
 Every generator returns a real-valued signal carrying a vectorized time
-evaluator, its closed-form spectrum X(i omega) where one exists, the
-exponential decay rate of |X| (np.inf for compact or super-exponential
-spectra), and one all-orders evaluator ``derivatives(kmax, t)`` that
-returns the ``(kmax + 1, *t.shape)`` stack of x, x', ..., x^(kmax), from
-which every prediction is made (derivative transfer).  Each kind shares
+evaluator, its closed-form spectrum X(i omega), the exponential decay
+rate of |X| (np.inf for compact or super-exponential spectra), the
+frequencies omega >= 0 where |X| is not smooth (its kinks, panel edges
+of every grid over the spectrum), and one all-orders evaluator
+``derivatives(kmax, t)`` that returns the ``(kmax + 1, *t.shape)`` stack
+of x, x', ..., x^(kmax), from which every prediction is made (derivative
+transfer).  Each kind shares
 its work across orders: chirp noise forms cos and sin of omega t once
 per line, the Poisson kinds take powers of 1 / (t - i a) by repeated
 multiplication and form the modulation phase once, and the Gaussian
@@ -25,8 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral_core import _adequate_grid, _exp_weighted_square, _time_rule
-from .weighted_space import _tail_is_divergent
+from .spectral_core import _adequate_grid, _time_rule
 
 
 @dataclass(frozen=True)
@@ -35,26 +36,18 @@ class Signal:
     params: dict = field(repr=True)
     time: Callable = field(repr=False)
     derivatives: Callable = field(repr=False)
-    spectrum: Optional[Callable] = field(repr=False, default=None)
+    spectrum: Callable = field(repr=False)
     spectral_decay: float = 0.0
+    spectral_kinks: tuple = ()
     lines: Optional[Callable] = field(repr=False, default=None)
-
-    def __call__(self, t):
-        return self.time(np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
 class ClassReport:
     """Membership report for the exponentially weighted spectral class."""
 
-    r: float
     norm: float
     member: bool
-    unit_ball: bool
-
-    @property
-    def norm_sq(self):
-        return self.norm * self.norm if math.isfinite(self.norm) else math.inf
 
 
 def _poisson_time(a, t):
@@ -194,6 +187,7 @@ def cosine_modulated_poisson(a, omega0):
         time=time,
         spectrum=spectrum,
         spectral_decay=a,
+        spectral_kinks=(abs(omega0),),
         derivatives=derivatives,
     )
 
@@ -241,52 +235,46 @@ def chirp_noise(band, amplitude):
         time=time,
         spectrum=spectrum,
         spectral_decay=np.inf,
+        spectral_kinks=(lo, hi),
         derivatives=derivatives,
         lines=lines,
     )
 
 
-def class_norm(x, r, sign=-1):
-    """Weighted spectral norm of a signal and class membership.
+def class_norm(x, r):
+    """Weighted spectral norm (int e^{-r|omega|} |X|^2 domega)^(1/2) of a signal and class membership.
 
-    sign=-1 is the defining weight of the class; sign=+1 probes the
-    spectral-energy weight of the error bound, where membership requires
-    the spectrum to decay strictly faster than e^{-r|omega|/2}.  The
-    Poisson kinds (``_poisson_norm_sq``) and chirp noise,
-    2 A^2 int_lo^hi e^{s omega} domega with s = sign r, are taken in closed
-    form, every other kind by quadrature on a grid sized from its decay.
-    A closed form past the double range reads as a member of norm inf.
+    The Poisson kinds (``_poisson_norm_sq``) and chirp noise,
+    2 A^2 int_lo^hi e^{-r omega} domega, are taken in closed form, every
+    other kind by quadrature on the grid of every weighted spectral
+    energy (``_adequate_grid``); a member is a signal of finite norm.
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    if x.spectrum is None:
-        raise ValueError("signal carries no exact spectrum")
-    if sign not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
-
-    rho = x.spectral_decay
-    if sign > 0 and math.isfinite(rho) and 2.0 * rho <= r:
-        return ClassReport(r=r, norm=math.inf, member=False, unit_ball=False)
-
-    prm, s = x.params, sign * r
-    if x.kind in ("poisson", "cosine_modulated_poisson", "chirp_noise"):
-        try:
-            if x.kind == "chirp_noise":
-                lo, hi = prm["band"]
-                norm_sq = 2.0 * prm["amplitude"] ** 2 * _exp_integral(s * lo, s, hi - lo)
-            else:
-                norm_sq = _poisson_norm_sq(prm["a"], abs(prm.get("omega0", 0.0)), s)
-        except OverflowError:  # e^{s omega}: finite, but past the double range
-            norm_sq = math.inf
+    prm = x.params
+    if x.kind == "chirp_noise":
+        lo, hi = prm["band"]
+        norm_sq = 2.0 * prm["amplitude"] ** 2 * _exp_integral(-r * lo, -r, hi - lo)
+    elif x.kind in ("poisson", "cosine_modulated_poisson"):
+        norm_sq = _poisson_norm_sq(prm["a"], abs(prm.get("omega0", 0.0)), -r)
     else:
-        grid, integrand = _adequate_grid(lambda om: _exp_weighted_square(s * np.abs(om), np.abs(x.spectrum(om))),
-                                         r if sign < 0 else 2.0 * rho - r, r)
-        if not np.all(np.isfinite(integrand)) or (
-                sign > 0 and _tail_is_divergent(integrand, grid.nodes)):
-            return ClassReport(r=r, norm=math.inf, member=False, unit_ball=False)
-        norm_sq = float(integrand @ grid.weights)
+        _, weights, values = _adequate_grid(lambda om: np.exp(-r * np.abs(om)) * np.abs(x.spectrum(om)) ** 2,
+                                            r, x.spectral_kinks, math.inf)
+        norm_sq = float(values @ weights)
     norm = math.sqrt(norm_sq)
-    return ClassReport(r=r, norm=norm, member=True, unit_ball=norm <= 1.0)
+    return ClassReport(norm=norm, member=math.isfinite(norm))
+
+
+def _log_abs_spectrum(x, om):
+    """log|X(i omega)|: in closed form for the Poisson kinds, whose spectrum
+    underflows to 0 past |omega| = 745 / a, and -inf where X is 0."""
+    if x.kind in ("poisson", "cosine_modulated_poisson"):
+        a, omega0 = x.params["a"], abs(x.params.get("omega0", 0.0))
+        w = np.abs(om)
+        near = np.abs(w - omega0)  # X = e^{-a near} (1 + e^{-a (w + omega0 - near)}) / 2
+        return np.log1p(np.exp(-a * (w + omega0 - near))) - a * near - math.log(2.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(x.spectrum(om)))
 
 
 def _exp_integral(c0, b, w):

@@ -1,9 +1,10 @@
 """Shared numerical substrate: grids, quadrature and the Fourier transform.
 
 Frequency grids are composite Gauss-Legendre panel rules mirrored about
-omega = 0, so the kink of the weight e^{-r|omega|} always falls on a
-panel boundary; ``_adequate_grid`` sizes the grid of a weighted spectral
-energy (beta and the class norm).  The forward transform convention is
+omega = 0, so the kink of the weight e^{+-r|omega|} always falls on a
+panel boundary, and so do the kinks of the spectrum; ``_adequate_grid``,
+one rule, sizes the grid of every weighted spectral energy (beta and the
+class norm).  The forward transform convention is
 
     F(i omega) = integral e^{-i omega t} f(t) dt,
 
@@ -11,7 +12,7 @@ and the inverse carries the 1/(2 pi); every module uses this single
 convention.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,12 @@ _PHASE_PER_PANEL = 6.0
 
 #: default truncation picks e^{-r omega_max} < 1e-16
 _LOG_WEIGHT_CUTOFF = 16.0 * np.log(10.0)
+
+#: uniform panels on each half [0, omega_max] of a frequency grid
+_HALF_PANELS = 128
+
+#: fewest panels of the time rule of ``fourier_transform_at``
+_BASE_PANELS = 32
 
 #: the PANEL_DEGREE-point Gauss-Legendre rule on [-1, 1], the eigenvalue
 #: solution of Golub & Welsch (Math. Comp. 23, 1969) as numpy's
@@ -60,67 +67,33 @@ def default_omega_max(r):
     return _LOG_WEIGHT_CUTOFF / r
 
 
-def _exp_weighted_square(log_weight, mag):
-    """e^{log_weight} mag^2, taken as exp(log_weight + 2 log mag) where that
-    product is not finite (the weight overflows, perhaps against mag^2 = 0)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.exp(log_weight) * mag**2
-        bad = ~np.isfinite(out)
-        out[bad] = np.exp(log_weight[bad] + 2.0 * np.log(mag[bad]))
-    return out
+def _adequate_grid(integrand, r, kinks, top):
+    """(nodes, weights, values) of a weighted spectral energy int integrand(omega) domega, or None.
 
-
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Symmetric truncated frequency grid with attached quadrature rule."""
-
-    omega_max: float
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-    @classmethod
-    def build(cls, omega_max, n_points=4096):
-        """Mirrored composite Gauss-Legendre rule on [-omega_max, omega_max].
-
-        ``n_points`` is rounded up to a multiple of 2 * PANEL_DEGREE.
-        """
-        if omega_max <= 0:
-            raise ValueError("omega_max must be positive")
-        per_half = max(1, -(-n_points // (2 * PANEL_DEGREE)))
-        pos_n, pos_w = gauss_legendre_rule(0.0, omega_max, per_half)
-        nodes = np.concatenate([-pos_n[::-1], pos_n])
-        weights = np.concatenate([pos_w[::-1], pos_w])
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        return cls(omega_max=float(omega_max), nodes=nodes, weights=weights)
-
-    @classmethod
-    def for_rate(cls, r, n_points=4096):
-        """Grid truncated where the weight e^{-r|omega|} drops below 1e-16."""
-        return cls.build(default_omega_max(r), n_points)
-
-
-def _adequate_grid(integrand, rate, r):
-    """(grid, integrand on its nodes) for a weighted spectral energy int integrand(omega) domega.
-
-    ``integrand`` is even and decays like e^{-rate |omega|}: a finite rate
-    truncates where that falls below 1e-16 (``SpectralGrid.for_rate``).
-    An infinite rate, a compact or super-exponential spectrum, starts at
-    the cut of the weight e^{-r |omega|} and doubles it, up to 8 grids,
-    until the integrand at the edge is within 1e-16 of its peak.
+    ``integrand`` is even.  The grid is a composite Gauss-Legendre rule
+    mirrored about 0: ``_HALF_PANELS`` uniform panels on [0, omega_max],
+    split at the ``kinks`` inside it, the points where the integrand is
+    not smooth (0, the kink of the weight, is always an edge).
+    omega_max starts at the cut of the weight e^{-r|omega|}
+    (``default_omega_max``) and doubles, up to ``top``, until every kink
+    lies inside the grid and the integrand at its edge is within 1e-16
+    of its peak.  None if that has not happened at ``top``: a truncated
+    grid is never returned.
     """
-    if np.isfinite(rate):
-        grid = SpectralGrid.for_rate(rate)
-        return grid, integrand(grid.nodes)
-    omega = default_omega_max(r)
-    for _ in range(8):
-        grid = SpectralGrid.build(omega)
-        values = integrand(grid.nodes)
+    omega, last_kink = default_omega_max(r), max(kinks, default=0.0)
+    while True:
+        omega_max = min(omega, top)
+        # a sorted set, not np.union1d, whose sort pulls 2 MB into the resident set
+        edges = sorted({*np.linspace(0.0, omega_max, _HALF_PANELS + 1).tolist(), *(k for k in kinks if k < omega_max)})
+        pos_n, pos_w = gauss_legendre_edges(edges)
+        nodes, weights = np.concatenate([-pos_n[::-1], pos_n]), np.concatenate([pos_w[::-1], pos_w])
+        values = integrand(nodes)
         peak = float(np.max(values))
-        if peak == 0.0 or values[-1] <= 1e-16 * peak:
-            break
+        if omega_max > last_kink and (peak == 0.0 or values[-1] <= 1e-16 * peak):
+            return nodes, weights, values
+        if omega_max >= top:
+            return None
         omega *= 2.0
-    return grid, values
 
 
 @dataclass(frozen=True)
@@ -155,7 +128,7 @@ def _time_rule(support, omega_scale, base_panels):
     return gauss_legendre_rule(*support, _panel_count(support, omega_scale, base_panels))
 
 
-def fourier_transform_at(f, support, omegas, base_panels=32):
+def fourier_transform_at(f, support, omegas):
     """F(i omega) = int_a^b e^{-i omega t} f(t) dt at arbitrary frequencies.
 
     Gauss-Legendre on uniform panels of half-width h puts node i of
@@ -163,7 +136,7 @@ def fourier_transform_at(f, support, omegas, base_panels=32):
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     omega_scale = float(np.max(np.abs(omegas))) if omegas.size else 0.0
-    n_panels = _panel_count(support, omega_scale, base_panels)
+    n_panels = _panel_count(support, omega_scale, _BASE_PANELS)
     half = 0.5 * (support[1] - support[0]) / n_panels
     mids = support[0] + half * (2.0 * np.arange(n_panels) + 1.0)
     f_vals = np.asarray(f((mids[:, None] + half * _GL_NODES).ravel()), dtype=float)

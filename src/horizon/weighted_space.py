@@ -1,4 +1,4 @@
-"""Exponentially weighted L2 machinery: closed-form moments and the divergence test.
+"""Exponentially weighted L2 machinery: closed-form moments.
 
 All moments are exact gamma-integral identities; quadrature appears only
 as a test oracle.  The Gram matrices assembled from these moments are
@@ -10,21 +10,6 @@ alpha is small, forms the same moments in exact rationals
 """
 
 import math
-
-import numpy as np
-
-
-def _tail_is_divergent(integrand, nodes):
-    """True when the integrand grows toward the grid edge (divergence knee)."""
-    pos = nodes > 0
-    vals = integrand[pos]
-    n = vals.size
-    if n < 16:
-        return False
-    tail = vals[int(0.8 * n):]
-    head = tail[: tail.size // 2]
-    back = tail[tail.size // 2:]
-    return float(np.mean(back)) > float(np.mean(head)) > 0.0
 
 
 def monomial_moment(k, r, signed=False):

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from horizon import TimeGrid, bump_kernel, poisson_signal
+from horizon import TargetKernel, TimeGrid, poisson_signal
 
 # canonical desk-scale configuration shared across the suite
 CANON = dict(T=0.5, theta=0.1, r=2.0, a=1.5)
@@ -13,7 +13,7 @@ CANON = dict(T=0.5, theta=0.1, r=2.0, a=1.5)
 
 @pytest.fixture(scope="session")
 def canonical_kernel():
-    return bump_kernel(CANON["T"], CANON["theta"])
+    return TargetKernel(CANON["T"], CANON["theta"])
 
 
 @pytest.fixture(scope="session")
@@ -28,4 +28,4 @@ def canonical_tgrid():
 
 @pytest.fixture(scope="session")
 def unit_bump():
-    return bump_kernel(1.0, 1.0)
+    return TargetKernel(1.0, 1.0)

@@ -6,14 +6,17 @@ differences for derivatives, mpmath at 70-80 digits for the high-degree
 kernel derivatives, predictions and the weighted projection, at 120
 digits for the closed-form alpha expansion, the 40-digit node tables
 of the kernel transforms, one long zero-padded FFT for the p = 1
-transfer band, and the bump derivatives' L1 norms, summed between the
-roots of P_m at 40 digits.  It also holds the reference routes that no
-command runs: alpha by grid quadrature (``alpha_of``), the transform of
-the target kernel itself (``h_spectrum``) and a weighted sum of signals
-(``superposition``).
+transfer band, the bump derivatives' L1 norms, summed between the
+roots of P_m at 40 digits, and beta on fixed fine panels with edges at
+the spectrum's kinks (``beta_fine_panels``).  It also holds the
+reference routes that no command runs: alpha by grid quadrature
+(``alpha_of``) on a numpy Gauss-Legendre frequency grid
+(``frequency_grid``), the transform of the target kernel itself
+(``h_spectrum``) and a weighted sum of signals (``superposition``).
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -502,6 +505,68 @@ def alpha_grid_bound(T, r, d):
     return max(om, 60.0 / r)
 
 
+class FrequencyGrid(NamedTuple):
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+def frequency_grid(omega_max, n_points=4096):
+    """Composite 16-point Gauss-Legendre rule (numpy's ``leggauss``) on [-omega_max, omega_max].
+
+    Uniform panels mirrored about 0, so omega = 0 is a panel edge;
+    ``n_points`` is rounded up to whole panels on each half.
+    """
+    per_half = max(1, -(-n_points // 32))
+    x, w = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * omega_max / per_half
+    mids = half * (2.0 * np.arange(per_half) + 1.0)
+    pos_n, pos_w = (mids[:, None] + half * x).ravel(), np.tile(half * w, per_half)
+    return FrequencyGrid(np.concatenate([-pos_n[::-1], pos_n]), np.concatenate([pos_w[::-1], pos_w]))
+
+
+def _log_weighted_spectrum(x, r, om):
+    """r |omega| + 2 log|X(i omega)|: for the Poisson kinds as a log-sum of the
+    two shifted envelopes, so that no factor underflows where e^{r|omega|} |X|^2 does not."""
+    w = np.abs(om)
+    if x.kind in ("poisson", "cosine_modulated_poisson"):
+        a, w0 = x.params["a"], x.params.get("omega0", 0.0)
+        return r * w + 2.0 * (np.logaddexp(-a * np.abs(w - w0), -a * np.abs(w + w0)) - math.log(2.0))
+    with np.errstate(divide="ignore"):
+        return r * w + 2.0 * np.log(np.abs(x.spectrum(om)))
+
+
+def beta_fine_panels(h, xs, r):
+    """beta = int e^{r|omega|} |Q X|^2 domega of each signal of ``xs``, on fixed fine panels.
+
+    16-point Gauss-Legendre (``leggauss``) on panels of width 0.25 up to
+    omega = 64, where the spectra vary fastest, then of width
+    max(0.25, 0.5 / tau), 1 / 12 of a crest period of |Q|, up to
+    900 / tau, past which |Q|^2 < 1e-21; each signal's kinks are extra
+    panel edges, and the result is twice the half-line.  The integrand
+    is exp(r omega + 2 log|X| + 2 log|Q|), with log|X| of the Poisson
+    kinds formed without X, which underflows past omega = 745 / a.  Q
+    is taken once per set of edges.
+    """
+    from horizon.kernels import q_spectrum
+
+    x_gl, w_gl = np.polynomial.legendre.leggauss(16)
+    top, step = 900.0 / h.width, max(0.25, 0.5 / h.width)
+    uniform = np.union1d(np.arange(0.0, 64.0, 0.25), np.arange(64.0, top + 0.5 * step, step))
+    out, cache = [], {}
+    for x in xs:
+        edges = np.union1d(uniform, [k for k in x.spectral_kinks if k < uniform[-1]])
+        key = edges.tobytes()
+        if key not in cache:
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            nodes = (mid[:, None] + half[:, None] * x_gl).ravel()
+            with np.errstate(divide="ignore"):
+                log_q = 2.0 * np.log(np.abs(q_spectrum(h, nodes)))
+            cache[key] = nodes, (half[:, None] * w_gl).ravel(), log_q
+        nodes, weights, log_q = cache[key]
+        out.append(2.0 * float(np.exp(_log_weighted_spectrum(x, r, nodes) + log_q) @ weights))
+    return out
+
+
 def h_spectrum(h, omegas):
     """H(i omega) = F h, the transform of the kernel itself."""
     from horizon.spectral_core import fourier_transform_at
@@ -510,7 +575,7 @@ def h_spectrum(h, omegas):
 
 
 def superposition(signals, weights=None):
-    """Weighted sum of signals; spectra combine when all parts carry one."""
+    """Weighted sum of signals: spectra combine, kinks join."""
     from horizon.signals import Signal
 
     signals = list(signals)
@@ -524,10 +589,8 @@ def superposition(signals, weights=None):
         t = np.asarray(t, dtype=float)
         return sum(w * s.time(t) for w, s in zip(weights, signals))
 
-    spectrum = None
-    if all(s.spectrum is not None for s in signals):
-        def spectrum(om):
-            return sum(w * s.spectrum(om) for w, s in zip(weights, signals))
+    def spectrum(om):
+        return sum(w * s.spectrum(om) for w, s in zip(weights, signals))
 
     def derivatives(kmax, t):
         return sum(w * s.derivatives(kmax, t) for w, s in zip(weights, signals))
@@ -539,5 +602,6 @@ def superposition(signals, weights=None):
         time=time,
         spectrum=spectrum,
         spectral_decay=min(s.spectral_decay for s in signals),
+        spectral_kinks=tuple(sorted({k for s in signals for k in s.spectral_kinks})),
         derivatives=derivatives,
     )

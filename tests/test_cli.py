@@ -45,9 +45,9 @@ def write_config(path, **overrides):
 class TestConfig:
     def test_roundtrip_identity(self):
         cfg = ExperimentConfig()
-        again = ExperimentConfig.from_json(cfg.to_json())
+        again = ExperimentConfig.from_json(json.dumps(cfg.to_dict()))
         assert again == cfg
-        assert ExperimentConfig.from_json(again.to_json()) == again
+        assert ExperimentConfig.from_json(json.dumps(again.to_dict())) == again
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -306,6 +306,40 @@ class TestConvergence:
         result = runner.invoke(main, [command, "--config", str(cfgp)])
         assert result.exit_code == EXIT_BOUND, result.output
         assert "bound violation at " in result.output
+
+    @pytest.mark.parametrize("overrides", [
+        {"signal": {"kind": "poisson", "params": {"a": 1.000001}}},
+        {"signal": {"kind": "poisson", "params": {"a": 1.0001}}},
+        {"T": 2.0, "theta": 0.5, "signal": {"kind": "poisson", "params": {"a": 1.000001}}},
+        {"r": 4.0, "signal": {"kind": "cosine_modulated_poisson", "params": {"a": 5.656, "omega0": 4.5}}},
+        {"r": 4.0, "signal": {"kind": "cosine_modulated_poisson", "params": {"a": 5.656, "omega0": 5.0}}},
+        {"r": 4.0, "signal": {"kind": "cosine_modulated_poisson", "params": {"a": 5.656, "omega0": 3.0}}},
+        {"signal": {"kind": "chirp_noise", "params": {"band": [6.0, 12.0], "amplitude": 1.0}}},
+    ], ids=["poisson-1.000001", "poisson-1.0001", "wide-kernel-poisson-1.000001", "modulated-4.5",
+            "modulated-5", "modulated-3", "chirp"])
+    def test_beta_of_every_accepted_signal(self, runner, tmp_path, overrides):
+        # configs whose beta the finite-decay grid and the tail heuristic
+        # got wrong: 0 (a bound violation at d = 0), 14 % high, a 937 MiB
+        # transform, refused as divergent, 2.5e-5 low and 4.5e-3 high
+        from oracles import beta_fine_panels
+
+        cfgp = write_config(tmp_path / "c.json", d_range=[0, 2], output_dir=str(tmp_path / "out"), **overrides)
+        cfg = ExperimentConfig.load(cfgp)
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["convergence", "--config", str(cfgp)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert peak < 8 << 20
+        rows = json.loads((tmp_path / "out" / "convergence_summary.json").read_text())["rows"]
+        ref = beta_fine_panels(cfg.build_kernel(), [cfg.build_signal()], cfg.r)[0]
+        for row in rows:
+            assert row["beta"] == pytest.approx(ref, rel=1e-12)
+            assert row["bound"] > 0.0
+        if overrides["signal"]["params"] == {"a": 1.0001} and "T" not in overrides:
+            assert rows[0]["bound"] == pytest.approx(0.20518, rel=1e-4)  # 0.2191 with beta 14 % high
 
     def test_zero_signal_rows_zero(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json",

@@ -5,7 +5,6 @@ import pytest
 
 from horizon import (
     Polynomial,
-    SpectralGrid,
     alpha_closed_form,
     projection_psi,
     taylor_alpha_bound,
@@ -13,13 +12,13 @@ from horizon import (
 )
 from horizon.weighted_space import monomial_moment
 
-from oracles import adaptive_simpson, alpha_closed_form_mp, alpha_grid_bound, alpha_of, projection_mp
+from oracles import adaptive_simpson, alpha_closed_form_mp, alpha_grid_bound, alpha_of, frequency_grid, projection_mp
 
 T, R = 0.5, 2.0
 
 
 def alpha_grid(T_, r_, d_):
-    return SpectralGrid.build(alpha_grid_bound(T_, r_, d_), 4096)
+    return frequency_grid(alpha_grid_bound(T_, r_, d_), 4096)
 
 
 class TestPolynomial:
@@ -154,7 +153,7 @@ class TestAlpha:
 
     def test_tail_guard_rejects_small_grid(self):
         psi = taylor_psi(T, 10)
-        grid = SpectralGrid.build(10.0, 512)
+        grid = frequency_grid(10.0, 512)
         with pytest.raises(ValueError, match="truncation"):
             alpha_of(psi, T, R, grid)
 

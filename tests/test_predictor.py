@@ -8,11 +8,11 @@ from scipy.optimize import brentq
 
 from horizon import (
     Polynomial,
-    SpectralGrid,
+    PredictorKernel,
+    TargetKernel,
     beta_energy,
-    build_predictor,
+    default_omega_max,
     error_bound_parts,
-    bump_kernel,
     moment_table,
     noise_norm,
     poisson_signal,
@@ -31,14 +31,16 @@ from horizon import _accel, predictor
 from horizon._accel import bump_derivative_values
 from horizon.kernels import _bump_poly_edge, derivative_panel_edges
 from horizon.predictor import _band_spectrum, transfer_norms
-from horizon.spectral_core import _exp_weighted_square, gauss_legendre_edges
+from horizon.spectral_core import gauss_legendre_edges
 
 from oracles import (
     adaptive_simpson,
+    beta_fine_panels,
     bump_l1_ratios_mp,
     bump_transform_mp,
     chirp_transfer_prediction_mp,
     direct_table,
+    frequency_grid,
     gram_l2_norm_sq,
     h_spectrum,
     padded_band_spectrum,
@@ -61,17 +63,17 @@ def _noise_error(pk, h, eta, ts):
 
 @pytest.fixture(scope="module")
 def pk_small(canonical_kernel):
-    return build_predictor(canonical_kernel, taylor_psi(T, 4))
+    return PredictorKernel(canonical_kernel, taylor_psi(T, 4))
 
 
 @pytest.fixture(scope="module")
 def pk_big(canonical_kernel):
-    return build_predictor(canonical_kernel, taylor_psi(T, 10))
+    return PredictorKernel(canonical_kernel, taylor_psi(T, 10))
 
 
 class TestAssembly:
     def test_degree_zero_is_delayed_kernel(self, canonical_kernel):
-        pk = build_predictor(canonical_kernel, Polynomial((1.0,)))
+        pk = PredictorKernel(canonical_kernel, Polynomial((1.0,)))
         ts = np.linspace(0.0, pk.tau, 19)
         np.testing.assert_allclose(
             pk(ts).real, canonical_kernel(ts - T), rtol=1e-13, atol=1e-300)
@@ -83,7 +85,7 @@ class TestAssembly:
 
     def test_degree_cap(self, canonical_kernel):
         with pytest.raises(ValueError):
-            build_predictor(canonical_kernel, taylor_psi(T, canonical_kernel.d_max + 1))
+            PredictorKernel(canonical_kernel, taylor_psi(T, canonical_kernel.d_max + 1))
 
     def test_transfer_identity_small_d(self, pk_small):
         omegas = np.array([0.0, 1.0, 3.0])
@@ -118,7 +120,7 @@ class TestTarget:
     def test_spectral_factorization(self, canonical_kernel, canonical_signal):
         # y(0) = (1/2pi) int H(i w) X(i w) dw
         h, x = canonical_kernel, canonical_signal
-        grid = SpectralGrid.build(40.0, 4096)
+        grid = frequency_grid(40.0, 4096)
         H = h_spectrum(h, grid.nodes)
         X = x.spectrum(grid.nodes)
         via_freq = float(np.real((H * X) @ grid.weights)) / (2.0 * math.pi)
@@ -130,7 +132,7 @@ class TestPredict:
         assert _predict(pk_small, zero_signal(), [0.2])[0] == 0.0
 
     def test_degree_zero_predicts_delayed_target(self, canonical_kernel, canonical_signal):
-        pk = build_predictor(canonical_kernel, Polynomial((1.0,)))
+        pk = PredictorKernel(canonical_kernel, Polynomial((1.0,)))
         for t0 in (-0.5, 0.0, 1.2):
             lhs = _predict(pk, canonical_signal, [t0])[0]
             rhs = target_values(canonical_kernel, canonical_signal, [t0 - T])[0]
@@ -152,7 +154,7 @@ class TestPredict:
             accessed.append(ts.max())
             return canonical_signal.derivatives(kmax, ts)
 
-        x = Signal(kind="spy", params={}, time=canonical_signal.time, derivatives=spy)
+        x = replace(canonical_signal, kind="spy", params={}, derivatives=spy)
         for t0 in (-1.0, 0.0, 0.7):
             _predict(pk_small, x, [t0])
             assert max(accessed) < t0
@@ -166,14 +168,14 @@ class TestPredict:
             lows.append(ts.min())
             return canonical_signal.derivatives(kmax, ts)
 
-        x = Signal(kind="spy", params={}, time=canonical_signal.time, derivatives=spy)
+        x = replace(canonical_signal, kind="spy", params={}, derivatives=spy)
         t0 = 0.25
         _predict(pk_small, x, [t0])
         assert min(lows) > t0 - pk_small.tau
 
     def test_complex_coefficients_take_real_part_at_output(self, canonical_kernel,
                                                            canonical_signal):
-        pk = build_predictor(canonical_kernel, Polynomial((1.0, 0.1j)))
+        pk = PredictorKernel(canonical_kernel, Polynomial((1.0, 0.1j)))
         assert not pk.real_coeffs
         t0 = 0.3
         val = _predict(pk, canonical_signal, [t0])[0]
@@ -191,7 +193,7 @@ class TestPredict:
         # degree of a sweep, read from the one derivative-transfer table of
         # its top degree, stays within that floor of it
         psis = [taylor_psi(T, d) for d in range(5)] + [projection_psi(T, R, d) for d in range(5)]
-        pks = [build_predictor(canonical_kernel, psi) for psi in psis]
+        pks = [PredictorKernel(canonical_kernel, psi) for psi in psis]
         ts = np.linspace(-2.0, 2.0, 41)
         table = moment_table(canonical_kernel, canonical_signal, ts, 4)
         for pk in pks:
@@ -217,13 +219,13 @@ class TestPredict:
         x = poisson_signal(1.0)
         ts = np.linspace(-2.0, 2.0, 3)
         for T_, theta, step in [(T, TH, 1 / 32), (0.05, 1.0, 1 / 32), (0.2, 0.5, 1 / 32), (2.0, 0.5, 1 / 64)]:
-            h = bump_kernel(T_, theta)
+            h = TargetKernel(T_, theta)
             psi = taylor_psi(T_, d) if method == "taylor" else projection_psi(T_, R, d)
             _, (hw,), samples = direct_table(h, x, ts, d)
             re_a = np.abs([a.real for a in psi.coeffs])
             floor = 16.0 * np.finfo(float).eps * np.einsum("k,kts->t", re_a, np.abs(samples * hw))
             ref = transfer_prediction_mp(psi.coeffs, T_, theta, 1.0, ts, dps=70, step=step)
-            np.testing.assert_array_less(np.abs(_predict(build_predictor(h, psi), x, ts) - ref), floor,
+            np.testing.assert_array_less(np.abs(_predict(PredictorKernel(h, psi), x, ts) - ref), floor,
                                          err_msg=f"T={T_}, theta={theta}")
 
     @pytest.mark.parametrize("method", ["taylor", "projection"])
@@ -233,7 +235,7 @@ class TestPredict:
         # roundoff floor eps sum_k |Re a_k| |M_k| of about 1.2e-14 here
         # (measured errors 1.9e-15 to 3.7e-15); 1e-14 is that floor
         psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
-        pk = build_predictor(canonical_kernel, psi)
+        pk = PredictorKernel(canonical_kernel, psi)
         ts = np.linspace(-2.0, 2.0, 5)
         ref = chirp_transfer_prediction_mp(psi.coeffs, T, TH, (6.0, 12.0), 1.0, ts, dps=70)
         np.testing.assert_allclose(_predict(pk, chirp_noise((6.0, 12.0), 1.0), ts), ref,
@@ -255,7 +257,7 @@ class TestPredict:
 
         x = replace(base, derivatives=counted)
         ts = np.linspace(-2.0, 2.0, 41)
-        pks = [build_predictor(canonical_kernel, taylor_psi(T, d)) for d in range(6, 13)]
+        pks = [PredictorKernel(canonical_kernel, taylor_psi(T, d)) for d in range(6, 13)]
         table = moment_table(canonical_kernel, x, ts, 12)
         assert calls == [(12, (41, 16 << i)) for i in range(len(calls))]
         assert calls[-1][1][1] == table.window_points <= 128
@@ -310,22 +312,23 @@ class TestPredict:
         # after the other on one kernel: each gets its own predictions, the
         # same as on a fresh kernel (a table cache keyed by kind and params
         # once gave the second the first's predictions, 0.10 off at d = 12)
-        h = bump_kernel(T, TH)
-        pk = build_predictor(h, taylor_psi(T, d))
+        h = TargetKernel(T, TH)
+        pk = PredictorKernel(h, taylor_psi(T, d))
         assert pk.needs_extended() == (d == 12)
-        xs = [Signal(kind="custom", params={}, time=p.time, derivatives=p.derivatives)
+        xs = [Signal(kind="custom", params={}, time=p.time, derivatives=p.derivatives,
+                     spectrum=p.spectrum)
               for p in (poisson_signal(1.5), poisson_signal(3.0))]
         ts = np.linspace(-2.0, 2.0, 9)
         got = [_predict(pk, x, ts) for x in xs]
         for x, y_hat in zip(xs, got):
-            fresh = build_predictor(bump_kernel(T, TH), taylor_psi(T, d))
+            fresh = PredictorKernel(TargetKernel(T, TH), taylor_psi(T, d))
             np.testing.assert_array_equal(y_hat, _predict(fresh, x, ts))
         assert np.max(np.abs(got[0] - got[1])) > 0.05
 
 
 class TestErrorBound:
     def test_q_on_mirrored_grid_from_positive_half(self, monkeypatch, canonical_signal):
-        h = bump_kernel(T, TH)
+        h = TargetKernel(T, TH)
         sizes = []
 
         def counted(h_, omegas):
@@ -333,8 +336,8 @@ class TestErrorBound:
             return q_spectrum(h_, omegas)
 
         monkeypatch.setattr(predictor, "q_spectrum", counted)
-        om = SpectralGrid.for_rate(R, 4096).nodes
-        full = _exp_weighted_square(R * np.abs(om), np.abs(q_spectrum(h, om) * canonical_signal.spectrum(om)))
+        om = frequency_grid(default_omega_max(R), 4096).nodes
+        full = np.exp(R * np.abs(om)) * np.abs(q_spectrum(h, om) * canonical_signal.spectrum(om)) ** 2
         np.testing.assert_array_equal(predictor._beta_integrand(canonical_signal, h, R, om), full)
         assert sizes == [om.size // 2]
 
@@ -351,10 +354,41 @@ class TestErrorBound:
         with pytest.raises(predictor.BoundRangeError, match="exceeds double range"):
             beta_energy(canonical_kernel, gaussian_signal(0.02), R)
 
+    @pytest.mark.parametrize("T_, theta", [(0.5, 0.1), (2.0, 0.5), (0.05, 0.01), (1.0, 0.25)])
+    def test_beta_against_kink_aligned_fine_panels(self, T_, theta):
+        # one grid rule for every kind: Poisson near the class edge and far
+        # from it, modulated Poisson with its kink at omega0 (the heuristic
+        # tail test once refused omega0 = 4.5 and 5), the chirp with its
+        # band edges and the Gaussian; beta_fine_panels is exact to ~1e-15
+        h = TargetKernel(T_, theta)
+        cases = {2.0: [poisson_signal(a) for a in (1.5, 1.0001, 1.000001, 10.0)]
+                      + [chirp_noise((6.0, 12.0), 1.0), gaussian_signal(0.5)],
+                 4.0: [cosine_modulated_poisson(5.656, w0) for w0 in (3.0, 4.5, 5.0)]}
+        for r, xs in cases.items():
+            for x, ref in zip(xs, beta_fine_panels(h, xs, r)):
+                assert beta_energy(h, x, r) == pytest.approx(ref, rel=1e-12), (x.kind, x.params)
+
+    def test_beta_grid_is_bounded_by_the_band_cut(self, monkeypatch):
+        # a = 1 + 1e-6 once sized the grid by its decay 2a - r: omega up to
+        # 1.8e7 and a 937 MiB transform for this kernel; now no grid passes
+        # the band cut, and a spectrum not decayed there is refused
+        h = TargetKernel(2.0, 0.5)
+        tops = []
+
+        def counted(h_, omegas):
+            tops.append(float(np.max(omegas)))
+            return q_spectrum(h_, omegas)
+
+        monkeypatch.setattr(predictor, "q_spectrum", counted)
+        beta_energy(h, poisson_signal(1.000001), R)
+        assert max(tops) <= predictor._band_cut(h)
+        with pytest.raises(predictor.BoundRangeError, match="has not decayed"):
+            beta_energy(h, cosine_modulated_poisson(20.0, 1200.0), 4.0)
+
     def test_beta_value_and_grid_stability(self, canonical_kernel, canonical_signal):
         # against the same integrand on a wider grid of twice the nodes
         b1 = beta_energy(canonical_kernel, canonical_signal, R)
-        grid = SpectralGrid.build(60.0, 8192)
+        grid = frequency_grid(60.0, 8192)
         b2 = float(predictor._beta_integrand(canonical_signal, canonical_kernel, R, grid.nodes) @ grid.weights)
         assert b1 == pytest.approx(b2, rel=1e-9)
 
@@ -365,14 +399,14 @@ class TestErrorBound:
         assert alpha_closed_form(Polynomial((1.0,)), 0.0, R) == 0.0
 
     def test_positive_and_taylor_decay(self, canonical_kernel, canonical_signal):
-        pk6 = build_predictor(canonical_kernel, taylor_psi(T, 6))
-        pk8 = build_predictor(canonical_kernel, taylor_psi(T, 8))
+        pk6 = PredictorKernel(canonical_kernel, taylor_psi(T, 6))
+        pk8 = PredictorKernel(canonical_kernel, taylor_psi(T, 8))
         (_, _, b6), (_, _, b8) = error_bound_parts([pk6, pk8], canonical_signal, R)
         assert 0 < b8 <= b6 / 2.0
 
     def test_signal_outside_class_rejected(self, canonical_kernel):
         thin = poisson_signal(0.9)  # 2a < r
-        pk = build_predictor(canonical_kernel, taylor_psi(T, 4))
+        pk = PredictorKernel(canonical_kernel, taylor_psi(T, 4))
         with pytest.raises(ValueError, match="outside"):
             error_bound_parts([pk], thin, R)
 
@@ -389,7 +423,7 @@ class TestConvergenceInDegree:
                                                  canonical_tgrid):
         ts = canonical_tgrid.nodes
         y = target_values(canonical_kernel, canonical_signal, ts)
-        pks = [build_predictor(canonical_kernel, projection_psi(T, R, d)) for d in range(0, 11)]
+        pks = [PredictorKernel(canonical_kernel, projection_psi(T, R, d)) for d in range(0, 11)]
         table = moment_table(canonical_kernel, canonical_signal, ts, 10)
         sups = [float(np.max(np.abs(y - predict_values(pk, table)))) for pk in pks]
         for s1, s2 in zip(sups, sups[1:]):
@@ -405,13 +439,13 @@ class TestNoise:
     @pytest.mark.parametrize("p", [1, 2])
     def test_sweep_norms_match_single_predictor(self, canonical_kernel, p):
         # the norms built once for a sweep are each degree's own, bit for bit
-        pks = [build_predictor(canonical_kernel, taylor_psi(T, d)) for d in (2, 8, 12)]
+        pks = [PredictorKernel(canonical_kernel, taylor_psi(T, d)) for d in (2, 8, 12)]
         assert transfer_norms(pks, p) == [transfer_norms([pk], p)[0] for pk in pks]
 
     def test_bound_grows_with_degree(self, canonical_kernel):
         # norms taken on the transfer band, where the degree blow-up lives
-        pk4 = build_predictor(canonical_kernel, taylor_psi(T, 4))
-        pk10 = build_predictor(canonical_kernel, taylor_psi(T, 10))
+        pk4 = PredictorKernel(canonical_kernel, taylor_psi(T, 4))
+        pk10 = PredictorKernel(canonical_kernel, taylor_psi(T, 10))
         for p in (1, 2):
             (n4, h4), (n10, h10) = transfer_norms([pk4, pk10], p)
             assert h4 == h10 and n10 > n4
@@ -434,7 +468,7 @@ class TestTransferNorms:
     @pytest.mark.parametrize("d", [12, 16])
     def test_l2_norm_against_gram_identity(self, canonical_kernel, method, d):
         psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
-        pk = build_predictor(canonical_kernel, psi)
+        pk = PredictorKernel(canonical_kernel, psi)
         ref = math.sqrt(2.0 * math.pi * gram_l2_norm_sq(canonical_kernel, psi.coeffs))
         assert transfer_norms([pk], 2)[0][0] == pytest.approx(ref, rel=1e-11)
 
@@ -512,7 +546,7 @@ class TestBandSpectrum:
     def test_fft_band_against_30_digits(self, T_, theta, targets):
         # live oracle inside the band; past it the committed 30-digit values
         # obey the tail bound |Q| <= ||q^(m)||_1 / omega^m that replaces the band
-        h = bump_kernel(T_, theta)
+        h = TargetKernel(T_, theta)
         step, q_abs = _assembled_band(h)
         omegas = step * np.arange(q_abs.size)
         cut = predictor._band_cut(h)
@@ -552,7 +586,7 @@ class TestBandSpectrum:
     def test_panel_factored_q_against_30_digits(self, T_, theta):
         # the factored transform is as close to the 30-digit values at these
         # frequencies as the node-by-node one was (at most 4.5e-16)
-        h = bump_kernel(T_, theta)
+        h = TargetKernel(T_, theta)
         omegas = np.array([0.0, 37.0, 141.0, 1062.0])
         ref = [bump_transform_mp(om, h.width) for om in omegas]
         np.testing.assert_allclose(np.abs(q_spectrum(h, omegas)), ref, rtol=0.0, atol=5e-16)
@@ -563,7 +597,7 @@ class TestBandSpectrum:
         # up to 2e-15 (canonical) and 3e-14 (wide) off the 30-digit values
         # at omega <= 2000 (the wide band stops at 915); the FFT's twiddles
         # are exact to 3e-18 there
-        h = bump_kernel(T_, theta)
+        h = TargetKernel(T_, theta)
         step, q_abs = _assembled_band(h)
         omegas = step * np.arange(q_abs.size)
         sel = np.flatnonzero(omegas <= 2000.0)[::29]
@@ -575,7 +609,7 @@ class TestBandSpectrum:
         # the band is P transforms of length L, L the smallest power of two
         # >= n + 1, never one of length m = L P; the band stops at the same
         # Omega tau for every width, so L is 2048 for both kernels
-        h = bump_kernel(T_, theta)
+        h = TargetKernel(T_, theta)
         n = math.ceil(2.0 * predictor._band_cut(h) * h.width / math.pi)
         lengths = []
         for name in ("fft", "rfft"):
@@ -590,7 +624,7 @@ class TestBandSpectrum:
     def test_band_matches_padded_fft(self, T_, theta):
         # the same DFT samples as one FFT zero-padded to 2^18 (for both);
         # measured within 4.4e-16 (canonical) and 2.2e-16 (wide)
-        h = bump_kernel(T_, theta)
+        h = TargetKernel(T_, theta)
         step, q_abs = _assembled_band(h)
         ref_step, ref = _oracle_band(h)
         assert step == ref_step and q_abs.size == ref.size
@@ -604,7 +638,7 @@ class TestBandSpectrum:
         # routes' |Q| agree to 3.4e-18 there, and the tolerance's 4e-18
         # |psi_d| exceeds 1e-12 of the sup only at d = 7
         psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
-        pk = build_predictor(canonical_kernel, psi)
+        pk = PredictorKernel(canonical_kernel, psi)
         resolved, psi_abs = _resolved_sup(canonical_kernel, psi)
         ref = min(max(resolved, _tail(canonical_kernel, psi)), pk.l1_mass)
         assert transfer_norms([pk], 1)[0][0] == pytest.approx(ref, rel=1e-12, abs=4e-18 * psi_abs)
@@ -614,8 +648,8 @@ class TestBandSpectrum:
         # each group of transforms is folded into the sups and dropped:
         # nothing band-sized is held (|Q| on the band alone is 0.5 MB, and a
         # stored band to omega = 16384 peaked at 4.8 and 11.3 MB here)
-        h = bump_kernel(T_, theta)
-        pks = [build_predictor(h, projection_psi(T_, R, d)) for d in (0, 16)]
+        h = TargetKernel(T_, theta)
+        pks = [PredictorKernel(h, projection_psi(T_, R, d)) for d in (0, 16)]
         assert all(pk.l1_mass > 0.0 for pk in pks)  # node tables built before tracing
         tracemalloc.start()
         try:
@@ -630,7 +664,7 @@ class TestBandSpectrum:
     def test_p1_sup_within_l1_mass(self, canonical_kernel, method, d):
         # |F f(omega)| <= ||f||_1 holds exactly for every omega
         psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
-        pk = build_predictor(canonical_kernel, psi)
+        pk = PredictorKernel(canonical_kernel, psi)
         (sup_hhat, sup_h), = transfer_norms([pk], 1)
         assert sup_hhat <= pk.l1_mass
         assert sup_h == pytest.approx(1.0, rel=1e-15)
@@ -644,14 +678,14 @@ class TestBandSpectrum:
     def test_p1_sup_against_quadrature_scan(self, canonical_kernel, q_scan, d):
         # at these degrees the peak of |psi_d Q| lies well below omega = 2500
         omegas, q_abs = q_scan
-        pk = build_predictor(canonical_kernel, taylor_psi(T, d))
+        pk = PredictorKernel(canonical_kernel, taylor_psi(T, d))
         ref = float(np.max(np.abs(pk.psi.at_iw(omegas)) * q_abs))
         assert transfer_norms([pk], 1)[0][0] == pytest.approx(ref, rel=1e-3)
 
     def test_d10_sup_is_not_roundoff(self, canonical_kernel):
         # the two-stage quadrature scan returned 6.85e18 here: |psi_10| times
         # roundoff of |Q|; a band to omega = 16384 hit the 9.46e11 l1_mass cap
-        pk = build_predictor(canonical_kernel, taylor_psi(T, 10))
+        pk = PredictorKernel(canonical_kernel, taylor_psi(T, 10))
         resolved, psi_abs = _resolved_sup(canonical_kernel, pk.psi)
         sup = transfer_norms([pk], 1)[0][0]
         assert sup == pytest.approx(resolved, rel=0.0, abs=1e-15 * psi_abs)
@@ -665,10 +699,10 @@ class TestBandSpectrum:
         # sup 11 % low at d = 13 and 33 % low at d = 14.  Past d = 13 the
         # sup is the tail bound or |psi_d| times roundoff, both above the
         # resolved sup; up to d = 13 measured within 7.4e-6 of the canonical
-        h = bump_kernel(scale * T, scale * TH)
+        h = TargetKernel(scale * T, scale * TH)
         degrees = range(17)
-        ref = transfer_norms([build_predictor(canonical_kernel, taylor_psi(T, d)) for d in degrees], 1)
-        got = transfer_norms([build_predictor(h, taylor_psi(scale * T, d)) for d in degrees], 1)
+        ref = transfer_norms([PredictorKernel(canonical_kernel, taylor_psi(T, d)) for d in degrees], 1)
+        got = transfer_norms([PredictorKernel(h, taylor_psi(scale * T, d)) for d in degrees], 1)
         for d, (sup, _), (sup_ref, _) in zip(degrees, got, ref):
             resolved, psi_abs = _resolved_sup(canonical_kernel, taylor_psi(T, d))
             assert sup >= resolved - 1e-15 * psi_abs, d
@@ -695,9 +729,9 @@ class TestSamplePathBlocks:
         # route the row blocks are sized by the whole 13-deep derivative
         # stack.  Beyond the output and the (k + 1) x times moment table it
         # is summed from, every transient stays below three 256 KB blocks
-        h = bump_kernel(T, TH)
-        pk = build_predictor(h, taylor_psi(T, 4))
-        pk12 = build_predictor(h, taylor_psi(T, 12))
+        h = TargetKernel(T, TH)
+        pk = PredictorKernel(h, taylor_psi(T, 4))
+        pk12 = PredictorKernel(h, taylor_psi(T, 12))
         ts = np.linspace(-20.0, 20.0, 20001)
         block = _accel._BLOCK_ELEMENTS * 8
         for table_rows, run in ((0, lambda: predictor.target_values(h, canonical_signal, ts)),
@@ -743,7 +777,7 @@ class TestWindowTables:
         # direct sum's own roundoff.  61 times would take the direct sum
         # unless the basis is free
         monkeypatch.setattr(predictor, "_BASIS_COST", 0)
-        h, x = bump_kernel(T_, theta), WINDOW_SIGNALS[signal]
+        h, x = TargetKernel(T_, theta), WINDOW_SIGNALS[signal]
         ts = np.linspace(-3.0, 3.0, 61)
         ref, (v,), samples = direct_table(h, x, ts, kmax)
         scale = np.abs(v).sum() * np.array([np.abs(y).max() for y in samples])[:, None]
@@ -757,7 +791,7 @@ class TestWindowTables:
         # windows, past every node count: each table tries every window,
         # falls back to the nodes and is the direct panel sum bit for bit
         monkeypatch.setattr(predictor, "_BASIS_COST", 0)
-        h, x = bump_kernel(T_, theta), gaussian_signal(5e-4)
+        h, x = TargetKernel(T_, theta), gaussian_signal(5e-4)
         ts = np.linspace(-0.2, 0.4, 41)
         for kmax in (None, 4):
             args = ts if kmax is None else ts + h.T
@@ -804,7 +838,7 @@ class TestFrequencyIdentityOfTarget:
     def test_y_transform_factorizes(self, canonical_kernel, canonical_signal):
         # F y = H X checked through an inverse transform at several times
         h, x = canonical_kernel, canonical_signal
-        grid = SpectralGrid.build(40.0, 4096)
+        grid = frequency_grid(40.0, 4096)
         HX = h_spectrum(h, grid.nodes) * x.spectrum(grid.nodes)
         for t0 in (-0.5, 0.0, 0.8):
             inv = float(np.real((HX * np.exp(1j * grid.nodes * t0)) @ grid.weights)) / (2 * math.pi)

@@ -26,9 +26,6 @@ UNREACHED = {
                                           "oscillatory_transform",
     "_accel.oscillatory_transform": "perfbench accel.oscillatory_transform.* metrics",
     "signals.class_norm": "perfbench probe.py membership gate and signals.class_norm.self_s",
-    "signals.ClassReport.norm_sq": "class_norm's report, read by the class-norm tests",
-    "config.ExperimentConfig.to_json": "the config round-trip tests",
-    "signals.Signal.__call__": "the signal tests evaluate a signal as a function",
 }
 
 #: config overrides; each config runs all four commands

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from horizon import (
+    BoundRangeError,
+    ClassMembershipError,
     Signal,
-    SpectralGrid,
+    TargetKernel,
+    beta_energy,
     chirp_noise,
     class_norm,
     cosine_modulated_poisson,
+    default_omega_max,
     fourier_transform_at,
     gaussian_signal,
     noise_norm,
@@ -16,14 +20,19 @@ from horizon import (
     zero_signal,
 )
 from horizon.config import ExperimentConfig
+from horizon.signals import _exp_integral, _log_abs_spectrum, _poisson_norm_sq
+from horizon.spectral_core import _adequate_grid
 
-from oracles import superposition
+from oracles import frequency_grid, superposition
+
+#: the canonical kernel, for the energy weight e^{r|omega|} |Q X|^2 of beta
+_KERNEL = TargetKernel(0.5, 0.1)
 
 
 class TestPoisson:
     def test_peak_value(self):
         x = poisson_signal(1.0)
-        assert x(0.0)[()] == pytest.approx(1.0 / math.pi, rel=1e-12)
+        assert x.time(0.0)[()] == pytest.approx(1.0 / math.pi, rel=1e-12)
 
     def test_mass_equals_spectrum_at_zero(self):
         x = poisson_signal(1.5)
@@ -46,7 +55,7 @@ class TestGaussian:
     def test_always_member(self):
         for r in (0.5, 2.0, 8.0):
             assert class_norm(gaussian_signal(1.0), r).member
-            assert class_norm(gaussian_signal(1.0), r, sign=+1).member
+            assert math.isfinite(beta_energy(_KERNEL, gaussian_signal(1.0), r))
 
 
 class TestCosineModulatedPoisson:
@@ -67,12 +76,12 @@ class TestCosineModulatedPoisson:
 class TestChirpNoise:
     def test_time_value_at_zero(self):
         eta = chirp_noise((6.0, 12.0), 2.0)
-        assert eta(0.0)[()] == pytest.approx(2.0 / math.pi * 6.0, rel=1e-12)
+        assert eta.time(0.0)[()] == pytest.approx(2.0 / math.pi * 6.0, rel=1e-12)
 
     def test_spectrum_pair_inside_band(self):
         eta = chirp_noise((6.0, 12.0), 1.0)
         omegas = np.array([8.0, 9.0, 10.0])
-        F = fourier_transform_at(eta.time, (-5e3, 5e3), omegas, base_panels=64)
+        F = fourier_transform_at(eta.time, (-5e3, 5e3), omegas)
         np.testing.assert_allclose(F.real, 1.0, rtol=2e-4)
         np.testing.assert_allclose(F.imag, 0.0, atol=2e-4)
 
@@ -91,7 +100,7 @@ class TestRealness:
     def test_time_values_real_and_spectrum_conjugate_symmetric(self, make):
         x = make()
         ts = np.linspace(-3, 3, 17)
-        assert np.isrealobj(x(ts))
+        assert np.isrealobj(x.time(ts))
         om = np.linspace(-10, 10, 21)
         X = x.spectrum(om)
         np.testing.assert_allclose(X, np.conj(X[::-1]), rtol=1e-12, atol=1e-15)
@@ -142,7 +151,6 @@ class TestTimeEvaluator:
                 got = x.time(arg)
                 assert np.shape(got) == ()
                 assert float(got) == pytest.approx(value, rel=1e-15, abs=0.0)
-            assert float(x(float(t))) == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
 class TestDerivative:
@@ -206,53 +214,60 @@ class TestDerivative:
             assert np.max(np.abs(stack[k] - ref)) <= 5e-15 * np.max(np.abs(ref)), k
 
 
+def _energy(x, r):
+    """int e^{r|omega|} |X|^2 domega on the grid beta is taken on, X in log form."""
+    _, weights, values = _adequate_grid(lambda om: np.exp(r * np.abs(om) + 2.0 * _log_abs_spectrum(x, om)),
+                                        r, x.spectral_kinks, math.inf)
+    return float(values @ weights)
+
+
 class TestClassNorm:
     def test_poisson_closed_form(self):
         rep = class_norm(poisson_signal(1.5), 2.0)
-        assert rep.norm_sq == pytest.approx(0.4, abs=1e-12)
-        assert rep.member and rep.unit_ball
+        assert rep.norm**2 == pytest.approx(0.4, abs=1e-12)
+        assert rep.member
 
     def test_poisson_against_grid_quadrature(self):
         x = poisson_signal(1.5)
-        grid = SpectralGrid.for_rate(2.0, 4096)
+        grid = frequency_grid(default_omega_max(2.0), 4096)
         integrand = np.exp(-2.0 * np.abs(grid.nodes)) * np.abs(x.spectrum(grid.nodes)) ** 2
-        assert rep_norm_sq(x, 2.0) == pytest.approx(float(integrand @ grid.weights), rel=1e-10)
+        assert class_norm(x, 2.0).norm ** 2 == pytest.approx(float(integrand @ grid.weights), rel=1e-10)
 
     def test_energy_weight_membership_boundary(self):
-        # finite iff 2a > r under the growing weight
-        assert class_norm(poisson_signal(1.5), 2.0, sign=+1).member
-        rep = class_norm(poisson_signal(0.9), 2.0, sign=+1)
-        assert not rep.member
-        assert rep.norm == math.inf and rep.norm_sq == math.inf
+        # beta, under the growing weight, is finite iff 2a > r
+        assert math.isfinite(beta_energy(_KERNEL, poisson_signal(1.5), 2.0))
+        with pytest.raises(ClassMembershipError, match="diverges"):
+            beta_energy(_KERNEL, poisson_signal(0.9), 2.0)
+        with pytest.raises(ClassMembershipError, match="diverges"):
+            beta_energy(_KERNEL, poisson_signal(1.0), 2.0)
 
     def test_energy_weight_value(self):
-        rep = class_norm(poisson_signal(1.5), 2.0, sign=+1)
-        assert rep.norm_sq == pytest.approx(2.0, rel=1e-12)  # 2 / (2a - r)
+        # 2 / (2a - r), on beta's grid and in the closed form at s = r
+        assert _energy(poisson_signal(1.5), 2.0) == pytest.approx(2.0, rel=1e-12)
+        assert _poisson_norm_sq(1.5, 0.0, 2.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_any_positive_rate_is_member_under_decaying_weight(self):
         for a in (0.1, 0.9, 3.0):
             assert class_norm(poisson_signal(a), 2.0).member
 
     def test_requires_spectrum(self):
-        bare = Signal(kind="opaque", params={}, time=lambda t: np.zeros_like(t),
-                      derivatives=lambda kmax, t: np.zeros((kmax + 1, *np.shape(t))))
-        with pytest.raises(ValueError):
-            class_norm(bare, 1.0)
+        # every signal carries its spectrum: one without is not a signal
+        with pytest.raises(TypeError, match="spectrum"):
+            Signal(kind="opaque", params={}, time=lambda t: np.zeros_like(t),
+                   derivatives=lambda kmax, t: np.zeros((kmax + 1, *np.shape(t))))
 
     @pytest.mark.filterwarnings("error")
     def test_energy_weight_where_the_weight_overflows(self):
-        # e^{r omega} overflows past omega = 354 while these spectra do not
-        # vanish there; the integrand is taken in log space, as beta's is
-        rep = class_norm(cosine_modulated_poisson(1.005, 0.0), 2.0, sign=+1)
-        # omega0 = 0 gives the Poisson spectrum, 2 / (2a - r) = 200; the
-        # spectrum underflows to 0 past omega = 741, where the integrand
-        # e^{-0.01 omega} still holds 6e-4 of the mass, so no grid
-        # quadrature of the spectrum reaches it
-        assert rep.member and rep.norm_sq == pytest.approx(200.0, rel=1e-13)
+        # e^{r omega} overflows past omega = 354, and the spectrum e^{-1.005
+        # omega} underflows to 0 past omega = 741, where the integrand
+        # e^{-0.01 omega} still holds 6e-4 of the mass: log|X| keeps it
+        x = cosine_modulated_poisson(1.005, 0.0)
+        assert x.spectrum(np.array([800.0]))[0] == 0.0
+        assert _log_abs_spectrum(x, np.array([800.0]))[0] == pytest.approx(-804.0, rel=1e-15)
+        assert _energy(x, 2.0) == pytest.approx(200.0, rel=1e-13)  # 2 / (2a - r)
         sigma = 0.05  # int e^{2|omega|} e^{-sigma^2 omega^2} domega
         exact = math.exp(1.0 / sigma**2) * math.sqrt(math.pi) / sigma * (1.0 + math.erf(1.0 / sigma))
-        rep = class_norm(gaussian_signal(sigma), 2.0, sign=+1)
-        assert rep.member and rep.norm_sq == pytest.approx(exact, rel=1e-12)
+        assert _energy(gaussian_signal(sigma), 2.0) == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a, omega0, s", [
@@ -260,7 +275,8 @@ class TestClassNorm:
         (0.3, 0.0, -3.0), (0.3, 0.0, 0.59), (4.0, 0.5, -0.4), (0.7, 9.0, 0.5), (5.0, 100.0, 4.0),
     ])
     def test_poisson_kinds_against_mpmath(self, a, omega0, s):
-        # int e^{s|omega|} X^2 domega in closed form, at either sign of the weight
+        # int e^{s|omega|} X^2 domega in closed form, at either sign of the weight;
+        # the class norm is the closed form at s = -r
         import mpmath
 
         mp = mpmath.mp.clone()
@@ -268,32 +284,42 @@ class TestClassNorm:
         a_, w0, s_ = mp.mpf(a), mp.mpf(omega0), mp.mpf(s)
         spec = lambda w: (mp.exp(-a_ * abs(w - w0)) + mp.exp(-a_ * abs(w + w0))) / 2  # noqa: E731
         ref = 2 * mp.quad(lambda w: mp.exp(s_ * w) * spec(w) ** 2, [0, w0, mp.inf] if omega0 else [0, mp.inf])
-        rep = class_norm(cosine_modulated_poisson(a, omega0), abs(s), sign=1 if s > 0 else -1)
-        assert rep.member and rep.norm_sq == pytest.approx(float(ref), rel=1e-13)
+        assert _poisson_norm_sq(a, omega0, s) == pytest.approx(float(ref), rel=1e-13)
+        if s < 0:
+            rep = class_norm(cosine_modulated_poisson(a, omega0), -s)
+            assert rep.member and rep.norm**2 == pytest.approx(float(ref), rel=1e-13)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sign", [-1, 1])
     @pytest.mark.parametrize("r", [2.0, 4.0, 8.0])
     def test_chirp_closed_form_against_mpmath(self, r, sign):
         # 2 A^2 int_lo^hi e^{s omega} domega; a grid sized by r missed the
-        # band [6, 12] (r = 8: 0 against 3.56e-22 and 1.23e41)
+        # band [6, 12] (r = 8: 0 against 3.56e-22 and 1.23e41), so the
+        # grid of beta covers the chirp's kinks
         import mpmath
 
         mp = mpmath.mp.clone()
         mp.dps = 30
         s = mp.mpf(sign * r)
         ref = 2 * mp.mpf(0.7) ** 2 * (mp.exp(12 * s) - mp.exp(6 * s)) / s
-        rep = class_norm(chirp_noise((6.0, 12.0), 0.7), r, sign=sign)
-        assert rep.member and rep.norm_sq == pytest.approx(float(ref), rel=1e-13)
+        x = chirp_noise((6.0, 12.0), 0.7)
+        closed = 2.0 * 0.7**2 * _exp_integral(sign * r * 6.0, sign * r, 6.0)
+        assert closed == pytest.approx(float(ref), rel=1e-13)
+        if sign < 0:
+            rep = class_norm(x, r)
+            assert rep.member and rep.norm**2 == pytest.approx(float(ref), rel=1e-13)
+        else:
+            assert _energy(x, r) == pytest.approx(float(ref), rel=1e-13)
 
     @pytest.mark.filterwarnings("error")
     def test_member_with_norm_past_double_range(self):
-        # 2a > r, but the weight at the modulation peak is e^{4 * 200}
-        rep = class_norm(cosine_modulated_poisson(5.0, 200.0), 4.0, sign=+1)
-        assert rep.member and rep.norm == math.inf and not rep.unit_ball
+        # 2a > r, but the weight at the modulation peak is e^{4 * 200}:
+        # beta is refused, not returned as inf
+        with pytest.raises(BoundRangeError, match="double range"):
+            beta_energy(_KERNEL, cosine_modulated_poisson(5.0, 200.0), 4.0)
         # the chirp's weight at the band edge is e^{100 * 12}
-        rep = class_norm(chirp_noise((6.0, 12.0), 1.0), 100.0, sign=+1)
-        assert rep.member and rep.norm == math.inf and not rep.unit_ball
+        with pytest.raises(BoundRangeError, match="double range"):
+            beta_energy(_KERNEL, chirp_noise((6.0, 12.0), 1.0), 100.0)
 
 
 class TestNoiseNorm:
@@ -336,16 +362,12 @@ class TestNoiseNorm:
             noise_norm(poisson_signal(1.0), 3)
 
 
-def rep_norm_sq(x, r):
-    return class_norm(x, r).norm_sq
-
-
 class TestSuperposition:
     def test_linear_combination(self):
         x1, x2 = poisson_signal(1.0), gaussian_signal(0.5)
         combo = superposition([x1, x2], [2.0, -0.5])
         ts = np.linspace(-2, 2, 9)
-        np.testing.assert_allclose(combo(ts), 2.0 * x1(ts) - 0.5 * x2(ts), rtol=1e-14)
+        np.testing.assert_allclose(combo.time(ts), 2.0 * x1.time(ts) - 0.5 * x2.time(ts), rtol=1e-14)
         om = np.linspace(-4, 4, 9)
         np.testing.assert_allclose(
             combo.spectrum(om), 2.0 * x1.spectrum(om) - 0.5 * x2.spectrum(om), rtol=1e-14)
@@ -367,7 +389,7 @@ class TestSerialization:
         back = ExperimentConfig.from_dict({"signal": {"kind": x.kind, "params": x.params}}).build_signal()
         assert back.kind == x.kind and back.params == x.params
         ts = np.linspace(-1, 1, 7)
-        np.testing.assert_allclose(back(ts), x(ts), rtol=1e-14)
+        np.testing.assert_allclose(back.time(ts), x.time(ts), rtol=1e-14)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from horizon import SpectralGrid, class_norm, exponential_moment, monomial_moment, poisson_signal, zero_signal
-from horizon.weighted_space import _tail_is_divergent
+from horizon import (
+    ClassMembershipError,
+    TargetKernel,
+    beta_energy,
+    class_norm,
+    exponential_moment,
+    monomial_moment,
+    poisson_signal,
+    zero_signal,
+)
+from horizon.spectral_core import _adequate_grid
 from oracles import exponential_moment_mp, monomial_moment_mp, mp_context, superposition
 
 
@@ -16,28 +25,26 @@ _EXP_SPECTRUM = superposition([poisson_signal(1.0)])
 class TestWeightedNormSq:
     def test_decaying_exponential_closed_form(self):
         # integral e^{-2|w|} e^{-2|w|} dw = 2/4
-        val = class_norm(_EXP_SPECTRUM, 2.0, sign=-1).norm_sq
+        val = class_norm(_EXP_SPECTRUM, 2.0).norm ** 2
         assert val == pytest.approx(0.5, rel=1e-10)
 
     def test_zero_function(self):
-        assert class_norm(zero_signal(), 1.0, sign=-1).norm_sq == 0.0
+        assert class_norm(zero_signal(), 1.0).norm == 0.0
 
     def test_growing_weight_with_fast_decay(self):
-        # integral e^{+|w|} e^{-2|w|} dw = 2
-        val = class_norm(_EXP_SPECTRUM, 1.0, sign=+1).norm_sq
-        assert val == pytest.approx(2.0, rel=1e-10)
+        # integral e^{+|w|} e^{-2|w|} dw = 2, on the grid beta is taken on
+        _, weights, values = _adequate_grid(
+            lambda om: np.exp(np.abs(om)) * np.abs(_EXP_SPECTRUM.spectrum(om)) ** 2, 1.0, (), math.inf)
+        assert float(values @ weights) == pytest.approx(2.0, rel=1e-12)
 
     def test_weight_decay_mismatch_is_divergent(self):
-        # e^{+3|w|} e^{-2|w|} grows toward the grid edge
-        grid = SpectralGrid.for_rate(1.0, 2048)
-        integrand = np.exp(3.0 * np.abs(grid.nodes)) * np.exp(-np.abs(grid.nodes)) ** 2
-        assert _tail_is_divergent(integrand, grid.nodes)
+        # e^{+3|w|} e^{-2|w|} grows: beta is refused, whatever the grid
+        with pytest.raises(ClassMembershipError, match="diverges"):
+            beta_energy(TargetKernel(0.5, 0.1), _EXP_SPECTRUM, 3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             class_norm(_EXP_SPECTRUM, -1.0)
-        with pytest.raises(ValueError):
-            class_norm(_EXP_SPECTRUM, 1.0, sign=2)
 
 
 class TestMonomialMoment:
