@@ -31,7 +31,7 @@ from .signals import (
     poisson_signal,
     zero_signal,
 )
-from .spectral_core import TimeGrid, default_omega_max, fourier_transform_at
+from .spectral_core import default_omega_max, fourier_transform_at
 from .weighted_space import exponential_moment, monomial_moment
 
 __version__ = "0.1.0"

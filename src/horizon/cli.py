@@ -117,7 +117,7 @@ def cmd_convergence(args):
     cfg = _load_config(args)
     x = cfg.build_signal()
     h = cfg.build_kernel()
-    ts = cfg.build_tgrid().nodes
+    ts = cfg.build_tgrid()
     pks = [PredictorKernel(h, _psi_for(cfg, d)) for d in cfg.ds]
     parts = error_bound_parts(pks, x, cfg.r)
     y = target_values(h, x, ts)
@@ -158,7 +158,7 @@ def cmd_noise_sweep(args):
     cfg = _load_config(args)
     x0 = cfg.build_signal()
     h = cfg.build_kernel()
-    ts = cfg.build_tgrid().nodes
+    ts = cfg.build_tgrid()
     eta_unit = cfg.build_noise()
     unit_norm = noise_norm(eta_unit, cfg.p)
     if unit_norm <= 0:
@@ -205,7 +205,7 @@ def cmd_predict(args):
         if not np.all(np.isfinite(ts)):
             raise ConfigError(f"times: expected finite values, got {args.times!r}")
     else:
-        ts = cfg.build_tgrid().nodes
+        ts = cfg.build_tgrid()
     d = cfg.d_range[1]
     pk = PredictorKernel(h, _psi_for(cfg, d))
     y = target_values(h, x, ts)

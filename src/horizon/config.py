@@ -10,9 +10,10 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
+import numpy as np
+
 from .kernels import D_MAX, TargetKernel
 from .signals import chirp_noise, cosine_modulated_poisson, gaussian_signal, poisson_signal, zero_signal
-from .spectral_core import TimeGrid
 
 
 class ConfigError(ValueError):
@@ -115,9 +116,11 @@ class ExperimentConfig:
             raise ConfigError("d_step: must be a positive integer")
         if set(self.tgrid) != {"t_min", "t_max", "n_points"}:
             raise ConfigError(f"tgrid: expected t_min, t_max and n_points, got {sorted(self.tgrid)}")
-        _require_number("tgrid.t_min", self.tgrid["t_min"])
-        _require_number("tgrid.t_max", self.tgrid["t_max"])
-        _require_int("tgrid.n_points", self.tgrid["n_points"])
+        t_min = _require_number("tgrid.t_min", self.tgrid["t_min"])
+        if not t_min < _require_number("tgrid.t_max", self.tgrid["t_max"]):
+            raise ConfigError(f"tgrid.t_max: must exceed t_min {t_min!r}, got {self.tgrid['t_max']!r}")
+        if _require_int("tgrid.n_points", self.tgrid["n_points"]) < 2:
+            raise ConfigError("tgrid.n_points: need at least two time points")
         if not isinstance(self.nu_range, (list, tuple)):
             raise ConfigError(f"nu_range: expected a list of numbers, got {self.nu_range!r}")
         if len(self.nu_range) == 0:
@@ -191,7 +194,5 @@ class ExperimentConfig:
         return _build_signal("noise", self.noise)
 
     def build_tgrid(self):
-        try:
-            return TimeGrid(**self.tgrid)
-        except ValueError as exc:
-            raise ConfigError(f"tgrid: {exc}") from exc
+        """The uniform time grid: n_points nodes from t_min to t_max."""
+        return np.linspace(self.tgrid["t_min"], self.tgrid["t_max"], self.tgrid["n_points"])

@@ -14,8 +14,10 @@ precision then holds every order up to ``D_MAX``.  Finite differences
 are useless past k ~ 6 because the derivative magnitudes grow
 factorially; the recurrence is exact.  A scalar extended-precision
 evaluator (``TargetKernel.derivative_mp``) is kept for the test oracles;
-no command calls it.  ``q_spectrum`` gives the transform Q(i omega) of
-the causal kernel q(t) = h(t - T), which the beta integrand reads.
+no command calls it, so none imports mpmath: its 40-digit context
+(``_mp``) is built on first use.  ``q_spectrum`` gives the transform
+Q(i omega) of the causal kernel q(t) = h(t - T), which the beta
+integrand reads.
 
 High-order derivatives concentrate into wavepackets near the support
 endpoints whose local frequency diverges like 1/delta^2 (delta the
@@ -30,9 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _mp
 from ._accel import bump_derivative_values
-from .spectral_core import PANEL_DEGREE, fourier_transform_at, gauss_legendre_rule
+from .spectral_core import fourier_transform_at, gauss_legendre_rule
 
 D_MAX = 16
 
@@ -90,17 +91,39 @@ def _bump_poly_edge(k):
     return _shift_to_delta(p[0::2]), _shift_to_delta(p[1::2])
 
 
+@lru_cache(maxsize=1)
+def _mp():
+    """(ctx, mass): a private mpmath context at 40 digits and the unit bump's mass in it.
+
+    A clone, so the library never mutates the global ``mpmath.mp``; the
+    mass int exp(-1/(1-u^2)) du over (-1, 1) is mpmath's tanh-sinh
+    quadrature, good to about 1e-41 relative.
+    """
+    from mpmath import mp
+
+    ctx = mp.clone()
+    ctx.dps = 40
+    return ctx, ctx.quad(lambda u: ctx.exp(-1 / (1 - u * u)), [-1, 1])
+
+
 def _bump_fk_mp(u, k):
-    """f^(k)(u) for the unit bump, scalar, extended precision."""
+    """f^(k)(u) for the unit bump, scalar, extended precision.
+
+    P_k is summed by Horner on its integer coefficients with 25 digits
+    to spare, since the sum cancels up to 20 digits near the edges at
+    k = 16.
+    """
+    ctx = _mp()[0]
     delta = 1 - u * u
     if delta <= 0:
-        return _mp.ctx.mpf(0)
-    p = _mp.ctx.mpf(0)
-    for c in reversed(bump_poly_exact(k)):
-        p = p * u + c
+        return ctx.mpf(0)
+    with ctx.extradps(25):
+        p = ctx.mpf(0)
+        for c in reversed(bump_poly_exact(k)):
+            p = p * u + c
     if p == 0:
-        return _mp.ctx.mpf(0)
-    return p * _mp.ctx.exp(-2 * k * _mp.ctx.log(delta) - 1 / delta)
+        return ctx.mpf(0)
+    return p * ctx.exp(-2 * k * ctx.log(delta) - 1 / delta)
 
 
 @lru_cache(maxsize=1)
@@ -108,40 +131,6 @@ def _raw_bump_mass():
     """integral of exp(-1/(1-u^2)) over (-1, 1) in double precision."""
     n, w = gauss_legendre_rule(-1.0, 1.0, 32)
     return float(bump_derivative_values(n, _bump_poly_edge(0), 0) @ w)
-
-
-@lru_cache(maxsize=1)
-def _gl_mp():
-    """The PANEL_DEGREE-point Gauss-Legendre nodes/weights at extended precision (Newton on P_n)."""
-    n = PANEL_DEGREE
-    xs, ws = [], []
-    for i in range(1, n + 1):
-        x = _mp.ctx.mpf(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
-        for _ in range(60):
-            p0, p1 = _mp.ctx.mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
-            x = x - dx
-            if abs(dx) < _mp.ctx.mpf(10) ** (-_mp.ctx.dps - 2):
-                break
-        xs.append(x)
-        ws.append(2 / ((1 - x * x) * dp * dp))
-    return list(reversed(xs)), list(reversed(ws))
-
-
-@lru_cache(maxsize=1)
-def _raw_bump_mass_mp():
-    x, w = _gl_mp()
-    total = _mp.ctx.mpf(0)
-    edges = [_mp.ctx.mpf(-1) + _mp.ctx.mpf(i) / 16 for i in range(33)]
-    for i in range(32):
-        mid = (edges[i] + edges[i + 1]) / 2
-        half = (edges[i + 1] - edges[i]) / 2
-        for xi, wi in zip(x, w):
-            total += half * wi * _bump_fk_mp(mid + half * xi, 0)
-    return total
 
 
 def derivative_panel_edges(width, k):
@@ -190,7 +179,6 @@ class TargetKernel:
             raise ValueError("degenerate support")
         self.T = float(T)
         self.theta = float(theta)
-        self._mass_mp = None
         self.normalization = 2.0 / (self.width * _raw_bump_mass())
 
     @property
@@ -222,15 +210,10 @@ class TargetKernel:
         """Scalar k-th derivative in the extended context."""
         if not 0 <= k <= self.d_max:
             raise ValueError(f"derivative order {k} outside [0, {self.d_max}]")
-        tm = _mp.ctx.mpf(t)
-        u = (2 * tm - (_mp.ctx.mpf(self.theta) - _mp.ctx.mpf(self.T))) / _mp.ctx.mpf(self.width)
-        scale = 2 / (_mp.ctx.mpf(self.width) * self._mass_mp_value())
-        return _bump_fk_mp(u, k) * scale * (2 / _mp.ctx.mpf(self.width)) ** k
-
-    def _mass_mp_value(self):
-        if self._mass_mp is None:
-            self._mass_mp = _raw_bump_mass_mp()
-        return self._mass_mp
+        ctx, mass = _mp()
+        width = ctx.mpf(self.width)
+        u = (2 * ctx.mpf(t) - (ctx.mpf(self.theta) - ctx.mpf(self.T))) / width
+        return _bump_fk_mp(u, k) * (2 / (width * mass)) * (2 / width) ** k
 
 
 def q_spectrum(h, omegas):

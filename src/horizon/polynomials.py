@@ -86,7 +86,7 @@ def _project_double(T, r, d):
     G = np.empty((d + 1, d + 1))
     for j in range(d + 1):
         for k in range(d + 1):
-            G[j, k] = monomial_moment(j + k, r, signed=True)
+            G[j, k] = monomial_moment(j + k, r)
     scale = 1.0 / np.sqrt(np.diag(G))
     Gn = G * scale[:, None] * scale[None, :]
     b = np.array([exponential_moment(k, r, T) for k in range(d + 1)]) * scale

@@ -25,7 +25,10 @@ exactly
 the same causal window and value, but a quadrature against the positive
 unit-mass bump with no cancellation.  So every degree is predicted from
 this derivative-transfer table M (``moment_table``), read from the
-signal's derivative stack.  Only the transform of the assembled kernel
+signal's derivative stack.  The target is the same convolution at order
+0 and unshifted times, int h(u) x(t - u) du = M[0, t + T]: one builder
+(``_convolutions``) serves both, so the target and the prediction read x
+by one route.  Only the transform of the assembled kernel
 (``PredictorKernel.spectrum``), the reference route of the transfer
 identity, still integrates hhat_d itself; it is refused where
 ``needs_extended`` holds rather than returned at a roundoff floor of
@@ -34,14 +37,13 @@ x(t) = Re sum_j c_j e^{i omega_j t} (chirp noise, its frequency rule),
 gives the same double sum over nodes s and lines j taken over s first:
 one transcendental per line and per time, not per (time, node, line).
 
-The target, and the transfer stack of a signal without lines, separate
-the signal from the kernel the same way.  A signal of the class is
-analytic in a strip about the real line, so on a kernel window of
-half-length l, s -> x(t - s) is resolved to double precision
-by its Chebyshev interpolant on M ~ 16 / log10(rho) points, rho =
-a/l + sqrt(1 + (a/l)^2) for a strip of half-width a (Bernstein-ellipse
-convergence; Trefethen, Approximation Theory and Approximation Practice,
-SIAM 2013, Thm 8.2).  Each quadrature sum over the panel nodes s_j is
+The derivative stack of a signal without lines is separated from the
+kernel the same way.  A signal of the class is analytic in a strip about
+the real line, so on a kernel window of half-length l, s -> x(t - s) is
+resolved to double precision by its Chebyshev interpolant on
+M ~ 16 / log10(rho) points, rho = a/l + sqrt(1 + (a/l)^2) for a strip
+of half-width a (Bernstein-ellipse convergence; Trefethen, Approximation
+Theory and Approximation Practice, SIAM 2013, Thm 8.2).  Each quadrature sum over the panel nodes s_j is
 then sum_j v_j x(t - s_j) = sum_i x(t - sigma_i) (L.T v)_i, with L the
 barycentric Lagrange basis of the window points sigma_i at the nodes,
 so x is read at (time x M) points in place of (time x node) points,
@@ -309,14 +311,6 @@ def _window_table(ts, window, nodes, sample, v, depth=1):
     return _blocked(ts, (nodes, v, None), sample, depth)[0], nodes.size
 
 
-def target_values(h, x, ts):
-    """y(t) = int h(u) x(t-u) du over u in [-T, theta] at ``ts``: the anticausal target."""
-    ts = np.asarray(ts, dtype=float)
-    nodes, weights = _target_rule(h)
-    table, _ = _window_table(ts, h.support, nodes, lambda args: x.time(args)[None], h(nodes) * weights)
-    return table[0]
-
-
 class MomentTable(NamedTuple):
     """A moment table and the window points it read the signal on (None for a signal's lines)."""
 
@@ -324,47 +318,58 @@ class MomentTable(NamedTuple):
     window_points: Optional[int]
 
 
-def moment_table(h, x, ts, kmax):
-    """M[k, t] = int h(s) x^(k)(t - T - s) ds for k <= kmax, on the target rule.
+def _convolutions(h, x, tt, kmax):
+    """The MomentTable of int h(s) x^(k)(t - s) ds, k <= kmax, at the times ``tt`` on the target rule.
 
-    Every predictor of a sweep up to degree kmax reads this one table
-    (``predict_values``).  One ``x.derivatives(kmax, .)`` stack at the
-    points of the window interpolant on [-T, theta] (``_window_table``)
-    per row block, the blocks sized by the whole (kmax + 1)-deep stack
-    and the tail test passed by every order; each order times L.T (h w).
-    The arguments t - T - s stay inside the causal window (t - tau, t).
-    Row k depends on kmax only through the window points M.  With lines
-    resolving every argument, M[k, t] = Re sum_j c_j (i omega_j)^k Q_j
-    e^{i omega_j t}, Q_j = sum_s h(s) w_s e^{-i omega_j (s + T)}, and no
-    window is read.  The (lines x nodes) phases are formed in row blocks
-    of one complex array, reused: each block's exponent is written into
-    its imaginary part and exponentiated in place (two doubles an entry).
+    One ``x.derivatives(kmax, .)`` stack at the points of the window
+    interpolant on [-T, theta] (``_window_table``) per row block, the
+    blocks sized by the whole (kmax + 1)-deep stack and the tail test
+    passed by every order; each order times L.T (h w).  Row k depends on
+    kmax only through the window points M.  With lines resolving every
+    argument t - s, the row is Re sum_j c_j (i omega_j)^k Q_j
+    e^{i omega_j t}, Q_j = sum_s h(s) w_s e^{-i omega_j s}, and no window
+    is read.  The (lines x nodes) phases are formed in row blocks of one
+    complex array, reused: each block's exponent is written into its
+    imaginary part and exponentiated in place (two doubles an entry).
     The (times x lines) phases are formed in row blocks of their complex
     exponent and exponential (four doubles an entry).
     """
-    ts = np.asarray(ts, dtype=float)
     nodes, weights = _target_rule(h)
     hw = h(nodes) * weights
-    tt = ts - h.T
     if x.lines is None:
         return MomentTable(*_window_table(tt, h.support, nodes, lambda args: x.derivatives(kmax, args),
                                           hw, depth=kmax + 1))
     om, c = x.lines(max(np.max(tt) - np.min(nodes), np.max(nodes) - np.min(tt)))
-    q, shifted = np.empty(om.size, dtype=complex), nodes + h.T
+    q = np.empty(om.size, dtype=complex)
     blocks = _row_blocks(om.size, nodes.size, depth=2)
     block = np.empty((max((r.stop - r.start for r in blocks), default=0), nodes.size), dtype=complex)
     for rows in blocks:
         phases = block[:rows.stop - rows.start]
         phases.real = 0.0
-        np.multiply.outer(om[rows], -shifted, out=phases.imag)
+        np.multiply.outer(om[rows], -nodes, out=phases.imag)
         q[rows] = np.exp(phases, out=phases) @ hw
     b = (c * q)[:, None] * (1j * om[:, None]) ** np.arange(kmax + 1)
-    out = np.empty((kmax + 1, ts.size))
-    for rows in _row_blocks(ts.size, om.size, depth=4):
-        phases = np.exp(1j * np.outer(ts[rows], om))
+    out = np.empty((kmax + 1, tt.size))
+    for rows in _row_blocks(tt.size, om.size, depth=4):
+        phases = np.exp(1j * np.outer(tt[rows], om))
         for k in range(kmax + 1):
             out[k, rows] = (phases @ b[:, k]).real
     return MomentTable(out, None)
+
+
+def target_values(h, x, ts):
+    """y(t) = int h(u) x(t-u) du over u in [-T, theta] at ``ts``: the anticausal target."""
+    return _convolutions(h, x, np.asarray(ts, dtype=float), 0).values[0]
+
+
+def moment_table(h, x, ts, kmax):
+    """M[k, t] = int h(s) x^(k)(t - T - s) ds for k <= kmax: the convolutions at t - T.
+
+    Every predictor of a sweep up to degree kmax reads this one table
+    (``predict_values``).  The arguments t - T - s stay inside the
+    causal window (t - tau, t).
+    """
+    return _convolutions(h, x, np.asarray(ts, dtype=float) - h.T, kmax)
 
 
 def predict_values(pk, table):

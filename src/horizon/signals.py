@@ -1,24 +1,22 @@
 """Analytic test processes with exact Fourier transforms.
 
-Every generator returns a real-valued signal carrying a vectorized time
-evaluator, its closed-form spectrum X(i omega), the exponential decay
-rate of |X| (np.inf for compact or super-exponential spectra), the
-frequencies omega >= 0 where |X| is not smooth (its kinks, panel edges
-of every grid over the spectrum), and one all-orders evaluator
-``derivatives(kmax, t)`` that returns the ``(kmax + 1, *t.shape)`` stack
-of x, x', ..., x^(kmax), from which every prediction is made (derivative
-transfer).  Each kind shares
-its work across orders: chirp noise forms cos and sin of omega t once
-per line, the Poisson kinds take powers of 1 / (t - i a) by repeated
+Every generator returns a real-valued signal carrying its closed-form
+spectrum X(i omega), the exponential decay rate of |X| (np.inf for
+compact or super-exponential spectra), the frequencies omega >= 0 where
+|X| is not smooth (its kinks, panel edges of every grid over the
+spectrum), and one all-orders evaluator ``derivatives(kmax, t)`` that
+returns the ``(kmax + 1, *t.shape)`` stack of x, x', ..., x^(kmax): the
+signal's only evaluator in time, from which the target and every
+prediction are made (derivative transfer).  Order 0 is the kind's plain
+closed form, formed in place; each kind shares its work across the
+higher orders: chirp noise forms cos and sin of omega t once per line,
+the Poisson kinds take powers of 1 / (t - i a) by repeated
 multiplication and form the modulation phase once, and the Gaussian
 emits every step of its Hermite recurrence.  Order k of the stack does
 not depend on kmax.  Chirp noise also exposes its frequency rule as
 ``lines(t_scale)``: (omega_j, c_j) with x(t) = Re sum_j c_j e^{i omega_j t}
-for |t| <= t_scale, which the prediction path reads in place of the stack.
-
-The Poisson time evaluator forms its result in place, so a block of
-arguments costs one block-sized array, with the same bits as the plain
-expression; a scalar or 0-d argument gives a 0-d result.
+for |t| <= t_scale, which the target and the prediction read in place of
+the stack.
 """
 
 import math
@@ -34,7 +32,6 @@ from .spectral_core import _adequate_grid, _time_rule
 class Signal:
     kind: str
     params: dict = field(repr=True)
-    time: Callable = field(repr=False)
     derivatives: Callable = field(repr=False)
     spectrum: Callable = field(repr=False)
     spectral_decay: float = 0.0
@@ -50,19 +47,10 @@ class ClassReport:
     member: bool
 
 
-def _poisson_time(a, t):
-    """(a / pi) / (a^2 + t^2), formed in its result array (0-d for a scalar t)."""
-    t = np.asarray(t, dtype=float)
-    out = np.multiply(t, t, out=np.empty_like(t))
-    out += a * a
-    return np.divide(a / np.pi, out, out=out)
-
-
 def zero_signal():
     return Signal(
         kind="zero",
         params={},
-        time=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         spectrum=lambda om: np.zeros_like(np.asarray(om, dtype=float), dtype=complex),
         spectral_decay=np.inf,
         derivatives=lambda kmax, t: np.zeros((kmax + 1, *np.shape(t))),
@@ -72,15 +60,22 @@ def zero_signal():
 def _poisson_derivatives(a, kmax, t):
     """Orders 0..kmax of (1/pi) a / (a^2 + t^2) = Im[z] / pi, z = 1 / (t - i a).
 
+    Order 0 is the closed form, formed in its row; order k >= 1 is
     (-1)^k k! Im[z^(k+1)] / pi, the powers of z formed by repeated
     multiplication.
     """
-    z = 1.0 / (np.asarray(t, dtype=float) - 1j * a)
-    power = z.copy()
-    out = np.empty((kmax + 1, *z.shape))
-    for k in range(kmax + 1):
-        np.multiply(power.imag, (-1) ** k * math.factorial(k) / np.pi, out=out[k])
-        power *= z
+    t = np.asarray(t, dtype=float)
+    out = np.empty((kmax + 1, *t.shape))
+    x = out[0, ...]  # a view of row 0 even for a 0-d t
+    np.multiply(t, t, out=x)
+    x += a * a
+    np.divide(a / np.pi, x, out=x)
+    if kmax:
+        z = 1.0 / (t - 1j * a)
+        power = z * z
+        for k in range(1, kmax + 1):
+            np.multiply(power.imag, (-1) ** k * math.factorial(k) / np.pi, out=out[k, ...])
+            power *= z
     return out
 
 
@@ -96,7 +91,6 @@ def poisson_signal(a):
     return Signal(
         kind="poisson",
         params={"a": a},
-        time=lambda t: _poisson_time(a, t),
         spectrum=spectrum,
         spectral_decay=a,
         derivatives=lambda kmax, t: _poisson_derivatives(a, kmax, t),
@@ -110,29 +104,29 @@ def gaussian_signal(sigma):
     sigma = float(sigma)
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
-    def time(t):
-        return norm * np.exp(-t * t / (2.0 * sigma * sigma))
-
     def spectrum(om):
         return np.exp(-0.5 * (sigma * om) ** 2).astype(complex)
 
     def derivatives(kmax, t):
         # x^(k) = (-1/sigma)^k He_k(t/sigma) x(t), probabilists' Hermite He_k
         t = np.asarray(t, dtype=float)
-        z = t / sigma
-        x = time(t)
         out = np.empty((kmax + 1, *t.shape))
-        he_prev, he = np.zeros_like(z), np.ones_like(z)
-        for k in range(kmax + 1):
-            if k:
+        x = out[0, ...]  # norm e^{-t^2 / (2 sigma^2)}, formed in its row
+        np.multiply(t, t, out=x)
+        x /= -(2.0 * sigma * sigma)
+        np.exp(x, out=x)
+        x *= norm
+        if kmax:
+            z = t / sigma
+            he_prev, he = np.zeros_like(z), np.ones_like(z)
+            for k in range(1, kmax + 1):
                 he_prev, he = he, z * he - (k - 1) * he_prev
-            out[k] = (-1.0 / sigma) ** k * he * x
+                out[k] = (-1.0 / sigma) ** k * he * x
         return out
 
     return Signal(
         kind="gaussian",
         params={"sigma": sigma},
-        time=time,
         spectrum=spectrum,
         spectral_decay=np.inf,
         derivatives=derivatives,
@@ -161,9 +155,6 @@ def cosine_modulated_poisson(a, omega0):
         raise ValueError("a must be positive")
     a, omega0 = float(a), float(omega0)
 
-    def time(t):
-        return (a / np.pi) / (a * a + t * t) * np.cos(omega0 * t)
-
     def spectrum(om):
         om = np.asarray(om, dtype=float)
         return 0.5 * (np.exp(-a * np.abs(om - omega0)) + np.exp(-a * np.abs(om + omega0))).astype(complex)
@@ -173,18 +164,20 @@ def cosine_modulated_poisson(a, omega0):
         t = np.asarray(t, dtype=float)
         envelope = _poisson_derivatives(a, kmax, t)
         phase = omega0 * t
-        c, s = np.cos(phase), np.sin(phase)
+        c = np.cos(phase)
+        if not kmax:  # the envelope times cos(omega0 t), in place
+            return np.multiply(envelope, c, out=envelope)
+        s = np.sin(phase)
         out = np.zeros((kmax + 1, *t.shape))
         for k in range(kmax + 1):
             for j in range(k + 1):
                 m = k - j
-                _add_cos_shift(out[k], m, c, s, math.comb(k, j) * omega0**m, envelope[j])
+                _add_cos_shift(out[k, ...], m, c, s, math.comb(k, j) * omega0**m, envelope[j])
         return out
 
     return Signal(
         kind="cosine_modulated_poisson",
         params={"a": a, "omega0": omega0},
-        time=time,
         spectrum=spectrum,
         spectral_decay=a,
         spectral_kinks=(abs(omega0),),
@@ -202,11 +195,6 @@ def chirp_noise(band, amplitude):
     if not 0 <= lo < hi:
         raise ValueError("band must satisfy 0 <= lo < hi")
     amplitude = float(amplitude)
-
-    def time(t):
-        t = np.asarray(t, dtype=float)
-        # sin(b t)/t = b sinc(b t / pi)
-        return (amplitude / np.pi) * (hi * np.sinc(hi * t / np.pi) - lo * np.sinc(lo * t / np.pi))
 
     def spectrum(om):
         om = np.abs(np.asarray(om, dtype=float))
@@ -226,13 +214,12 @@ def chirp_noise(band, amplitude):
             phase = om * t
             cos, sin = np.cos(phase), np.sin(phase)
             for k in range(kmax + 1):
-                _add_cos_shift(out[k], k, cos, sin, c * om**k)
+                _add_cos_shift(out[k, ...], k, cos, sin, c * om**k)
         return out
 
     return Signal(
         kind="chirp_noise",
         params={"band": [lo, hi], "amplitude": amplitude},
-        time=time,
         spectrum=spectrum,
         spectral_decay=np.inf,
         spectral_kinks=(lo, hi),

@@ -1,4 +1,4 @@
-"""Shared numerical substrate: grids, quadrature and the Fourier transform.
+"""Shared numerical substrate: frequency grids, quadrature and the Fourier transform.
 
 Frequency grids are composite Gauss-Legendre panel rules mirrored about
 omega = 0, so the kink of the weight e^{+-r|omega|} always falls on a
@@ -11,8 +11,6 @@ class norm).  The forward transform convention is
 and the inverse carries the 1/(2 pi); every module uses this single
 convention.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,25 +92,6 @@ def _adequate_grid(integrand, r, kinks, top):
         if omega_max >= top:
             return None
         omega *= 2.0
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time grid on [t_min, t_max]."""
-
-    t_min: float
-    t_max: float
-    n_points: int
-
-    def __post_init__(self):
-        if not self.t_min < self.t_max:
-            raise ValueError("t_min must be < t_max")
-        if self.n_points < 2:
-            raise ValueError("need at least two time points")
-
-    @property
-    def nodes(self):
-        return np.linspace(self.t_min, self.t_max, self.n_points)
 
 
 def _panel_count(support, omega_scale, base_panels):

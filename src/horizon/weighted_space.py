@@ -12,16 +12,13 @@ alpha is small, forms the same moments in exact rationals
 import math
 
 
-def monomial_moment(k, r, signed=False):
-    """int |omega|^k e^{-r|omega|} domega = 2 k! / r^(k+1).
-
-    With ``signed=True`` the integrand is omega^k, which vanishes for odd k.
-    """
+def monomial_moment(k, r):
+    """int omega^k e^{-r|omega|} domega: 2 k! / r^(k+1) for even k, 0 for odd k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if r <= 0:
         raise ValueError("r must be positive")
-    if signed and k % 2 == 1:
+    if k % 2 == 1:
         return 0.0
     return 2.0 * math.factorial(k) / r ** (k + 1)
 

@@ -1,11 +1,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from horizon import TargetKernel, TimeGrid, poisson_signal
+from horizon import TargetKernel, poisson_signal
 
 # canonical desk-scale configuration shared across the suite
 CANON = dict(T=0.5, theta=0.1, r=2.0, a=1.5)
@@ -23,7 +24,7 @@ def canonical_signal():
 
 @pytest.fixture(scope="session")
 def canonical_tgrid():
-    return TimeGrid(-2.0, 2.0, 41)
+    return np.linspace(-2.0, 2.0, 41)
 
 
 @pytest.fixture(scope="session")

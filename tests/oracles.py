@@ -12,10 +12,12 @@ the spectrum's kinks (``beta_fine_panels``).  It also holds the
 reference routes that no command runs: alpha by grid quadrature
 (``alpha_of``) on a numpy Gauss-Legendre frequency grid
 (``frequency_grid``), the transform of the target kernel itself
-(``h_spectrum``) and a weighted sum of signals (``superposition``).
+(``h_spectrum``), a weighted sum of signals (``superposition``) and each
+signal kind's closed form in time (``closed_form``).
 """
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -305,12 +307,9 @@ def mp_context(dps):
     return ctx
 
 
-def monomial_moment_mp(ctx, k, r, signed=False):
-    """int |omega|^k e^{-r|omega|} domega = 2 k! / r^(k+1) in the mpmath context ``ctx``.
-
-    With ``signed=True`` the integrand is omega^k, which vanishes for odd k.
-    """
-    if signed and k % 2 == 1:
+def monomial_moment_mp(ctx, k, r):
+    """int omega^k e^{-r|omega|} domega in the mpmath context ``ctx``: 2 k! / r^(k+1), 0 for odd k."""
+    if k % 2 == 1:
         return ctx.mpf(0)
     return 2 * ctx.factorial(k) / ctx.mpf(r) ** (k + 1)
 
@@ -338,7 +337,7 @@ def alpha_closed_form_mp(psi, T, r, dps=120):
     total = ctx.mpf(0)
     for j in range(size):
         for k in range(size):
-            total += (abar[j] * ctx.conj(abar[k]) * monomial_moment_mp(ctx, j + k, r, signed=True)).real
+            total += (abar[j] * ctx.conj(abar[k]) * monomial_moment_mp(ctx, j + k, r)).real
     cross = ctx.fsum((abar[k] * ctx.conj(exponential_moment_mp(ctx, k, r, T))).real
                      for k in range(size))
     total += -2 * cross + monomial_moment_mp(ctx, 0, r)
@@ -369,13 +368,36 @@ def gram_l2_norm_sq(h, coeffs):
                for j in range(len(a)) for k in range(len(a)) if (j + k) % 2 == 0)
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre_mp():
+    """The 16-point Gauss-Legendre nodes and weights in the kernels' 40-digit context (Newton on P_16)."""
+    from horizon.kernels import _mp
+
+    ctx, n = _mp()[0], 16
+    xs, ws = [], []
+    for i in range(1, n + 1):
+        x = ctx.mpf(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
+        for _ in range(60):
+            p0, p1 = ctx.mpf(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            dx = p1 / dp
+            x = x - dx
+            if abs(dx) < ctx.mpf(10) ** (-ctx.dps - 2):
+                break
+        xs.append(x)
+        ws.append(2 / ((1 - x * x) * dp * dp))
+    return list(reversed(xs)), list(reversed(ws))
+
+
 def _extended_table(pk):
     """40-digit (nodes, weights, values) of hhat_d on the library's derivative panels."""
-    from horizon._mp import ctx
-    from horizon.kernels import _gl_mp, derivative_panel_edges
+    from horizon.kernels import _mp, derivative_panel_edges
 
+    ctx = _mp()[0]
     edges = derivative_panel_edges(pk.tau, pk.d)
-    x, w = _gl_mp()
+    x, w = _gauss_legendre_mp()
     coeffs = [ctx.mpc(c) if not pk.real_coeffs else ctx.mpf(c.real) for c in pk.psi.coeffs]
     Tm = ctx.mpf(pk.h.T)
     nodes, weights, values = [], [], []
@@ -392,8 +414,9 @@ def _extended_table(pk):
 
 
 def _mp_transform(table, omegas):
-    from horizon._mp import ctx
+    from horizon.kernels import _mp
 
+    ctx = _mp()[0]
     out = []
     for om in np.atleast_1d(np.asarray(omegas, dtype=float)):
         om_m = ctx.mpf(float(om))
@@ -420,8 +443,7 @@ def derivative_spectrum(h, k, omegas):
     cancellation headroom.
     """
     from horizon._accel import oscillatory_transform
-    from horizon._mp import ctx
-    from horizon.kernels import _gl_mp, derivative_panel_edges
+    from horizon.kernels import _mp, derivative_panel_edges
     from horizon.spectral_core import gauss_legendre_edges
 
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
@@ -430,7 +452,8 @@ def derivative_spectrum(h, k, omegas):
     vals = h.derivative(k, nodes)
     if float(weights @ np.abs(vals)) * 1e-15 <= 1e-11:
         return oscillatory_transform(nodes, weights, vals, omegas)
-    x, w = _gl_mp()
+    ctx = _mp()[0]
+    x, w = _gauss_legendre_mp()
     table = []
     for i in range(edges.size - 1):
         mid = (ctx.mpf(edges[i]) + ctx.mpf(edges[i + 1])) / 2
@@ -460,7 +483,7 @@ def direct_table(h, x, ts, kmax=None):
     nodes, weights = _target_rule(h)
     vectors = [h(nodes) * weights]
     if kmax is None:
-        samples = [x.time(ts[:, None] - nodes)]
+        samples = x.derivatives(0, ts[:, None] - nodes)
     else:
         samples = x.derivatives(kmax, (ts - h.T)[:, None] - nodes)
     return np.array([s @ vectors[0] for s in samples]), vectors, samples
@@ -574,6 +597,39 @@ def h_spectrum(h, omegas):
     return fourier_transform_at(h, h.support, omegas)
 
 
+def closed_form(x, t):
+    """x(t) in the plain closed form of its kind: the reference for order 0 of ``x.derivatives``.
+
+    The Poisson, Gaussian and cosine-modulated Poisson forms are the
+    expressions order 0 of their stacks is formed from, in the same
+    order, so the two agree bit for bit.  Chirp noise is its sinc form
+    (amplitude / pi) (sin(hi t) - sin(lo t)) / t, which the library never
+    evaluates (it reads the chirp's lines); a superposition is the
+    weighted sum of its parts.
+    """
+    return _closed_form(x.kind, x.params, np.asarray(t, dtype=float))
+
+
+def _closed_form(kind, prm, t):
+    if kind == "poisson":
+        return (prm["a"] / np.pi) / (prm["a"] * prm["a"] + t * t)
+    if kind == "gaussian":
+        sigma = prm["sigma"]
+        return 1.0 / (sigma * math.sqrt(2.0 * math.pi)) * np.exp(-t * t / (2.0 * sigma * sigma))
+    if kind == "cosine_modulated_poisson":
+        return _closed_form("poisson", prm, t) * np.cos(prm["omega0"] * t)
+    if kind == "chirp_noise":
+        (lo, hi), amplitude = prm["band"], prm["amplitude"]
+        # sin(b t)/t = b sinc(b t / pi)
+        return (amplitude / np.pi) * (hi * np.sinc(hi * t / np.pi) - lo * np.sinc(lo * t / np.pi))
+    if kind == "superposition":
+        return sum(w * _closed_form(part["kind"], part["params"], t)
+                   for w, part in zip(prm["weights"], prm["parts"]))
+    if kind == "zero":
+        return np.zeros_like(t)
+    raise ValueError(f"no closed form for signal kind {kind!r}")
+
+
 def superposition(signals, weights=None):
     """Weighted sum of signals: spectra combine, kinks join."""
     from horizon.signals import Signal
@@ -585,10 +641,6 @@ def superposition(signals, weights=None):
     if len(weights) != len(signals):
         raise ValueError("one weight per component")
 
-    def time(t):
-        t = np.asarray(t, dtype=float)
-        return sum(w * s.time(t) for w, s in zip(weights, signals))
-
     def spectrum(om):
         return sum(w * s.spectrum(om) for w, s in zip(weights, signals))
 
@@ -599,7 +651,6 @@ def superposition(signals, weights=None):
         kind="superposition",
         params={"parts": [{"kind": s.kind, "params": s.params} for s in signals],
                 "weights": weights},
-        time=time,
         spectrum=spectrum,
         spectral_decay=min(s.spectral_decay for s in signals),
         spectral_kinks=tuple(sorted({k for s in signals for k in s.spectral_kinks})),

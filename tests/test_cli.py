@@ -198,6 +198,36 @@ class TestConfig:
         assert cfg.ds == [2, 5, 8]
 
 
+class TestTimeGrid:
+    def test_uniform_spacing(self):
+        ts = ExperimentConfig.from_dict({"tgrid": {"t_min": -2.0, "t_max": 2.0, "n_points": 41}}).build_tgrid()
+        assert ts.shape == (41,)
+        np.testing.assert_allclose(np.diff(ts), 0.1, rtol=1e-12)
+
+    def test_rejects_inverted_interval(self):
+        with pytest.raises(ConfigError, match="tgrid.t_max"):
+            ExperimentConfig.from_dict({"tgrid": {"t_min": 1.0, "t_max": -1.0, "n_points": 5}})
+
+    @pytest.mark.parametrize("command", ["alpha-sweep", "convergence", "noise-sweep", "predict"])
+    @pytest.mark.parametrize("tgrid, key", [
+        ({"t_min": 1, "t_max": -1, "n_points": 1}, "tgrid.t_max"),
+        ({"t_min": 0.5, "t_max": 0.5, "n_points": 5}, "tgrid.t_max"),
+        ({"t_min": -1, "t_max": 1, "n_points": 1}, "tgrid.n_points"),
+        ({"t_min": -1, "t_max": 1, "n_points": -3}, "tgrid.n_points"),
+    ], ids=["inverted", "empty", "one-point", "negative-count"])
+    def test_every_command_refuses_a_degenerate_grid(self, runner, tmp_path, command, tgrid, key):
+        # alpha-sweep reads no time grid, but once wrote its CSV and exited 0
+        # on a config that convergence refused
+        out = tmp_path / "out"
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"tgrid": tgrid, "output_dir": str(out)}), encoding="utf-8")
+        result = runner.invoke(main, [command, "--config", str(cfgp)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.output.startswith(f"config error: {key}: ")
+        assert result.output.count("\n") == 1, result.output
+        assert not out.exists()
+
+
 class TestAlphaSweep:
     def test_taylor_sweep(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json", d_range=[0, 6],

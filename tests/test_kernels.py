@@ -101,6 +101,24 @@ class TestKernelDerivative:
                 assert float(h.derivative_mp(t, k)) == pytest.approx(
                     h.derivative(k, t), rel=1e-11)
 
+    @pytest.mark.parametrize("k", [0, 5, 16])
+    def test_extended_against_60_digits(self, canonical_kernel, k):
+        # the unit bump's derivative at 80 digits over its mass at 60, mapped
+        # to the kernel at 60; the mass by tanh-sinh is good to about 1e-41
+        # and the Horner sum keeps its digits up to the edges (a 32-panel
+        # Gauss-Legendre mass put every value 1.6e-16 off, a 40-digit
+        # Horner sum 1.1e-21 near the edges at k = 16)
+        import mpmath
+
+        h, mp = canonical_kernel, mpmath.mp.clone()
+        mp.dps = 60
+        mass = mp.quad(lambda u: mp.exp(-1 / ((1 - u) * (1 + u))), [-1, 0, 1])
+        width = mp.mpf(h.width)
+        for t in np.linspace(-h.T, h.theta, 41)[1:-1]:
+            u = (2 * mp.mpf(t) - (mp.mpf(h.theta) - mp.mpf(h.T))) / width
+            ref = mp.mpf(bump_derivative_mp(u, k)) * 2 / (width * mass) * (2 / width) ** k
+            assert abs(mp.mpf(h.derivative_mp(t, k)) / ref - 1) <= 1e-35, t
+
     @pytest.mark.parametrize("k", range(D_MAX + 1))
     def test_every_order_against_80_digits(self, unit_bump, k):
         # T = theta = 1 makes the unit map the identity; the nodes reach

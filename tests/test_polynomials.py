@@ -94,7 +94,7 @@ class TestOrthonormalBasis:
         from horizon.weighted_space import monomial_moment as mm
 
         # rebuild the basis and check Q G Q^T = I in the raw metric
-        G = np.array([[mm(j + k, R, signed=True) for k in range(d + 1)] for j in range(d + 1)])
+        G = np.array([[mm(j + k, R) for k in range(d + 1)] for j in range(d + 1)])
         scale = 1.0 / np.sqrt(np.diag(G))
         Gn = G * scale[:, None] * scale[None, :]
         basis = []

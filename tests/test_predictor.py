@@ -39,6 +39,7 @@ from oracles import (
     bump_l1_ratios_mp,
     bump_transform_mp,
     chirp_transfer_prediction_mp,
+    closed_form,
     direct_table,
     frequency_grid,
     gram_l2_norm_sq,
@@ -114,8 +115,28 @@ class TestTarget:
         h, x = canonical_kernel, canonical_signal
         t0 = 0.0
         ref = adaptive_simpson(
-            lambda u: h(np.asarray(u)) * x.time(np.asarray(t0 - u)), -T, TH, tol=1e-13)
+            lambda u: h(np.asarray(u)) * closed_form(x, t0 - u), -T, TH, tol=1e-13)
         assert target_values(h, x, [t0])[0] == pytest.approx(ref, rel=1e-9)
+
+    def test_chirp_reads_its_lines_once(self, canonical_kernel):
+        # chirp noise as the signal: the target reads the lines once, on a
+        # rule resolving every argument t - s, and never the derivative
+        # stack, whose every order is a pass over the lines
+        calls = []
+        eta = chirp_noise((6.0, 12.0), 1.0)
+
+        def lines(t_scale):
+            calls.append(t_scale)
+            return eta.lines(t_scale)
+
+        def derivatives(kmax, t):
+            calls.append("derivatives")
+            return eta.derivatives(kmax, t)
+
+        ts = np.linspace(-2.0, 2.0, 41)
+        y = target_values(canonical_kernel, replace(eta, lines=lines, derivatives=derivatives), ts)
+        assert calls == [pytest.approx(2.0 + T, rel=1e-4)]  # the largest |t - s|
+        np.testing.assert_allclose(y, direct_table(canonical_kernel, eta, ts)[0][0], rtol=0, atol=1e-15)
 
     def test_spectral_factorization(self, canonical_kernel, canonical_signal):
         # y(0) = (1/2pi) int H(i w) X(i w) dw
@@ -180,7 +201,7 @@ class TestPredict:
         t0 = 0.3
         val = _predict(pk, canonical_signal, [t0])[0]
         nodes, weights, values, _ = pk._double_table()
-        manual = float(np.real(np.sum(weights * values * canonical_signal.time(t0 - nodes))))
+        manual = float(np.real(np.sum(weights * values * closed_form(canonical_signal, t0 - nodes))))
         assert val == pytest.approx(manual, rel=1e-12)
         # the complex branch of the assembled-kernel transform stays consistent
         omegas = np.array([0.5, 2.0])
@@ -199,7 +220,7 @@ class TestPredict:
         for pk in pks:
             assert not pk.needs_extended()
             nodes, weights, values, l1_mass = pk._double_table()
-            ref = np.real(canonical_signal.time(ts[:, None] - nodes) @ (weights * values))
+            ref = np.real(closed_form(canonical_signal, ts[:, None] - nodes) @ (weights * values))
             np.testing.assert_allclose(predict_values(pk, table), ref,
                                        rtol=0, atol=1e-15 * l1_mass)
 
@@ -315,8 +336,7 @@ class TestPredict:
         h = TargetKernel(T, TH)
         pk = PredictorKernel(h, taylor_psi(T, d))
         assert pk.needs_extended() == (d == 12)
-        xs = [Signal(kind="custom", params={}, time=p.time, derivatives=p.derivatives,
-                     spectrum=p.spectrum)
+        xs = [Signal(kind="custom", params={}, derivatives=p.derivatives, spectrum=p.spectrum)
               for p in (poisson_signal(1.5), poisson_signal(3.0))]
         ts = np.linspace(-2.0, 2.0, 9)
         got = [_predict(pk, x, ts) for x in xs]
@@ -411,7 +431,7 @@ class TestErrorBound:
             error_bound_parts([pk], thin, R)
 
     def test_bound_validity_on_grid(self, pk_small, canonical_signal, canonical_tgrid):
-        ts = canonical_tgrid.nodes
+        ts = canonical_tgrid
         sup = float(np.max(np.abs(target_values(pk_small.h, canonical_signal, ts)
                                   - _predict(pk_small, canonical_signal, ts))))
         (_, _, bound), = error_bound_parts([pk_small], canonical_signal, R)
@@ -421,7 +441,7 @@ class TestErrorBound:
 class TestConvergenceInDegree:
     def test_sup_error_non_increasing_projection(self, canonical_kernel, canonical_signal,
                                                  canonical_tgrid):
-        ts = canonical_tgrid.nodes
+        ts = canonical_tgrid
         y = target_values(canonical_kernel, canonical_signal, ts)
         pks = [PredictorKernel(canonical_kernel, projection_psi(T, R, d)) for d in range(0, 11)]
         table = moment_table(canonical_kernel, canonical_signal, ts, 10)
@@ -433,7 +453,7 @@ class TestConvergenceInDegree:
 class TestNoise:
     def test_zero_noise(self, pk_small, canonical_kernel, canonical_tgrid):
         eta = zero_signal()
-        assert _noise_error(pk_small, canonical_kernel, eta, canonical_tgrid.nodes) == 0.0
+        assert _noise_error(pk_small, canonical_kernel, eta, canonical_tgrid) == 0.0
         assert noise_norm(eta, 1) == noise_norm(eta, 2) == 0.0
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -452,14 +472,14 @@ class TestNoise:
 
     def test_empirical_below_bound(self, pk_small, canonical_kernel, canonical_tgrid):
         eta = chirp_noise((6.0, 12.0), 0.05)
-        noise_error = _noise_error(pk_small, canonical_kernel, eta, canonical_tgrid.nodes)
+        noise_error = _noise_error(pk_small, canonical_kernel, eta, canonical_tgrid)
         (n_hhat, n_h), = transfer_norms([pk_small], 2)  # norms on the transfer band
         slope = (n_hhat + n_h) / (2.0 * math.pi)
         assert noise_error <= noise_norm(eta, 2) * slope + 1e-10
 
     def test_doubling_noise_doubles_error(self, pk_small, canonical_kernel, canonical_tgrid):
         e1, e2 = (_noise_error(pk_small, canonical_kernel, chirp_noise((6.0, 12.0), amp),
-                               canonical_tgrid.nodes) for amp in (0.05, 0.10))
+                               canonical_tgrid) for amp in (0.05, 0.10))
         assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
 
 
@@ -820,15 +840,11 @@ class TestWindowTables:
         ts = np.linspace(-20.0, 20.0, 20001)
         shapes = []
 
-        def time(t):
-            shapes.append(np.shape(t))
-            return canonical_signal.time(t)
-
         def derivatives(kmax, t):
             shapes.append(np.shape(t))
             return canonical_signal.derivatives(kmax, t)
 
-        x = replace(canonical_signal, time=time, derivatives=derivatives)
+        x = replace(canonical_signal, derivatives=derivatives)
         target_values(canonical_kernel, x, ts)
         assert moment_table(canonical_kernel, x, ts, 4).window_points == 32
         assert max(m for _, m in shapes) == 32

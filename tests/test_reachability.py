@@ -1,8 +1,9 @@
 """``src/horizon`` holds what the commands run: every public function runs in some command.
 
-The four commands run in this process under ``sys.setprofile`` on three
+The four commands run in this process under ``sys.setprofile`` on four
 small configs that between them name every signal kind, both methods
-and both noise norms.  A public function or method (``__call__``
+and both noise norms; chirp noise is the signal of one, so the target
+takes the route of a signal's lines.  A public function or method (``__call__``
 included) that never runs must be in ``UNREACHED``, with what keeps it:
 the benchmark metric or probe built on it, or the tests that read it.
 A function that stops running, or one on the list that starts to, fails
@@ -36,6 +37,7 @@ CONFIGS = (
      "noise": {"kind": "poisson", "params": {"a": 1.0}}},
     {"d_range": [1, 2], "signal": {"kind": "zero", "params": {}},
      "noise": {"kind": "cosine_modulated_poisson", "params": {"a": 1.5, "omega0": 2.0}}},
+    {"d_range": [0, 2], "signal": {"kind": "chirp_noise", "params": {"band": [6.0, 12.0], "amplitude": 1.0}}},
 )
 
 

@@ -23,16 +23,21 @@ from horizon.config import ExperimentConfig
 from horizon.signals import _exp_integral, _log_abs_spectrum, _poisson_norm_sq
 from horizon.spectral_core import _adequate_grid
 
-from oracles import frequency_grid, superposition
+from oracles import closed_form, frequency_grid, superposition
 
 #: the canonical kernel, for the energy weight e^{r|omega|} |Q X|^2 of beta
 _KERNEL = TargetKernel(0.5, 0.1)
 
 
+def _values(x):
+    """t -> x(t), order 0 of the signal's derivative stack."""
+    return lambda t: x.derivatives(0, t)[0]
+
+
 class TestPoisson:
     def test_peak_value(self):
         x = poisson_signal(1.0)
-        assert x.time(0.0)[()] == pytest.approx(1.0 / math.pi, rel=1e-12)
+        assert x.derivatives(0, 0.0)[0] == pytest.approx(1.0 / math.pi, rel=1e-12)
 
     def test_mass_equals_spectrum_at_zero(self):
         x = poisson_signal(1.5)
@@ -41,7 +46,7 @@ class TestPoisson:
     def test_grid_ft_matches_spectrum(self):
         x = poisson_signal(1.0)
         omegas = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
-        F = fourier_transform_at(x.time, (-1e3, 1e3), omegas)
+        F = fourier_transform_at(_values(x), (-1e3, 1e3), omegas)
         np.testing.assert_allclose(F, x.spectrum(omegas), rtol=1e-4)
 
 
@@ -49,7 +54,7 @@ class TestGaussian:
     def test_spectrum_pair(self):
         x = gaussian_signal(0.8)
         omegas = np.array([0.1, 1.0, 3.0])
-        F = fourier_transform_at(x.time, (-12.0, 12.0), omegas)
+        F = fourier_transform_at(_values(x), (-12.0, 12.0), omegas)
         np.testing.assert_allclose(F, x.spectrum(omegas), rtol=1e-4)
 
     def test_always_member(self):
@@ -63,7 +68,7 @@ class TestCosineModulatedPoisson:
         # off the kink at omega0, where time truncation leaves a flat tail
         x = cosine_modulated_poisson(1.0, 3.0)
         omegas = np.array([0.5, 2.0, 4.0, 4.5])
-        F = fourier_transform_at(x.time, (-2e3, 2e3), omegas)
+        F = fourier_transform_at(_values(x), (-2e3, 2e3), omegas)
         np.testing.assert_allclose(F, x.spectrum(omegas), rtol=2e-4)
 
     def test_real_even_spectrum(self):
@@ -76,12 +81,14 @@ class TestCosineModulatedPoisson:
 class TestChirpNoise:
     def test_time_value_at_zero(self):
         eta = chirp_noise((6.0, 12.0), 2.0)
-        assert eta.time(0.0)[()] == pytest.approx(2.0 / math.pi * 6.0, rel=1e-12)
+        assert eta.derivatives(0, 0.0)[0] == pytest.approx(2.0 / math.pi * 6.0, rel=1e-12)
 
     def test_spectrum_pair_inside_band(self):
+        # on the sinc form: the lines resolving |t| <= 5e3 number 80,000,
+        # and TestTimeEvaluator holds the stack's order 0 to it in mpmath
         eta = chirp_noise((6.0, 12.0), 1.0)
         omegas = np.array([8.0, 9.0, 10.0])
-        F = fourier_transform_at(eta.time, (-5e3, 5e3), omegas)
+        F = fourier_transform_at(lambda t: closed_form(eta, t), (-5e3, 5e3), omegas)
         np.testing.assert_allclose(F.real, 1.0, rtol=2e-4)
         np.testing.assert_allclose(F.imag, 0.0, atol=2e-4)
 
@@ -100,7 +107,7 @@ class TestRealness:
     def test_time_values_real_and_spectrum_conjugate_symmetric(self, make):
         x = make()
         ts = np.linspace(-3, 3, 17)
-        assert np.isrealobj(x.time(ts))
+        assert np.isrealobj(x.derivatives(0, ts))
         om = np.linspace(-10, 10, 21)
         X = x.spectrum(om)
         np.testing.assert_allclose(X, np.conj(X[::-1]), rtol=1e-12, atol=1e-15)
@@ -135,8 +142,11 @@ class TestTimeEvaluator:
         ts = np.array([-1.3, 0.4, 2.7, 25.0])
         ref = np.array([float(f(mp.mpf(t))) for t in ts])
         # relative to the largest value: the Gaussian at t = 25 (e^-638)
-        # carries the rounding of its argument, condition number 1.3e3
-        assert np.max(np.abs(x.time(ts) - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # carries the rounding of its argument, condition number 1.3e3.
+        # Chirp noise is the sum of its lines, whose roundoff is a few eps
+        # times their absolute sum (amplitude / pi)(hi - lo), 3.2 eps here
+        tol = 8.0 * np.finfo(float).eps * 0.5 / math.pi * 6.0 if kind == "chirp_noise" else 1e-15 * np.max(np.abs(ref))
+        assert np.max(np.abs(x.derivatives(0, ts)[0] - ref)) <= tol
 
     @pytest.mark.parametrize("kind", ["poisson", "gaussian", "cosine_modulated_poisson",
                                       "chirp_noise", "superposition", "zero"])
@@ -145,12 +155,24 @@ class TestTimeEvaluator:
 
         x = zero_signal() if kind == "zero" else _mp_definitions(mpmath.mp)[kind][0]
         ts = np.array([-1.3, 0.0, 0.4])
-        values = x.time(ts)
+        values = x.derivatives(0, ts)[0]
         for t, value in zip(ts, values):
             for arg in (float(t), np.float64(t), np.array(t)):
-                got = x.time(arg)
-                assert np.shape(got) == ()
-                assert float(got) == pytest.approx(value, rel=1e-15, abs=0.0)
+                got = x.derivatives(0, arg)
+                assert np.shape(got) == (1,)
+                assert float(got[0]) == pytest.approx(value, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["poisson", "gaussian", "cosine_modulated_poisson"])
+    def test_order_zero_is_the_closed_form(self, kind):
+        # bit for bit, on a block, a scalar and a 0-d argument, whatever kmax
+        import mpmath
+
+        x = _mp_definitions(mpmath.mp)[kind][0]
+        ts = np.linspace(-30.0, 30.0, 2401).reshape(49, 49)
+        for kmax in (0, 1, 16):
+            np.testing.assert_array_equal(x.derivatives(kmax, ts)[0], closed_form(x, ts))
+            for arg in (0.7, np.array(-2.5)):
+                assert x.derivatives(kmax, arg)[0] == closed_form(x, arg)
 
 
 class TestDerivative:
@@ -253,7 +275,7 @@ class TestClassNorm:
     def test_requires_spectrum(self):
         # every signal carries its spectrum: one without is not a signal
         with pytest.raises(TypeError, match="spectrum"):
-            Signal(kind="opaque", params={}, time=lambda t: np.zeros_like(t),
+            Signal(kind="opaque", params={},
                    derivatives=lambda kmax, t: np.zeros((kmax + 1, *np.shape(t))))
 
     @pytest.mark.filterwarnings("error")
@@ -367,7 +389,8 @@ class TestSuperposition:
         x1, x2 = poisson_signal(1.0), gaussian_signal(0.5)
         combo = superposition([x1, x2], [2.0, -0.5])
         ts = np.linspace(-2, 2, 9)
-        np.testing.assert_allclose(combo.time(ts), 2.0 * x1.time(ts) - 0.5 * x2.time(ts), rtol=1e-14)
+        np.testing.assert_allclose(combo.derivatives(0, ts)[0],
+                                   2.0 * x1.derivatives(0, ts)[0] - 0.5 * x2.derivatives(0, ts)[0], rtol=1e-14)
         om = np.linspace(-4, 4, 9)
         np.testing.assert_allclose(
             combo.spectrum(om), 2.0 * x1.spectrum(om) - 0.5 * x2.spectrum(om), rtol=1e-14)
@@ -389,7 +412,7 @@ class TestSerialization:
         back = ExperimentConfig.from_dict({"signal": {"kind": x.kind, "params": x.params}}).build_signal()
         assert back.kind == x.kind and back.params == x.params
         ts = np.linspace(-1, 1, 7)
-        np.testing.assert_allclose(back.time(ts), x.time(ts), rtol=1e-14)
+        np.testing.assert_allclose(back.derivatives(0, ts)[0], x.derivatives(0, ts)[0], rtol=1e-14)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from horizon import TimeGrid, default_omega_max, fourier_transform_at
+from horizon import default_omega_max, fourier_transform_at
 from horizon.spectral_core import PANEL_DEGREE, _adequate_grid, gauss_legendre_rule
 
 from oracles import frequency_grid, simpson_fourier
@@ -67,16 +67,6 @@ class TestSpectralGrid:
         assert _grid(lambda om: np.exp(-np.abs(om) / 8.0), 1.0, top=top) is None
         nodes, _, _ = _grid(lambda om: np.exp(-np.abs(om) / 2.0), 1.0, top=top)
         assert nodes[-1] <= top
-
-
-class TestTimeGrid:
-    def test_uniform_spacing(self):
-        tg = TimeGrid(-2.0, 2.0, 41)
-        np.testing.assert_allclose(np.diff(tg.nodes), 0.1, rtol=1e-12)
-
-    def test_rejects_inverted_interval(self):
-        with pytest.raises(ValueError):
-            TimeGrid(1.0, -1.0, 5)
 
 
 class TestFourierTransform:
