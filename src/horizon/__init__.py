@@ -32,6 +32,6 @@ from .signals import (
     zero_signal,
 )
 from .spectral_core import default_omega_max, fourier_transform_at
-from .weighted_space import exponential_moment, monomial_moment
+from .weighted_space import unit_rate_moments
 
 __version__ = "0.1.0"

@@ -8,38 +8,33 @@ Two constructions sit behind one interface:
   polynomials in the e^{-r|omega|}-weighted space.  It is optimal at
   every degree, and covers horizons the Taylor route cannot reach.
 
-The projection runs modified Gram-Schmidt, with one re-orthogonalization
-pass, over unit-normalized monomials with exact closed-form moments, in
-double precision at every degree.  The underlying Gram matrix is
-Hankel-like with factorially growing entries, but Gram-Schmidt twice is
-near-optimal (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005):
-up to degree 16 its coefficients agree with an 80-digit solve of the
-normal equations within 1e-12 of the largest coefficient, which the
-tests check.  alpha, whose moment expansion cancels catastrophically
-once alpha is small (past 40 digits at T = 0.05), is summed in exact
-rationals and rounded once by ``alpha_closed_form`` for both
-constructions, at about 1 ms for d = 16.
+The projection and its error alpha share one exact moment helper
+(``weighted_space.unit_rate_moments``), work in exact integers and round
+each result to double once.  In double, the projection's Hankel normal
+equations (condition growing exponentially in d; Beckermann, Numer.
+Math. 85, 2000) and alpha's cancelling expansion both lose every digit
+at small T.  The tests check that alpha falls with d and stays below the
+Taylor alpha down to T = 0.05, where it nears 5e-40.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .weighted_space import exponential_moment, monomial_moment
-
-_IMAG_ZERO_TOL = 1e-10
+from .weighted_space import unit_rate_moments
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Complex-coefficient polynomial psi(z) = sum_k a_k z^k."""
+    """Real-coefficient polynomial psi(z) = sum_k a_k z^k."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        if any(isinstance(c, (complex, np.complexfloating)) for c in self.coeffs):
+            raise ValueError("polynomial coefficients must be real")
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("need at least one coefficient")
 
@@ -59,13 +54,6 @@ class Polynomial:
         """psi(i omega) on a real frequency array."""
         return self(1j * np.asarray(omegas, dtype=float))
 
-    def omega_coeffs(self):
-        """Coefficients of p(omega) = psi(i omega) as a polynomial in omega."""
-        return np.array([c * (1j) ** k for k, c in enumerate(self.coeffs)])
-
-    def is_real(self):
-        return all(abs(c.imag) <= _IMAG_ZERO_TOL for c in self.coeffs)
-
 
 def taylor_psi(T, d):
     """Truncated series of e^{Tz}: a_k = T^k / k!."""
@@ -81,82 +69,74 @@ def taylor_alpha_bound(T, r, d):
     return 2.0 * T**d / r ** (d - 1)
 
 
-def _project_double(T, r, d):
-    """omega-coefficients of the projection, by Gram-Schmidt twice in double."""
-    G = np.empty((d + 1, d + 1))
-    for j in range(d + 1):
-        for k in range(d + 1):
-            G[j, k] = monomial_moment(j + k, r)
-    scale = 1.0 / np.sqrt(np.diag(G))
-    Gn = G * scale[:, None] * scale[None, :]
-    b = np.array([exponential_moment(k, r, T) for k in range(d + 1)]) * scale
+def _solve_integer(A, b):
+    """``(x, det)`` with A (x / det) = b, for an integer A whose leading minors are positive.
 
-    basis = []
-    for j in range(d + 1):
-        w = np.zeros(d + 1)
-        w[j] = 1.0
-        for _ in range(2):  # one re-orthogonalization pass
-            for q in basis:
-                w = w - (q @ Gn @ w) * q
-        nrm_sq = float(w @ Gn @ w)
-        if not np.isfinite(nrm_sq) or nrm_sq <= 0.0:
-            raise ValueError("Gram matrix numerically singular: lower d")
-        basis.append(w / math.sqrt(nrm_sq))
-    Q = np.array(basis)
-    return ((Q @ b) @ Q) * scale
+    Fraction-free elimination (Bareiss) without pivoting: every division
+    is exact, and the last pivot is det A.
+    """
+    n = len(b)
+    rows = [row + [bi] for row, bi in zip(A, b)]
+    prev = 1
+    for k in range(n - 1):
+        pivot = rows[k][k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * pivot - lead * rows[k][j]) // prev
+        prev = pivot
+    det = rows[n - 1][n - 1]
+    x = [0] * n
+    for i in reversed(range(n)):
+        x[i] = (det * rows[i][n] - sum(rows[i][j] * x[j] for j in range(i + 1, n))) // rows[i][i]
+    return x, det
 
 
 def projection_psi(T, r, d):
-    """L2-weighted orthogonal projection of e^{i omega T}, as psi(z).
+    """L2-weighted orthogonal projection of e^{i omega T}, as psi(z), exact and rounded once.
 
-    The projection is computed over monomials in omega, then the
-    coefficients are rotated onto powers of z = i omega (a_k = abar_k i^-k).
-    By even/odd symmetry of the weight the z-coefficients are real up to
-    roundoff; imaginary residue below 1e-10 is zeroed, anything larger is
-    kept and reported via a warning.
+    The weight is even, so the normal equations split by parity.  At unit
+    rate (``unit_rate_moments``) the real unknowns v_k = abar_k / (i^(k mod 2) r^k)
+    of the omega-coefficients abar_k solve sum_l m[k + l] v_l = e[k] / den,
+    k and l of one parity: the integer factorial Hankels [(2i + 2j)!] and
+    [(2i + 2j + 2)!], Gram matrices with positive leading minors.  Each
+    is solved in integers; the z-coefficients a_k = abar_k i^-k =
+    (-1)^(k // 2) r^k v_k are real by construction and rounded once
+    (0.1 to 0.4 ms for d = 16, longer as T / r takes more bits).
     """
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    a = _project_double(T, r, d) * (-1j) ** np.arange(d + 1)
-    cleaned = []
-    for k, c in enumerate(a):
-        if abs(c.imag) < _IMAG_ZERO_TOL:
-            cleaned.append(complex(c.real, 0.0))
-        else:
-            warnings.warn(f"projection coefficient {k} keeps imaginary part {c.imag:.3e}")
-            cleaned.append(complex(c))
-    return Polynomial(tuple(cleaned))
+    m, e, den = unit_rate_moments(T, r, d)
+    rn, rd = float(r).as_integer_ratio()
+    a = [0.0] * (d + 1)
+    for parity in (0, 1):
+        ks = range(parity, d + 1, 2)
+        if ks:
+            x, det = _solve_integer([[m[i + j] for j in ks] for i in ks], [e[k] for k in ks])
+            for k, xk in zip(ks, x):
+                a[k] = (-1) ** (k // 2) * rn**k * xk / (rd**k * det * den)
+    return Polynomial(tuple(a))
 
 
 def alpha_closed_form(psi, T, r):
-    """alpha from the moment expansion, evaluated exactly and rounded once.
+    """alpha = ||psi(i omega) - e^{i omega T}||^2 from the moment expansion, exact and rounded once.
 
-    Expanding |psi - e|^2 against the weight gives a quadratic form in the
-    omega-coefficients abar_k with monomial-moment Gram entries
-    m_n = 2 n! / r^(n+1) (even n) and exponential-moment cross terms
-    e_k = 2 k! (X_k, or i Y_k for odd k) / (r^2 + T^2)^(k+1), with
-    X_k + i Y_k = (r + iT)^(k+1).  The expansion cancels catastrophically
-    once alpha is small: at small T its terms are of the order of the
-    weight's mass 2 / r, while the taylor alpha at T = 0.05, r = 4 is
-    below 1e-39 from d = 11 on, more digits than a 40-digit sum holds.
-    Every input is a double, hence a rational, so the sum is formed in
-    exact rationals and rounded to double once: the correctly rounded
-    alpha, at about 1 ms for d = 16.
+    At unit rate (``unit_rate_moments``), with v_k = (-1)^(k // 2) a_k / r^k,
+
+        alpha = (2 / r) [1 + sum_{j,k} m[j + k] v_j v_k - 2 sum_k v_k e[k] / den].
+
+    The bracket's terms are of order 1 while the taylor alpha at T = 0.05,
+    r = 4 is below 1e-39 from d = 11 on, so it is summed in exact integers
+    over the common denominator of the a_k, and the correctly rounded
+    alpha is one integer division (about 0.1 ms for d = 16).
     """
-    from fractions import Fraction  # here, so commands without an alpha skip its import
-
-    abar = psi.omega_coeffs()
-    re = [Fraction(c.real) for c in abar]
-    im = [Fraction(c.imag) for c in abar]
-    r, T = Fraction(r), Fraction(T)
-    size = len(abar)
-    total = 2 / r  # m_0, the weight's mass
-    for n in range(0, 2 * size - 1, 2):
-        js = range(max(0, n - size + 1), min(n, size - 1) + 1)
-        pairs = sum(re[j] * re[n - j] + im[j] * im[n - j] for j in js)
-        total += pairs * 2 * math.factorial(n) / r ** (n + 1)
-    x, y, s = r, T, r * r + T * T
-    for k in range(size):
-        total -= 4 * math.factorial(k) * (im[k] * y if k % 2 else re[k] * x) / s ** (k + 1)
-        x, y = x * r - y * T, x * T + y * r
-    return float(max(0, total))
+    d = psi.degree
+    m, e, den = unit_rate_moments(T, r, d)
+    rn, rd = float(r).as_integer_ratio()
+    ratios = [a.as_integer_ratio() for a in psi.coeffs]
+    scale = math.lcm(*(q for _, q in ratios))
+    v_den = scale * rn**d  # v_k = w[k] / v_den
+    w = [(-1) ** (k // 2) * p * (scale // q) * rd**k * rn ** (d - k) for k, (p, q) in enumerate(ratios)]
+    quad = sum(m[n] * sum(w[j] * w[n - j] for j in range(max(0, n - d), min(n, d) + 1))
+               for n in range(0, 2 * d + 1, 2))
+    cross = sum(wk * ek for wk, ek in zip(w, e))
+    total = (v_den * v_den + quad) * den - 2 * v_den * cross
+    return max(0, 2 * rd * total) / (rn * v_den * v_den * den)

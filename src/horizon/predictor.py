@@ -8,10 +8,10 @@ so its transform is psi_d(i omega) Q(i omega) = e^{-i omega T} psi_d H
 exactly; the property tests enforce that identity.
 
 Every prediction reads one table of moments that does not depend on d.
-The direct form, with x real,
+The direct form,
 
-    y_hat_d(t) = Re int_0^tau hhat_d(u) x(t - u) du
-               = sum_k Re(a_k) int q^(k)(u) x(t - u) du,
+    y_hat_d(t) = int_0^tau hhat_d(u) x(t - u) du
+               = sum_k a_k int q^(k)(u) x(t - u) du,
 
 is numerically brutal at high degree: hhat_12 for the canonical
 configuration carries an L1 mass near 3.5e15 while its convolutions are
@@ -61,8 +61,10 @@ of the sweep, from one ``x.derivatives`` stack per row block and window
 or one read of the lines, and every predictor reads it;
 ``error_bound_parts`` integrates beta once; ``transfer_norms`` builds
 the p = 1 band or ||H||_2 once.  Every quantity here is computed in
-double precision; only alpha (``alpha_closed_form``), whose expansion
-cancels catastrophically, is summed in exact rationals.
+double precision.  The coefficients a_k and alpha come from
+``polynomials``, where the projection and alpha share one exact moment
+helper (``weighted_space.unit_rate_moments``), are solved or summed in
+exact integers and are rounded to double once.
 """
 
 import math
@@ -98,21 +100,20 @@ class PredictorKernel:
         self.psi = psi
         self.d = psi.degree
         self.tau = h.width
-        self.real_coeffs = psi.is_real()
         self._table = None
 
     # -- assembly ---------------------------------------------------------
 
     def __call__(self, t):
-        """hhat_d(t), complex in general; zero off [0, tau] by construction."""
+        """hhat_d(t), real; zero off [0, tau] by construction."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = np.zeros(t.shape, dtype=complex)
+        out = np.zeros(t.shape)
         for k, a in enumerate(self.psi.coeffs):
             if a != 0:
                 out += a * self.h.derivative(k, t - self.h.T)
-        return complex(out[0]) if scalar else out
+        return float(out[0]) if scalar else out
 
     # -- quadrature tables -------------------------------------------------
 
@@ -150,11 +151,7 @@ class PredictorKernel:
                 f"{self.l1_mass:.2e} times 1e-15 exceeds a tenth of the quadrature budget {EPS_QUAD:.0e}")
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         nodes, weights, values, _ = self._double_table()
-        re = oscillatory_transform(nodes, weights, np.ascontiguousarray(values.real), omegas)
-        if self.real_coeffs:
-            return re
-        im = oscillatory_transform(nodes, weights, np.ascontiguousarray(values.imag), omegas)
-        return re + 1j * im
+        return oscillatory_transform(nodes, weights, values, omegas)
 
 
 # -- convolutions ------------------------------------------------------------
@@ -373,16 +370,15 @@ def moment_table(h, x, ts, kmax):
 
 
 def predict_values(pk, table):
-    """Predictions sum_k Re(a_k) table.values[k] from a ``moment_table`` up to degree >= pk.d.
+    """Predictions sum_k a_k table.values[k] from a ``moment_table`` up to degree >= pk.d.
 
-    Summed in k order over the nonzero Re(a_k); x is real, so
-    Re(a_k x^(k)) = Re(a_k) x^(k).
+    Summed in k order over the nonzero a_k.
     """
     values = table.values
     out = np.zeros(values.shape[1])
     for k, a in enumerate(pk.psi.coeffs):
-        if a.real != 0.0:
-            out += a.real * values[k]
+        if a != 0.0:
+            out += a * values[k]
     return out
 
 
@@ -550,7 +546,7 @@ def _l2_time_norm_sq(pk):
     derivatives.
     """
     nodes, weights, values, _ = pk._double_table()
-    return float(weights @ (np.abs(values) ** 2))
+    return float(weights @ values**2)
 
 
 def transfer_norms(pks, p):

@@ -109,7 +109,7 @@ def _bump_tanh_sinh(ctx, step):
 def transfer_prediction_mp(coeffs, T, theta, a, ts, dps=70, step=1 / 32):
     """Derivative-transfer prediction of the Poisson signal at ``dps`` digits.
 
-    sum_k Re(a_k) int h(s) x^(k)(t - T - s) ds, with h the unit-mass bump
+    sum_k a_k int h(s) x^(k)(t - T - s) ds, with h the unit-mass bump
     on [-T, theta] taken from its definition, x^(k) the closed form
     (-1)^k k! Im[(t - i a)^-(k+1)] / pi, and a tanh-sinh rule unrelated
     to the library's panels.  The rule is checked against half its step.
@@ -157,11 +157,11 @@ def chirp_transfer_prediction_mp(coeffs, T, theta, band, amplitude, ts, dps=70, 
     """Derivative-transfer prediction of chirp noise at ``dps`` digits.
 
     x^(k)(u) = (amplitude/pi) Re int_lo^hi (i omega)^k e^{i omega u} domega,
-    so sum_k Re(a_k) int h(s) x^(k)(t - T - s) ds equals
+    so sum_k a_k int h(s) x^(k)(t - T - s) ds equals
 
         (amplitude/pi) Re int_lo^hi P(i omega) e^{i omega (t - T)} B(omega) domega,
 
-    P(z) = sum_k Re(a_k) z^k and B(omega) = int h(s) e^{-i omega s} ds for
+    P(z) = sum_k a_k z^k and B(omega) = int h(s) e^{-i omega s} ds for
     the unit-mass bump h on [-T, theta].  B is taken on the tanh-sinh rule
     of ``transfer_prediction_mp`` and the outer integral by mpmath's
     Gauss-Legendre quadrature: the frequency integral is done last, the
@@ -271,18 +271,17 @@ def padded_band_spectrum(h, omega_max, pad):
     return step, q_abs * dt
 
 
-def projection_mp(T, r, d, dps=80):
-    """(z-coefficients, alpha) of the degree-d weighted projection at ``dps`` digits.
+def _projection_mp(T, r, d, dps):
+    """(context, z-coefficients, alpha) of the degree-d weighted projection at ``dps`` digits.
 
     Solves the normal equations G abar = b by LU with pivoting, with the
     moments written out here: G_jk = int omega^(j+k) e^{-r|omega|} and
     b_k = int omega^k e^{i omega T} e^{-r|omega|}.  alpha is the
-    Pythagoras remainder ||e^{i omega T}||^2 - b^H abar.
+    Pythagoras remainder ||e^{i omega T}||^2 - b^H abar.  The
+    z-coefficients a_k = abar_k i^-k are real; their imaginary parts are
+    zero to the working precision and are dropped.
     """
-    import mpmath
-
-    ctx = mpmath.mp.clone()
-    ctx.dps = dps
+    ctx = mp_context(dps)
     rm, Tm, size = ctx.mpf(r), ctx.mpf(T), d + 1
     G = ctx.matrix(size, size)
     for j in range(size):
@@ -294,8 +293,28 @@ def projection_mp(T, r, d, dps=80):
                     for k in range(size)])
     abar = ctx.lu_solve(G, b)
     alpha = 2 / rm - ctx.re(ctx.fsum(ctx.conj(b[k]) * abar[k] for k in range(size)))
-    coeffs = [complex(abar[k] * (-1j) ** k) for k in range(size)]
-    return coeffs, float(alpha)
+    return ctx, [ctx.re(abar[k] * (-1j) ** k) for k in range(size)], alpha
+
+
+def projection_mp(T, r, d, dps=80):
+    """(z-coefficients, alpha) of the degree-d projection at ``dps`` digits, each rounded to double once."""
+    _, coeffs, alpha = _projection_mp(T, r, d, dps)
+    return [float(c) for c in coeffs], float(alpha)
+
+
+def projection_rounding_floor_mp(T, r, d, dps=80):
+    """||delta||^2 in the weighted space, delta = psi rounded to double minus psi, psi the projection.
+
+    psi is the orthogonal projection and delta is a polynomial of degree
+    d, so by Pythagoras this is exactly what rounding psi's coefficients
+    to double adds to its alpha.  In omega-coefficients i^k delta_k the
+    norm is sum over even j + k of delta_j delta_k (-1)^((j - k) / 2)
+    times the monomial moment of order j + k.
+    """
+    ctx, coeffs, _ = _projection_mp(T, r, d, dps)
+    delta = [ctx.mpf(float(c)) - c for c in coeffs]
+    return float(ctx.fsum(delta[j] * delta[k] * (-1) ** (abs(j - k) // 2) * monomial_moment_mp(ctx, j + k, r)
+                          for j in range(d + 1) for k in range(j % 2, d + 1, 2)))
 
 
 def mp_context(dps):
@@ -322,17 +341,38 @@ def exponential_moment_mp(ctx, k, r, T):
     return fk * ((rm - 1j * Tm) ** (-(k + 1)) + (-1) ** k * (rm + 1j * Tm) ** (-(k + 1)))
 
 
+def weighted_moments(T, r, d):
+    """The weight's moments as doubles, from the library's exact ``unit_rate_moments``, each rounded once.
+
+    ``(mono, expo)``: mono[n] = int omega^n e^{-r|omega|} domega for
+    n <= 2d, and expo[k] = int omega^k e^{i omega T} e^{-r|omega|} domega
+    for k <= d, which is real for even k and imaginary for odd k.
+    """
+    from fractions import Fraction
+
+    from horizon.weighted_space import unit_rate_moments
+
+    m, e, den = unit_rate_moments(T, r, d)
+    rq = Fraction(r)
+    mono = [float(2 * m[n] / rq ** (n + 1)) for n in range(2 * d + 1)]
+    expo = []
+    for k in range(d + 1):
+        value = float(Fraction(2 * e[k], den) / rq ** (k + 1))
+        expo.append(complex(0.0, value) if k % 2 else complex(value))
+    return mono, expo
+
+
 def alpha_closed_form_mp(psi, T, r, dps=120):
     """alpha from the moment expansion of ``alpha_closed_form``, summed at ``dps`` digits.
 
-    The same quadratic form in psi's omega-coefficients, on the moments
+    The same quadratic form in psi's omega-coefficients i^k a_k, on the moments
     above, clamped at 0 and rounded to double.  At small T the terms are
     of order 2 / r, so at 40 digits the alphas below about 1e-25 lose
     digits to cancellation (8.5 % of 5.1e-40 at T = 0.05, r = 4, taylor d = 16);
     120 digits leave some 80 of them.
     """
     ctx = mp_context(dps)
-    abar = [ctx.mpc(c) for c in psi.omega_coeffs()]
+    abar = [ctx.mpf(a) * ctx.j**k for k, a in enumerate(psi.coeffs)]
     size = len(abar)
     total = ctx.mpf(0)
     for j in range(size):
@@ -398,7 +438,7 @@ def _extended_table(pk):
     ctx = _mp()[0]
     edges = derivative_panel_edges(pk.tau, pk.d)
     x, w = _gauss_legendre_mp()
-    coeffs = [ctx.mpc(c) if not pk.real_coeffs else ctx.mpf(c.real) for c in pk.psi.coeffs]
+    coeffs = [ctx.mpf(c) for c in pk.psi.coeffs]
     Tm = ctx.mpf(pk.h.T)
     nodes, weights, values = [], [], []
     for i in range(edges.size - 1):

@@ -22,9 +22,7 @@ from horizon import (
     class_norm,
     default_omega_max,
     error_bound_parts,
-    exponential_moment,
     moment_table,
-    monomial_moment,
     noise_norm,
     poisson_signal,
     predict_values,
@@ -35,7 +33,14 @@ from horizon import (
     transfer_norms,
 )
 
-from oracles import assembled_spectrum_mp, derivative_spectrum, frequency_grid, h_spectrum, richardson_derivative
+from oracles import (
+    assembled_spectrum_mp,
+    derivative_spectrum,
+    frequency_grid,
+    h_spectrum,
+    richardson_derivative,
+    weighted_moments,
+)
 
 T, TH, R, A = 0.5, 0.1, 2.0, 1.5
 
@@ -186,26 +191,28 @@ def test_criterion_7_derivative_correctness(kernel):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
 def test_criterion_8_moment_layer():
+    # the library's exact moments (``unit_rate_moments``), rounded once
     worst = 0.0
     for r in (0.5, 2.0):
+        mono = weighted_moments(0.0, r, 12)[0]
         for k in range(0, 25):
             if k % 2:  # omega^k is odd: the two halves cancel exactly
-                assert monomial_moment(k, r) == 0.0
+                assert mono[k] == 0.0
                 continue
             ref, _ = integrate.quad(lambda om: om**k * math.exp(-r * om),
                                     0, (k + 80) / r, epsabs=0, epsrel=1e-13, limit=400)
-            rel = abs(monomial_moment(k, r) - 2 * ref) / (2 * ref)
+            rel = abs(mono[k] - 2 * ref) / (2 * ref)
             assert rel < 1e-10, (k, r, rel)
             worst = max(worst, rel)
     Tq = 0.5
+    expo = weighted_moments(Tq, 2.0, 24)[1]
     for k in range(0, 25):
         re_ref, _ = integrate.quad(lambda om: om**k * math.cos(om * Tq) * math.exp(-2.0 * om),
                                    0, (k + 80) / 2.0, epsabs=0, epsrel=1e-13, limit=400)
         im_ref, _ = integrate.quad(lambda om: om**k * math.sin(om * Tq) * math.exp(-2.0 * om),
                                    0, (k + 80) / 2.0, epsabs=0, epsrel=1e-13, limit=400)
         ref = complex(re_ref * (1 + (-1) ** k), im_ref * (1 - (-1) ** k))
-        val = exponential_moment(k, 2.0, Tq)
-        rel = abs(val - ref) / abs(ref)
+        rel = abs(expo[k] - ref) / abs(ref)
         assert rel < 1e-10, (k, rel)
         worst = max(worst, rel)
     print(f"ACCEPTANCE 8 PASS: closed-form moments match adaptive quadrature to "

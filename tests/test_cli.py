@@ -262,6 +262,23 @@ class TestAlphaSweep:
         ap = [float(l.split(",")[2]) for l in (out_p / "alpha_sweep.csv").read_text().splitlines()[1:]]
         assert all(p <= t + 1e-12 for p, t in zip(ap, at))
 
+    def test_projection_monotone_and_below_taylor_at_small_horizon(self, runner, tmp_path):
+        # at T = 0.05, r = 1 alpha falls to about 1e-33, where a double solve of the Hankel
+        # normal equations rose again at d = 15 and 16 while the command still exited 0
+        alphas = {}
+        for method in ("taylor", "projection"):
+            out = tmp_path / method
+            cfgp = write_config(tmp_path / f"{method}.json", method=method, T=0.05, r=1.0,
+                                d_range=[0, 16], output_dir=str(out))
+            result = runner.invoke(main, ["alpha-sweep", "--config", str(cfgp)])
+            assert result.exit_code == 0, result.output
+            lines = (out / "alpha_sweep.csv").read_text().splitlines()[1:]
+            alphas[method] = [float(l.split(",")[2]) for l in lines]
+        proj = alphas["projection"]
+        assert len(proj) == 17
+        assert all(a2 <= a1 * (1.0 + 1e-12) for a1, a2 in zip(proj, proj[1:]))
+        assert all(p <= t * (1.0 + 1e-12) for p, t in zip(proj, alphas["taylor"]))
+
     def test_determinism(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json", d_range=[0, 5],
                             output_dir=str(tmp_path / "out"))

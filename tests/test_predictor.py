@@ -194,20 +194,6 @@ class TestPredict:
         _predict(pk_small, x, [t0])
         assert min(lows) > t0 - pk_small.tau
 
-    def test_complex_coefficients_take_real_part_at_output(self, canonical_kernel,
-                                                           canonical_signal):
-        pk = PredictorKernel(canonical_kernel, Polynomial((1.0, 0.1j)))
-        assert not pk.real_coeffs
-        t0 = 0.3
-        val = _predict(pk, canonical_signal, [t0])[0]
-        nodes, weights, values, _ = pk._double_table()
-        manual = float(np.real(np.sum(weights * values * closed_form(canonical_signal, t0 - nodes))))
-        assert val == pytest.approx(manual, rel=1e-12)
-        # the complex branch of the assembled-kernel transform stays consistent
-        omegas = np.array([0.5, 2.0])
-        closed = pk.psi.at_iw(omegas) * q_spectrum(canonical_kernel, omegas)
-        np.testing.assert_allclose(pk.spectrum(omegas), closed, rtol=1e-8)
-
     def test_double_and_extended_paths_agree_at_low_degree(self, canonical_kernel, canonical_signal):
         # below the roundoff switch the double node-table quadrature of the
         # assembled kernel is accurate to its floor 1e-15 l1_mass; every
@@ -243,8 +229,8 @@ class TestPredict:
             h = TargetKernel(T_, theta)
             psi = taylor_psi(T_, d) if method == "taylor" else projection_psi(T_, R, d)
             _, (hw,), samples = direct_table(h, x, ts, d)
-            re_a = np.abs([a.real for a in psi.coeffs])
-            floor = 16.0 * np.finfo(float).eps * np.einsum("k,kts->t", re_a, np.abs(samples * hw))
+            abs_a = np.abs(psi.coeffs)
+            floor = 16.0 * np.finfo(float).eps * np.einsum("k,kts->t", abs_a, np.abs(samples * hw))
             ref = transfer_prediction_mp(psi.coeffs, T_, theta, 1.0, ts, dps=70, step=step)
             np.testing.assert_array_less(np.abs(_predict(PredictorKernel(h, psi), x, ts) - ref), floor,
                                          err_msg=f"T={T_}, theta={theta}")
@@ -285,11 +271,11 @@ class TestPredict:
         _, vectors, samples = direct_table(canonical_kernel, base, ts, 12)
         tol = 16.0 * np.finfo(float).eps * np.abs(vectors[0]).sum() * np.abs(samples).max(axis=(1, 2))
         for pk in pks:
-            re_a = np.abs([a.real for a in pk.psi.coeffs])
+            abs_a = np.abs(pk.psi.coeffs)
             np.testing.assert_allclose(
                 predict_values(pk, table),
                 predict_values(pk, moment_table(canonical_kernel, base, ts, pk.d)),
-                rtol=0, atol=re_a @ tol[:pk.d + 1])
+                rtol=0, atol=abs_a @ tol[:pk.d + 1])
 
     @pytest.mark.parametrize("n_points", [41, 201], ids=["one-block", "two-blocks"])
     def test_chirp_lines_table_matches_derivative_table(self, canonical_kernel, monkeypatch, n_points):

@@ -9,13 +9,22 @@ from horizon import (
     TargetKernel,
     beta_energy,
     class_norm,
-    exponential_moment,
-    monomial_moment,
     poisson_signal,
+    unit_rate_moments,
     zero_signal,
 )
 from horizon.spectral_core import _adequate_grid
-from oracles import exponential_moment_mp, monomial_moment_mp, mp_context, superposition
+from oracles import exponential_moment_mp, monomial_moment_mp, mp_context, superposition, weighted_moments
+
+
+def monomial_moment(k, r):
+    """int omega^k e^{-r|omega|} domega from ``unit_rate_moments``, rounded once."""
+    return weighted_moments(0.0, r, (k + 1) // 2)[0][k]
+
+
+def exponential_moment(k, r, T):
+    """int omega^k e^{i omega T} e^{-r|omega|} domega from ``unit_rate_moments``, rounded once."""
+    return weighted_moments(T, r, k)[1][k]
 
 
 #: spectrum e^{-|w|} as a superposition, whose class norm is taken by grid quadrature
@@ -66,7 +75,16 @@ class TestMonomialMoment:
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            monomial_moment(-1, 1.0)
+            unit_rate_moments(0.5, 1.0, -1)
+        with pytest.raises(ValueError):
+            unit_rate_moments(0.5, 0.0, 2)
+
+    def test_integers_at_unit_rate(self):
+        # at r = 1 the monomial moments are 2 n!; at T = 1, (1 - i)^-(k+1) = ((1 + i) / 2)^(k+1)
+        # is 1/2 + i/2, i/2 and -1/4 + i/4 for k = 0, 1, 2, times k! = 1, 1, 2
+        m, e, den = unit_rate_moments(1.0, 1.0, 2)
+        assert m == [1, 0, 2, 0, 24]
+        assert den == 2**3 and e == [4, 4, -4]
 
 
 class TestExponentialMoment:
