@@ -71,8 +71,8 @@ def _row_blocks(n_rows, n_cols, depth=1):
     BLAS splits each product's rows between its threads by its size).
     The 16-row floor lets blocks of wide rows exceed ``_BLOCK_ELEMENTS``:
     16 rows of the canonical chirp's (80 lines x 1,376 nodes) phases are
-    one 344 KiB complex block, and the 5 rows of a 5-time table's 17-deep
-    stack on the 1,376 nodes (the direct sum) are 935 KB.
+    one 344 KiB complex block.  The direct sum of a deep stack splits its
+    nodes into column blocks instead (``predictor._window_table``).
     """
     step = max(16, _BLOCK_ELEMENTS // (n_cols * depth) // 16 * 16)
     starts = list(range(0, n_rows, step))

@@ -5,6 +5,11 @@ outside the class, or its bound is past what double precision holds), 4
 bound violation.  CSV output is deterministic (no wall-clock columns,
 full-precision scientific notation); per-row runtimes go to the JSON
 summary, which is not covered by the byte-identity guarantee.
+
+Each command imports what it runs: ``alpha-sweep`` only the numpy-free
+modules imported here.  The numeric commands import ``predictor`` first,
+then numpy: compiled without a bytecode cache, ``predictor`` takes some
+1.2 MiB for a moment, which numpy's import then reuses.
 """
 
 import argparse
@@ -14,27 +19,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import ConfigError, ExperimentConfig
-from .polynomials import (
-    alpha_closed_form,
-    projection_psi,
-    taylor_alpha_bound,
-    taylor_psi,
-)
-from .predictor import (
-    BoundRangeError,
-    ClassMembershipError,
-    PredictorKernel,
-    error_bound_parts,
-    moment_table,
-    predict_values,
-    target_values,
-    transfer_norms,
-)
-from .signals import noise_norm
+from .config import BoundRangeError, ClassMembershipError, ConfigError, ExperimentConfig
+from .polynomials import alpha_closed_form, projection_psi, taylor_alpha_bound, taylor_psi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,6 +101,9 @@ def cmd_alpha_sweep(args):
 
 def cmd_convergence(args):
     """Prediction-error convergence over the degree range, with bounds."""
+    from .predictor import PredictorKernel, error_bound_parts, moment_table, predict_values, target_values
+    import numpy as np
+
     cfg = _load_config(args)
     x = cfg.build_signal()
     h = cfg.build_kernel()
@@ -155,6 +145,11 @@ def cmd_convergence(args):
 
 def cmd_noise_sweep(args):
     """Total prediction error under noise versus the robustness bound."""
+    from .predictor import (PredictorKernel, error_bound_parts, moment_table, predict_values, target_values,
+                            transfer_norms)
+    from .signals import noise_norm
+    import numpy as np
+
     cfg = _load_config(args)
     x0 = cfg.build_signal()
     h = cfg.build_kernel()
@@ -194,6 +189,9 @@ def cmd_noise_sweep(args):
 
 def cmd_predict(args):
     """Single-shot prediction dump at the top degree of the range."""
+    from .predictor import PredictorKernel, moment_table, predict_values, target_values
+    import numpy as np
+
     cfg = _load_config(args)
     x = cfg.build_signal()
     h = cfg.build_kernel()

@@ -2,7 +2,11 @@
 
 Configs are committed fixtures, so parsing is strict (unknown keys are
 rejected, every message names the offending key) and parse -> serialize
--> parse is the identity.
+-> parse is the identity.  Every value is checked at load, each signal
+param against its domain (``check_signal_params``, which the signal
+factories run too), but nothing is built: the ``build_*`` methods import
+the layers they call, so this module imports no numpy.  It also holds
+``D_MAX`` and the errors the CLI maps to exit codes 2 and 3.
 """
 
 import json
@@ -10,14 +14,21 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
-from .kernels import D_MAX, TargetKernel
-from .signals import chirp_noise, cosine_modulated_poisson, gaussian_signal, poisson_signal, zero_signal
+#: largest degree d a config may name: the kernel's derivative tables
+#: (``kernels``) hold every order up to it in double precision
+D_MAX = 16
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the key path."""
+
+
+class ClassMembershipError(ValueError):
+    """The signal lies outside the spectral class the bound requires."""
+
+
+class BoundRangeError(ValueError):
+    """The signal is in the class, but its error bound is past what double precision holds."""
 
 
 def _require_int(key, value):
@@ -34,38 +45,57 @@ def _require_number(key, value):
     return value
 
 
-#: signal kind -> (generator, its params in the generator's order); a signal
-#: or noise is {"kind": kind, "params": {param: value}}, every value a
-#: finite number but ``band``, a list of two
+_POSITIVE = (lambda value: value > 0, "must be positive")
+
+#: signal kind -> (its factory in ``signals``, {param: domain}), the params in
+#: the factory's order; a domain is (test, refusal), None for any finite
+#: number.  A signal or noise is {"kind": kind, "params": {param: value}},
+#: every value a finite number but ``band``, a list of two
 _SIGNAL_KINDS = {
-    "poisson": (poisson_signal, ("a",)),
-    "gaussian": (gaussian_signal, ("sigma",)),
-    "cosine_modulated_poisson": (cosine_modulated_poisson, ("a", "omega0")),
-    "chirp_noise": (chirp_noise, ("band", "amplitude")),
-    "zero": (zero_signal, ()),
+    "poisson": ("poisson_signal", {"a": _POSITIVE}),
+    "gaussian": ("gaussian_signal", {"sigma": _POSITIVE}),
+    "cosine_modulated_poisson": ("cosine_modulated_poisson", {"a": _POSITIVE, "omega0": None}),
+    "chirp_noise": ("chirp_noise", {"band": (lambda band: 0 <= band[0] < band[1], "must satisfy 0 <= lo < hi"),
+                                    "amplitude": None}),
+    "zero": ("zero_signal", {}),
 }
 
 
-def _build_signal(key, spec):
-    """The signal of the spec at ``key``; every key and param is checked."""
+def check_signal_params(kind, *values):
+    """Raise ValueError unless each param of the kind, given in the factory's order, lies in its domain."""
+    for (name, domain), value in zip(_SIGNAL_KINDS[kind][1].items(), values):
+        if domain is not None and not domain[0](value):
+            raise ValueError(f"{name} {domain[1]}")
+
+
+def _signal_args(key, spec):
+    """(factory name, param values in its order) of the spec at ``key``; every key, param and domain is checked."""
     if set(spec) != {"kind", "params"}:
         raise ConfigError(f"{key}: expected the keys 'kind' and 'params', got {sorted(spec)}")
     kind, params = spec["kind"], spec["params"]
     if not isinstance(kind, str) or kind not in _SIGNAL_KINDS:
         raise ConfigError(f"{key}.kind: expected one of {sorted(_SIGNAL_KINDS)}, got {kind!r}")
-    make, names = _SIGNAL_KINDS[kind]
-    if not isinstance(params, dict) or set(params) != set(names):
-        raise ConfigError(f"{key}.params: {kind} takes {list(names)}, got {params!r}")
-    for name in names:
+    factory, domains = _SIGNAL_KINDS[kind]
+    if not isinstance(params, dict) or set(params) != set(domains):
+        raise ConfigError(f"{key}.params: {kind} takes {list(domains)}, got {params!r}")
+    for name in domains:
         values = params[name] if name == "band" else [params[name]]
         if name == "band" and not (isinstance(values, list) and len(values) == 2):
             raise ConfigError(f"{key}.params.band: expected [lo, hi], got {values!r}")
         for value in values:
             _require_number(f"{key}.params.{name}", value)
+    values = [params[name] for name in domains]
     try:
-        return make(*(params[name] for name in names))
+        check_signal_params(kind, *values)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+    return factory, values
+
+
+def _build_signal(key, spec):
+    from . import signals
+    factory, values = _signal_args(key, spec)
+    return getattr(signals, factory)(*values)
 
 
 @dataclass(frozen=True)
@@ -135,7 +165,7 @@ class ExperimentConfig:
         if self.eps_target <= 0:
             raise ConfigError("eps_target: must be positive")
         for key in ("signal", "noise"):
-            _build_signal(key, getattr(self, key))
+            _signal_args(key, getattr(self, key))
 
     # -- construction -------------------------------------------------------
 
@@ -185,6 +215,7 @@ class ExperimentConfig:
         return list(range(self.d_range[0], self.d_range[1] + 1, self.d_step))
 
     def build_kernel(self):
+        from .kernels import TargetKernel
         return TargetKernel(self.T, self.theta)
 
     def build_signal(self):
@@ -195,4 +226,5 @@ class ExperimentConfig:
 
     def build_tgrid(self):
         """The uniform time grid: n_points nodes from t_min to t_max."""
+        import numpy as np
         return np.linspace(self.tgrid["t_min"], self.tgrid["t_max"], self.tgrid["n_points"])

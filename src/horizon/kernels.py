@@ -10,7 +10,7 @@ P_k is built once in exact integer arithmetic.  Its monomial coefficients
 reach 1e20 at k = 16 and cancel in floating point, so for evaluation it
 is rewritten, by an exact integer Taylor shift, in the edge-distance
 basis P_k(u) = E(delta) + u O(delta) with delta = 1 - u^2; double
-precision then holds every order up to ``D_MAX``.  Finite differences
+precision then holds every order up to ``config.D_MAX``.  Finite differences
 are useless past k ~ 6 because the derivative magnitudes grow
 factorially; the recurrence is exact.  A scalar extended-precision
 evaluator (``TargetKernel.derivative_mp``) is kept for the test oracles;
@@ -33,9 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._accel import bump_derivative_values
+from .config import D_MAX
 from .spectral_core import fourier_transform_at, gauss_legendre_rule
-
-D_MAX = 16
 
 #: largest variation of the log envelope g across one panel of ``derivative_panel_edges``
 _DG_MAX = 2.0

@@ -18,9 +18,8 @@ Taylor alpha down to T = 0.05, where it nears 5e-40.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .weighted_space import unit_rate_moments
 
@@ -32,7 +31,7 @@ class Polynomial:
     coeffs: tuple
 
     def __post_init__(self):
-        if any(isinstance(c, (complex, np.complexfloating)) for c in self.coeffs):
+        if any(isinstance(c, numbers.Complex) and not isinstance(c, numbers.Real) for c in self.coeffs):
             raise ValueError("polynomial coefficients must be real")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
@@ -43,6 +42,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
+        import numpy as np
         z = np.asarray(z, dtype=complex)
         out = np.zeros_like(z)
         for c in reversed(self.coeffs):
@@ -52,6 +52,7 @@ class Polynomial:
 
     def at_iw(self, omegas):
         """psi(i omega) on a real frequency array."""
+        import numpy as np
         return self(1j * np.asarray(omegas, dtype=float))
 
 

@@ -1,6 +1,8 @@
 """Analytic test processes with exact Fourier transforms.
 
-Every generator returns a real-valued signal carrying its closed-form
+Every generator checks its params against their domains
+(``config.check_signal_params``, the check a config runs at load) and
+returns a real-valued signal carrying its closed-form
 spectrum X(i omega), the exponential decay rate of |X| (np.inf for
 compact or super-exponential spectra), the frequencies omega >= 0 where
 |X| is not smooth (its kinks, panel edges of every grid over the
@@ -25,6 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import check_signal_params
 from .spectral_core import _adequate_grid, _time_rule
 
 
@@ -81,8 +84,7 @@ def _poisson_derivatives(a, kmax, t):
 
 def poisson_signal(a):
     """x(t) = (1/pi) a / (a^2 + t^2) with X(i omega) = e^{-a|omega|}."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    check_signal_params("poisson", a)
     a = float(a)
 
     def spectrum(om):
@@ -99,8 +101,7 @@ def poisson_signal(a):
 
 def gaussian_signal(sigma):
     """Unit-mass Gaussian; X(i omega) = e^{-sigma^2 omega^2 / 2}."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    check_signal_params("gaussian", sigma)
     sigma = float(sigma)
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
@@ -151,8 +152,7 @@ def _add_cos_shift(out, m, c, s, scale, factor=None):
 def cosine_modulated_poisson(a, omega0):
     """Poisson envelope modulated by cos(omega0 t); spectrum is the
     half-sum of the envelope spectrum shifted to +-omega0."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    check_signal_params("cosine_modulated_poisson", a, omega0)
     a, omega0 = float(a), float(omega0)
 
     def spectrum(om):
@@ -192,8 +192,7 @@ def chirp_noise(band, amplitude):
     spectrum makes the L1/L2 noise norms exact.
     """
     lo, hi = float(band[0]), float(band[1])
-    if not 0 <= lo < hi:
-        raise ValueError("band must satisfy 0 <= lo < hi")
+    check_signal_params("chirp_noise", (lo, hi), amplitude)
     amplitude = float(amplitude)
 
     def spectrum(om):

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from horizon import TargetKernel, poisson_signal
+from horizon.kernels import TargetKernel
+from horizon.signals import poisson_signal
 
 # canonical desk-scale configuration shared across the suite
 CANON = dict(T=0.5, theta=0.1, r=2.0, a=1.5)

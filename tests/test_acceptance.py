@@ -13,25 +13,19 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from horizon import (
-    ClassMembershipError,
+from horizon.config import ClassMembershipError
+from horizon.kernels import TargetKernel
+from horizon.polynomials import alpha_closed_form, projection_psi, taylor_alpha_bound, taylor_psi
+from horizon.predictor import (
     PredictorKernel,
-    TargetKernel,
-    alpha_closed_form,
-    chirp_noise,
-    class_norm,
-    default_omega_max,
     error_bound_parts,
     moment_table,
-    noise_norm,
-    poisson_signal,
     predict_values,
-    projection_psi,
     target_values,
-    taylor_alpha_bound,
-    taylor_psi,
     transfer_norms,
 )
+from horizon.signals import chirp_noise, class_norm, noise_norm, poisson_signal
+from horizon.spectral_core import default_omega_max
 
 from oracles import (
     assembled_spectrum_mp,

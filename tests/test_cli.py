@@ -2,15 +2,23 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import horizon
 from horizon.cli import EXIT_BOUND, EXIT_CLASS, EXIT_CONFIG, main
 from horizon.config import ConfigError, ExperimentConfig
+
+#: every module of the package that ``alpha-sweep`` loads: none imports numpy
+ALPHA_SWEEP_MODULES = {"horizon", "horizon.cli", "horizon.config", "horizon.polynomials", "horizon.weighted_space"}
 
 
 class Result(NamedTuple):
@@ -40,6 +48,26 @@ def write_config(path, **overrides):
     cfg = {**ExperimentConfig().to_dict(), **overrides}
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+def run_fresh(args):
+    """Run a command in a fresh interpreter: (exit code, stdout, stderr, the names in sys.modules at exit)."""
+    src = str(Path(horizon.__file__).resolve().parent.parent)
+    code = ("import sys\nfrom horizon.cli import main\n"
+            "try:\n    sys.exit(main(sys.argv[1:]))\nfinally:\n"
+            "    print(' '.join(sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    *out, modules = proc.stdout.splitlines()
+    return proc.returncode, "\n".join(out), proc.stderr, set(modules.split())
+
+
+#: cases of ``test_bad_input_is_one_line_config_error``
+BAD_INPUTS = ["signal-a-string", "signal-sigma-null", "noise-params-list", "not-utf8", "missing-config",
+              "config-is-directory", "out-is-file", "tgrid-t-min-string", "tgrid-t-max-overflow",
+              "tgrid-t-min-bool", "tgrid-unknown-key", "signal-a-overflow", "signal-a-nan", "signal-a-bool",
+              "signal-unknown-param", "signal-flat-form", "noise-amplitude-nan", "noise-band-three",
+              "signal-a-zero", "signal-sigma-negative", "noise-band-inverted"]
 
 
 class TestConfig:
@@ -103,16 +131,16 @@ class TestConfig:
         assert result.exit_code == EXIT_CONFIG, result.output
         assert f"config error: {key}: expected {expected}" in result.output
 
-    @pytest.mark.parametrize("case", ["signal-a-string", "signal-sigma-null", "noise-params-list",
-                                      "not-utf8", "missing-config", "config-is-directory",
-                                      "out-is-file", "tgrid-t-min-string", "tgrid-t-max-overflow",
-                                      "tgrid-t-min-bool", "tgrid-unknown-key", "signal-a-overflow",
-                                      "signal-a-nan", "signal-a-bool", "signal-unknown-param",
-                                      "signal-flat-form", "noise-amplitude-nan", "noise-band-three"])
-    def test_bad_input_is_one_line_config_error(self, runner, tmp_path, case):
+    @pytest.mark.parametrize("command, case", [
+        *(pytest.param("noise-sweep", case, id=case) for case in BAD_INPUTS),
+        *(pytest.param("alpha-sweep", case, id=f"alpha-sweep-{case}") for case in BAD_INPUTS),
+    ])
+    def test_bad_input_is_one_line_config_error(self, runner, tmp_path, command, case):
         # none of these may end in a traceback (exit 1), a refusal (exit 3), nan rows or
         # a silently dropped key, and none may write anything; 1e300 is written as the
-        # JSON literal 1e400, which reads as inf
+        # JSON literal 1e400, which reads as inf.  alpha-sweep builds no signal, yet
+        # checks every param's domain, and runs in a fresh interpreter that must not
+        # load numpy
         out = tmp_path / "out"
         tgrid = {"t_min": -2.0, "t_max": 2.0, "n_points": 41}
         chirp = {"band": [6.0, 12.0], "amplitude": 1.0}
@@ -131,10 +159,13 @@ class TestConfig:
             "signal-flat-form": {"signal": {"kind": "poisson", "a": 1.5}},
             "noise-amplitude-nan": {"noise": {"kind": "chirp_noise", "params": {**chirp, "amplitude": math.nan}}},
             "noise-band-three": {"noise": {"kind": "chirp_noise", "params": {**chirp, "band": [6, 12, 13]}}},
+            "signal-a-zero": {"signal": {"kind": "poisson", "params": {"a": 0}}},
+            "signal-sigma-negative": {"signal": {"kind": "gaussian", "params": {"sigma": -1}}},
+            "noise-band-inverted": {"noise": {"kind": "chirp_noise", "params": {**chirp, "band": [5, 3]}}},
         }.get(case, {})
         cfgp = write_config(tmp_path / "c.json", output_dir=str(out), **overrides)
         cfgp.write_text(cfgp.read_text(encoding="utf-8").replace("1e+300", "1e400"), encoding="utf-8")
-        args = ["noise-sweep", "--config", str(cfgp)]
+        args = [command, "--config", str(cfgp)]
         if case == "not-utf8":
             cfgp.write_bytes(cfgp.read_bytes().replace(b"taylor", b"t\xe4ylor"))
         elif case == "missing-config":
@@ -144,10 +175,15 @@ class TestConfig:
         elif case == "out-is-file":
             out.write_text("", encoding="utf-8")
             args += ["--out", str(out)]
-        result = runner.invoke(main, args)
-        assert result.exit_code == EXIT_CONFIG, result.output
-        assert result.output.startswith("config error: ")
-        assert result.output.count("\n") == 1, result.output
+        if command == "alpha-sweep":
+            code, stdout, output, modules = run_fresh(args)
+            assert stdout == ""
+            assert "numpy" not in modules
+        else:
+            code, output = runner.invoke(main, args)
+        assert code == EXIT_CONFIG, output
+        assert output.startswith("config error: ")
+        assert output.count("\n") == 1, output
         assert not out.is_dir()
 
     @pytest.mark.parametrize("command", ["alpha-sweep", "convergence", "noise-sweep", "predict"])
@@ -346,9 +382,9 @@ class TestConvergence:
 
     @pytest.mark.parametrize("command", ["convergence", "noise-sweep"])
     def test_row_above_its_bound_exits_4(self, runner, tmp_path, monkeypatch, command):
-        from horizon import cli
+        from horizon import predictor
 
-        monkeypatch.setattr(cli, "error_bound_parts", lambda pks, x, r: [(0.0, 0.0, 0.0)] * len(pks))
+        monkeypatch.setattr(predictor, "error_bound_parts", lambda pks, x, r: [(0.0, 0.0, 0.0)] * len(pks))
         cfgp = write_config(tmp_path / "c.json", d_range=[0, 2], output_dir=str(tmp_path / "out"))
         result = runner.invoke(main, [command, "--config", str(cfgp)])
         assert result.exit_code == EXIT_BOUND, result.output
@@ -454,7 +490,7 @@ class TestNoiseSweep:
         # lines, and its derivative stack is never evaluated on that route
         from dataclasses import replace
 
-        from horizon import _accel, config, predictor, signals
+        from horizon import _accel, predictor, signals
 
         calls, n_lines = [], []
         real_chirp = signals.chirp_noise
@@ -473,7 +509,7 @@ class TestNoiseSweep:
 
             return replace(base, lines=lines, derivatives=derivatives)
 
-        monkeypatch.setitem(config._SIGNAL_KINDS, "chirp_noise", (counted_chirp, ("band", "amplitude")))
+        monkeypatch.setattr(signals, "chirp_noise", counted_chirp)
         monkeypatch.setattr(_accel, "_BLOCK_ELEMENTS", 1 << 15)
         tgrid = {"t_min": -2.0, "t_max": 2.0, "n_points": 201}
         cfgp = write_config(tmp_path / "c.json", d_range=[6, 12], tgrid=tgrid,
@@ -549,6 +585,25 @@ class TestSweepWork:
             tracemalloc.stop()
         assert result.exit_code == 0, result.output
         assert peak < 2 << 20
+
+    def test_few_times_deep_stack_peaks_below_one_mebibyte(self, runner, tmp_path):
+        # the proj-p1-hi benchmark workload's noise-sweep: the d = 16 table on
+        # 5 times takes the direct sum over the 1,376 target nodes, in column
+        # blocks of about 256 KB; one block of the whole 5 x 1,376 x 17 stack
+        # traced 1.38 MiB
+        cfgp = write_config(tmp_path / "c.json", method="projection", p=1, d_range=[0, 16], d_step=16,
+                            tgrid={"t_min": -2.0, "t_max": 2.0, "n_points": 5},
+                            output_dir=str(tmp_path / "out"))
+        args = ["noise-sweep", "--config", str(cfgp)]
+        assert runner.invoke(main, args).exit_code == 0  # imports and caches before tracing
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert peak < 1 << 20
 
     def test_summary_rows_carry_every_key(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json", d_range=[0, 4], d_step=2,
@@ -639,29 +694,20 @@ class TestCsvWriter:
                              ids=["default", "projection-0-16"])
     @pytest.mark.parametrize("command", ["alpha-sweep", "convergence", "noise-sweep", "predict"])
     def test_cli_import_leaves_mpmath_unloaded(self, tmp_path, command, method_range):
-        # every command runs without mpmath: alpha is summed in exact rationals;
+        # every command runs without mpmath: alpha is summed in exact integers;
         # nor does it import numpy.polynomial: the Gauss-Legendre rule is tabulated;
-        # nor click: the front end is argparse
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import horizon
-
+        # nor click: the front end is argparse.  alpha-sweep runs without numpy,
+        # on the five numpy-free modules of the package
         args = [command, "--out", str(tmp_path / "out")]
         if method_range is not None:
             method, d_range = method_range
             args += ["--config", str(write_config(tmp_path / "c.json", method=method, d_range=d_range))]
-        src = str(Path(horizon.__file__).resolve().parent.parent)
-        code = ("import sys\nfrom horizon.cli import main\n"
-                "try:\n    sys.exit(main(sys.argv[1:]))\nfinally:\n"
-                "    print('mpmath' in sys.modules, 'numpy.polynomial' in sys.modules,"
-                " 'click' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False False False"
+        code, _, stderr, modules = run_fresh(args)
+        assert code == 0, stderr
+        assert not modules & {"mpmath", "numpy.polynomial", "click"}
+        if command == "alpha-sweep":
+            assert "numpy" not in modules
+            assert {name for name in modules if name.split(".")[0] == "horizon"} == ALPHA_SWEEP_MODULES
 
 
 class TestVersion:

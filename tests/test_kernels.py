@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from horizon import TargetKernel, fourier_transform_at, q_spectrum
-from horizon.config import ExperimentConfig
-from horizon.kernels import D_MAX, bump_poly_exact
-from horizon.spectral_core import gauss_legendre_rule
+from horizon.config import D_MAX, ExperimentConfig
+from horizon.kernels import TargetKernel, bump_poly_exact, q_spectrum
+from horizon.spectral_core import fourier_transform_at, gauss_legendre_rule
 
 from oracles import bump_derivative_mp, derivative_spectrum, h_spectrum, richardson_derivative
 

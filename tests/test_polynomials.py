@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from horizon import (
+from horizon.polynomials import (
     Polynomial,
     alpha_closed_form,
     projection_psi,
@@ -40,10 +40,17 @@ class TestPolynomial:
     def test_degree(self):
         assert Polynomial((1.0, 2.0, 0.5)).degree == 2
 
-    @pytest.mark.parametrize("coeffs", [(1.0, 0.1j), (1.0, 0.5 + 0j), (np.complex64(1.0),)])
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.1j), (1.0, 0.5 + 0j), (np.complex64(1.0),),
+                                        (1.0, np.complex128(0.5))])
     def test_complex_coefficient_refused(self, coeffs):
         with pytest.raises(ValueError, match="real"):
             Polynomial(coeffs)
+
+    def test_real_coefficients_accepted_as_floats(self):
+        # the check reads the numbers ABCs, so numpy's real scalars pass without numpy imported
+        psi = Polynomial((2, np.float32(0.5), np.float64(0.25)))
+        assert psi.coeffs == (2.0, 0.5, 0.25)
+        assert all(type(c) is float for c in psi.coeffs)
 
 
 class TestTaylorPsi:

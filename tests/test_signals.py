@@ -3,25 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from horizon import (
-    BoundRangeError,
-    ClassMembershipError,
+from horizon.config import BoundRangeError, ClassMembershipError, ExperimentConfig
+from horizon.kernels import TargetKernel
+from horizon.predictor import beta_energy
+from horizon.signals import (
     Signal,
-    TargetKernel,
-    beta_energy,
+    _exp_integral,
+    _log_abs_spectrum,
+    _poisson_norm_sq,
     chirp_noise,
     class_norm,
     cosine_modulated_poisson,
-    default_omega_max,
-    fourier_transform_at,
     gaussian_signal,
     noise_norm,
     poisson_signal,
     zero_signal,
 )
-from horizon.config import ExperimentConfig
-from horizon.signals import _exp_integral, _log_abs_spectrum, _poisson_norm_sq
-from horizon.spectral_core import _adequate_grid
+from horizon.spectral_core import _adequate_grid, default_omega_max, fourier_transform_at
 
 from oracles import closed_form, frequency_grid, superposition
 

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from horizon import default_omega_max, fourier_transform_at
-from horizon.spectral_core import PANEL_DEGREE, _adequate_grid, gauss_legendre_rule
+from horizon.spectral_core import (
+    PANEL_DEGREE,
+    _adequate_grid,
+    default_omega_max,
+    fourier_transform_at,
+    gauss_legendre_rule,
+)
 
 from oracles import frequency_grid, simpson_fourier
 

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from horizon import (
-    ClassMembershipError,
-    TargetKernel,
-    beta_energy,
-    class_norm,
-    poisson_signal,
-    unit_rate_moments,
-    zero_signal,
-)
+from horizon.config import ClassMembershipError
+from horizon.kernels import TargetKernel
+from horizon.predictor import beta_energy
+from horizon.signals import class_norm, poisson_signal, zero_signal
 from horizon.spectral_core import _adequate_grid
+from horizon.weighted_space import unit_rate_moments
 from oracles import exponential_moment_mp, monomial_moment_mp, mp_context, superposition, weighted_moments
 
 
