@@ -60,7 +60,7 @@ def bump_derivative_values(u, edge, k):
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def _row_blocks(n_rows, n_cols, depth=1):
+def _row_blocks(n_rows, n_cols, depth):
     """Row slices of about ``_BLOCK_ELEMENTS`` elements over ``depth`` stacked (rows x cols) arrays.
 
     Each block but the last is a whole multiple of 16 rows, at least 16:

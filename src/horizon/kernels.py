@@ -170,12 +170,10 @@ class TargetKernel:
     d_max = D_MAX
 
     def __init__(self, T, theta):
-        if T <= 0:
-            raise ValueError("prediction horizon T must be positive")
-        if theta < 0:
-            raise ValueError("causal tail theta must be nonnegative")
-        if T + theta <= 0:
-            raise ValueError("degenerate support")
+        if not 0 < T < math.inf:
+            raise ValueError("prediction horizon T must be positive and finite")
+        if not 0 <= theta < math.inf:
+            raise ValueError("causal tail theta must be nonnegative and finite")
         self.T = float(T)
         self.theta = float(theta)
         self.normalization = 2.0 / (self.width * _raw_bump_mass())

@@ -28,11 +28,9 @@ this derivative-transfer table M (``moment_table``), read from the
 signal's derivative stack.  The target is the same convolution at order
 0 and unshifted times, int h(u) x(t - u) du = M[0, t + T]: one builder
 (``_convolutions``) serves both, so the target and the prediction read x
-by one route.  Only the transform of the assembled kernel
-(``PredictorKernel.spectrum``), the reference route of the transfer
-identity, still integrates hhat_d itself; it is refused where
-``needs_extended`` holds rather than returned at a roundoff floor of
-~1e-16 times the L1 mass.  A signal made of lines,
+by one route.  No route here integrates hhat_d itself: psi_d Q is its
+transform, and the quadrature of the assembled kernel, the other side of
+the transfer identity, is a test oracle.  A signal made of lines,
 x(t) = Re sum_j c_j e^{i omega_j t} (chirp noise, its frequency rule),
 gives the same double sum over nodes s and lines j taken over s first:
 one transcendental per line and per time, not per (time, node, line).
@@ -72,7 +70,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._accel import _BLOCK_ELEMENTS, _row_blocks, oscillatory_transform
+from ._accel import _BLOCK_ELEMENTS, _row_blocks
 from .config import BoundRangeError, ClassMembershipError
 from .kernels import derivative_panel_edges, q_spectrum
 from .polynomials import alpha_closed_form
@@ -95,8 +93,6 @@ class PredictorKernel:
         self.tau = h.width
         self._table = None
 
-    # -- assembly ---------------------------------------------------------
-
     def __call__(self, t):
         """hhat_d(t), real; zero off [0, tau] by construction."""
         t = np.asarray(t, dtype=float)
@@ -107,8 +103,6 @@ class PredictorKernel:
             if a != 0:
                 out += a * self.h.derivative(k, t - self.h.T)
         return float(out[0]) if scalar else out
-
-    # -- quadrature tables -------------------------------------------------
 
     def _double_table(self):
         if self._table is None:
@@ -128,23 +122,6 @@ class PredictorKernel:
         """True once roundoff of a quadrature against hhat_d (~1e-15 l1_mass)
         exceeds a tenth of the quadrature budget: the node table is unusable."""
         return self.l1_mass * 1e-15 > 0.1 * EPS_QUAD
-
-    # -- transform of the assembled kernel ----------------------------------
-
-    def spectrum(self, omegas):
-        """F[hhat_d](i omega) by quadrature of the assembled time kernel.
-
-        This is the independent route; psi(i omega) Q(i omega) is the
-        closed one.  Their agreement is the central identity.  Refused
-        where ``needs_extended`` holds.
-        """
-        if self.needs_extended():
-            raise ValueError(
-                f"the assembled-kernel transform at d={self.d} would be roundoff: l1_mass "
-                f"{self.l1_mass:.2e} times 1e-15 exceeds a tenth of the quadrature budget {EPS_QUAD:.0e}")
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        nodes, weights, values, _ = self._double_table()
-        return oscillatory_transform(nodes, weights, values, omegas)
 
 
 # -- convolutions ------------------------------------------------------------
@@ -235,7 +212,7 @@ def _block_sums(samples, v, tail):
     return sums, None
 
 
-def _blocked(ts, rule, sample, depth=1):
+def _blocked(ts, rule, sample, depth):
     """(out, None), out[k, t] = sample(t - points)[k] @ v over the row blocks of ts.
 
     ``rule`` is (points, v, tail) (``_block_sums``); the first row block
@@ -262,7 +239,7 @@ def _blocked(ts, rule, sample, depth=1):
     return out, None
 
 
-def _window_table(ts, window, nodes, sample, v, depth=1):
+def _window_table(ts, window, nodes, sample, v, depth):
     """(table, M): table[k, t] = sum_j v_j y_k(t - s_j) over the nodes s_j, y read on M points.
 
     ``sample(args)`` returns the stack of y_k, k < depth, at a
@@ -465,7 +442,7 @@ _BAND_FLOOR = 1e-16
 #: Omega tau / 2, the same for every bump: the smallest x with c_m x^-m <= _BAND_FLOOR
 #: for some 1 <= m <= 16 (1143.18, at m = 16)
 _CUT_SCALE = float(np.min((_BUMP_L1_RATIOS[1:] / _BAND_FLOOR) ** (1.0 / np.arange(1, 17))))
-#: ||q^(m)||_1 Omega^-m = c_m _CUT_SCALE^-m: for omega >= Omega, |Q| <= this times (Omega / omega)^m
+#: ||q^(m)||_1 Omega^-m = c_m _CUT_SCALE^-m: |Q(i omega)| <= this times (Omega / omega)^m for every omega
 _CUT_DECAY = _BUMP_L1_RATIOS / _CUT_SCALE ** np.arange(17)
 #: FFT frequencies per crest period 2 pi / tau of |Q| (zero-padding factor)
 _BAND_PAD = 128
@@ -504,11 +481,10 @@ def _band_spectrum(h):
     below Nyquist (Trefethen & Weideman, SIAM Review 56, 2014); its
     aliases lie past 3 Omega.
 
-    Yields (omegas, q_abs, full) per group, a block of rows p and columns
-    l: omegas = step (l P + p) and q_abs = |Q(i omegas)|.  Only the last
-    column runs past the band, and its rows below ``full`` are still in
-    it (``_band_max``); together the groups hold each band frequency
-    once.  Nothing band-sized is stored: memory is about one group.
+    Yields (omegas, q_abs) per group, a block of rows p and columns l:
+    omegas = step (l P + p), q_abs = |Q(i omegas)|, each frequency once;
+    only the last column runs past the band.  Nothing band-sized is
+    stored: memory is about one group.
     """
     omega_max = _band_cut(h)
     n = math.ceil(2.0 * omega_max * h.width / math.pi)
@@ -529,13 +505,7 @@ def _band_spectrum(h):
         mod *= np.exp(-2j * math.pi / L * (p * np.arange(len(x))))[:, :, None]
         q_abs = np.abs(np.fft.fft(spectra, out=spectra)[:, :keep])
         q_abs *= dt
-        full = min(max(n_omega - (keep - 1) * P - g, 0), rows)
-        yield step * (columns + np.arange(g, g + rows, dtype=float)[:, None]), q_abs, full
-
-
-def _band_max(values, full):
-    """Max of a group's values over the band: rows < full whole, the others without their last column."""
-    return max(float(np.max(values[:full], initial=0.0)), float(np.max(values[full:, :-1], initial=0.0)))
+        yield step * (columns + np.arange(g, g + rows, dtype=float)[:, None]), q_abs
 
 
 def _l2_time_norm_sq(pk):
@@ -557,29 +527,44 @@ def transfer_norms(pks, p):
     truncation).  The sup norms are maxed over the band [0, Omega] of
     short FFTs (``_band_spectrum``), built once for the sweep: each group
     of transforms is folded into sup |Q| and into every predictor's
-    sup |psi_d Q| and dropped, so memory is about one group.  Past the
-    cut Omega (``_band_cut``) |Q| is roundoff, and there, for any
-    d <= m <= 16,
+    sup |psi_d Q| and dropped, so memory is about one group.  |Q| is
+    first clipped at its exact envelope min_m ||q^(m)||_1 omega^-m =
+    min_m ``_CUT_DECAY[m]`` (Omega / omega)^m, 1 <= m <= 16, so roundoff
+    near the cut Omega (``_band_cut``), where the envelope is 1e-16,
+    cannot lift a sup above what holds.  At Omega / 2 it is 3e-12, far
+    above that roundoff, so only the upper half of each group's columns
+    is clipped (omega = 0 stays out), at the orders from the one
+    minimizing at the group's largest Omega / omega up (higher orders
+    fall faster as the ratio falls).  Past Omega, for any d <= m <= 16,
 
         |psi_d(i omega) Q(i omega)| <= sum_k |a_k| ||q^(m)||_1 omega^(k - m),
 
     each term non-increasing in omega since k <= d <= m; so its value at
-    Omega, minimized over m, bounds the tail exactly, and the sup is the
-    larger of the band's and the tail's.  At d = 16 no such tail decays,
-    so the sup is also capped by the exact inequality
-    sup |Hhat_d| <= int |hhat_d| = ``pk.l1_mass``, a positive sum with no
-    cancellation, and the reported norm never exceeds a bound that holds.
+    Omega, minimized over m, bounds the tail exactly (the last column's
+    clipped values past Omega lie under it), and the sup is the larger
+    of the band's and the tail's.  At d = 16 no such tail decays, so the
+    sup is also capped by the exact inequality sup |Hhat_d| <= int
+    |hhat_d| = ``pk.l1_mass``, a positive sum with no cancellation, and
+    the reported norm never exceeds a bound that holds.
     """
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     h = pks[0].h
     if p == 1:
-        n_h, sups = 0.0, [0.0] * len(pks)
-        for omegas, q_abs, full in _band_spectrum(h):
-            n_h = max(n_h, _band_max(q_abs, full))
-            sups = [max(sup, _band_max(np.abs(pk.psi.at_iw(omegas)) * q_abs, full))
-                    for sup, pk in zip(sups, pks)]
-        top = _band_cut(h)
+        top, n_h, sups = _band_cut(h), 0.0, [0.0] * len(pks)
+        log_decay = np.log(_CUT_DECAY[1:]).tolist()  # [j] for order j + 1
+        for omegas, q_abs in _band_spectrum(h):
+            upper = np.s_[:, q_abs.shape[1] // 2:]
+            log_ratio = np.log(top / omegas[upper])
+            largest = float(log_ratio[0, 0])
+            # picked in Python: np.argmin, run by no other step, pages in ~0.1 MB of numpy's code
+            m = min(range(16), key=lambda j: log_decay[j] + (j + 1) * largest)
+            log_env = log_decay[m] + (m + 1) * log_ratio
+            for j in range(m + 1, 16):
+                np.minimum(log_env, log_decay[j] + (j + 1) * log_ratio, out=log_env)
+            np.minimum(q_abs[upper], np.exp(log_env), out=q_abs[upper])
+            n_h = max(n_h, float(np.max(q_abs)))
+            sups = [max(sup, float(np.max(np.abs(pk.psi.at_iw(omegas)) * q_abs))) for sup, pk in zip(sups, pks)]
         tails = [float(np.abs(pk.psi.coeffs) @ top ** np.arange(pk.d + 1)) * float(np.min(_CUT_DECAY[pk.d:]))
                  for pk in pks]
         return [(min(max(sup, tail), pk.l1_mass), n_h) for sup, tail, pk in zip(sups, tails, pks)]

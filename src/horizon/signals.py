@@ -2,8 +2,8 @@
 
 Every generator checks its params against their domains
 (``config.check_signal_params``, the check a config runs at load) and
-returns a real-valued signal carrying its closed-form
-spectrum X(i omega), the exponential decay rate of |X| (np.inf for
+returns a real, even signal carrying its closed-form
+spectrum X(i omega), real and even too, the exponential decay rate of |X| (np.inf for
 compact or super-exponential spectra), the frequencies omega >= 0 where
 |X| is not smooth (its kinks, panel edges of every grid over the
 spectrum), and one all-orders evaluator ``derivatives(kmax, t)`` that
@@ -54,7 +54,7 @@ def zero_signal():
     return Signal(
         kind="zero",
         params={},
-        spectrum=lambda om: np.zeros_like(np.asarray(om, dtype=float), dtype=complex),
+        spectrum=lambda om: np.zeros_like(np.asarray(om, dtype=float)),
         spectral_decay=np.inf,
         derivatives=lambda kmax, t: np.zeros((kmax + 1, *np.shape(t))),
     )
@@ -88,7 +88,7 @@ def poisson_signal(a):
     a = float(a)
 
     def spectrum(om):
-        return np.exp(-a * np.abs(om)).astype(complex)
+        return np.exp(-a * np.abs(om))
 
     return Signal(
         kind="poisson",
@@ -106,7 +106,7 @@ def gaussian_signal(sigma):
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
     def spectrum(om):
-        return np.exp(-0.5 * (sigma * om) ** 2).astype(complex)
+        return np.exp(-0.5 * (sigma * om) ** 2)
 
     def derivatives(kmax, t):
         # x^(k) = (-1/sigma)^k He_k(t/sigma) x(t), probabilists' Hermite He_k
@@ -157,7 +157,7 @@ def cosine_modulated_poisson(a, omega0):
 
     def spectrum(om):
         om = np.asarray(om, dtype=float)
-        return 0.5 * (np.exp(-a * np.abs(om - omega0)) + np.exp(-a * np.abs(om + omega0))).astype(complex)
+        return 0.5 * (np.exp(-a * np.abs(om - omega0)) + np.exp(-a * np.abs(om + omega0)))
 
     def derivatives(kmax, t):
         # Leibniz: sum_j C(k, j) p^(j)(t) omega0^(k-j) cos(omega0 t + (k-j) pi/2)
@@ -197,7 +197,7 @@ def chirp_noise(band, amplitude):
 
     def spectrum(om):
         om = np.abs(np.asarray(om, dtype=float))
-        return (amplitude * ((om >= lo) & (om <= hi))).astype(complex)
+        return amplitude * ((om >= lo) & (om <= hi))
 
     def lines(t_scale):
         # x(t) = (amplitude/pi) int_lo^hi cos(omega t) domega on a rule resolving |t| <= t_scale

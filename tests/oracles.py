@@ -12,8 +12,9 @@ the spectrum's kinks (``beta_fine_panels``).  It also holds the
 reference routes that no command runs: alpha by grid quadrature
 (``alpha_of``) on a numpy Gauss-Legendre frequency grid
 (``frequency_grid``), the transform of the target kernel itself
-(``h_spectrum``), a weighted sum of signals (``superposition``) and each
-signal kind's closed form in time (``closed_form``).
+(``h_spectrum``), the transform of the assembled predictor kernel
+(``assembled_spectrum``), a weighted sum of signals (``superposition``)
+and each signal kind's closed form in time (``closed_form``).
 """
 
 import math
@@ -465,12 +466,25 @@ def _mp_transform(table, omegas):
 
 
 def assembled_spectrum_mp(pk, omegas):
-    """F[hhat_d](i omega) by 40-digit quadrature of the assembled time kernel.
-
-    The reference for ``PredictorKernel.spectrum`` where that double
-    route is refused (``pk.needs_extended()``).
-    """
+    """F[hhat_d](i omega) by 40-digit quadrature of the assembled time kernel."""
     return _mp_transform(list(zip(*_extended_table(pk))), omegas)
+
+
+def assembled_spectrum(pk, omegas):
+    """F[hhat_d](i omega) by quadrature of the assembled time kernel hhat_d.
+
+    The independent side of the transfer identity, whose closed side is
+    psi_d(i omega) Q(i omega).  The double node table of ``pk`` serves
+    until its roundoff (~1e-15 ``pk.l1_mass``) would exceed a tenth of the
+    quadrature budget (``pk.needs_extended()``); past it the 40-digit
+    table does, the switch ``derivative_spectrum`` makes for one order.
+    """
+    if pk.needs_extended():
+        return assembled_spectrum_mp(pk, omegas)
+    from horizon._accel import oscillatory_transform
+
+    nodes, weights, values, _ = pk._double_table()
+    return oscillatory_transform(nodes, weights, values, np.atleast_1d(np.asarray(omegas, dtype=float)))
 
 
 def derivative_spectrum(h, k, omegas):

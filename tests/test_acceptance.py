@@ -28,7 +28,7 @@ from horizon.signals import chirp_noise, class_norm, noise_norm, poisson_signal
 from horizon.spectral_core import default_omega_max
 
 from oracles import (
-    assembled_spectrum_mp,
+    assembled_spectrum,
     derivative_spectrum,
     frequency_grid,
     h_spectrum,
@@ -108,8 +108,7 @@ def test_criterion_3_central_identity(kernel, predictors, grid):
     worst = 0.0
     for d in (0, 4, 10):
         pk = predictors[d]
-        # the double route is refused where roundoff would dominate (d = 10)
-        lhs = assembled_spectrum_mp(pk, omegas) if pk.needs_extended() else pk.spectrum(omegas)
+        lhs = assembled_spectrum(pk, omegas)
         rhs = np.exp(-1j * omegas * T) * pk.psi.at_iw(omegas) * H50
         rel = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
         assert rel < 1e-8, (d, rel)

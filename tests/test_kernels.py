@@ -57,10 +57,12 @@ class TestBumpKernel:
         assert h(mid) == pytest.approx(np.max(h(ts)), rel=1e-9)
 
     def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            TargetKernel(0.0, 0.0)
-        with pytest.raises(ValueError):
-            TargetKernel(1.0, -0.5)
+        # a NaN passes a plain sign check and would give normalization nan;
+        # an infinite T would give normalization 0.0
+        for T_, theta in [(0.0, 0.0), (1.0, -0.5), (math.nan, 0.1), (0.5, math.nan),
+                          (math.inf, 0.1), (0.5, math.inf), (-math.inf, 0.1)]:
+            with pytest.raises(ValueError, match="T must be positive and finite|theta must be nonnegative and finite"):
+                TargetKernel(T_, theta)
 
 
 class TestKernelDerivative:

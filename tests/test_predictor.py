@@ -34,6 +34,7 @@ from horizon.spectral_core import default_omega_max, gauss_legendre_edges
 
 from oracles import (
     adaptive_simpson,
+    assembled_spectrum,
     beta_fine_panels,
     bump_l1_ratios_mp,
     bump_transform_mp,
@@ -89,7 +90,7 @@ class TestAssembly:
 
     def test_transfer_identity_small_d(self, pk_small):
         omegas = np.array([0.0, 1.0, 3.0])
-        lhs = pk_small.spectrum(omegas)
+        lhs = assembled_spectrum(pk_small, omegas)
         rhs = pk_small.psi.at_iw(omegas) * q_spectrum(pk_small.h, omegas)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-8)
 
@@ -208,10 +209,6 @@ class TestPredict:
             ref = np.real(closed_form(canonical_signal, ts[:, None] - nodes) @ (weights * values))
             np.testing.assert_allclose(predict_values(pk, table), ref,
                                        rtol=0, atol=1e-15 * l1_mass)
-
-    def test_assembled_transform_refused_past_roundoff_switch(self, pk_big):
-        with pytest.raises(ValueError, match="l1_mass"):
-            pk_big.spectrum(np.array([1.0]))
 
     @pytest.mark.parametrize("method", ["taylor", "projection"])
     @pytest.mark.parametrize("d", [0, 4, 8, 10, 12, 16])
@@ -488,19 +485,16 @@ def _oracle_band(h):
 def _assembled_band(h):
     """(step, |Q(i omega)|) at omega = step * arange(n) on the whole band, from ``_band_spectrum``'s groups.
 
-    The groups must hold each band frequency once, each exactly step
-    times its band index.
+    The groups must hold each frequency once, each exactly step times its
+    index; the entries past the cut, at the indices above cut / step, are
+    dropped here.
     """
-    omegas, values = [], []
-    for om, q_abs, full in _band_spectrum(h):
-        for part in (np.s_[:full], np.s_[full:, :-1]):
-            omegas.append(om[part].ravel())
-            values.append(q_abs[part].ravel())
+    omegas, values = zip(*((om.ravel(), q_abs.ravel()) for om, q_abs in _band_spectrum(h)))
     omegas, values = np.concatenate(omegas), np.concatenate(values)
     order = np.argsort(omegas)
     step = omegas[order[1]]
     assert np.array_equal(omegas[order], step * np.arange(omegas.size))
-    return step, values[order]
+    return step, values[order[:int(predictor._band_cut(h) / step) + 1]]
 
 
 def _derivative_l1(h):
@@ -635,18 +629,26 @@ class TestBandSpectrum:
         assert step == ref_step and q_abs.size == ref.size
         np.testing.assert_allclose(q_abs, ref, rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("method, d", [("taylor", d) for d in range(2, 8)] + [("projection", 16)])
-    def test_p1_sup_against_padded_fft(self, canonical_kernel, method, d):
-        # the sup over the streamed band and its tail against the resolved
+    @pytest.mark.parametrize("T_, theta, method, d",
+                             [pytest.param(T, TH, "taylor", d, id=f"taylor-{d}") for d in (2, 3, 4, 5, 6, 7, 14, 15)]
+                             + [pytest.param(T, TH, "projection", 16, id="projection-16")]
+                             + [pytest.param(0.05, 0.01, "taylor", d, id=f"narrow-taylor-{d}") for d in (14, 15)])
+    def test_p1_sup_against_padded_fft(self, T_, theta, method, d):
+        # the sup over the clipped band and its tail against the resolved
         # sup of the long FFT's band (d = 16: the l1_mass cap).  Taylor d = 6
         # moves 6.4e-13 and d = 7 7.1e-12, where |Q| is 4.8e-7: the two
         # routes' |Q| agree to 3.4e-18 there, and the tolerance's 4e-18
-        # |psi_d| exceeds 1e-12 of the sup only at d = 7
-        psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
-        pk = PredictorKernel(canonical_kernel, psi)
-        resolved, psi_abs = _resolved_sup(canonical_kernel, psi)
-        ref = min(max(resolved, _tail(canonical_kernel, psi)), pk.l1_mass)
-        assert transfer_norms([pk], 1)[0][0] == pytest.approx(ref, rel=1e-12, abs=4e-18 * psi_abs)
+        # |psi_d| exceeds 1e-12 of the sup only at d = 7.  At d = 14 and 15
+        # the unclipped band's roundoff near the cut times |psi_d| read up
+        # to 13 % (canonical d = 15) and 30 % (T = 0.05, d = 15) above the
+        # tail bound; clipped at the envelope, the sup is the tail
+        h = TargetKernel(T_, theta)
+        psi = taylor_psi(T_, d) if method == "taylor" else projection_psi(T_, R, d)
+        pk = PredictorKernel(h, psi)
+        resolved, psi_abs = _resolved_sup(h, psi)
+        sup = transfer_norms([pk], 1)[0][0]
+        assert sup == pytest.approx(min(max(resolved, _tail(h, psi)), pk.l1_mass), rel=1e-12, abs=4e-18 * psi_abs)
+        assert sup >= resolved - 4e-18 * psi_abs  # the clip never cuts into the resolved sup
 
     @BAND_KERNELS
     def test_p1_norms_stream(self, T_, theta):
@@ -722,7 +724,7 @@ class TestSamplePathBlocks:
         whole_y = predictor.target_values(h, canonical_signal, ts)
         whole_y_hat = _predict(pk_small, canonical_signal, ts)
         monkeypatch.setattr(_accel, "_BLOCK_ELEMENTS", 1)  # 16-row blocks
-        assert len(predictor._row_blocks(ts.size, 100)) == 19
+        assert len(predictor._row_blocks(ts.size, 100, 1)) == 19
         np.testing.assert_allclose(predictor.target_values(h, canonical_signal, ts),
                                    whole_y, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(_predict(pk_small, canonical_signal, ts),
@@ -816,13 +818,13 @@ class TestWindowTables:
     def test_row_blocks_merge_a_one_row_tail(self, n_cols):
         # numpy takes a one-row product through another kernel, so a tail
         # of one row changed that row's bits (177 times on the target rule)
-        step = predictor._row_blocks(1 << 20, n_cols)[0].stop
+        step = predictor._row_blocks(1 << 20, n_cols, 1)[0].stop
         for n in (step + 1, 2 * step + 1):
-            blocks = predictor._row_blocks(n, n_cols)
+            blocks = predictor._row_blocks(n, n_cols, 1)
             assert [b.stop - b.start for b in blocks] == [step] * (n // step - 1) + [step + 1]
         rng = np.random.default_rng(0)
         a, v = rng.standard_normal((step + 1, n_cols)), rng.standard_normal(n_cols)
-        blocked = np.concatenate([a[b] @ v for b in predictor._row_blocks(step + 1, n_cols)])
+        blocked = np.concatenate([a[b] @ v for b in predictor._row_blocks(step + 1, n_cols, 1)])
         np.testing.assert_array_equal(blocked, a @ v)
 
     def test_dense_poisson_reads_32_window_points(self, canonical_kernel, canonical_signal):

@@ -22,10 +22,9 @@ MODULES = (_accel, cli, config, kernels, polynomials, predictor, signals, spectr
 #: public name never run by a command -> what keeps it
 UNREACHED = {
     "kernels.TargetKernel.derivative_mp": "perfbench kernels.derivative_mp.* metrics; the 40-digit test oracles",
-    "predictor.PredictorKernel.needs_extended": "perfbench predictor.extended_share counter",
-    "predictor.PredictorKernel.spectrum": "the transfer-identity tests; it is the only caller of "
-                                          "oscillatory_transform",
-    "_accel.oscillatory_transform": "perfbench accel.oscillatory_transform.* metrics",
+    "predictor.PredictorKernel.needs_extended": "perfbench predictor.extended_share counter; the switch of "
+                                                "the assembled_spectrum oracle",
+    "_accel.oscillatory_transform": "perfbench accel.oscillatory_transform.* metrics; the transform oracles",
     "signals.class_norm": "perfbench probe.py membership gate and signals.class_norm.self_s",
 }
 

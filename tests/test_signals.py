@@ -108,6 +108,7 @@ class TestRealness:
         assert np.isrealobj(x.derivatives(0, ts))
         om = np.linspace(-10, 10, 21)
         X = x.spectrum(om)
+        assert np.isrealobj(X)  # x is real and even, so X is too
         np.testing.assert_allclose(X, np.conj(X[::-1]), rtol=1e-12, atol=1e-15)
 
 
