@@ -475,7 +475,7 @@ def assembled_spectrum(pk, omegas):
 
     The independent side of the transfer identity, whose closed side is
     psi_d(i omega) Q(i omega).  The double node table of ``pk`` serves
-    until its roundoff (~1e-15 ``pk.l1_mass``) would exceed a tenth of the
+    until its roundoff (~1e-15 int |hhat_d|) would exceed a tenth of the
     quadrature budget (``pk.needs_extended()``); past it the 40-digit
     table does, the switch ``derivative_spectrum`` makes for one order.
     """
