@@ -14,8 +14,9 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 
-#: largest degree d a config may name: the kernel's derivative tables
-#: (``kernels``) hold every order up to it in double precision
+#: largest degree d a config may name: the p = 2 norms read L_m, m <= d, from the
+#: bump's ratio table ``predictor._BUMP_L2_RATIOS`` (m <= 16), and exact alpha is
+#: tested up to it
 D_MAX = 16
 
 

@@ -1,4 +1,4 @@
-"""Smooth compactly supported target kernels and their exact derivatives.
+"""Smooth compactly supported target kernels.
 
 The base shape is the standard bump exp(-1/(1-u^2)) on (-1, 1).  Its k-th
 derivative is P_k(u) (1-u^2)^(-2k) exp(-1/(1-u^2)) where P_k satisfies the
@@ -6,25 +6,23 @@ integer-coefficient recurrence
 
     P_{k+1} = P_k' (1-u^2)^2 + P_k (4 k u (1-u^2) - 2u),   P_0 = 1.
 
-P_k is built once in exact integer arithmetic.  Its monomial coefficients
-reach 1e20 at k = 16 and cancel in floating point, so for evaluation it
-is rewritten, by an exact integer Taylor shift, in the edge-distance
-basis P_k(u) = E(delta) + u O(delta) with delta = 1 - u^2; double
-precision then holds every order up to ``config.D_MAX``.  Finite differences
-are useless past k ~ 6 because the derivative magnitudes grow
-factorially; the recurrence is exact.  A scalar extended-precision
-evaluator (``TargetKernel.derivative_mp``) is kept for the test oracles;
-no command calls it, so none imports mpmath: its 40-digit context
-(``_mp``) is built on first use.  ``q_spectrum`` gives the transform
-Q(i omega) of the causal kernel q(t) = h(t - T), which the beta
-integrand reads.
+No command reads a derivative of the kernel: predictions take the
+signal's derivatives (``predictor.moment_table``) and the noise bounds
+take the bump's norm tables (``predictor._BUMP_L1_RATIOS`` and
+``_BUMP_L2_RATIOS``), so ``TargetKernel`` evaluates h at order 0 only.
+P_k is built once in exact integer arithmetic (``bump_poly_exact``) for
+the scalar extended-precision evaluator ``TargetKernel.derivative_mp``,
+which the test oracles and the benchmark's metrics read; no command
+calls it, so none imports mpmath: its 40-digit context (``_mp``) is
+built on first use.  ``q_spectrum`` gives the transform Q(i omega) of
+the causal kernel q(t) = h(t - T), which the beta integrand reads.
 
 High-order derivatives concentrate into wavepackets near the support
 endpoints whose local frequency diverges like 1/delta^2 (delta the
 distance to the edge in the unit coordinate).  ``derivative_panel_edges``
 builds quadrature panels by marching inward so that the log-variation of
-the envelope per panel stays bounded; every convolution against these
-kernels must use such panels.
+the envelope per panel stays bounded; the target rule is its order-0
+case, and the oracles read its panels of higher order.
 """
 
 import math
@@ -74,20 +72,8 @@ def bump_poly_exact(k):
     return tuple(out)
 
 
-def _shift_to_delta(coeffs):
-    """Coefficients of c(1 - delta) in ascending powers of delta, exactly."""
-    out = [0] * max(1, len(coeffs))
-    for j, c in enumerate(coeffs):
-        for m in range(j + 1):
-            out[m] += (-1) ** m * math.comb(j, m) * c
-    return np.array(out, dtype=np.float64)
-
-
-@lru_cache(maxsize=None)
-def _bump_poly_edge(k):
-    """(E, O) with P_k(u) = E(1 - u^2) + u O(1 - u^2), ascending float coefficients."""
-    p = bump_poly_exact(k)
-    return _shift_to_delta(p[0::2]), _shift_to_delta(p[1::2])
+#: P_0 = 1 in the edge basis of ``_accel.bump_derivative_values``: the bump itself
+_ORDER_0 = (np.array([1.0]), np.array([0.0]))
 
 
 @lru_cache(maxsize=1)
@@ -129,7 +115,7 @@ def _bump_fk_mp(u, k):
 def _raw_bump_mass():
     """integral of exp(-1/(1-u^2)) over (-1, 1) in double precision."""
     n, w = gauss_legendre_rule(-1.0, 1.0, 32)
-    return float(bump_derivative_values(n, _bump_poly_edge(0), 0) @ w)
+    return float(bump_derivative_values(n, _ORDER_0, 0) @ w)
 
 
 def derivative_panel_edges(width, k):
@@ -190,17 +176,10 @@ class TargetKernel:
         return (2.0 * t - (self.theta - self.T)) / self.width
 
     def __call__(self, t):
-        return self.derivative(0, t)
-
-    def derivative(self, k, t):
-        """k-th derivative of h at t (vectorized); exact zero off support."""
-        if not 0 <= k <= self.d_max:
-            raise ValueError(f"derivative order {k} outside [0, {self.d_max}]")
+        """h at t (vectorized); exact zero off support."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        vals = bump_derivative_values(self._to_unit(t), _bump_poly_edge(k), k)
-        out = vals * self.normalization * (2.0 / self.width) ** k
+        out = bump_derivative_values(self._to_unit(np.atleast_1d(t)), _ORDER_0, 0) * self.normalization
         return float(out[0]) if scalar else out
 
     def derivative_mp(self, t, k):

@@ -1,6 +1,6 @@
-"""Limited-memory predictor assembly, evaluation and error bounds.
+"""Limited-memory predictors: evaluation and error bounds.
 
-The predicting kernel is assembled in the time domain as
+The predicting kernel is
 
     hhat_d(t) = sum_k a_k q^(k)(t),    q(t) = h(t - T),
 
@@ -59,7 +59,8 @@ once per sweep: ``moment_table`` builds one table up to the top degree
 of the sweep, from one ``x.derivatives`` stack per row block and window
 or one read of the lines, and every predictor reads it;
 ``error_bound_parts`` integrates beta once; ``transfer_norms`` builds
-the p = 1 band or ||H||_2 once.  Every quantity here is computed in
+the p = 1 band once, and sums the p = 2 norms in closed form from the
+bump's constants ``_BUMP_L2_RATIOS``.  Every quantity here is computed in
 double precision.  The coefficients a_k and alpha come from
 ``polynomials``, where the projection and alpha share one exact moment
 helper (``weighted_space.unit_rate_moments``), are solved or summed in
@@ -78,12 +79,9 @@ from .polynomials import alpha_closed_form
 from .signals import _log_abs_spectrum
 from .spectral_core import _adequate_grid, gauss_legendre_edges
 
-#: quadrature budget (absolute) for prediction integrals
-EPS_QUAD = 1e-10
-
 
 class PredictorKernel:
-    """Causal bounded-support kernel; memory window is exactly [0, T+theta]."""
+    """Causal bounded-support kernel hhat_d = sum_k a_k q^(k); memory window is exactly [0, T+theta]."""
 
     def __init__(self, h, psi):
         if psi.degree > h.d_max:
@@ -92,32 +90,20 @@ class PredictorKernel:
         self.psi = psi
         self.d = psi.degree
         self.tau = h.width
-        self._table = None
-
-    def __call__(self, t):
-        """hhat_d(t), real; zero off [0, tau] by construction."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.zeros(t.shape)
-        for k, a in enumerate(self.psi.coeffs):
-            if a != 0:
-                out += a * self.h.derivative(k, t - self.h.T)
-        return float(out[0]) if scalar else out
-
-    def _double_table(self):
-        if self._table is None:
-            edges = derivative_panel_edges(self.tau, self.d)
-            nodes, weights = gauss_legendre_edges(edges)
-            values = self(nodes)
-            l1 = float(weights @ np.abs(values))
-            self._table = (nodes, weights, values, l1)
-        return self._table
 
     def needs_extended(self):
-        """True once roundoff of a quadrature against hhat_d (~1e-15 int |hhat_d|, the node
-        table's own estimate) exceeds a tenth of the quadrature budget: the node table is unusable."""
-        return self._double_table()[3] * 1e-15 > 0.1 * EPS_QUAD
+        """True once forming hhat_d in double rounds off more than 1e-11: 1e-15 sum_k |a_k| ||q^(k)||_1 > 1e-11.
+
+        ||q^(k)||_1 = (2 / tau)^k c_k (``_BUMP_L1_RATIOS``).  The sum bounds
+        the L1 mass l1 of hhat_d, whose l1 > 1e4 switches the assembled-kernel
+        test oracles; the two rules differ only where l1 < 1e4 <= the bound
+        (at most 2.1 l1 over 7 kernels; T = 0.2, theta = 2, taylor d = 12 has
+        l1 = 9,804 and a bound of 11,577).  On the canonical kernel they
+        agree at every degree.
+        """
+        scale = 2.0 / self.tau
+        bound = sum(abs(a) * c * scale**k for k, (a, c) in enumerate(zip(self.psi.coeffs, _BUMP_L1_RATIOS.tolist())))
+        return 1e-15 * bound > 1e-11
 
 
 # -- convolutions ------------------------------------------------------------
@@ -434,6 +420,15 @@ _BUMP_L1_RATIOS = np.array([
     8.508111616836402e+32, 8.43132994519369e+35, 9.451378095936156e+38, 1.1899204731760348e+42,
     1.6718385389248314e+45, 2.606411091096106e+48, 4.485678151784235e+51, 8.482529142015842e+54,
     1.7550625191322163e+58])
+#: L_m = ||f^(m)||_2^2 / ||f||_1^2, m = 0..16, for the same f, so ||q^(m)||_2^2 =
+#: (2 / tau)^(2m + 1) L_m; from ``bump_l2_ratios_mp()`` of tests/oracles.py at 60
+#: digits, rounded to double
+_BUMP_L2_RATIOS = (
+    0.6751168130096975, 2.0777456683667412, 54.95987342394815, 16247.68429241585,
+    24009139.678582437, 109290421435.79396, 1193002465426261.5, 2.6658338978904863e+19,
+    1.0930240100863688e+24, 7.588514242929948e+28, 8.389128441762926e+33, 1.4067216494557633e+39,
+    3.439763868590272e+44, 1.187230872336866e+50, 5.627764822043304e+55, 3.57924709240391e+61,
+    2.9933297176855146e+67)
 #: the band stops where |Q| <= ||q^(m)||_1 omega^-m is at most this, double roundoff
 _BAND_FLOOR = 1e-16
 #: Omega tau / 2, the same for every bump: the smallest x with c_m x^-m <= _BAND_FLOOR
@@ -506,23 +501,18 @@ def _band_spectrum(h):
         yield step * (columns + np.arange(g, g + rows, dtype=float)[:, None]), q_abs
 
 
-def _l2_time_norm_sq(pk):
-    """int |hhat_d|^2 dt from the double node table.
-
-    The integrand is nonnegative, so the sum does not cancel; the node
-    values are accurate to every degree through the edge-basis kernel
-    derivatives.
-    """
-    nodes, weights, values, _ = pk._double_table()
-    return float(weights @ values**2)
-
-
 def transfer_norms(pks, p):
     """(||Hhat_d||_{L_q}, ||H||_{L_q}) of each predictor, q dual to p.
 
     |H(i omega)| = |Q(i omega)| since the e^{i omega T} factor is
-    unimodular.  The L2 norms come from time-domain Parseval (exact, no
-    truncation).  The sup norms are maxed over the band [0, Omega] of
+    unimodular.  The L2 norms come from time-domain Parseval in closed
+    form: q and its derivatives vanish at 0 and tau, so by parts
+    int q^(j) q^(k) = (-1)^((k - j)/2) ||q^(m)||_2^2, m = (j + k) / 2, for
+    even j + k (0 for odd), and ||q^(m)||_2^2 = L_m (2 / tau)^(2m + 1), L_m
+    from ``_BUMP_L2_RATIOS``; ||H||_2^2 = 2 pi L_0 (2 / tau) is the m = 0
+    term.  The form does not cancel (sum |terms| <= 1.49 sum over 5 kernels,
+    both methods and d <= 16), and ``math.fsum`` rounds it once: within
+    1e-15 of 40 digits.  The sup norms are maxed over the band [0, Omega] of
     short FFTs (``_band_spectrum``), built once for the sweep: each group
     of transforms is folded into sup |Q| and into every predictor's
     sup |psi_d Q| and dropped, so memory is about one group.  |Q| is
@@ -563,7 +553,12 @@ def transfer_norms(pks, p):
         tails = [float(np.abs(pk.psi.coeffs) @ top ** np.arange(pk.d + 1)) * float(np.min(_CUT_DECAY[pk.d:]))
                  for pk in pks]
         return [(max(sup, tail), n_h) for sup, tail in zip(sups, tails)]
-    two_pi = 2.0 * math.pi
-    nodes, weights = _target_rule(h)
-    n_h = math.sqrt(two_pi * float((h(nodes) ** 2) @ weights))
-    return [(math.sqrt(two_pi * _l2_time_norm_sq(pk)), n_h) for pk in pks]
+    scale = 2.0 / h.width
+    l2 = [ratio * scale ** (2 * m + 1) for m, ratio in enumerate(_BUMP_L2_RATIOS)]  # ||q^(m)||_2^2
+    n_h, out = math.sqrt(2.0 * math.pi * l2[0]), []
+    for pk in pks:
+        a = pk.psi.coeffs
+        gram = math.fsum(a[j] * a[k] * (-1) ** (abs(k - j) // 2) * l2[(j + k) // 2]
+                         for j in range(len(a)) for k in range(j % 2, len(a), 2))
+        out.append((math.sqrt(2.0 * math.pi * gram), n_h))
+    return out

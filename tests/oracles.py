@@ -7,11 +7,16 @@ kernel derivatives, predictions and the weighted projection, at 120
 digits for the closed-form alpha expansion, the 40-digit node tables
 of the kernel transforms, one long zero-padded FFT for the p = 1
 transfer band, the bump derivatives' L1 norms, summed between the
-roots of P_m at 40 digits, and beta on fixed fine panels with edges at
+roots of P_m at 40 digits, their L2 norms by tanh-sinh at 60 digits
+(``bump_l2_ratios_mp``) and the Gram sum of ||Hhat_d||_2 on them at 40
+(``gram_l2_norm_sq_mp``), and beta on fixed fine panels with edges at
 the spectrum's kinks (``beta_fine_panels``).  It also holds the
 reference routes that no command runs: alpha by grid quadrature
 (``alpha_of``) on a numpy Gauss-Legendre frequency grid
-(``frequency_grid``), the transform of the target kernel itself
+(``frequency_grid``), the kernel's derivatives of every order in double
+(``kernel_derivative``, on the edge basis ``_bump_poly_edge``), the
+assembled predictor kernel and its node table (``assembled_kernel``,
+``assembled_table``), the transform of the target kernel itself
 (``h_spectrum``), the transform of the assembled predictor kernel
 (``assembled_spectrum``), a weighted sum of signals (``superposition``)
 and each signal kind's closed form in time (``closed_form``).
@@ -90,6 +95,66 @@ def bump_derivative_mp(u, k, dps=80):
     for c in reversed(bump_poly_exact(k)):
         p = p * um + c
     return p * ctx.exp(-2 * k * ctx.log(delta) - 1 / delta)
+
+
+def _shift_to_delta(coeffs):
+    """Coefficients of c(1 - delta) in ascending powers of delta, exactly."""
+    out = [0] * max(1, len(coeffs))
+    for j, c in enumerate(coeffs):
+        for m in range(j + 1):
+            out[m] += (-1) ** m * math.comb(j, m) * c
+    return np.array(out, dtype=np.float64)
+
+
+@lru_cache(maxsize=None)
+def _bump_poly_edge(k):
+    """(E, O) with P_k(u) = E(1 - u^2) + u O(1 - u^2), ascending float coefficients.
+
+    P_k's monomial coefficients reach 1e20 at k = 16 and cancel in
+    double; rewritten by an exact integer Taylor shift in the
+    edge-distance basis delta = 1 - u^2, where the leading coefficients
+    dominate near the edges, double holds every order up to 16.
+    """
+    from horizon.kernels import bump_poly_exact
+
+    p = bump_poly_exact(k)
+    return _shift_to_delta(p[0::2]), _shift_to_delta(p[1::2])
+
+
+def kernel_derivative(h, k, t):
+    """h^(k)(t) in double (vectorized), by ``_accel.bump_derivative_values`` on the edge basis; zero off support."""
+    from horizon._accel import bump_derivative_values
+
+    t = np.asarray(t, dtype=float)
+    vals = bump_derivative_values(h._to_unit(np.atleast_1d(t)), _bump_poly_edge(k), k)
+    out = vals * h.normalization * (2.0 / h.width) ** k
+    return float(out[0]) if t.ndim == 0 else out
+
+
+def assembled_kernel(pk, t):
+    """hhat_d(t) = sum_k a_k q^(k)(t), q(t) = h(t - T), in double; zero off [0, tau]."""
+    t = np.asarray(t, dtype=float)
+    s = np.atleast_1d(t) - pk.h.T
+    out = np.zeros(s.shape)
+    for k, a in enumerate(pk.psi.coeffs):
+        if a != 0:
+            out += a * kernel_derivative(pk.h, k, s)
+    return float(out[0]) if t.ndim == 0 else out
+
+
+def assembled_table(pk):
+    """(nodes, weights, values, l1): hhat_d on the order-d derivative panels of [0, tau], and its L1 mass."""
+    from horizon.kernels import derivative_panel_edges
+    from horizon.spectral_core import gauss_legendre_edges
+
+    nodes, weights = gauss_legendre_edges(derivative_panel_edges(pk.tau, pk.d))
+    values = assembled_kernel(pk, nodes)
+    return nodes, weights, values, float(weights @ np.abs(values))
+
+
+#: L1 mass of a double node table past which its roundoff, ~1e-15 of the
+#: mass, exceeds 1e-11 and the 40-digit table takes over
+_EXTENDED_L1 = 1e4
 
 
 def _bump_tanh_sinh(ctx, step):
@@ -256,6 +321,58 @@ def bump_l1_ratios_mp(m_max=16, dps=40):
     return out
 
 
+@lru_cache(maxsize=None)
+def bump_l2_ratios_mp(m_max=16, dps=60, step=1 / 128):
+    """L_m = ||f^(m)||_2^2 / ||f||_1^2 for the unit bump f(u) = exp(-1/(1-u^2)), m = 0..m_max, at ``dps`` digits.
+
+    Both integrals on one trapezoid in tau after u = tanh(pi/2 sinh tau),
+    as ``_bump_tanh_sinh`` takes them, with 1 / (1 - u^2) =
+    cosh^2(pi/2 sinh tau) formed without cancellation and
+    f^(m) = P_m(u) (1-u^2)^(-2m) f(u), P_m by Horner on its exact integer
+    coefficients with 25 digits to spare.  Step 1/128 at 60 digits agrees
+    with step 1/512 at 70 digits to 3e-30 at m = 16; it takes about 0.7 s,
+    where mpmath's adaptive ``quad`` took 534 s.
+    """
+    import mpmath
+
+    from horizon.kernels import bump_poly_exact
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    h, polys = ctx.mpf(step), [bump_poly_exact(m) for m in range(m_max + 1)]
+    mass, sums = ctx.mpf(0), [ctx.mpf(0)] * (m_max + 1)
+    n = int(ctx.ceil(2 / h))
+    for i in range(-n, n + 1):
+        tau = i * h
+        g = ctx.pi / 2 * ctx.sinh(tau)
+        inv_delta = ctx.cosh(g) ** 2
+        u, w, bump = ctx.tanh(g), h * ctx.pi / 2 * ctx.cosh(tau) / inv_delta, ctx.exp(-inv_delta)
+        mass += w * bump
+        with ctx.extradps(25):
+            for m, poly in enumerate(polys):
+                p = ctx.mpf(0)
+                for c in reversed(poly):
+                    p = p * u + c
+                sums[m] += w * (p * inv_delta ** (2 * m) * bump) ** 2
+    return tuple(total / mass**2 for total in sums)
+
+
+def gram_l2_norm_sq_mp(h, coeffs, dps=40):
+    """int hhat_d^2 dt for hhat_d = sum_k a_k q^(k), q(t) = h(t - T), at ``dps`` digits.
+
+    q and its derivatives vanish at both ends of the support, so
+    integrating by parts gives int q^(j) q^(k) = (-1)^((k-j)/2) ||q^(m)||_2^2
+    with m = (j + k) / 2 when j + k is even, and 0 when it is odd, and
+    ||q^(m)||_2^2 = L_m (2 / tau)^(2m + 1) with L_m from
+    ``bump_l2_ratios_mp``; the double a_k and tau are taken exactly.
+    """
+    ctx = mp_context(dps)
+    ratios, scale = bump_l2_ratios_mp(), 2 / ctx.mpf(h.width)
+    a = [ctx.mpf(c) for c in coeffs]
+    return ctx.fsum(a[j] * a[k] * (-1) ** (abs(k - j) // 2) * ratios[(j + k) // 2] * scale ** (j + k + 1)
+                    for j in range(len(a)) for k in range(j % 2, len(a), 2))
+
+
 def padded_band_spectrum(h, omega_max, pad):
     """(step, |Q(i omega)|) at omega = step * arange(n) on [0, omega_max] by one long FFT.
 
@@ -385,30 +502,6 @@ def alpha_closed_form_mp(psi, T, r, dps=120):
     return float(max(ctx.mpf(0), total))
 
 
-def gram_l2_norm_sq(h, coeffs):
-    """int |hhat_d|^2 dt for hhat_d = sum_k a_k q^(k), q(t) = h(t - T), real a_k.
-
-    q and its derivatives vanish at both ends of the support, so
-    integrating by parts gives int q^(j) q^(k) = (-1)^((k-j)/2) ||q^(m)||^2
-    with m = (j + k) / 2 when j + k is even, and 0 when it is odd.  Each
-    ||q^(m)||^2 is a quadrature of a nonnegative integrand on the panels
-    of the order-m derivative, and the assembled kernel is never formed.
-    At degree 16 on the canonical kernel the sum is within 1.1e-13 of a
-    40-digit evaluation; finer panels fare worse (up to 9e-12), because
-    they put more nodes where the double derivative is least accurate.
-    """
-    from horizon.kernels import derivative_panel_edges
-    from horizon.spectral_core import gauss_legendre_edges
-
-    a = [complex(c).real for c in coeffs]
-    norms = []
-    for m in range(len(a)):
-        nodes, weights = gauss_legendre_edges(derivative_panel_edges(h.width, m))
-        norms.append(float(weights @ h.derivative(m, nodes - h.T) ** 2))
-    return sum(a[j] * a[k] * (-1) ** ((k - j) // 2) * norms[(j + k) // 2]
-               for j in range(len(a)) for k in range(len(a)) if (j + k) % 2 == 0)
-
-
 @lru_cache(maxsize=1)
 def _gauss_legendre_mp():
     """The 16-point Gauss-Legendre nodes and weights in the kernels' 40-digit context (Newton on P_16)."""
@@ -474,16 +567,15 @@ def assembled_spectrum(pk, omegas):
     """F[hhat_d](i omega) by quadrature of the assembled time kernel hhat_d.
 
     The independent side of the transfer identity, whose closed side is
-    psi_d(i omega) Q(i omega).  The double node table of ``pk`` serves
-    until its roundoff (~1e-15 int |hhat_d|) would exceed a tenth of the
-    quadrature budget (``pk.needs_extended()``); past it the 40-digit
+    psi_d(i omega) Q(i omega).  The double node table (``assembled_table``)
+    serves until its L1 mass passes ``_EXTENDED_L1``; past it the 40-digit
     table does, the switch ``derivative_spectrum`` makes for one order.
     """
-    if pk.needs_extended():
+    nodes, weights, values, l1 = assembled_table(pk)
+    if l1 > _EXTENDED_L1:
         return assembled_spectrum_mp(pk, omegas)
     from horizon._accel import oscillatory_transform
 
-    nodes, weights, values, _ = pk._double_table()
     return oscillatory_transform(nodes, weights, values, np.atleast_1d(np.asarray(omegas, dtype=float)))
 
 
@@ -503,8 +595,8 @@ def derivative_spectrum(h, k, omegas):
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     edges = derivative_panel_edges(h.width, k) + h.support[0]
     nodes, weights = gauss_legendre_edges(edges)
-    vals = h.derivative(k, nodes)
-    if float(weights @ np.abs(vals)) * 1e-15 <= 1e-11:
+    vals = kernel_derivative(h, k, nodes)
+    if float(weights @ np.abs(vals)) <= _EXTENDED_L1:
         return oscillatory_transform(nodes, weights, vals, omegas)
     ctx = _mp()[0]
     x, w = _gauss_legendre_mp()

@@ -1,7 +1,9 @@
 import numpy as np
 
 from horizon import _accel
-from horizon.kernels import _bump_fk_mp, _bump_poly_edge
+from horizon.kernels import _bump_fk_mp
+
+from oracles import _bump_poly_edge
 
 
 class TestBackendEquivalence:

@@ -8,7 +8,7 @@ from horizon.config import D_MAX, ExperimentConfig
 from horizon.kernels import TargetKernel, bump_poly_exact, q_spectrum
 from horizon.spectral_core import fourier_transform_at, gauss_legendre_rule
 
-from oracles import bump_derivative_mp, derivative_spectrum, h_spectrum, richardson_derivative
+from oracles import bump_derivative_mp, derivative_spectrum, h_spectrum, kernel_derivative, richardson_derivative
 
 
 class TestBumpPolynomials:
@@ -66,14 +66,25 @@ class TestBumpKernel:
 
 
 class TestKernelDerivative:
+    """Order k of the kernel in double, the oracles' edge basis on ``_accel.bump_derivative_values``.
+
+    The library evaluates h at order 0 only; the oracles and the derivative
+    tests build every order on the same accelerated evaluator.
+    """
+
+    def test_order_zero_is_the_kernel(self, canonical_kernel):
+        h = canonical_kernel
+        ts = np.linspace(-h.T - 0.01, h.theta + 0.01, 301)
+        np.testing.assert_array_equal(kernel_derivative(h, 0, ts), h(ts))
+
     def test_zero_outside_support(self, canonical_kernel):
         h = canonical_kernel
         for k in range(1, 9):
-            assert h.derivative(k, -h.T - 1e-6) == 0.0
-            assert h.derivative(k, h.theta + 1e-6) == 0.0
+            assert kernel_derivative(h, k, -h.T - 1e-6) == 0.0
+            assert kernel_derivative(h, k, h.theta + 1e-6) == 0.0
 
     def test_first_derivative_vanishes_at_center(self, unit_bump):
-        assert unit_bump.derivative(1, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert kernel_derivative(unit_bump, 1, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_finite_differences(self, canonical_kernel, k):
@@ -81,9 +92,9 @@ class TestKernelDerivative:
         # interior points clear of the endpoint underflow region
         ts = np.linspace(-h.T + 0.05, h.theta - 0.02, 20)
         for t in ts:
-            fd = richardson_derivative(lambda s: h.derivative(k - 1, s), t, h=1e-5)
-            exact = h.derivative(k, t)
-            scale = max(abs(exact), np.max(np.abs(h.derivative(k, ts))))
+            fd = richardson_derivative(lambda s: kernel_derivative(h, k - 1, s), t, h=1e-5)
+            exact = kernel_derivative(h, k, t)
+            scale = max(abs(exact), np.max(np.abs(kernel_derivative(h, k, ts))))
             assert abs(fd - exact) <= 1e-5 * scale
 
     @pytest.mark.parametrize("k", range(1, 7))
@@ -100,7 +111,7 @@ class TestKernelDerivative:
         for k in (0, 3, 6):
             for t in (-0.3, 0.0, 0.05):
                 assert float(h.derivative_mp(t, k)) == pytest.approx(
-                    h.derivative(k, t), rel=1e-11)
+                    kernel_derivative(h, k, t), rel=1e-11)
 
     @pytest.mark.parametrize("k", [0, 5, 16])
     def test_extended_against_60_digits(self, canonical_kernel, k):
@@ -126,12 +137,12 @@ class TestKernelDerivative:
         # into the edge wavepackets where high orders peak
         ts = np.linspace(-0.999, 0.999, 401)
         ref = np.array([float(bump_derivative_mp(t, k)) for t in ts])
-        got = unit_bump.derivative(k, ts) / unit_bump.normalization
+        got = kernel_derivative(unit_bump, k, ts) / unit_bump.normalization
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_order_cap(self, canonical_kernel):
         with pytest.raises(ValueError):
-            canonical_kernel.derivative(TargetKernel.d_max + 1, 0.0)
+            canonical_kernel.derivative_mp(0.0, TargetKernel.d_max + 1)
 
 
 class TestQTransform:

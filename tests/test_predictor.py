@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from horizon import _accel, predictor
 from horizon._accel import bump_derivative_values
 from horizon.config import BoundRangeError
-from horizon.kernels import TargetKernel, _bump_poly_edge, derivative_panel_edges, q_spectrum
+from horizon.kernels import TargetKernel, derivative_panel_edges, q_spectrum
 from horizon.polynomials import Polynomial, projection_psi, taylor_psi
 from horizon.predictor import (
     PredictorKernel,
@@ -33,18 +33,23 @@ from horizon.signals import (
 from horizon.spectral_core import default_omega_max, gauss_legendre_edges
 
 from oracles import (
+    _bump_poly_edge,
     adaptive_simpson,
+    assembled_kernel,
     assembled_spectrum,
+    assembled_table,
     beta_fine_panels,
     bump_derivative_mp,
     bump_l1_ratios_mp,
+    bump_l2_ratios_mp,
     bump_transform_mp,
     chirp_transfer_prediction_mp,
     closed_form,
     direct_table,
     frequency_grid,
-    gram_l2_norm_sq,
+    gram_l2_norm_sq_mp,
     h_spectrum,
+    mp_context,
     padded_band_spectrum,
     superposition,
     transfer_prediction_mp,
@@ -68,21 +73,16 @@ def pk_small(canonical_kernel):
     return PredictorKernel(canonical_kernel, taylor_psi(T, 4))
 
 
-@pytest.fixture(scope="module")
-def pk_big(canonical_kernel):
-    return PredictorKernel(canonical_kernel, taylor_psi(T, 10))
-
-
 class TestAssembly:
     def test_degree_zero_is_delayed_kernel(self, canonical_kernel):
         pk = PredictorKernel(canonical_kernel, Polynomial((1.0,)))
         ts = np.linspace(0.0, pk.tau, 19)
         np.testing.assert_allclose(
-            pk(ts).real, canonical_kernel(ts - T), rtol=1e-13, atol=1e-300)
+            assembled_kernel(pk, ts), canonical_kernel(ts - T), rtol=1e-13, atol=1e-300)
 
     def test_support(self, pk_small):
-        assert pk_small(-0.01) == 0.0
-        assert pk_small(pk_small.tau + 0.01) == 0.0
+        assert assembled_kernel(pk_small, -0.01) == 0.0
+        assert assembled_kernel(pk_small, pk_small.tau + 0.01) == 0.0
         assert pk_small.tau == T + TH
 
     def test_degree_cap(self, canonical_kernel):
@@ -103,9 +103,14 @@ class TestAssembly:
         closed = pk_small.psi.at_iw(omegas) * q_spectrum(canonical_kernel, omegas)
         np.testing.assert_allclose(closed, rhs, rtol=1e-9)
 
-    def test_l1_mass_triggers_extended(self, pk_small, pk_big):
-        assert not pk_small.needs_extended()
-        assert pk_big.needs_extended()
+    def test_l1_mass_triggers_extended(self, canonical_kernel):
+        # the bound sum_k |a_k| ||q^(k)||_1 switches where the assembled node
+        # table's own L1 mass l1 > 1e4 does, at every degree and both methods
+        # on the canonical kernel (elsewhere it can switch first: needs_extended)
+        for make in (lambda d: taylor_psi(T, d), lambda d: projection_psi(T, R, d)):
+            pks = [PredictorKernel(canonical_kernel, make(d)) for d in range(TargetKernel.d_max + 1)]
+            assert [pk.needs_extended() for pk in pks] == [assembled_table(pk)[3] > 1e4 for pk in pks]
+            assert not pks[4].needs_extended() and pks[10].needs_extended()
 
 
 class TestTarget:
@@ -206,7 +211,7 @@ class TestPredict:
         table = moment_table(canonical_kernel, canonical_signal, ts, 4)
         for pk in pks:
             assert not pk.needs_extended()
-            nodes, weights, values, l1_mass = pk._double_table()
+            nodes, weights, values, l1_mass = assembled_table(pk)
             ref = np.real(closed_form(canonical_signal, ts[:, None] - nodes) @ (weights * values))
             np.testing.assert_allclose(predict_values(pk, table), ref,
                                        rtol=0, atol=1e-15 * l1_mass)
@@ -468,14 +473,35 @@ class TestNoise:
         assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
 
 
+#: (T, theta) of the kernels the p = 2 norms are checked on
+GRAM_KERNELS = ((T, TH), (2.0, 0.5), (0.05, 0.01), (1.0, 1.0), (0.2, 2.0))
+
+
 class TestTransferNorms:
     @pytest.mark.parametrize("method", ["taylor", "projection"])
-    @pytest.mark.parametrize("d", [12, 16])
-    def test_l2_norm_against_gram_identity(self, canonical_kernel, method, d):
-        psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
-        pk = PredictorKernel(canonical_kernel, psi)
-        ref = math.sqrt(2.0 * math.pi * gram_l2_norm_sq(canonical_kernel, psi.coeffs))
-        assert transfer_norms([pk], 2)[0][0] == pytest.approx(ref, rel=1e-11)
+    @pytest.mark.parametrize("d", [4, 8, 12, 16])
+    def test_l2_norm_against_gram_identity(self, method, d):
+        # ||Hhat_d||_2 and ||H||_2 against the Gram sum at 40 digits on the
+        # 60-digit L_m.  The double form is measured within 1e-15; a double
+        # node table of the assembled kernel read up to 3.75e-11 off (T =
+        # theta = 1, d = 16)
+        ctx = mp_context(40)
+        for T_, theta in GRAM_KERNELS:
+            h = TargetKernel(T_, theta)
+            psi = taylor_psi(T_, d) if method == "taylor" else projection_psi(T_, R, d)
+            (n_hhat, n_h), = transfer_norms([PredictorKernel(h, psi)], 2)
+            for got, coeffs in ((n_hhat, psi.coeffs), (n_h, [1.0])):
+                ref = ctx.sqrt(2 * ctx.pi * gram_l2_norm_sq_mp(h, coeffs))
+                assert abs(got / ref - 1) <= 4e-15, (T_, theta)
+
+    def test_bump_l2_ratios_against_the_oracle(self):
+        # the literal is the 60-digit oracle rounded to double, and the
+        # oracle's trapezoid has converged: half its step moves it by 3e-30
+        ratios = bump_l2_ratios_mp()
+        assert list(predictor._BUMP_L2_RATIOS) == [float(v) for v in ratios]
+        assert len(ratios) == TargetKernel.d_max + 1
+        finer = bump_l2_ratios_mp(step=1 / 256)
+        assert max(abs(a / b - 1) for a, b in zip(ratios, finer)) <= 1e-25
 
 
 BAND_KERNELS = pytest.mark.parametrize("T_, theta", [(T, TH), (2.0, 0.5)], ids=["canonical", "wide"])
@@ -690,7 +716,7 @@ class TestBandSpectrum:
         psi = taylor_psi(T, d) if method == "taylor" else projection_psi(T, R, d)
         pk = PredictorKernel(canonical_kernel, psi)
         (sup_hhat, sup_h), = transfer_norms([pk], 1)
-        assert sup_hhat <= pk._double_table()[3] * (1.0 + 4.0 * np.finfo(float).eps)
+        assert sup_hhat <= assembled_table(pk)[3] * (1.0 + 4.0 * np.finfo(float).eps)
         assert sup_h == pytest.approx(1.0, rel=1e-15)
 
     @pytest.fixture(scope="class")
@@ -713,7 +739,7 @@ class TestBandSpectrum:
         resolved, psi_abs = _resolved_sup(canonical_kernel, pk.psi)
         sup = transfer_norms([pk], 1)[0][0]
         assert sup == pytest.approx(resolved, rel=0.0, abs=1e-15 * psi_abs)
-        assert sup == pytest.approx(6.1407e11, rel=1e-4) and sup < pk._double_table()[3] / 1.5
+        assert sup == pytest.approx(6.1407e11, rel=1e-4) and sup < assembled_table(pk)[3] / 1.5
 
     @pytest.mark.parametrize("scale", [0.1, 4.0])
     def test_p1_norms_invariant_under_rescaling(self, canonical_kernel, scale):

@@ -5,10 +5,11 @@ small configs that between them name every signal kind, both methods
 and both noise norms; chirp noise is the signal of one, so the target
 takes the route of a signal's lines.  A public function or method (``__call__``
 included) that never runs must be in ``UNREACHED``, with what keeps it:
-the benchmark metric or probe built on it, or the tests that read it.
-A function that stops running, or one on the list that starts to, fails
-the test, so reference routes that only tests use move to
-``tests/oracles.py`` instead of staying in the library.
+the benchmark metric or probe built on it.  A function that stops
+running, or one on the list that starts to, fails the test, so reference
+routes that only tests use move to ``tests/oracles.py`` instead of
+staying in the library.  No command evaluates a kernel derivative: every
+``_accel.bump_derivative_values`` call they make is at order 0.
 """
 
 import inspect
@@ -19,12 +20,12 @@ from horizon import _accel, cli, config, kernels, polynomials, predictor, signal
 
 MODULES = (_accel, cli, config, kernels, polynomials, predictor, signals, spectral_core, weighted_space)
 
-#: public name never run by a command -> what keeps it
+#: public name never run by a command -> the benchmark metric that keeps it
 UNREACHED = {
-    "kernels.TargetKernel.derivative_mp": "perfbench kernels.derivative_mp.* metrics; the 40-digit test oracles",
-    "predictor.PredictorKernel.needs_extended": "perfbench predictor.extended_share counter; the switch of "
-                                                "the assembled_spectrum oracle",
-    "_accel.oscillatory_transform": "perfbench accel.oscillatory_transform.* metrics; the transform oracles",
+    "kernels.TargetKernel.derivative_mp": "perfbench kernels.derivative_mp.* metrics",
+    "kernels.bump_poly_exact": "perfbench kernels.derivative_mp.* metrics, through derivative_mp",
+    "predictor.PredictorKernel.needs_extended": "perfbench predictor.extended_share counter",
+    "_accel.oscillatory_transform": "perfbench accel.oscillatory_transform.* metrics",
     "signals.class_norm": "perfbench probe.py membership gate and signals.class_norm.self_s",
 }
 
@@ -67,14 +68,23 @@ def test_every_public_function_runs_or_is_listed(tmp_path):
         path = tmp_path / f"c{i}.json"
         path.write_text(json.dumps(overrides), encoding="utf-8")
         paths.append(path)
-    seen = set()
-    sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code) if event == "call" else None)
+    seen, orders = set(), set()
+    bump = _accel.bump_derivative_values.__code__
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+            if frame.f_code is bump:
+                orders.add(frame.f_locals["k"])
+
+    sys.setprofile(profile)
     try:
         codes = [cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
                  for path in paths for command in cli._COMMANDS]
     finally:
         sys.setprofile(None)
     assert codes == [cli.EXIT_OK] * len(codes)
+    assert orders == {0}, "a command evaluated a kernel derivative"
     never = {name for code, name in _public_functions().items() if code not in seen}
     assert sorted(never - set(UNREACHED)) == [], "never run: move it to tests/oracles.py, or list what keeps it"
     assert sorted(set(UNREACHED) - never) == [], "listed, but a command runs it"
