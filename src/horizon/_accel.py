@@ -70,9 +70,9 @@ def _row_blocks(n_rows, n_cols, depth):
     product sums each row exactly as one full product does (a threaded
     BLAS splits each product's rows between its threads by its size).
     The 16-row floor lets blocks of wide rows exceed ``_BLOCK_ELEMENTS``:
-    16 rows of the canonical chirp's (80 lines x 1,376 nodes) phases are
-    one 344 KiB complex block.  The direct sum of a deep stack splits its
-    nodes into column blocks instead (``predictor._window_table``).
+    16 rows of a d <= 4 stack at 512 window points with its arguments are
+    384 KiB.  The direct sum of a deep stack splits its nodes into column
+    blocks instead (``predictor._window_table``).
     """
     step = max(16, _BLOCK_ELEMENTS // (n_cols * depth) // 16 * 16)
     starts = list(range(0, n_rows, step))

@@ -32,8 +32,8 @@ by one route.  No route here integrates hhat_d itself: psi_d Q is its
 transform, and the quadrature of the assembled kernel, the other side of
 the transfer identity, is a test oracle.  A signal made of lines,
 x(t) = Re sum_j c_j e^{i omega_j t} (chirp noise, its frequency rule),
-gives the same double sum over nodes s and lines j taken over s first:
-one transcendental per line and per time, not per (time, node, line).
+has the moments Re sum_j c_j (i omega_j)^k H(i omega_j) e^{i omega_j t},
+H from ``spectral_core.fourier_transform_at``, sized by the top line.
 
 The derivative stack of a signal without lines is separated from the
 kernel the same way.  A signal of the class is analytic in a strip about
@@ -77,7 +77,7 @@ from .config import BoundRangeError, ClassMembershipError
 from .kernels import derivative_panel_edges, q_spectrum
 from .polynomials import alpha_closed_form
 from .signals import _log_abs_spectrum
-from .spectral_core import _adequate_grid, gauss_legendre_edges
+from .spectral_core import _adequate_grid, fourier_transform_at, gauss_legendre_edges
 
 
 class PredictorKernel:
@@ -243,17 +243,19 @@ def _window_table(ts, window, nodes, sample, v, depth, m):
     docstring).  Each row takes the first M, from ``m`` doubling, at
     which it passes the tail test; the rows still failing move on to 2M,
     and M is the largest any row read.  Once M would reach the node
-    count N, or the signal values per point (rows left x depth) drop to
-    ``_BASIS_COST``, the rows left are read on the nodes themselves: the
-    direct panel sum.  Past that, forming the N x M basis would cost
-    more than the direct sum reads (the break-even measured near 80
-    times for the target and 20 for a 17-deep transfer stack).  That sum
+    count N, or the signal values per point of the whole table (times x
+    depth, not the rows left: a row takes the same M and bits in every
+    table whose cutoff lies past that M) drop to ``_BASIS_COST``, the rows
+    left are read on the nodes themselves: the direct panel sum.  Past
+    that, forming the N x M basis would cost more than the direct sum
+    reads (the break-even measured near 80 times for the target and 20
+    for a 17-deep stack).  That sum
     takes the nodes in column blocks of about ``_BLOCK_ELEMENTS`` per row
     block, added in node order: one block for the target, several for a
     stack (5 x 1,376 x 17 was 935 KB).
     """
     out, left = np.empty((depth, ts.size)), None
-    while m < nodes.size and _BASIS_COST * m < (ts.size if left is None else left.size) * depth:
+    while m < nodes.size and _BASIS_COST * m < ts.size * depth:
         left = _blocked(ts, left, _window_rule(window, m, nodes, v), sample, depth, out)
         if not left.size:
             return out, m
@@ -274,36 +276,24 @@ class MomentTable(NamedTuple):
 
 
 def _convolutions(h, x, tt, kmax):
-    """The MomentTable of int h(s) x^(k)(t - s) ds, k <= kmax, at the times ``tt`` on the target rule.
+    """The MomentTable of int h(s) x^(k)(t - s) ds, k <= kmax, at the times ``tt``: on the target rule, or from lines.
 
     One ``x.derivatives(kmax, .)`` stack at the points of the window
     interpolant on [-T, theta] (``_window_table``) per row block, the
     blocks sized by the whole (kmax + 1)-deep stack and the tail test
     passed by every order; each order times L.T (h w).  Row k depends on
     kmax only through the window points M.  With lines resolving every
-    argument t - s, the row is Re sum_j c_j (i omega_j)^k Q_j
-    e^{i omega_j t}, Q_j = sum_s h(s) w_s e^{-i omega_j s}, and no window
-    is read.  The (lines x nodes) phases are formed in row blocks of one
-    complex array, reused: each block's exponent is written into its
-    imaginary part and exponentiated in place (two doubles an entry).
-    The (times x lines) phases are formed in row blocks of their complex
-    exponent and exponential (four doubles an entry).
+    argument t - s, the row is Re sum_j c_j (i omega_j)^k H(i omega_j)
+    e^{i omega_j t}, H from ``fourier_transform_at`` (no window and no
+    target rule is read), and the (times x lines) phases are formed in
+    row blocks of their exponent and exponential (four doubles an entry).
     """
-    nodes, weights = _target_rule(h)
-    hw = h(nodes) * weights
     if x.lines is None:
+        nodes, weights = _target_rule(h)
         return MomentTable(*_window_table(tt, h.support, nodes, lambda args: x.derivatives(kmax, args),
-                                          hw, kmax + 1, _first_window(x, h.width)))
-    om, c = x.lines(max(np.max(tt) - np.min(nodes), np.max(nodes) - np.min(tt)))
-    q = np.empty(om.size, dtype=complex)
-    blocks = _row_blocks(om.size, nodes.size, depth=2)
-    block = np.empty((max((r.stop - r.start for r in blocks), default=0), nodes.size), dtype=complex)
-    for rows in blocks:
-        phases = block[:rows.stop - rows.start]
-        phases.real = 0.0
-        np.multiply.outer(om[rows], -nodes, out=phases.imag)
-        q[rows] = np.exp(phases, out=phases) @ hw
-    b = (c * q)[:, None] * (1j * om[:, None]) ** np.arange(kmax + 1)
+                                          h(nodes) * weights, kmax + 1, _first_window(x, h.width)))
+    om, c = x.lines(max(np.max(tt) + h.T, h.theta - np.min(tt)))
+    b = (c * fourier_transform_at(h, h.support, om))[:, None] * (1j * om[:, None]) ** np.arange(kmax + 1)
     out = np.empty((kmax + 1, tt.size))
     for rows in _row_blocks(tt.size, om.size, depth=4):
         phases = np.exp(1j * np.outer(tt[rows], om))
@@ -512,10 +502,11 @@ def transfer_norms(pks, p):
     from ``_BUMP_L2_RATIOS``; ||H||_2^2 = 2 pi L_0 (2 / tau) is the m = 0
     term.  The form does not cancel (sum |terms| <= 1.49 sum over 5 kernels,
     both methods and d <= 16), and ``math.fsum`` rounds it once: within
-    1e-15 of 40 digits.  The sup norms are maxed over the band [0, Omega] of
-    short FFTs (``_band_spectrum``), built once for the sweep: each group
-    of transforms is folded into sup |Q| and into every predictor's
-    sup |psi_d Q| and dropped, so memory is about one group.  |Q| is
+    1e-15 of 40 digits.  ||H||_inf = H(0) = 1, as h >= 0 has unit mass.
+    ||Hhat_d||_inf is maxed over the band [0, Omega] of short FFTs
+    (``_band_spectrum``), built once for the sweep: each group of
+    transforms is folded into every predictor's sup |psi_d Q| and
+    dropped, so memory is about one group.  |Q| is
     first clipped at its exact envelope min_m ||q^(m)||_1 omega^-m =
     min_m ``_CUT_DECAY[m]`` (Omega / omega)^m, 1 <= m <= 24, so roundoff
     near the cut Omega (``_band_cut``), where the envelope is 8.5e-17,
@@ -536,7 +527,7 @@ def transfer_norms(pks, p):
         raise ValueError("p must be 1 or 2")
     h = pks[0].h
     if p == 1:
-        top, n_h, sups = _band_cut(h), 0.0, [0.0] * len(pks)
+        top, sups = _band_cut(h), [0.0] * len(pks)
         log_decay = np.log(_CUT_DECAY[1:]).tolist()  # [j] for order j + 1
         for omegas, q_abs in _band_spectrum(h):
             upper = np.s_[:, q_abs.shape[1] // 2:]
@@ -548,11 +539,10 @@ def transfer_norms(pks, p):
             for j in range(m + 1, len(log_decay)):
                 np.minimum(log_env, log_decay[j] + (j + 1) * log_ratio, out=log_env)
             np.minimum(q_abs[upper], np.exp(log_env), out=q_abs[upper])
-            n_h = max(n_h, float(np.max(q_abs)))
             sups = [max(sup, float(np.max(np.abs(pk.psi.at_iw(omegas)) * q_abs))) for sup, pk in zip(sups, pks)]
         tails = [float(np.abs(pk.psi.coeffs) @ top ** np.arange(pk.d + 1)) * float(np.min(_CUT_DECAY[pk.d:]))
                  for pk in pks]
-        return [(max(sup, tail), n_h) for sup, tail in zip(sups, tails)]
+        return [(max(sup, tail), 1.0) for sup, tail in zip(sups, tails)]
     scale = 2.0 / h.width
     l2 = [ratio * scale ** (2 * m + 1) for m, ratio in enumerate(_BUMP_L2_RATIOS)]  # ||q^(m)||_2^2
     n_h, out = math.sqrt(2.0 * math.pi * l2[0]), []

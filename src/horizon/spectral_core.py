@@ -4,7 +4,10 @@ Frequency grids are composite Gauss-Legendre panel rules mirrored about
 omega = 0, so the kink of the weight e^{+-r|omega|} always falls on a
 panel boundary, and so do the kinks of the spectrum; ``_adequate_grid``,
 one rule, sizes the grid of every weighted spectral energy (beta and the
-class norm).  The forward transform convention is
+class norm).  ``fourier_transform_at``, the one quadrature against
+e^{-i omega t} at any frequencies, gives beta's Q (``kernels.q_spectrum``)
+and H at a signal's lines (``predictor._convolutions``).  The forward
+transform convention is
 
     F(i omega) = integral e^{-i omega t} f(t) dt,
 

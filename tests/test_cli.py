@@ -519,6 +519,22 @@ class TestNoiseSweep:
         assert len(predictor._row_blocks(tgrid["n_points"], n_lines[0], depth=4)) == 2
         assert calls == ["lines"]
 
+    def test_high_band_chirp_noise_within_bound(self, runner, tmp_path):
+        # chirp noise on band [300, 800] past the kernel's decay: each line's
+        # H comes from a rule sized by its frequency.  A sum over the
+        # kernel-sized target rule read |H| far above its true value there
+        # and exited 4 with a false "bound violation at nu=0.1, d=1:
+        # 3.618e+00 > 1.413e-01"
+        cfgp = write_config(tmp_path / "c.json", T=2.0, theta=0.5, r=4.0, method="projection",
+                            d_range=[0, 4], signal={"kind": "poisson", "params": {"a": 2.5}},
+                            noise={"kind": "chirp_noise", "params": {"band": [300.0, 800.0], "amplitude": 1.0}},
+                            nu_range=[0.0, 0.1], output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, ["noise-sweep", "--config", str(cfgp)])
+        assert result.exit_code == 0, result.output
+        rows = [list(map(float, l.split(","))) for l in
+                (tmp_path / "out" / "noise_sweep.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 10 and all(emp <= bound for _, _, emp, bound in rows)
+
     def test_zero_noise_rows_match_convergence(self, runner, tmp_path):
         cfgp = write_config(tmp_path / "c.json", d_range=[2, 2],
                             nu_range=[0.0], output_dir=str(tmp_path / "out"))

@@ -141,7 +141,7 @@ class TestTarget:
 
         ts = np.linspace(-2.0, 2.0, 41)
         y = target_values(canonical_kernel, replace(eta, lines=lines, derivatives=derivatives), ts)
-        assert calls == [pytest.approx(2.0 + T, rel=1e-4)]  # the largest |t - s|
+        assert calls == [2.0 + T]  # the largest |t - s|, max(ts) + T
         np.testing.assert_allclose(y, direct_table(canonical_kernel, eta, ts)[0][0], rtol=0, atol=1e-15)
 
     def test_spectral_factorization(self, canonical_kernel, canonical_signal):
@@ -250,6 +250,37 @@ class TestPredict:
         np.testing.assert_allclose(_predict(pk, chirp_noise((6.0, 12.0), 1.0), ts), ref,
                                    rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_chirp_lines_resolved_past_the_kernel_rule(self, d):
+        # each line's H(i omega) comes from the rule of q_spectrum, whose
+        # panels grow with the largest omega.  At band (300, 302) on
+        # (T, theta) = (2, 0.5), where |H| is near 2e-10, a sum over the
+        # kernel-sized target rule put the predictions 1.9e-8 (d = 0) and
+        # 3.5e-3 (d = 2) off values of 6.6e-11 and 1.2e-5; measured 4.9e-17
+        # and 8.8e-12 here.  The bound is the roundoff of the sum over
+        # lines and orders, eps sum_k |a_k| sum_j |c_j| omega_j^k, with
+        # sum_j |c_j| omega_j^k = (A / pi) int_lo^hi omega^k domega (c_j > 0).
+        # The oracle's step 1/128 gives the same doubles as 1/256
+        T_, theta, (lo, hi) = 2.0, 0.5, (300.0, 302.0)
+        h, psi = TargetKernel(T_, theta), taylor_psi(T_, d)
+        ts = np.array([-1.0, 0.5])
+        got = _predict(PredictorKernel(h, psi), chirp_noise((lo, hi), 1.0), ts)
+        ref = chirp_transfer_prediction_mp(psi.coeffs, T_, theta, (lo, hi), 1.0, ts, dps=30, step=1 / 128)
+        floor = np.finfo(float).eps * sum(abs(a) * (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * math.pi)
+                                          for k, a in enumerate(psi.coeffs))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=floor)
+
+    def test_chirp_lines_read_no_target_rule(self, canonical_kernel, monkeypatch):
+        # a signal with lines forms no (lines x nodes) phases: neither its
+        # target nor its moment table builds the target rule
+        def refuse(h):
+            raise AssertionError("the target rule was built")
+
+        monkeypatch.setattr(predictor, "_target_rule", refuse)
+        eta, ts = chirp_noise((6.0, 12.0), 1.0), np.linspace(-2.0, 2.0, 41)
+        assert moment_table(canonical_kernel, eta, ts, 12).values.shape == (13, 41)
+        assert target_values(canonical_kernel, eta, ts).shape == (41,)
+
     def test_sweep_reads_one_moment_table(self, canonical_kernel):
         # a sweep evaluates the signal's derivative stack once per row
         # block and window, up to its top degree, whatever degree it starts
@@ -304,9 +335,10 @@ class TestPredict:
         assert np.all(np.abs(table.values - stacks) <= 2e-15 * scale)
 
     def test_chirp_lines_table_peaks_below_600_kib(self, canonical_kernel):
-        # the canonical chirp's (80 lines x 1,376 nodes) phases take one
-        # reused complex block of 16 rows (344 KiB); an exponent and its
-        # exponential in fresh arrays traced 735 KiB
+        # the canonical chirp's lines take H from fourier_transform_at and
+        # form no (lines x nodes) phases: traced 110 KiB, where one reused
+        # complex block of 16 rows of phases over the 1,376 target nodes
+        # traced 499 KiB
         eta = chirp_noise((6.0, 12.0), 1.0)
         ts = np.linspace(-2.0, 2.0, 41)
         tracemalloc.start()
@@ -717,7 +749,7 @@ class TestBandSpectrum:
         pk = PredictorKernel(canonical_kernel, psi)
         (sup_hhat, sup_h), = transfer_norms([pk], 1)
         assert sup_hhat <= assembled_table(pk)[3] * (1.0 + 4.0 * np.finfo(float).eps)
-        assert sup_h == pytest.approx(1.0, rel=1e-15)
+        assert sup_h == 1.0  # H(0) = int h, |H| <= 1 exactly
 
     @pytest.fixture(scope="class")
     def q_scan(self, canonical_kernel):
@@ -897,6 +929,23 @@ class TestWindowTables:
         sub = moment_table(canonical_kernel, canonical_signal, ts[rows], 4)
         assert sub.window_points <= 32 and ts[rows].size == 400  # no row took the direct sum
         np.testing.assert_array_equal(sub.values, table[:, rows])
+
+    def test_subset_rows_match_with_the_direct_sum_cutoff_of_the_table(self, canonical_kernel, canonical_signal):
+        # the direct sum starts only where the whole table's signal values
+        # per point drop to _BASIS_COST, not the rows left, so the 47 rows of
+        # the subset that fail at M = 16 move on to M = 32 as the grid's do.
+        # A cutoff on the rows left sent them to the direct sum: the Poisson
+        # target then differed in 40 rows (by up to 1.1e-16) and the sigma = 1
+        # Gaussian's d <= 4 table in 222 cells.  The Gaussian target is left
+        # out: 19 subset rows, where y is near 1e-72, pass only past M = 64,
+        # where a 400-time target's cutoff sends them to the direct sum
+        ts = np.linspace(-20.0, 20.0, 20001)
+        rows = np.s_[:20000:50]
+        np.testing.assert_array_equal(target_values(canonical_kernel, canonical_signal, ts[rows]),
+                                      target_values(canonical_kernel, canonical_signal, ts)[rows])
+        x = gaussian_signal(1.0)
+        np.testing.assert_array_equal(moment_table(canonical_kernel, x, ts[rows], 4).values,
+                                      moment_table(canonical_kernel, x, ts, 4).values[:, rows])
 
     @pytest.mark.parametrize("x", [gaussian_signal(1.0), cosine_modulated_poisson(1.5, 3.0)],
                              ids=["gauss-1", "modulated"])
