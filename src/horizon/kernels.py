@@ -14,8 +14,9 @@ P_k is built once in exact integer arithmetic (``bump_poly_exact``) for
 the scalar extended-precision evaluator ``TargetKernel.derivative_mp``,
 which the test oracles and the benchmark's metrics read; no command
 calls it, so none imports mpmath: its 40-digit context (``_mp``) is
-built on first use.  ``q_spectrum`` gives the transform Q(i omega) of
-the causal kernel q(t) = h(t - T), which the beta integrand reads.
+built on first use.  Both divide by one mass, the literal ``_BUMP_MASS``.
+``q_spectrum`` gives the transform Q(i omega) of the causal kernel
+q(t) = h(t - T), which the beta integrand reads.
 
 High-order derivatives concentrate into wavepackets near the support
 endpoints whose local frequency diverges like 1/delta^2 (delta the
@@ -32,7 +33,7 @@ import numpy as np
 
 from ._accel import bump_derivative_values
 from .config import D_MAX
-from .spectral_core import fourier_transform_at, gauss_legendre_rule
+from .spectral_core import fourier_transform_at
 
 #: largest variation of the log envelope g across one panel of ``derivative_panel_edges``
 _DG_MAX = 2.0
@@ -72,23 +73,22 @@ def bump_poly_exact(k):
     return tuple(out)
 
 
-#: P_0 = 1 in the edge basis of ``_accel.bump_derivative_values``: the bump itself
-_ORDER_0 = (np.array([1.0]), np.array([0.0]))
+#: int exp(-1/(1-u^2)) du over (-1, 1), the unit bump's mass, to 55 digits
+#: (mpmath ``quad`` at 60 and at 80 digits agree to every one)
+_BUMP_MASS = "0.4439938161680794378230489211705526637612017890456974973"
 
 
 @lru_cache(maxsize=1)
 def _mp():
-    """(ctx, mass): a private mpmath context at 40 digits and the unit bump's mass in it.
+    """(ctx, mass): a private mpmath context at 40 digits and ``_BUMP_MASS`` in it.
 
-    A clone, so the library never mutates the global ``mpmath.mp``; the
-    mass int exp(-1/(1-u^2)) du over (-1, 1) is mpmath's tanh-sinh
-    quadrature, good to about 1e-41 relative.
+    A clone, so the library never mutates the global ``mpmath.mp``.
     """
     from mpmath import mp
 
     ctx = mp.clone()
     ctx.dps = 40
-    return ctx, ctx.quad(lambda u: ctx.exp(-1 / (1 - u * u)), [-1, 1])
+    return ctx, ctx.mpf(_BUMP_MASS)
 
 
 def _bump_fk_mp(u, k):
@@ -109,13 +109,6 @@ def _bump_fk_mp(u, k):
     if p == 0:
         return ctx.mpf(0)
     return p * ctx.exp(-2 * k * ctx.log(delta) - 1 / delta)
-
-
-@lru_cache(maxsize=1)
-def _raw_bump_mass():
-    """integral of exp(-1/(1-u^2)) over (-1, 1) in double precision."""
-    n, w = gauss_legendre_rule(-1.0, 1.0, 32)
-    return float(bump_derivative_values(n, _ORDER_0, 0) @ w)
 
 
 def derivative_panel_edges(width, k):
@@ -162,7 +155,7 @@ class TargetKernel:
             raise ValueError("causal tail theta must be nonnegative and finite")
         self.T = float(T)
         self.theta = float(theta)
-        self.normalization = 2.0 / (self.width * _raw_bump_mass())
+        self.normalization = 2.0 / (self.width * float(_BUMP_MASS))
 
     @property
     def width(self):
@@ -179,7 +172,7 @@ class TargetKernel:
         """h at t (vectorized); exact zero off support."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
-        out = bump_derivative_values(self._to_unit(np.atleast_1d(t)), _ORDER_0, 0) * self.normalization
+        out = bump_derivative_values(self._to_unit(np.atleast_1d(t))) * self.normalization
         return float(out[0]) if scalar else out
 
     def derivative_mp(self, t, k):

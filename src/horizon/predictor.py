@@ -367,20 +367,22 @@ def beta_energy(h, x, r):
     """beta = int e^{r|omega|} |Q(i omega) X(i omega)|^2 domega.
 
     Refused as outside the class when the integral diverges, exactly when
-    2 x.spectral_decay <= r.  Otherwise it is taken on the grid of every
-    weighted spectral energy (``_adequate_grid``), split at the kinks of
-    |X|, and refused with ``BoundRangeError`` when it overflows, or when
-    the integrand has not decayed by the band cut (``_band_cut``), past
-    which Q is roundoff.
+    2 x.spectral_decay < r.  At the class edge 2 x.spectral_decay = r the
+    weight only cancels the signal's decay, and |Q|^2, decaying faster
+    than any power, keeps the integral finite.  beta is taken on the grid
+    of every weighted spectral energy (``_adequate_grid``), split at the
+    kinks of |X|, and refused with ``BoundRangeError`` when it overflows,
+    or when the integrand has not decayed by the band cut
+    (``_band_cut``), past which Q is roundoff.
     """
-    if 2.0 * x.spectral_decay <= r:
+    if 2.0 * x.spectral_decay < r:
         raise ClassMembershipError("signal outside class: beta integral diverges")
     top = _band_cut(h)
     grid = _adequate_grid(lambda om: _beta_integrand(x, h, r, om), r, x.spectral_kinks, top)
     if grid is None:
         raise BoundRangeError(f"beta integrand has not decayed at omega = {top:.4g}, past which Q is roundoff")
     _, weights, integrand = grid
-    beta = float(integrand @ weights) if np.all(np.isfinite(integrand)) else math.inf
+    beta = float(integrand @ weights)
     if not math.isfinite(beta):
         raise BoundRangeError(f"bound exceeds double range: beta overflows at r={r}")
     return beta

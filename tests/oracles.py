@@ -14,7 +14,8 @@ the spectrum's kinks (``beta_fine_panels``).  It also holds the
 reference routes that no command runs: alpha by grid quadrature
 (``alpha_of``) on a numpy Gauss-Legendre frequency grid
 (``frequency_grid``), the kernel's derivatives of every order in double
-(``kernel_derivative``, on the edge basis ``_bump_poly_edge``), the
+(``kernel_derivative``, by ``bump_derivative_edge`` on the edge basis
+``_bump_poly_edge``), the
 assembled predictor kernel and its node table (``assembled_kernel``,
 ``assembled_table``), the transform of the target kernel itself
 (``h_spectrum``), the transform of the assembled predictor kernel
@@ -121,12 +122,55 @@ def _bump_poly_edge(k):
     return _shift_to_delta(p[0::2]), _shift_to_delta(p[1::2])
 
 
-def kernel_derivative(h, k, t):
-    """h^(k)(t) in double (vectorized), by ``_accel.bump_derivative_values`` on the edge basis; zero off support."""
-    from horizon._accel import bump_derivative_values
+#: below this distance from the support edge the bump and all its
+#: derivatives up to order ~20 underflow in double
+_DELTA_FLOOR = 1e-4
 
+
+def _horner(coeffs, x):
+    out = np.zeros_like(x)
+    for c in coeffs[::-1]:
+        out = out * x + c
+    return out
+
+
+def bump_derivative_edge(u, k):
+    """f^(k)(u) = P_k(u) (1-u^2)^(-2k) exp(-1/(1-u^2)) of the unit bump in double, on an array.
+
+    P_k(u) = E(delta) + u O(delta) on the edge basis ``_bump_poly_edge``,
+    delta = 1 - u^2.  Near the support edges, where high derivatives
+    peak, delta is small and the leading coefficients dominate, so the
+    sum does not cancel the way Horner on the monomial coefficients of
+    P_k does.  Values are computed in log space so that the
+    (1-u^2)^(-2k) blow-up never meets the exp underflow as inf * 0.
+    """
+    from horizon._accel import _LOG_TINY
+
+    u = np.asarray(u, dtype=np.float64)
+    out = np.zeros_like(u)
+    delta = (1.0 - u) * (1.0 + u)
+    inside = delta > _DELTA_FLOOR
+    if not np.any(inside):
+        return out
+    ui = u[inside]
+    di = delta[inside]
+    even, odd = _bump_poly_edge(k)
+    p = _horner(even, di) + ui * _horner(odd, di)
+    vals = np.zeros_like(ui)
+    nz = p != 0.0
+    logv = np.log(np.abs(p[nz])) - 2.0 * k * np.log(di[nz]) - 1.0 / di[nz]
+    keep = logv > _LOG_TINY
+    v = np.zeros_like(logv)
+    v[keep] = np.sign(p[nz][keep]) * np.exp(logv[keep])
+    vals[nz] = v
+    out[inside] = vals
+    return out
+
+
+def kernel_derivative(h, k, t):
+    """h^(k)(t) in double (vectorized), by ``bump_derivative_edge``; zero off support."""
     t = np.asarray(t, dtype=float)
-    vals = bump_derivative_values(h._to_unit(np.atleast_1d(t)), _bump_poly_edge(k), k)
+    vals = bump_derivative_edge(h._to_unit(np.atleast_1d(t)), k)
     out = vals * h.normalization * (2.0 / h.width) ** k
     return float(out[0]) if t.ndim == 0 else out
 
@@ -232,7 +276,7 @@ def chirp_transfer_prediction_mp(coeffs, T, theta, band, amplitude, ts, dps=70, 
     of ``transfer_prediction_mp`` and the outer integral by mpmath's
     Gauss-Legendre quadrature: the frequency integral is done last, the
     reverse of the library's order.  The rule is checked against half its
-    step, relative to the largest value.
+    step, relative to the largest value however small it is.
     """
     import mpmath
 
@@ -264,7 +308,7 @@ def chirp_transfer_prediction_mp(coeffs, T, theta, band, amplitude, ts, dps=70, 
     coarse = evaluate(ctx.mpf(step))
     fine = evaluate(ctx.mpf(step) / 2)
     gap = max(abs(c - f) for c, f in zip(coarse, fine))
-    if gap > ctx.mpf(10) ** (-dps // 3) * max(1, max(abs(f) for f in fine)):
+    if gap > ctx.mpf(10) ** (-dps // 3) * max(abs(f) for f in fine):
         raise ArithmeticError(f"tanh-sinh rule not converged: {mpmath.nstr(gap, 3)}")
     return [float(v) for v in fine]
 
@@ -526,24 +570,50 @@ def _gauss_legendre_mp():
 
 
 def _extended_table(pk):
-    """40-digit (nodes, weights, values) of hhat_d on the library's derivative panels."""
-    from horizon.kernels import _mp, derivative_panel_edges
+    """40-digit (nodes, weights, values) of hhat_d on the library's derivative panels.
 
-    ctx = _mp()[0]
+    hhat_d = sum_k a_k q^(k) = (2 / (tau m)) e^{-1/delta} sum_k a_k P_k(u) g^k,
+    with u the unit coordinate, delta = 1 - u^2, g = 2 / (tau delta^2) and
+    m the bump's mass.  delta, e^{-1/delta}, g and the powers of u are
+    formed once per node for every order, and each P_k is one dot product
+    of its integer coefficients with those powers, rounded once, with 25
+    digits to spare: the sum cancels up to 20 digits near the edges at
+    k = 16.
+    Against a sum of ``derivative_mp`` per order at d = 10 it is within
+    1.1e-39 of max |hhat_d| and 3 to 4 times faster (measured).
+    """
+    from horizon.kernels import _mp, bump_poly_exact, derivative_panel_edges
+
+    ctx, mass = _mp()
     edges = derivative_panel_edges(pk.tau, pk.d)
     x, w = _gauss_legendre_mp()
-    coeffs = [ctx.mpf(c) for c in pk.psi.coeffs]
-    Tm = ctx.mpf(pk.h.T)
+    terms = [(k, ctx.mpf(a), [(j, c) for j, c in enumerate(bump_poly_exact(k)) if c])
+             for k, a in enumerate(pk.psi.coeffs) if a != 0]
+    n_powers = 1 + max(poly[-1][0] for _, _, poly in terms)
+    h = pk.h
+    width = ctx.mpf(h.width)
+    # the unit map of ``derivative_mp`` at t = s - T: u = 0 at s = T + (theta - T) / 2
+    centre = ctx.mpf(h.T) + (ctx.mpf(h.theta) - ctx.mpf(h.T)) / 2
     nodes, weights, values = [], [], []
     for i in range(edges.size - 1):
         mid = (ctx.mpf(edges[i]) + ctx.mpf(edges[i + 1])) / 2
         half = (ctx.mpf(edges[i + 1]) - ctx.mpf(edges[i])) / 2
         for xi, wi in zip(x, w):
-            u = mid + half * xi
-            nodes.append(u)
+            s = mid + half * xi
+            nodes.append(s)
             weights.append(half * wi)
-            values.append(ctx.fsum(a * pk.h.derivative_mp(u - Tm, k)
-                                   for k, a in enumerate(coeffs) if a != 0))
+            u = 2 * (s - centre) / width
+            delta = 1 - u * u
+            if delta <= 0:
+                values.append(ctx.mpf(0))
+                continue
+            g = 2 / (width * delta * delta)
+            with ctx.extradps(25):
+                powers = [ctx.one]
+                for _ in range(n_powers - 1):
+                    powers.append(powers[-1] * u)
+                total = ctx.fsum(a * g**k * ctx.fdot((c, powers[j]) for j, c in poly) for k, a, poly in terms)
+            values.append(total * ctx.exp(-1 / delta) * 2 / (width * mass))
     return nodes, weights, values
 
 
@@ -551,10 +621,11 @@ def _mp_transform(table, omegas):
     from horizon.kernels import _mp
 
     ctx = _mp()[0]
+    weighted = [(ui, wi * vi) for ui, wi, vi in table]
     out = []
     for om in np.atleast_1d(np.asarray(omegas, dtype=float)):
         om_m = ctx.mpf(float(om))
-        out.append(complex(ctx.fsum(wi * vi * ctx.expj(-om_m * ui) for ui, wi, vi in table)))
+        out.append(complex(ctx.fsum(wv * ctx.expj(-om_m * ui) for ui, wv in weighted)))
     return np.array(out)
 
 

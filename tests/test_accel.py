@@ -3,7 +3,7 @@ import numpy as np
 from horizon import _accel
 from horizon.kernels import _bump_fk_mp
 
-from oracles import _bump_poly_edge
+from oracles import bump_derivative_edge
 
 
 class TestBackendEquivalence:
@@ -13,9 +13,18 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(7)
         u = rng.uniform(-1.05, 1.05, size=256)
         for k in (0, 1, 4, 9, 12, 16):
-            got = _accel.bump_derivative_values(u, _bump_poly_edge(k), k)
+            got = bump_derivative_edge(u, k)
             ref = np.array([float(_bump_fk_mp(float(v), k)) for v in u])
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9 * np.max(np.abs(ref)))
+
+    def test_order_zero_is_the_edge_basis_bit_for_bit(self):
+        # random points, the support edges, points past them, and the edge
+        # distances either side of the underflow cutoff and the oracle's floor
+        rng = np.random.default_rng(3)
+        edge = np.sqrt(1.0 - np.array([1e-5, 1e-4, 1.0 / 740.0, 1.36e-3, 2e-3]))
+        u = np.concatenate([rng.uniform(-1.05, 1.05, size=512), [-2.0, -1.0, 0.0, 1.0, 3.0], edge, -edge])
+        np.testing.assert_array_equal(_accel.bump_derivative_values(u), bump_derivative_edge(u, 0))
+        assert _accel.bump_derivative_values(0.0) == np.exp(-1.0)
 
     def test_transform_paths_agree(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -33,5 +42,5 @@ class TestBackendEquivalence:
 
     def test_out_of_support_is_exact_zero(self):
         u = np.array([-2.0, -1.0, 1.0, 3.0])
-        vals = _accel.bump_derivative_values(u, _bump_poly_edge(3), 3)
-        np.testing.assert_array_equal(vals, 0.0)
+        np.testing.assert_array_equal(_accel.bump_derivative_values(u), 0.0)
+        np.testing.assert_array_equal(bump_derivative_edge(u, 3), 0.0)

@@ -347,7 +347,7 @@ class TestConvergence:
         assert all("runtime_ms" in r for r in summary["rows"])
 
     def test_class_refusal(self, runner, tmp_path):
-        # 2a <= r makes the spectral-energy factor diverge; beta refuses it
+        # 2a < r makes the spectral-energy factor diverge; beta refuses it
         cfgp = write_config(tmp_path / "c.json",
                             signal={"kind": "poisson", "params": {"a": 0.9}},
                             d_range=[0, 2], output_dir=str(tmp_path / "out"))
@@ -355,6 +355,16 @@ class TestConvergence:
             result = runner.invoke(main, [command, "--config", str(cfgp)])
             assert result.exit_code == EXIT_CLASS, result.output
             assert "refusing: signal outside class: beta integral diverges" in result.output
+
+    def test_class_edge_accepted(self, runner, tmp_path):
+        # at 2a = r the weight cancels |X|^2 and |Q|^2 keeps beta finite:
+        # both bound-checking commands run, every row within its bound
+        cfgp = write_config(tmp_path / "c.json",
+                            signal={"kind": "poisson", "params": {"a": 1.0}},
+                            d_range=[0, 2], output_dir=str(tmp_path / "out"))
+        for command in ("convergence", "noise-sweep"):
+            result = runner.invoke(main, [command, "--config", str(cfgp)])
+            assert result.exit_code == 0, result.output
 
     def test_bound_beyond_double_range_is_its_own_refusal(self, runner, tmp_path):
         # sigma = 0.02 is in the class, but beta is about e^2500

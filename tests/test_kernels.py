@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from horizon import kernels
 from horizon.config import D_MAX, ExperimentConfig
 from horizon.kernels import TargetKernel, bump_poly_exact, q_spectrum
 from horizon.spectral_core import fourier_transform_at, gauss_legendre_rule
@@ -49,6 +50,14 @@ class TestBumpKernel:
     def test_unit_mass(self, canonical_kernel):
         nodes, weights = gauss_legendre_rule(*canonical_kernel.support, 32)
         assert canonical_kernel(nodes) @ weights == pytest.approx(1.0, rel=1e-12)
+
+    def test_bump_mass_against_60_digits(self):
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        mass = mp.quad(lambda u: mp.exp(-1 / ((1 - u) * (1 + u))), [-1, 0, 1])
+        assert abs(mp.mpf(kernels._BUMP_MASS) - mass) <= mp.mpf("1e-50")
 
     def test_midpoint_is_maximum(self, canonical_kernel):
         h = canonical_kernel
@@ -116,7 +125,7 @@ class TestKernelDerivative:
     @pytest.mark.parametrize("k", [0, 5, 16])
     def test_extended_against_60_digits(self, canonical_kernel, k):
         # the unit bump's derivative at 80 digits over its mass at 60, mapped
-        # to the kernel at 60; the mass by tanh-sinh is good to about 1e-41
+        # to the kernel at 60; the 55-digit mass literal rounds to 40 digits
         # and the Horner sum keeps its digits up to the edges (a 32-panel
         # Gauss-Legendre mass put every value 1.6e-16 off, a 40-digit
         # Horner sum 1.1e-21 near the edges at k = 16)

@@ -7,7 +7,6 @@ import pytest
 from scipy.optimize import brentq
 
 from horizon import _accel, predictor
-from horizon._accel import bump_derivative_values
 from horizon.config import BoundRangeError
 from horizon.kernels import TargetKernel, derivative_panel_edges, q_spectrum
 from horizon.polynomials import Polynomial, projection_psi, taylor_psi
@@ -33,12 +32,12 @@ from horizon.signals import (
 from horizon.spectral_core import default_omega_max, gauss_legendre_edges
 
 from oracles import (
-    _bump_poly_edge,
     adaptive_simpson,
     assembled_kernel,
     assembled_spectrum,
     assembled_table,
     beta_fine_panels,
+    bump_derivative_edge,
     bump_derivative_mp,
     bump_l1_ratios_mp,
     bump_l2_ratios_mp,
@@ -143,6 +142,14 @@ class TestTarget:
         y = target_values(canonical_kernel, replace(eta, lines=lines, derivatives=derivatives), ts)
         assert calls == [2.0 + T]  # the largest |t - s|, max(ts) + T
         np.testing.assert_allclose(y, direct_table(canonical_kernel, eta, ts)[0][0], rtol=0, atol=1e-15)
+
+    def test_target_rule_integrates_h_within_one_eps(self):
+        # h is normalized by the bump's 55-digit mass; a 32-panel
+        # Gauss-Legendre mass, 2 ulp high, left four of these 1.5 eps short
+        for T_, theta in GRAM_KERNELS:
+            h = TargetKernel(T_, theta)
+            nodes, weights = predictor._target_rule(h)
+            assert abs(math.fsum(h(nodes) * weights) - 1.0) < np.finfo(float).eps, (T_, theta)
 
     def test_spectral_factorization(self, canonical_kernel, canonical_signal):
         # y(0) = (1/2pi) int H(i w) X(i w) dw
@@ -640,7 +647,7 @@ class TestBandSpectrum:
         l1 = []
         for m in range(predictor._BUMP_L1_RATIOS.size):
             def f(u, m=m):
-                return bump_derivative_values(np.atleast_1d(u), _bump_poly_edge(m), m)
+                return bump_derivative_edge(np.atleast_1d(u), m)
 
             v = f(grid)
             roots = [brentq(lambda u: f(u)[0], grid[i], grid[i + 1], xtol=1e-15)
@@ -707,10 +714,12 @@ class TestBandSpectrum:
                              + [pytest.param(0.05, 0.01, "taylor", d, id=f"narrow-taylor-{d}") for d in (14, 15)])
     def test_p1_sup_against_padded_fft(self, T_, theta, method, d):
         # the sup over the clipped band and its tail against the resolved
-        # sup of the long FFT's band.  Taylor d = 6
-        # moves 6.4e-13 and d = 7 7.1e-12, where |Q| is 4.8e-7: the two
-        # routes' |Q| agree to 3.4e-18 there, and the tolerance's 4e-18
-        # |psi_d| exceeds 1e-12 of the sup only at d = 7.  At d = 14 and 15
+        # sup of the long FFT's band.  At the argmax of Taylor d = 2..7 each
+        # route's |Q| is within 3e-17 of 30-digit values (measured; d = 6,
+        # where |Q| is 4.6e-6, the library 2.9e-17 low and the long FFT
+        # 1.4e-17 low), so the two routes agree to 6e-17 |psi_d|, which
+        # exceeds 1e-12 of the sup from d = 5 on; their sups differed by up
+        # to 2.6e-17 |psi_d| (d = 5).  At d = 14 and 15
         # the unclipped band's roundoff near the cut times |psi_d| read up
         # to 13 % (canonical d = 15) and 30 % (T = 0.05, d = 15) above the
         # tail bound; clipped at the envelope, the sup is the tail (d = 16)
@@ -720,8 +729,8 @@ class TestBandSpectrum:
         pk = PredictorKernel(h, psi)
         resolved, psi_abs = _resolved_sup(h, psi)
         sup = transfer_norms([pk], 1)[0][0]
-        assert sup == pytest.approx(max(resolved, _tail(h, psi)), rel=1e-12, abs=4e-18 * psi_abs)
-        assert sup >= resolved - 4e-18 * psi_abs  # the clip never cuts into the resolved sup
+        assert sup == pytest.approx(max(resolved, _tail(h, psi)), rel=1e-12, abs=6e-17 * psi_abs)
+        assert sup >= resolved - 6e-17 * psi_abs  # the clip never cuts into the resolved sup
 
     @BAND_KERNELS
     def test_p1_norms_stream(self, T_, theta):

@@ -8,8 +8,7 @@ included) that never runs must be in ``UNREACHED``, with what keeps it:
 the benchmark metric or probe built on it.  A function that stops
 running, or one on the list that starts to, fails the test, so reference
 routes that only tests use move to ``tests/oracles.py`` instead of
-staying in the library.  No command evaluates a kernel derivative: every
-``_accel.bump_derivative_values`` call they make is at order 0.
+staying in the library.
 """
 
 import inspect
@@ -68,14 +67,11 @@ def test_every_public_function_runs_or_is_listed(tmp_path):
         path = tmp_path / f"c{i}.json"
         path.write_text(json.dumps(overrides), encoding="utf-8")
         paths.append(path)
-    seen, orders = set(), set()
-    bump = _accel.bump_derivative_values.__code__
+    seen = set()
 
     def profile(frame, event, arg):
         if event == "call":
             seen.add(frame.f_code)
-            if frame.f_code is bump:
-                orders.add(frame.f_locals["k"])
 
     sys.setprofile(profile)
     try:
@@ -84,7 +80,6 @@ def test_every_public_function_runs_or_is_listed(tmp_path):
     finally:
         sys.setprofile(None)
     assert codes == [cli.EXIT_OK] * len(codes)
-    assert orders == {0}, "a command evaluated a kernel derivative"
     never = {name for code, name in _public_functions().items() if code not in seen}
     assert sorted(never - set(UNREACHED)) == [], "never run: move it to tests/oracles.py, or list what keeps it"
     assert sorted(set(UNREACHED) - never) == [], "listed, but a command runs it"

@@ -5,7 +5,7 @@ import pytest
 
 from horizon.config import BoundRangeError, ClassMembershipError, ExperimentConfig
 from horizon.kernels import TargetKernel
-from horizon.predictor import beta_energy
+from horizon.predictor import _BUMP_L2_RATIOS, beta_energy
 from horizon.signals import (
     Signal,
     _exp_integral,
@@ -255,12 +255,14 @@ class TestClassNorm:
         assert class_norm(x, 2.0).norm ** 2 == pytest.approx(float(integrand @ grid.weights), rel=1e-10)
 
     def test_energy_weight_membership_boundary(self):
-        # beta, under the growing weight, is finite iff 2a > r
+        # beta, under the growing weight, is finite iff 2a >= r.  At the edge
+        # 2a = r the weight cancels |X|^2 = e^{-2a|omega|}, so beta is
+        # ||Q||_2^2 = 2 pi ||q||_2^2 = 2 pi (2 / tau) L_0 (Parseval)
         assert math.isfinite(beta_energy(_KERNEL, poisson_signal(1.5), 2.0))
         with pytest.raises(ClassMembershipError, match="diverges"):
             beta_energy(_KERNEL, poisson_signal(0.9), 2.0)
-        with pytest.raises(ClassMembershipError, match="diverges"):
-            beta_energy(_KERNEL, poisson_signal(1.0), 2.0)
+        parseval = 2.0 * math.pi * (2.0 / _KERNEL.width) * _BUMP_L2_RATIOS[0]
+        assert beta_energy(_KERNEL, poisson_signal(1.0), 2.0) == pytest.approx(parseval, rel=2e-15)
 
     def test_energy_weight_value(self):
         # 2 / (2a - r), on beta's grid and in the closed form at s = r
