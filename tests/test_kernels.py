@@ -75,10 +75,11 @@ class TestBumpKernel:
 
 
 class TestKernelDerivative:
-    """Order k of the kernel in double, the oracles' edge basis on ``_accel.bump_derivative_values``.
+    """Order k of the kernel in double, on the oracles' edge basis.
 
-    The library evaluates h at order 0 only; the oracles and the derivative
-    tests build every order on the same accelerated evaluator.
+    The library evaluates h at order 0 only; the oracles build every order
+    with ``bump_derivative_edge``, which matches the library's order-0
+    evaluator bit for bit (checked in ``test_accel.py``).
     """
 
     def test_order_zero_is_the_kernel(self, canonical_kernel):

@@ -577,8 +577,8 @@ def _tail(h, psi):
                for m, l1 in enumerate(_derivative_l1(h)) if m >= psi.degree)
 
 
-def _resolved_sup(h, psi):
-    """(sup, |psi_d| at its argmax): sup |psi_d Q| over the long FFT's band up to the last |Q| > 1e-15.
+def _resolved_peak(h, psi):
+    """(omega, |psi_d|, |Q|) at the argmax of |psi_d Q| over the long FFT's band up to the last |Q| > 1e-15.
 
     An error e in |Q| there moves the sup by at most e |psi_d|; the
     streamed band is within 1e-15 of the long FFT's (``test_band_matches_padded_fft``).
@@ -588,7 +588,13 @@ def _resolved_sup(h, psi):
     n = int(np.flatnonzero(q_abs > 1e-15)[-1]) + 1
     psi_abs = np.abs(psi.at_iw(step * np.arange(n)))
     i = int(np.argmax(psi_abs * q_abs[:n]))
-    return float(psi_abs[i] * q_abs[i]), float(psi_abs[i])
+    return step * i, float(psi_abs[i]), float(q_abs[i])
+
+
+def _resolved_sup(h, psi):
+    """(sup, |psi_d| at its argmax) of ``_resolved_peak``."""
+    _, psi_abs, q_abs = _resolved_peak(h, psi)
+    return psi_abs * q_abs, psi_abs
 
 
 #: (omega, |Q|) near 4000, 9000 and 16000, all past the band cut, |Q| from
@@ -714,12 +720,15 @@ class TestBandSpectrum:
                              + [pytest.param(0.05, 0.01, "taylor", d, id=f"narrow-taylor-{d}") for d in (14, 15)])
     def test_p1_sup_against_padded_fft(self, T_, theta, method, d):
         # the sup over the clipped band and its tail against the resolved
-        # sup of the long FFT's band.  At the argmax of Taylor d = 2..7 each
-        # route's |Q| is within 3e-17 of 30-digit values (measured; d = 6,
-        # where |Q| is 4.6e-6, the library 2.9e-17 low and the long FFT
-        # 1.4e-17 low), so the two routes agree to 6e-17 |psi_d|, which
-        # exceeds 1e-12 of the sup from d = 5 on; their sups differed by up
-        # to 2.6e-17 |psi_d| (d = 5).  At d = 14 and 15
+        # sup of the long FFT's band.  Up to Taylor d = 7 the peak lies where
+        # |Q| is 4.8e-7 (d = 7) or more, and each route is held on its own
+        # to |psi_d| times the 30-digit |Q| there: below |Q| = 1e-3 both FFTs
+        # of the unit-mass samples miss |Q| by an absolute roundoff, measured
+        # up to 2.9e-17 (the band, d = 6) and 2.8e-17 (the long FFT) at these
+        # peaks and at 45 random frequencies, under this mass and one 2 ulp
+        # heavier.  The two routes then differ by up to 2.6e-17 |psi_d|,
+        # above 1e-12 of the sup from d = 5 on, so they are not held to each
+        # other there.  At d = 14 and 15
         # the unclipped band's roundoff near the cut times |psi_d| read up
         # to 13 % (canonical d = 15) and 30 % (T = 0.05, d = 15) above the
         # tail bound; clipped at the envelope, the sup is the tail (d = 16)
@@ -727,10 +736,17 @@ class TestBandSpectrum:
         h = TargetKernel(T_, theta)
         psi = taylor_psi(T_, d) if method == "taylor" else projection_psi(T_, R, d)
         pk = PredictorKernel(h, psi)
-        resolved, psi_abs = _resolved_sup(h, psi)
+        omega, psi_abs, q_abs = _resolved_peak(h, psi)
+        resolved = psi_abs * q_abs
         sup = transfer_norms([pk], 1)[0][0]
-        assert sup == pytest.approx(max(resolved, _tail(h, psi)), rel=1e-12, abs=6e-17 * psi_abs)
-        assert sup >= resolved - 6e-17 * psi_abs  # the clip never cuts into the resolved sup
+        if d <= 7:
+            true = psi_abs * bump_transform_mp(omega, h.width)
+            assert _tail(h, psi) < true
+            assert resolved == pytest.approx(true, rel=0.0, abs=4e-17 * psi_abs)
+            assert sup == pytest.approx(true, rel=0.0, abs=4e-17 * psi_abs)
+        else:
+            assert sup == pytest.approx(max(resolved, _tail(h, psi)), rel=1e-12, abs=4e-18 * psi_abs)
+            assert sup >= resolved - 4e-18 * psi_abs  # the clip never cuts into the resolved sup
 
     @BAND_KERNELS
     def test_p1_norms_stream(self, T_, theta):
