@@ -1,10 +1,11 @@
 """Experiment harness: config-driven sweeps emitting CSV and JSON.
 
 Exit codes: 0 success, 2 config or usage error, 3 refusal (the signal lies
-outside the class, or its bound is past what double precision holds), 4
-bound violation.  CSV output is deterministic (no wall-clock columns,
-full-precision scientific notation); per-row runtimes go to the JSON
-summary, which is not covered by the byte-identity guarantee.
+outside the class, its bound is past what double precision holds, or its
+band is past what the kernel's rule resolves), 4 bound violation.  CSV
+output is deterministic (no wall-clock columns, full-precision scientific
+notation); per-row runtimes go to the JSON summary, which is not covered
+by the byte-identity guarantee.
 
 Each command imports what it runs: ``alpha-sweep`` only the numpy-free
 modules imported here.  The numeric commands import ``predictor`` first,

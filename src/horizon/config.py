@@ -29,7 +29,7 @@ class ClassMembershipError(ValueError):
 
 
 class BoundRangeError(ValueError):
-    """The signal is in the class, but its error bound is past what double precision holds."""
+    """The signal is in the class, but its error bound is past double range, or its band past the kernel's rule."""
 
 
 def _require_int(key, value):

@@ -17,13 +17,6 @@ calls it, so none imports mpmath: its 40-digit context (``_mp``) is
 built on first use.  Both divide by one mass, the literal ``_BUMP_MASS``.
 ``q_spectrum`` gives the transform Q(i omega) of the causal kernel
 q(t) = h(t - T), which the beta integrand reads.
-
-High-order derivatives concentrate into wavepackets near the support
-endpoints whose local frequency diverges like 1/delta^2 (delta the
-distance to the edge in the unit coordinate).  ``derivative_panel_edges``
-builds quadrature panels by marching inward so that the log-variation of
-the envelope per panel stays bounded; the target rule is its order-0
-case, and the oracles read its panels of higher order.
 """
 
 import math
@@ -34,9 +27,6 @@ import numpy as np
 from ._accel import bump_derivative_values
 from .config import D_MAX
 from .spectral_core import fourier_transform_at
-
-#: largest variation of the log envelope g across one panel of ``derivative_panel_edges``
-_DG_MAX = 2.0
 
 
 def _poly_mul(p, q):
@@ -109,34 +99,6 @@ def _bump_fk_mp(u, k):
     if p == 0:
         return ctx.mpf(0)
     return p * ctx.exp(-2 * k * ctx.log(delta) - 1 / delta)
-
-
-def derivative_panel_edges(width, k):
-    """Panel edges on [0, width] resolving the order-k derivative wavepacket.
-
-    Edges march inward from each endpoint keeping the per-panel variation
-    of g = -1/delta - 2k log(delta) below ``_DG_MAX``, then mirror.
-    """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    inv_delta_max = 60.0 + 6.0 * k
-
-    def gprime(s):
-        u = -1.0 + 2.0 * s / width
-        delta = max(1e-12, 1.0 - u * u)
-        dd = abs(2.0 * u) * (2.0 / width)
-        return (1.0 / delta**2 + 2.0 * k / delta) * dd + 1e-30
-
-    s0 = 0.5 * width * (1.0 - math.sqrt(max(0.0, 1.0 - 1.0 / inv_delta_max)))
-    edges = [0.0, s0]
-    s = s0
-    cap = width / 24.0
-    half_w = 0.5 * width
-    while s < half_w:
-        s = min(s + min(_DG_MAX / gprime(s), cap), half_w)
-        edges.append(s)
-    mirrored = [width - e for e in reversed(edges[:-1])]
-    return np.array(edges + mirrored)
 
 
 class TargetKernel:

@@ -41,17 +41,18 @@ the real line, so on a kernel window of half-length l, s -> x(t - s) is
 resolved to double precision by its Chebyshev interpolant on
 M ~ 16 / log10(rho) points, rho = a/l + sqrt(1 + (a/l)^2) for a strip
 of half-width a (Bernstein-ellipse convergence; Trefethen, Approximation
-Theory and Approximation Practice, SIAM 2013, Thm 8.2).  Each quadrature sum over the panel nodes s_j is
-then sum_j v_j x(t - s_j) = sum_i x(t - sigma_i) (L.T v)_i, with L the
+Theory and Approximation Practice, SIAM 2013, Thm 8.2).  Each sum over
+the nodes s_j of the kernel's trapezoid rule (``_target_rule``) is then
+sum_j v_j x(t - s_j) = sum_i x(t - sigma_i) (L.T v)_i, with L the
 barycentric Lagrange basis of the window points sigma_i at the nodes,
-so x is read at (time x M) points in place of (time x node) points,
-while the kernel side stays on its panel rule.  Each row takes the
-first M, from a floor set by x's spectrum (``_first_window``) doubling,
-at which the last Chebyshev coefficients of its samples are within 4 eps
-of its largest sample, 4 (k + 1) eps for order k of a derivative stack
-(the tail test, ``_window_table``).  Rows that never pass it, near a
-sharp Gaussian say, and a table of too few times for the interpolant to
-pay are read on the nodes themselves, the direct panel sum.
+so x is read at (time x M) points in place of (time x node) points.
+Each row takes the first M, from a floor set by x's spectrum
+(``_first_window``) doubling, at which the last Chebyshev coefficients
+of its samples are within 4 eps of its largest sample, 4 (k + 1) eps
+for order k of a derivative stack (the tail test, ``_window_table``).
+Rows that never pass it, near a sharp Gaussian say, and a table of too
+few times for the interpolant to pay are read on the nodes themselves,
+the direct sum.
 
 The degree sweep, a list of predictors of one kernel, is the unit of
 work.  Only alpha depends on d, so each degree-free quantity is computed
@@ -74,10 +75,10 @@ import numpy as np
 
 from ._accel import _BLOCK_ELEMENTS, _row_blocks
 from .config import BoundRangeError, ClassMembershipError
-from .kernels import derivative_panel_edges, q_spectrum
+from .kernels import q_spectrum
 from .polynomials import alpha_closed_form
 from .signals import _log_abs_spectrum
-from .spectral_core import _adequate_grid, fourier_transform_at, gauss_legendre_edges
+from .spectral_core import _adequate_grid, fourier_transform_at
 
 
 class PredictorKernel:
@@ -109,13 +110,26 @@ class PredictorKernel:
 # -- convolutions ------------------------------------------------------------
 
 
-def _target_rule(h):
-    edges = derivative_panel_edges(h.width, 0) + h.support[0]
-    return gauss_legendre_edges(edges)
+def _rule_intervals(m):
+    """ceil(tau Omega / (2 pi) + m / pi), tau Omega / (2 pi) = ``_CUT_SCALE`` / pi (364) on every kernel."""
+    return math.ceil((_CUT_SCALE + m) / math.pi)
 
 
-#: fewest points of a window interpolant (``_first_window``)
-_FIRST_WINDOW = 16
+def _target_rule(h, m):
+    """The trapezoid rule of n = ``_rule_intervals(m)`` intervals on [-T, theta]: nodes -T + j tau / n, 0 < j < n.
+
+    h and all its derivatives vanish at both ends, so its only error is
+    the alias of the spectrum H * X of s -> h(s) x(t - s) at the rate
+    2 pi n / tau >= Omega + 2 m / tau (Trefethen & Weideman, SIAM Review
+    56, 2014): |H| is below 1e-16 past the band cut Omega (``_band_cut``)
+    and |X| below 1e-16 of its peak past 2 m / tau (``_first_window``).
+    """
+    n = _rule_intervals(m)
+    return h.support[0] + (h.width / n) * np.arange(1, n), np.full(n - 1, h.width / n)
+
+
+#: fewest points of a window interpolant, and most nodes of a target rule (``_first_window``)
+_FIRST_WINDOW, _MAX_NODES = 16, 1 << 16
 #: the tail test: the last ``_TAIL_COEFFS`` Chebyshev coefficients of each
 #: row of order k at most (k + 1) ``_TAIL_EPS`` (4 eps) times the row's
 #: largest sample, since order k of a derivative stack carries about k + 1
@@ -135,12 +149,16 @@ def _first_window(x, width):
     step over a feature of x and pass the tail test by missing it.  |X|
     peaks at 0 or at a kink and falls monotonically past the last kink
     (every kind in ``signals``), so M suffices once 2 M / width lies past
-    the last kink and |X| there is below the floor.
+    the last kink and |X| there is below the floor.  ``BoundRangeError``
+    before the target rule of 2 M would pass ``_MAX_NODES`` nodes: on the
+    canonical kernel, for a Gaussian sharper than sigma = 2e-5.
     """
     kinks = [0.0, *x.spectral_kinks]
     floor = 1e-16 * float(np.max(np.abs(x.spectrum(np.array(kinks)))))
     m = _FIRST_WINDOW
     while 2.0 * m / width <= max(kinks) or abs(float(x.spectrum(np.array(2.0 * m / width)))) > floor:
+        if _rule_intervals(2 * m) - 1 > _MAX_NODES:
+            raise BoundRangeError(f"signal not resolved by the kernel's rule: its band needs over {_MAX_NODES} nodes")
         m *= 2
     return m
 
@@ -246,13 +264,11 @@ def _window_table(ts, window, nodes, sample, v, depth, m):
     count N, or the signal values per point of the whole table (times x
     depth, not the rows left: a row takes the same M and bits in every
     table whose cutoff lies past that M) drop to ``_BASIS_COST``, the rows
-    left are read on the nodes themselves: the direct panel sum.  Past
-    that, forming the N x M basis would cost more than the direct sum
-    reads (the break-even measured near 80 times for the target and 20
-    for a 17-deep stack).  That sum
-    takes the nodes in column blocks of about ``_BLOCK_ELEMENTS`` per row
-    block, added in node order: one block for the target, several for a
-    stack (5 x 1,376 x 17 was 935 KB).
+    left are read on the nodes themselves: the direct sum, past which the
+    N x M basis costs more signal values than the sum reads.  It takes the
+    nodes in column blocks of about ``_BLOCK_ELEMENTS`` per row block,
+    added in node order: one block for the target and for a 5 x 368 x 17
+    stack (250 KB), more for more nodes.
     """
     out, left = np.empty((depth, ts.size)), None
     while m < nodes.size and _BASIS_COST * m < ts.size * depth:
@@ -269,7 +285,7 @@ def _window_table(ts, window, nodes, sample, v, depth, m):
 
 
 class MomentTable(NamedTuple):
-    """A moment table and the most window points it read the signal on for one time (None for a signal's lines)."""
+    """A moment table and the most points it read x on for one time (a direct sum's: the rule's nodes; lines: None)."""
 
     values: np.ndarray
     window_points: Optional[int]
@@ -289,9 +305,9 @@ def _convolutions(h, x, tt, kmax):
     row blocks of their exponent and exponential (four doubles an entry).
     """
     if x.lines is None:
-        nodes, weights = _target_rule(h)
+        nodes, weights = _target_rule(h, m := _first_window(x, h.width))
         return MomentTable(*_window_table(tt, h.support, nodes, lambda args: x.derivatives(kmax, args),
-                                          h(nodes) * weights, kmax + 1, _first_window(x, h.width)))
+                                          h(nodes) * weights, kmax + 1, m))
     om, c = x.lines(max(np.max(tt) + h.T, h.theta - np.min(tt)))
     b = (c * fourier_transform_at(h, h.support, om))[:, None] * (1j * om[:, None]) ** np.arange(kmax + 1)
     out = np.empty((kmax + 1, tt.size))
@@ -461,10 +477,9 @@ def _band_spectrum(h):
     L = 2048 and P = 128 whatever the kernel's width.  The phase factor
     comes from two factors formed per group, e^{-2 pi i p (j mod P) / m}
     and e^{-2 pi i p (j div P) / L}, each entry its own exp (a recurrence
-    in p loses digits where |Q| is small).  q and all its derivatives
-    vanish at 0 and tau, so this trapezoid rule is spectrally accurate
-    below Nyquist (Trefethen & Weideman, SIAM Review 56, 2014); its
-    aliases lie past 3 Omega.
+    in p loses digits where |Q| is small).  This trapezoid rule is
+    spectrally accurate below Nyquist, as ``_target_rule`` is; its aliases
+    lie past 3 Omega.
 
     Yields (omegas, q_abs) per group, a block of rows p and columns l:
     omegas = step (l P + p), q_abs = |Q(i omegas)|, each frequency once;

@@ -15,7 +15,8 @@ reference routes that no command runs: alpha by grid quadrature
 (``alpha_of``) on a numpy Gauss-Legendre frequency grid
 (``frequency_grid``), the kernel's derivatives of every order in double
 (``kernel_derivative``, by ``bump_derivative_edge`` on the edge basis
-``_bump_poly_edge``), the
+``_bump_poly_edge``), panels graded to the wavepackets of those
+derivatives at the support's edges (``derivative_panel_edges``), the
 assembled predictor kernel and its node table (``assembled_kernel``,
 ``assembled_table``), the transform of the target kernel itself
 (``h_spectrum``), the transform of the assembled predictor kernel
@@ -186,9 +187,40 @@ def assembled_kernel(pk, t):
     return float(out[0]) if t.ndim == 0 else out
 
 
+#: largest variation of the log envelope g across one panel of ``derivative_panel_edges``
+_DG_MAX = 2.0
+
+
+def derivative_panel_edges(width, k):
+    """Panel edges on [0, width] resolving the order-k derivative wavepacket.
+
+    Edges march inward from each endpoint keeping the per-panel variation
+    of g = -1/delta - 2k log(delta) below ``_DG_MAX``, then mirror.
+    """
+    if width <= 0:
+        raise ValueError("width must be positive")
+    inv_delta_max = 60.0 + 6.0 * k
+
+    def gprime(s):
+        u = -1.0 + 2.0 * s / width
+        delta = max(1e-12, 1.0 - u * u)
+        dd = abs(2.0 * u) * (2.0 / width)
+        return (1.0 / delta**2 + 2.0 * k / delta) * dd + 1e-30
+
+    s0 = 0.5 * width * (1.0 - math.sqrt(max(0.0, 1.0 - 1.0 / inv_delta_max)))
+    edges = [0.0, s0]
+    s = s0
+    cap = width / 24.0
+    half_w = 0.5 * width
+    while s < half_w:
+        s = min(s + min(_DG_MAX / gprime(s), cap), half_w)
+        edges.append(s)
+    mirrored = [width - e for e in reversed(edges[:-1])]
+    return np.array(edges + mirrored)
+
+
 def assembled_table(pk):
     """(nodes, weights, values, l1): hhat_d on the order-d derivative panels of [0, tau], and its L1 mass."""
-    from horizon.kernels import derivative_panel_edges
     from horizon.spectral_core import gauss_legendre_edges
 
     nodes, weights = gauss_legendre_edges(derivative_panel_edges(pk.tau, pk.d))
@@ -582,7 +614,7 @@ def _extended_table(pk):
     Against a sum of ``derivative_mp`` per order at d = 10 it is within
     1.1e-39 of max |hhat_d| and 3 to 4 times faster (measured).
     """
-    from horizon.kernels import _mp, bump_poly_exact, derivative_panel_edges
+    from horizon.kernels import _mp, bump_poly_exact
 
     ctx, mass = _mp()
     edges = derivative_panel_edges(pk.tau, pk.d)
@@ -660,7 +692,7 @@ def derivative_spectrum(h, k, omegas):
     cancellation headroom.
     """
     from horizon._accel import oscillatory_transform
-    from horizon.kernels import _mp, derivative_panel_edges
+    from horizon.kernels import _mp
     from horizon.spectral_core import gauss_legendre_edges
 
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
@@ -682,7 +714,7 @@ def derivative_spectrum(h, k, omegas):
 
 
 def direct_table(h, x, ts, kmax=None):
-    """(table, vectors, samples): a convolution as the direct panel sum, one full product per order.
+    """(table, vectors, samples): a convolution as the direct sum on the target rule, one full product per order.
 
     The signal is read at every (time, quadrature node) pair, with no
     window interpolant and no row blocks; ``vectors`` is the one weight
@@ -694,10 +726,10 @@ def direct_table(h, x, ts, kmax=None):
     - otherwise the derivative-transfer moments
       M[k, t] = sum_s h(s) w_s x^(k)(t - T - s), k <= kmax.
     """
-    from horizon.predictor import _target_rule
+    from horizon.predictor import _first_window, _target_rule
 
     ts = np.asarray(ts, dtype=float)
-    nodes, weights = _target_rule(h)
+    nodes, weights = _target_rule(h, _first_window(x, h.width))
     vectors = [h(nodes) * weights]
     if kmax is None:
         samples = x.derivatives(0, ts[:, None] - nodes)

@@ -614,9 +614,9 @@ class TestSweepWork:
 
     def test_few_times_deep_stack_peaks_below_one_mebibyte(self, runner, tmp_path):
         # the proj-p1-hi benchmark workload's noise-sweep: the d = 16 table on
-        # 5 times takes the direct sum over the 1,376 target nodes, in column
-        # blocks of about 256 KB; one block of the whole 5 x 1,376 x 17 stack
-        # traced 1.38 MiB
+        # 5 times takes the direct sum over the 368 nodes of the target rule,
+        # in one column block of 250 KB (traced 0.48 MiB); one block of the
+        # whole stack on a rule of 1,376 nodes traced 1.38 MiB
         cfgp = write_config(tmp_path / "c.json", method="projection", p=1, d_range=[0, 16], d_step=16,
                             tgrid={"t_min": -2.0, "t_max": 2.0, "n_points": 5},
                             output_dir=str(tmp_path / "out"))
@@ -642,7 +642,7 @@ class TestSweepWork:
             assert set(row) == {"alpha", "beta", "bound", "d", "method", "runtime_ms", "sup_error",
                                 "window_points"}
             # the 5-deep derivative stack at 41 times pays for a window
-            # of 32 points, not the 1,376 nodes of the target rule
+            # of 32 points, not the 368 nodes of the target rule
             assert row["window_points"] == 32
 
 
@@ -681,6 +681,24 @@ class TestPredict:
         assert result.exit_code == EXIT_CONFIG, result.output
         assert "config error: times: expected finite values" in result.output
         assert not (tmp_path / "out" / "predict.csv").exists()
+
+    @pytest.mark.parametrize("sigma", [1e-7, 5e-324])
+    def test_unresolved_signal_refused(self, tmp_path, sigma):
+        # past the target rule's node cap: these once wrote rows of zeros
+        # (1e-7) or NaN with RuntimeWarnings (5e-324) at exit 0
+        cfgp = write_config(tmp_path / "c.json", signal={"kind": "gaussian", "params": {"sigma": sigma}},
+                            output_dir=str(tmp_path / "out"))
+        code, _, err, _ = run_fresh(["predict", "--config", str(cfgp)])
+        assert code == EXIT_CLASS, err
+        assert err.startswith("refusing: signal not resolved by the kernel's rule")
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "out" / "predict.csv").exists()
+
+    def test_sharp_resolved_signal_accepted(self, runner, tmp_path):
+        cfgp = write_config(tmp_path / "c.json", signal={"kind": "gaussian", "params": {"sigma": 5e-4}},
+                            output_dir=str(tmp_path / "out"))
+        result = runner.invoke(main, ["predict", "--config", str(cfgp)])
+        assert result.exit_code == 0, result.output
 
 
 class TestCsvWriter:

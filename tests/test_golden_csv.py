@@ -6,7 +6,8 @@ proj-p1-hi configs (seed 0) and the dense-double config on 2001 times.
 A change that moves a digit of any of these CSVs updates the JSON and
 says which cells moved, and why, in CHANGES.md.  The hashes hold for one
 numpy and BLAS build: another BLAS kernel may round a sum differently.
-To write the JSON from the current code:
+To write the JSON from the current code, printing each CSV whose hash
+moved (old and new prefix) and how many did not:
 
     PYTHONPATH=src python tests/test_golden_csv.py
 """
@@ -64,7 +65,11 @@ def test_csv_bytes_match_golden(tmp_path, name):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         hashes = {k: v for name in CONFIGS for k, v in csv_hashes(name, Path(tmp) / name).items()}
+    moved = sorted(k for k in hashes if old.get(k) != hashes[k])
+    for key in moved:
+        print(f"moved {key}: {old.get(key, 'none')[:12]} -> {hashes[key][:12]}")
     GOLDEN.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+    print(f"wrote {GOLDEN}: {len(moved)} moved, {len(hashes) - len(moved)} unchanged")

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from horizon import _accel, predictor
 from horizon.config import BoundRangeError
-from horizon.kernels import TargetKernel, derivative_panel_edges, q_spectrum
+from horizon.kernels import TargetKernel, q_spectrum
 from horizon.polynomials import Polynomial, projection_psi, taylor_psi
 from horizon.predictor import (
     PredictorKernel,
@@ -44,6 +44,7 @@ from oracles import (
     bump_transform_mp,
     chirp_transfer_prediction_mp,
     closed_form,
+    derivative_panel_edges,
     direct_table,
     frequency_grid,
     gram_l2_norm_sq_mp,
@@ -145,11 +146,13 @@ class TestTarget:
 
     def test_target_rule_integrates_h_within_one_eps(self):
         # h is normalized by the bump's 55-digit mass; a 32-panel
-        # Gauss-Legendre mass, 2 ulp high, left four of these 1.5 eps short
+        # Gauss-Legendre mass, 2 ulp high, left four of these 1.5 eps short.
+        # The trapezoid's rate grows with the signal's first window m
         for T_, theta in GRAM_KERNELS:
             h = TargetKernel(T_, theta)
-            nodes, weights = predictor._target_rule(h)
-            assert abs(math.fsum(h(nodes) * weights) - 1.0) < np.finfo(float).eps, (T_, theta)
+            for m in (16, 32, 1024):
+                nodes, weights = predictor._target_rule(h, m)
+                assert abs(math.fsum(h(nodes) * weights) - 1.0) < np.finfo(float).eps, (T_, theta, m)
 
     def test_spectral_factorization(self, canonical_kernel, canonical_signal):
         # y(0) = (1/2pi) int H(i w) X(i w) dw
@@ -280,7 +283,7 @@ class TestPredict:
     def test_chirp_lines_read_no_target_rule(self, canonical_kernel, monkeypatch):
         # a signal with lines forms no (lines x nodes) phases: neither its
         # target nor its moment table builds the target rule
-        def refuse(h):
+        def refuse(h, m):
             raise AssertionError("the target rule was built")
 
         monkeypatch.setattr(predictor, "_target_rule", refuse)
@@ -344,8 +347,8 @@ class TestPredict:
     def test_chirp_lines_table_peaks_below_600_kib(self, canonical_kernel):
         # the canonical chirp's lines take H from fourier_transform_at and
         # form no (lines x nodes) phases: traced 110 KiB, where one reused
-        # complex block of 16 rows of phases over the 1,376 target nodes
-        # traced 499 KiB
+        # complex block of 16 rows of phases over a target rule of 1,376
+        # nodes traced 499 KiB
         eta = chirp_noise((6.0, 12.0), 1.0)
         ts = np.linspace(-2.0, 2.0, 41)
         tracemalloc.start()
@@ -393,9 +396,9 @@ class TestErrorBound:
     def test_beta_where_the_weight_overflows(self, canonical_kernel):
         # on the a = 1.005 grid (omega_max 3684) e^{r omega} overflows
         # against |Q X|^2 = 0; beta is finite, below the a -> r/2 limit
-        # 2 pi ||h||^2 (Parseval) and above beta at a larger a
-        nodes, weights = predictor._target_rule(canonical_kernel)
-        parseval = 2.0 * math.pi * float(canonical_kernel(nodes) ** 2 @ weights)
+        # 2 pi ||h||^2 = 2 pi L_0 (2 / tau) (Parseval, in closed form) and
+        # above beta at a larger a
+        parseval = 2.0 * math.pi * predictor._BUMP_L2_RATIOS[0] * (2.0 / canonical_kernel.width)
         beta = beta_energy(canonical_kernel, poisson_signal(1.005), R)
         assert beta_energy(canonical_kernel, poisson_signal(1.05), R) < beta < parseval
 
@@ -871,6 +874,22 @@ def _library_table(h, x, ts, kmax):
     return moment_table(h, x, ts, kmax).values
 
 
+def _panel_sums(h, x, ts, kmax, n_panels, reach):
+    """(sums, scale): sum_j v_j x^(k)(t - s_j) and sum_j |v_j x^(k)(t - s_j)|, k <= kmax, at the times ``ts``.
+
+    v = h w on ``n_panels`` uniform Gauss-Legendre panels of the support;
+    x is read only where |t - s| <= ``reach``, past which it is 0 in double.
+    """
+    nodes, weights = gauss_legendre_edges(np.linspace(*h.support, n_panels + 1))
+    v = h(nodes) * weights
+    sums, scale = np.empty((kmax + 1, ts.size)), np.empty((kmax + 1, ts.size))
+    for i, t in enumerate(ts):
+        near = slice(*np.searchsorted(nodes, [t - reach, t + reach]))
+        y = x.derivatives(kmax, t - nodes[near])
+        sums[:, i], scale[:, i] = y @ v[near], np.abs(y) @ np.abs(v[near])
+    return sums, scale
+
+
 class TestWindowTables:
     """Each convolution reads x through its window interpolant, within roundoff of the direct sum."""
 
@@ -895,9 +914,10 @@ class TestWindowTables:
     @pytest.mark.parametrize("T_, theta", WINDOW_KERNELS)
     def test_sharp_gaussian_is_the_direct_sum(self, monkeypatch, T_, theta):
         # sigma = 5e-4 needs some 5000 window points on every one of these
-        # windows, past every node count: each table tries every window and
-        # falls back to the nodes, the direct panel sum.  The target takes
-        # the nodes in one column block and is that sum bit for bit; the
+        # windows, past the node count of its rule (about m / pi + 364, m
+        # the first window): each table falls back to the nodes, the direct
+        # sum.  The target takes the nodes in one column block and is that
+        # sum bit for bit; the
         # 5-deep stack takes them in blocks of 409 (_BLOCK_ELEMENTS over 16
         # rows of 5 orders), within 8 eps of it as in the test above
         monkeypatch.setattr(predictor, "_BASIS_COST", 0)
@@ -913,6 +933,40 @@ class TestWindowTables:
                 scale = np.abs(v).sum() * np.array([np.abs(y).max() for y in samples])[:, None]
                 assert np.all(np.abs(got - ref) <= 8.0 * np.finfo(float).eps * scale)
                 assert moment_table(h, x, args, kmax).window_points == v.size  # the node count of its rule
+
+    @pytest.mark.parametrize("sigma", [5e-4, 2e-3, 5e-3, 1e-2])
+    def test_sharp_gaussian_target_against_fine_panels(self, canonical_kernel, sigma):
+        # the trapezoid's rate covers the signal's band: measured within 37
+        # eps of max |y| (at sigma = 5e-4).  A rule sized for h alone was off
+        # by 1.92 at sigma = 5e-4 and by 2.7e-5 at 2e-3
+        h, x = canonical_kernel, gaussian_signal(sigma)
+        ts = np.linspace(-0.2, 0.4, 41)
+        y, ref = target_values(h, x, ts), _panel_sums(h, x, ts, 0, 60000, 40.0 * sigma)[0][0]
+        assert np.max(np.abs(y - ref)) <= 64.0 * np.finfo(float).eps * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("sigma", [5e-4, 2e-3, 5e-3, 1e-2])
+    def test_sharp_gaussian_stack_against_fine_panels(self, canonical_kernel, sigma):
+        # each order k within 512 eps of its scale max_t sum |h w x^(k)|;
+        # measured 333, 35, 5.2 and 4.3 eps.  A rule sized for h alone was
+        # off by 6.2e15, 2.3e13, 2.5e5 and 5 eps
+        h, x = canonical_kernel, gaussian_signal(sigma)
+        ts = np.linspace(-0.2, 0.4, 7)
+        ref, scale = _panel_sums(h, x, ts, 12, 20000, 40.0 * sigma)
+        got = moment_table(h, x, ts + h.T, 12).values
+        assert np.all(np.abs(got - ref) <= 512.0 * np.finfo(float).eps * scale.max(axis=1, keepdims=True))
+
+    def test_modulated_poisson_on_a_wide_kernel_against_fine_panels(self):
+        # omega0 = 300 past the band of h on (2, 0.5): max |y| is 2.9e-11,
+        # and a rule sized for h alone was 5.9e-9 off
+        h, x = TargetKernel(2.0, 0.5), cosine_modulated_poisson(1.5, 300.0)
+        ts = np.linspace(-2.0, 2.0, 41)
+        ref = _panel_sums(h, x, ts, 0, 20000, np.inf)[0][0]
+        np.testing.assert_allclose(target_values(h, x, ts), ref, rtol=0, atol=1e-15)
+
+    def test_unresolved_signal_refused(self, canonical_kernel):
+        # sigma = 1e-7 needs a rule of some 1e7 nodes; it once read y = 0
+        with pytest.raises(BoundRangeError, match="signal not resolved by the kernel's rule"):
+            target_values(canonical_kernel, gaussian_signal(1e-7), [0.0])
 
     @pytest.mark.parametrize("n_cols", [1376, 2208])
     def test_row_blocks_merge_a_one_row_tail(self, n_cols):
@@ -930,7 +984,7 @@ class TestWindowTables:
     def test_dense_poisson_reads_32_window_points(self, canonical_kernel, canonical_signal):
         # the dense benchmark grid: the target and the d <= 4 moment table
         # read x and its derivative stack on 32 points per time, not on the
-        # 1,376 nodes of the target rule
+        # 368 nodes of the target rule
         ts = np.linspace(-20.0, 20.0, 20001)
         shapes = []
 
@@ -977,7 +1031,7 @@ class TestWindowTables:
     def test_dense_table_reads_few_values_per_time(self, canonical_kernel, x):
         # 87 % of the sigma = 1 rows pass at M <= 32; a table-wide M read
         # 1,024 points per time for the Gaussian and 128 for the modulated
-        # Poisson.  Measured 6.9M and 6.7M values, against 9.6M here
+        # Poisson.  Measured 6.3M and 6.7M values, against 9.6M here
         ts = np.linspace(-20.0, 20.0, 20001)
         count = [0]
 
